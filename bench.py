@@ -97,7 +97,7 @@ def run_headline(pages_dir: str, reps: int = 3) -> dict:
         # url / tile_xyz / poly_name are pruned before the one
         # object-store exchange (24 B/doc crosses instead of ~100)
         joined = flagship_pipeline(ds, zoom=7, polyset=synth.admin_polygons(),
-                                   concurrency=(2, NUM_CPUS), slim=True)
+                                   slim=True)
         agg = flagship_aggregate(joined)
         rows = 0
         for b in agg.iter_batches(batch_format="pyarrow"):
@@ -240,8 +240,7 @@ def touch(batch):
     .map_batches(touch, batch_size=1).materialize())
 t0 = time.perf_counter()
 ds = ray.data.read_parquet(pages_dir, columns=["url", "html"])
-joined = flagship_pipeline(ds, zoom=7, polyset=synth.admin_polygons(),
-                           concurrency=(2, cpus))
+joined = flagship_pipeline(ds, zoom=7, polyset=synth.admin_polygons())
 rows = 0
 for b in flagship_aggregate(joined).iter_batches(batch_format="pyarrow"):
     rows += len(b)

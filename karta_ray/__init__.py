@@ -13,10 +13,10 @@ Layout
   stereographic, Lambert/Gall-Peters equal-area) with proj4/WKT
   serialization, matching karta/crs.py semantics.
 - ``karta_ray.stages``    — Ray Data stage builders (map_batches fns,
-  actor-pool classes, groupby aggregates).
+  per-worker cached callable classes, groupby aggregates).
 - ``karta_ray.pipelines`` — end-to-end pipelines + checkpoint manifest.
-- ``karta_ray.state``     — per-actor indexes (STR-packed bbox tree,
-  per-cell kNN index).
+- ``karta_ray.state``     — the per-worker broadcast-state helper and
+  the STR-packed bbox tree.
 - ``karta_ray.synth``     — deterministic synthetic Common-Crawl-style
   pages / polygon fixtures.
 """

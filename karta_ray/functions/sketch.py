@@ -145,13 +145,13 @@ def cm_bucket_indices(hashes: np.ndarray, width: int,
                       depth: int) -> np.ndarray:
     """(depth, n) bucket index matrix — row d uses an independent
     salted re-mix of the base 64-bit hash."""
-    from .text import _splitmix64
+    from .text import mix64
 
     out = np.empty((depth, len(hashes)), dtype=np.int64)
     h = hashes.astype(np.uint64)
     for d in range(depth):
         with np.errstate(over="ignore"):
-            salted = _splitmix64(h ^ (np.uint64(d + 1) * _CM_SEED_STEP))
+            salted = mix64(h ^ (np.uint64(d + 1) * _CM_SEED_STEP))
         out[d] = (salted % np.uint64(width)).astype(np.int64)
     return out
 

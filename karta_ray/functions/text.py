@@ -24,11 +24,12 @@ def hash_bytes_u64(parts: list[bytes]) -> np.ndarray:
     return out
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
+def mix64(x) -> np.ndarray:
     """Vectorized splitmix64 finalizer (Steele et al. 2014) — full
-    64-bit avalanche, pure numpy."""
+    64-bit avalanche, pure numpy; the one 64-bit integer mixer of the
+    package."""
     with np.errstate(over="ignore"):
-        z = x + np.uint64(0x9E3779B97F4A7C15)
+        z = np.asarray(x, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
@@ -58,11 +59,11 @@ def hash_column_u64(col) -> np.ndarray:
     if pa.types.is_integer(t) or pa.types.is_temporal(t):
         x = pc.cast(arr, pa.int64(), safe=False).to_numpy(
             zero_copy_only=False).astype(np.int64).view(np.uint64)
-        return _splitmix64(x)
+        return mix64(x)
     if pa.types.is_floating(t):
         x = pc.cast(arr, pa.float64()).to_numpy(
             zero_copy_only=False).astype(np.float64).view(np.uint64)
-        return _splitmix64(x)
+        return mix64(x)
     if not (pa.types.is_string(t) or pa.types.is_large_string(t)
             or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
         # fallback: stringify via Arrow, then hash as string
@@ -96,7 +97,7 @@ def hash_column_u64(col) -> np.ndarray:
                 m = sl > j
                 b = data[ss[m] + j].astype(np.uint64)
                 h[m] = (h[m] ^ b) * np.uint64(0x100000001B3)
-            out[s_idx] = _splitmix64(h ^ sl.astype(np.uint64))
+            out[s_idx] = mix64(h ^ sl.astype(np.uint64))
     long_idx = np.nonzero(~short)[0]
     if len(long_idx):
         out[long_idx] = hash_bytes_u64(

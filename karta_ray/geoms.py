@@ -3,7 +3,7 @@
 The reference's ``Multipolygon`` (karta/vector/geometry.py:1664-1816) is a
 list of [outer-ring, holes...] CoordStrings plus an attribute Table and an
 R-tree. Here a polygon layer is a plain-arrays structure — cheap to
-``ray.put`` once and share read-only across every join actor:
+``ray.put`` once and share read-only across every join task:
 
 - ``verts``    (V, 2) float64 — all ring vertices, concatenated
 - ``ring_off`` (R+1,) int64   — vertex offsets per ring

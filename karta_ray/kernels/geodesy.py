@@ -17,11 +17,6 @@ import numpy as np
 SPHERE_RADIUS = 6370997.0
 
 
-def unroll_deg(deg):
-    """Normalize degrees to [0, 360)."""
-    return np.asarray(deg) % 360.0
-
-
 def reduce_deg(deg):
     """Normalize degrees to [-180, 180)."""
     return (np.asarray(deg) + 180.0) % 360.0 - 180.0
@@ -29,10 +24,6 @@ def reduce_deg(deg):
 
 def unroll_rad(rad):
     return np.asarray(rad) % (2.0 * np.pi)
-
-
-def reduce_rad(rad):
-    return (np.asarray(rad) + np.pi) % (2.0 * np.pi) - np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +193,6 @@ def eulerpole(lon0, lat0, lon1, lat1):
 # ---------------------------------------------------------------------------
 # Spherical segment intersection (used for geographical `intersects`)
 # ---------------------------------------------------------------------------
-
-def isbetween_circular(x, x0, x1):
-    """Whether lon *x* lies between *x0* and *x1* on the circle [-180, 180)
-    (karta/geodesy.py:128-134)."""
-    x, x0, x1 = (np.asarray(a, dtype=np.float64) for a in (x, x0, x1))
-    swap = unroll_deg(x1 - x0) > 180.0
-    lo = np.where(swap, x1, x0)
-    hi = np.where(swap, x0, x1)
-    xr = reduce_deg(x - lo)
-    hir = reduce_deg(hi - lo)
-    return (0.0 <= xr) & (xr <= hir)
-
 
 def _isbetween_inc(a, b, c):
     return (np.minimum(a, c) <= b) & (b <= np.maximum(a, c))

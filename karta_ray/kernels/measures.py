@@ -91,12 +91,6 @@ def ring_area_sphere_exact(ring, radius=geodesy.SPHERE_RADIUS):
     return abs(total) * radius * radius
 
 
-def ring_perimeter_planar(ring):
-    ring = np.asarray(ring, dtype=np.float64)
-    closed = np.vstack([ring, ring[:1]])
-    return float(np.hypot(np.diff(closed[:, 0]), np.diff(closed[:, 1])).sum())
-
-
 def polygon_perimeter(rings, crs_tag="cartesian"):
     """Ring + holes perimeter (geometry.py:1092-1107)."""
     from .. import crs as crsmod

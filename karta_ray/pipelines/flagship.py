@@ -3,9 +3,11 @@ geotag -> Web-Mercator cell assignment -> point-in-polygon join against
 the admin-boundary layer -> per-(polygon, cell) aggregate.
 
 This is the end-to-end shape the engine is graded on (BASELINE.json
-north_rule): every stage is a map_batches over zero-copy Arrow; the only
-stateful stage is the join actor pool; the only shuffle is the final
-small groupby over (poly_id, cell_id) pre-aggregated inside map_batches.
+north_rule): every stage is a task-based map_batches over zero-copy
+Arrow; the only stateful stage is the join, whose polygon state is
+broadcast once and built once per worker process; the only shuffle is
+the final small groupby over (poly_id, cell_id) pre-aggregated inside
+map_batches.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from ..stages.tiles import assign_cells
 
 
 def flagship_pipeline(pages_ds, *, zoom: int = 7, polyset=None,
-                      concurrency=None, mode: str = "inner",
-                      slim: bool = False):
+                      mode: str = "inner", slim: bool = False):
     """pages Dataset (url, warc_ts, html, ...) -> joined Dataset
     (url, lon, lat, cell_id, poly_id, poly_name).
 
@@ -43,8 +44,7 @@ def flagship_pipeline(pages_ds, *, zoom: int = 7, polyset=None,
     ds = ds.map_batches(assign_cells, batch_format="pyarrow",
                         fn_kwargs={"zoom": zoom, "with_xyz": not slim},
                         zero_copy_batch=True)
-    return pip_join(ds, polyset, zoom=zoom, mode=mode,
-                    concurrency=concurrency, with_name=not slim)
+    return pip_join(ds, polyset, zoom=zoom, mode=mode, with_name=not slim)
 
 
 def flagship_from_documents(sf_dir: str, *, zoom: int = 7):
@@ -52,8 +52,8 @@ def flagship_from_documents(sf_dir: str, *, zoom: int = 7):
 
     Returns the joined Dataset (url, lon, lat, cell_id, poly_id,
     poly_name) — exercises synthesis, extraction (byte-identical
-    invariant), geotagging, tile assignment and the PIP join actor pool
-    end-to-end over real testdata input.
+    invariant), geotagging, tile assignment and the PIP join end-to-end
+    over real testdata input.
     """
     import ray.data
 
@@ -61,7 +61,7 @@ def flagship_from_documents(sf_dir: str, *, zoom: int = 7):
                                   columns=["doc_id", "text", "lang"])
     pages = pages.map_batches(synth.pages_from_documents,
                               batch_format="pyarrow", zero_copy_batch=True)
-    return flagship_pipeline(pages, zoom=zoom, concurrency=(1, 4))
+    return flagship_pipeline(pages, zoom=zoom)
 
 
 def flagship_checkpointed(pages_dir: str, ckpt_root: str, *, zoom: int = 7,

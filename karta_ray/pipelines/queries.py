@@ -932,7 +932,7 @@ def q_media_features(sf_dir: str):
     to integer-exact stats.  The pixel/sample generation is plain
     modular arithmetic, so DuckDB reproduces every decoded value — the
     oracle certifies the full encode -> bytes -> decode round trip.
-    The float feature extractor (actor-pool stage) keeps its own
+    The float feature extractor (a per-worker cached stage) keeps its own
     equivalence tests in test_io_multimodal."""
     import ray.data
 

@@ -18,6 +18,8 @@ import pyarrow as pa
 
 import ray
 
+from ..state.worker import cached, resolve
+
 
 def _to_matrix(col) -> np.ndarray:
     from ..functions.arrays import list_column_to_matrix
@@ -35,7 +37,7 @@ class _TopkScorer:
     to local top-k rows per query."""
 
     def __init__(self, queries_ref, k: int, exclude_self: bool):
-        q = ray.get(queries_ref) if isinstance(queries_ref, ray.ObjectRef) else queries_ref
+        q = resolve(queries_ref)
         self.qids = q["qids"]
         self.qmat = q["qmat"]  # normalized (nq, d)
         self.k = k
@@ -100,14 +102,9 @@ def ann_topk(emb_ds, query_ids, query_mat, k: int = 10, *,
     q = {"qids": np.asarray(query_ids, dtype=np.int64),
          "qmat": _normalize(np.asarray(query_mat, dtype=np.float64))}
     ref = ray.put(q)
-    cache: dict = {}
 
     def score(batch: pa.Table) -> pa.Table:
-        s = cache.get("s")
-        if s is None:
-            s = _TopkScorer(ref, k, exclude_self)
-            cache["s"] = s
-        return s(batch)
+        return cached(_TopkScorer, ref, k, exclude_self)(batch)
 
     part = emb_ds.map_batches(score, batch_format="pyarrow",
                               zero_copy_batch=True)
@@ -145,7 +142,7 @@ def ann_ivf_topk(emb_ds, query_ids, query_mat, k: int = 10, *,
 
     class Scorer(_TopkScorer):
         def __init__(self, ref, k, exclude_self):
-            data = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+            data = resolve(ref)
             super().__init__(data["q"], k, exclude_self)
             self.probe = data["probe"]
 
@@ -200,14 +197,8 @@ def ann_ivf_topk(emb_ds, query_ids, query_mat, k: int = 10, *,
                 "sim": pa.array(np.concatenate(out_s)),
             })
 
-    cache: dict = {}
-
     def score(batch: pa.Table) -> pa.Table:
-        s = cache.get("s")
-        if s is None:
-            s = Scorer(ref, k, exclude_self)
-            cache["s"] = s
-        return s(batch)
+        return cached(Scorer, ref, k, exclude_self)(batch)
 
     part = emb_ds.map_batches(score, batch_format="pyarrow",
                               zero_copy_batch=True)
@@ -235,13 +226,12 @@ def lsh_band_rows(bits: int, bands: int):
     candidates recover their vectors afterwards via broadcast lookup or
     a distributed hash join."""
     rows_per_band = bits // bands
-    state = {"planes": None}  # lazily sized to the embedding dim per worker
 
     def sig_rows(batch: pa.Table) -> pa.Table:
         emb = _normalize(_to_matrix(batch.column("embedding")))
-        if state["planes"] is None or state["planes"].shape[1] != emb.shape[1]:
-            state["planes"] = _hyperplanes(emb.shape[1], bits)
-        bitsm = (emb @ state["planes"].T) > 0  # (n, bits)
+        # sized to the embedding dim, built once per worker process
+        planes = cached(_hyperplanes, emb.shape[1], bits)
+        bitsm = (emb @ planes.T) > 0  # (n, bits)
         vid = batch.column("vec_id").to_numpy().astype(np.int64)
         out_band, out_key, out_id = [], [], []
         for b in range(bands):
@@ -340,7 +330,7 @@ def cosine_neardup_lsh(emb_ds, threshold: float, *, bits: int = 32,
                        "mat": np.ascontiguousarray(mat[order])})
 
         def verify_bcast(batch: pa.Table, *, ref=ref) -> pa.Table:
-            data = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+            data = resolve(ref)
             a = batch.column("vec_a").to_numpy()
             b = batch.column("vec_b").to_numpy()
             ia = np.searchsorted(data["ids"], a)
@@ -503,7 +493,7 @@ def cosine_neardup_pairs(emb_ds, full_ids, full_mat, threshold: float):
                    "mat": _normalize(np.asarray(full_mat, dtype=np.float64))})
 
     def score(batch: pa.Table, *, ref=ref, threshold=threshold) -> pa.Table:
-        data = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+        data = resolve(ref)
         vid = batch.column("vec_id").to_numpy().astype(np.int64)
         emb = _normalize(_to_matrix(batch.column("embedding")))
         sims = emb @ data["mat"].T  # (nb, N)

@@ -27,20 +27,14 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64."""
-    z = x + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+from ..functions.text import mix64
 
 
 def _positions(keys: np.ndarray, m_bits: int, n_hashes: int) -> np.ndarray:
     """(n, n_hashes) bit positions by double hashing."""
     x = keys.astype(np.uint64)
-    h1 = _mix64(x)
-    h2 = _mix64(x ^ np.uint64(0xD6E8FEB86659FD93)) | np.uint64(1)
+    h1 = mix64(x)
+    h2 = mix64(x ^ np.uint64(0xD6E8FEB86659FD93)) | np.uint64(1)
     i = np.arange(n_hashes, dtype=np.uint64)
     return ((h1[:, None] + i[None, :] * h2[:, None])
             % np.uint64(m_bits)).astype(np.int64)

@@ -20,6 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import text as T
+from ..state.worker import resolve
 from .agg import tree_sum
 
 
@@ -344,7 +345,7 @@ def minhash_lsh_pairs(docs_ds, *, id_col: str = "doc_id",
                        "mat": np.ascontiguousarray(mat[order])})
 
         def estimate_bcast(batch: pa.Table, *, ref=ref) -> pa.Table:
-            data = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+            data = resolve(ref)
             da = batch.column("doc_a").to_numpy()
             db = batch.column("doc_b").to_numpy()
             ia = np.searchsorted(data["ids"], da)

@@ -7,24 +7,6 @@ import pyarrow as pa
 from ..extract import extract_text, parse_geotag
 
 
-def extract_stage(batch: pa.Table) -> pa.Table:
-    """html(binary) -> text; deterministic, byte-stable per row.
-
-    Emits the input columns minus ``html`` (the heavy binary column is
-    projected away as early as possible) plus ``text``.
-    """
-    text = extract_text(batch.column("html"))
-    out = batch.drop_columns([c for c in ("html", "text") if c in batch.column_names])
-    return out.append_column("text", text)
-
-
-def geotag_stage(batch: pa.Table) -> pa.Table:
-    """text -> lon/lat float64 columns (NaN when the page has no geotag)."""
-    lon, lat = parse_geotag(batch.column("text"))
-    out = batch.append_column("lon", pa.array(lon, pa.float64()))
-    return out.append_column("lat", pa.array(lat, pa.float64()))
-
-
 def extract_geotag_stage(batch: pa.Table) -> pa.Table:
     """Fused extract + geotag + drop-heavy-columns stage for the flagship
     pipeline: html -> (url, lon, lat, ...) without materializing text

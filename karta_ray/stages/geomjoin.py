@@ -25,6 +25,7 @@ import pyarrow as pa
 import ray
 
 from ..kernels import predicates as P
+from ..state.worker import cached, resolve
 
 
 def members_table(vertex_arrays, kind: str = "line",
@@ -53,7 +54,7 @@ class _GeomJoin:
     """map_batches stage testing members against one broadcast target."""
 
     def __init__(self, target_ref, mode: str, geographical: bool = False):
-        t = ray.get(target_ref) if isinstance(target_ref, ray.ObjectRef) else target_ref
+        t = resolve(target_ref)
         self.target = np.asarray(t["verts"], dtype=np.float64)
         self.target_kind = t["kind"]
         self.mode = mode
@@ -159,31 +160,15 @@ class _GeomJoin:
                                    pa.int64()))
 
 
-# per-worker cache of constructed stages (same pattern as
-# stages/join.py::_JOINER_CACHE): task-based map_batches gets actor-like
-# state amortization without actor-pool spin-up lag
-_GEOM_CACHE: dict = {}
-
-
-def _cached(cls, ref, *args):
-    key = (cls.__name__, ref.hex() if hasattr(ref, "hex") else id(ref),
-           args)
-    inst = _GEOM_CACHE.get(key)
-    if inst is None:
-        inst = cls(ref, *args)
-        _GEOM_CACHE.clear()  # at most one live target per worker
-        _GEOM_CACHE[key] = inst
-    return inst
-
-
 def geom_join(members_ds, target_verts, *, target_kind: str, mode: str,
               geographical: bool = False):
     """members Dataset x broadcast target geometry -> passing members."""
     ref = ray.put({"verts": np.asarray(target_verts, dtype=np.float64),
                    "kind": target_kind})
 
+    # built once per worker process (state/worker.py)
     def fn(batch: pa.Table) -> pa.Table:
-        return _cached(_GeomJoin, ref, mode, geographical)(batch)
+        return cached(_GeomJoin, ref, mode, geographical)(batch)
 
     return members_ds.map_batches(fn, batch_format="pyarrow",
                                   zero_copy_batch=True)
@@ -206,7 +191,7 @@ class _IntersectionPoints:
     exact dedup on (x, y) unless keep_duplicates)."""
 
     def __init__(self, target_ref, keep_duplicates: bool = False):
-        t = ray.get(target_ref) if isinstance(target_ref, ray.ObjectRef) else target_ref
+        t = resolve(target_ref)
         self.target = np.asarray(t["verts"], dtype=np.float64)
         self.ring_t = t["kind"] == "polygon"
         self.keep_duplicates = keep_duplicates
@@ -277,7 +262,7 @@ def intersection_points(members_ds, target_verts, target_kind: str = "line",
                    "kind": target_kind})
 
     def fn(batch: pa.Table) -> pa.Table:
-        return _cached(_IntersectionPoints, ref, keep_duplicates)(batch)
+        return cached(_IntersectionPoints, ref, keep_duplicates)(batch)
 
     return members_ds.map_batches(fn, batch_format="pyarrow",
                                   zero_copy_batch=True)

@@ -4,18 +4,21 @@ Replaces the reference's ``Multipoint.within_polygon`` (quadtree bbox
 prefilter -> exact contains, karta/vector/geometry.py:1391-1405) with the
 distributed shape:
 
-1. points carry a packed Web-Mercator ``cell_id`` (tile zoom Z);
-2. the polygon layer is prepped ONCE into plain arrays + a
-   cell -> candidate-polygons cover map, put in the object store with
-   ``ray.put`` and shared zero-copy by every join actor;
-3. ``PolyJoiner`` is a callable class for
-   ``map_batches(PolyJoiner, concurrency=N)``: candidate lookup by cell,
-   then the exact winding-number / polar-azimuth test per candidate
-   polygon, vectorized over the point subset.
+1. points carry lon/lat and, for the cell prefilter, a packed
+   Web-Mercator ``cell_id`` (tile zoom Z);
+2. the polygon layer is prepped ONCE into plain arrays plus a prefilter
+   (the cell cover of :func:`prep_polygons` or the STR bbox tree of
+   :func:`prep_polygons_strtree`), put in the object store with
+   ``ray.put`` and read by every task from the same copy;
+3. the join is a task-based ``map_batches`` over :func:`_join_batch`,
+   which builds one ``PolyJoiner`` per worker process
+   (``state.worker.cached``). The joiner takes (point, polygon)
+   candidate pairs from the prefilter, then runs the exact
+   winding-number / polar-azimuth test per candidate polygon,
+   vectorized over the point subset.
 
-The cell prefilter is a strict superset of the reference's bbox
-prefilter, and the exact test is identical — so join outputs match
-row-for-row.
+Both prefilters are strict supersets of the reference's bbox prefilter,
+and the exact test is identical — so join outputs match row-for-row.
 """
 
 from __future__ import annotations
@@ -26,159 +29,128 @@ import pyarrow as pa
 import ray
 
 from ..geoms import PolygonSet
+from ..state.strtree import STRtree
+from ..state.worker import cached, resolve
 
 DEFAULT_ZOOM = 7
 
+# batch_size=8192 deliberately breaks read->map fusion: the parquet read
+# then pipelines with the compute chain across the streaming executor
+# instead of serializing I/O and compute inside one fused task (measured
+# ~1.5x faster end-to-end on the 4M-page bench).
+BATCH_SIZE = 8192
 
-def _strtree_boxes(polyset: PolygonSet):
-    """Expand polygon bboxes into STRtree leaf boxes: dateline-crossing
-    bboxes (xmin > xmax) split into two boxes; polar polygons get a
-    full-longitude box down to their low-latitude edge (their lon/lat
-    bbox is meaningless around a pole). Returns (boxes, box_to_poly)."""
-    boxes = []
-    owner = []
-    for ip in range(len(polyset)):
-        xmin, ymin, xmax, ymax = polyset.bbox[ip]
-        if polyset.is_polar is not None and polyset.is_polar[ip]:
-            outer = polyset.rings_of(ip)[0]
-            if outer[:, 1].mean() > 0:
-                boxes.append((-180.0, ymin, 180.0, 90.0))
+_EMPTY_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+class CellCover:
+    """Cell prefilter: the cell -> candidate-polygons cover map flattened
+    to three sorted numpy arrays (cells, offsets, flat poly indices), so
+    batch lookup is a single vectorized searchsorted instead of per-cell
+    dict probes. Reads the batch's ``cell_id`` column."""
+
+    def __init__(self, polyset: PolygonSet, zoom: int):
+        cover = polyset.cell_cover(zoom)
+        self.cells = np.fromiter(sorted(cover), dtype=np.int64,
+                                 count=len(cover))
+        self.off = np.zeros(len(self.cells) + 1, dtype=np.int64)
+        flat = []
+        for i, c in enumerate(self.cells):
+            flat.append(cover[int(c)])
+            self.off[i + 1] = self.off[i] + len(cover[int(c)])
+        self.flat = (np.concatenate(flat) if flat
+                     else np.empty(0, dtype=np.int64))
+
+    def candidates(self, batch: pa.Table, lon, lat):
+        """(point_idx, poly_idx) candidate pairs, point-major."""
+        cells = batch.column("cell_id").to_numpy(zero_copy_only=False)
+        if len(self.cells) == 0:
+            return _EMPTY_PAIRS
+        pos = np.searchsorted(self.cells, cells)
+        pos_c = np.minimum(pos, len(self.cells) - 1)
+        match = self.cells[pos_c] == cells
+        starts = self.off[pos_c]
+        counts = np.where(match, self.off[pos_c + 1] - starts, 0)
+        total = int(counts.sum())
+        if total == 0:
+            return _EMPTY_PAIRS
+        pt_idx = np.repeat(np.arange(len(cells), dtype=np.int64), counts)
+        cum = np.cumsum(counts) - counts
+        flat_pos = (np.arange(total, dtype=np.int64)
+                    - np.repeat(cum, counts) + np.repeat(starts, counts))
+        return pt_idx, self.flat[flat_pos]
+
+
+class BoxTree:
+    """STR bbox-tree prefilter (the reference's R-tree analogue,
+    state/strtree.py): needs no cell assignment, so it serves a polygon
+    layer queried without one or at many zooms.
+
+    Dateline-crossing bboxes (xmin > xmax) split into two boxes; polar
+    polygons get a full-longitude box down to their low-latitude edge
+    (their lon/lat bbox is meaningless around a pole)."""
+
+    def __init__(self, polyset: PolygonSet):
+        boxes = []
+        owner = []
+        for ip in range(len(polyset)):
+            xmin, ymin, xmax, ymax = polyset.bbox[ip]
+            if polyset.is_polar is not None and polyset.is_polar[ip]:
+                outer = polyset.rings_of(ip)[0]
+                if outer[:, 1].mean() > 0:
+                    boxes.append((-180.0, ymin, 180.0, 90.0))
+                else:
+                    boxes.append((-180.0, -90.0, 180.0, ymax))
+                owner.append(ip)
+            elif xmin > xmax:
+                boxes.append((xmin, ymin, 180.0, ymax))
+                owner.append(ip)
+                boxes.append((-180.0, ymin, xmax, ymax))
+                owner.append(ip)
             else:
-                boxes.append((-180.0, -90.0, 180.0, ymax))
-            owner.append(ip)
-        elif xmin > xmax:
-            boxes.append((xmin, ymin, 180.0, ymax))
-            owner.append(ip)
-            boxes.append((-180.0, ymin, xmax, ymax))
-            owner.append(ip)
-        else:
-            boxes.append((xmin, ymin, xmax, ymax))
-            owner.append(ip)
-    return np.asarray(boxes, dtype=np.float64), np.asarray(owner, dtype=np.int64)
+                boxes.append((xmin, ymin, xmax, ymax))
+                owner.append(ip)
+        self.tree = STRtree(np.asarray(boxes, dtype=np.float64))
+        self.box_owner = np.asarray(owner, dtype=np.int64)
+        self.n_polys = len(polyset)
 
-
-def prep_polygons_strtree(polyset: PolygonSet):
-    """Broadcastable join state with an STR-packed bbox tree prefilter
-    (the reference's R-tree analogue, state/strtree.py) instead of the
-    cell cover — useful when the polygon layer is queried without a cell
-    assignment or at many zooms."""
-    from ..state.strtree import STRtree
-
-    boxes, owner = _strtree_boxes(polyset)
-    return ray.put({"polys": polyset, "tree": STRtree(boxes),
-                    "box_owner": owner})
-
-
-class PolyJoinerSTR:
-    """PIP join stage probing an STRtree prefilter (bbox candidates ->
-    exact winding/polar test). Same results as the cell-cover joiner."""
-
-    def __init__(self, prep_ref, mode: str = "inner"):
-        prep = ray.get(prep_ref) if isinstance(prep_ref, ray.ObjectRef) else prep_ref
-        self.polys: PolygonSet = prep["polys"]
-        self.tree = prep["tree"]
-        self.box_owner = prep["box_owner"]
-        self.mode = mode
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch.column("lon").to_numpy(zero_copy_only=False)
-        lat = batch.column("lat").to_numpy(zero_copy_only=False)
+    def candidates(self, batch: pa.Table, lon, lat):
+        """(point_idx, poly_idx) candidate pairs, point-major."""
         ok = ~(np.isnan(lon) | np.isnan(lat))
         pt_idx, box_idx = self.tree.query_points(
             np.where(ok, lon, 1e9), np.where(ok, lat, 1e9))
         poly_idx = self.box_owner[box_idx]
         # a dateline poly contributes two boxes; dedup (point, poly)
         if len(pt_idx):
-            key = pt_idx * (len(self.polys) + 1) + poly_idx
+            key = pt_idx * (self.n_polys + 1) + poly_idx
             _, ui = np.unique(key, return_index=True)
             pt_idx, poly_idx = pt_idx[ui], poly_idx[ui]
-
-        hit_point = []
-        hit_poly = []
-        if len(pt_idx):
-            order = np.argsort(poly_idx, kind="stable")
-            pt_s, pl_s = pt_idx[order], poly_idx[order]
-            uniq, starts_u = np.unique(pl_s, return_index=True)
-            bounds = np.append(starts_u, len(pl_s))
-            for k, ip in enumerate(uniq):
-                idx = pt_s[bounds[k]:bounds[k + 1]]
-                mask = self.polys.contains(lon[idx], lat[idx], int(ip))
-                if mask.any():
-                    hit_point.append(idx[mask])
-                    hit_poly.append(np.full(int(mask.sum()), ip, dtype=np.int64))
-        if hit_point:
-            pts = np.concatenate(hit_point)
-            pls = np.concatenate(hit_poly)
-            o = np.lexsort((pls, pts))
-            pts, pls = pts[o], pls[o]
-        else:
-            pts = np.empty(0, dtype=np.int64)
-            pls = np.empty(0, dtype=np.int64)
-        out = batch.take(pa.array(pts, pa.int64()))
-        out = out.append_column(
-            "poly_id", pa.array(self.polys.poly_id[pls], pa.int64()))
-        names = pa.array(list(self.polys.name), pa.string())
-        return out.append_column(
-            "poly_name", names.take(pa.array(pls, pa.int64())))
-
-
-def pip_join_strtree(points_ds, polyset: PolygonSet, *,
-                     concurrency=None, batch_size: int = 8192):
-    """PIP join via the STRtree prefilter. Default is task-based
-    map_batches with a per-worker joiner cache (no actor-pool spin-up
-    lag, see _JOINER_CACHE); pass ``concurrency`` to force a pool."""
-    prep_ref = prep_polygons_strtree(polyset)
-    if concurrency is not None:
-        return points_ds.map_batches(
-            PolyJoinerSTR,
-            fn_constructor_kwargs={"prep_ref": prep_ref},
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=concurrency, zero_copy_batch=True)
-
-    def fn(batch: pa.Table) -> pa.Table:
-        key = (prep_ref.hex() if hasattr(prep_ref, "hex")
-               else id(prep_ref), "strtree")
-        joiner = _JOINER_CACHE.get(key)
-        if joiner is None:
-            joiner = PolyJoinerSTR(prep_ref)
-            _JOINER_CACHE.clear()
-            _JOINER_CACHE[key] = joiner
-        return joiner(batch)
-
-    return points_ds.map_batches(fn, batch_format="pyarrow",
-                                 batch_size=batch_size,
-                                 zero_copy_batch=True)
+        return pt_idx, poly_idx
 
 
 def prep_polygons(polyset: PolygonSet, zoom: int = DEFAULT_ZOOM):
-    """Build the broadcastable join state and put it in the object store.
-
-    The cell -> candidate-polygons cover map is flattened to three sorted
-    numpy arrays (cells, offsets, flat poly indices) so batch lookup is a
-    single vectorized searchsorted instead of per-cell dict probes.
+    """Join state with the cell-cover prefilter, put in the object store.
 
     Returns an ObjectRef; pass it (not the value) to PolyJoiner so each
-    actor reads the same immutable copy zero-copy from shared memory
-    instead of re-shipping it per task.
+    worker reads the same immutable copy from shared memory instead of
+    re-shipping it per task.
     """
-    cover = polyset.cell_cover(zoom)
-    cells = np.fromiter(sorted(cover), dtype=np.int64, count=len(cover))
-    off = np.zeros(len(cells) + 1, dtype=np.int64)
-    flat = []
-    for i, c in enumerate(cells):
-        flat.append(cover[int(c)])
-        off[i + 1] = off[i] + len(cover[int(c)])
-    flat = np.concatenate(flat) if flat else np.empty(0, dtype=np.int64)
-    return ray.put({"polys": polyset, "cover_cells": cells,
-                    "cover_off": off, "cover_flat": flat, "zoom": zoom})
+    return ray.put({"polys": polyset, "prefilter": CellCover(polyset, zoom)})
+
+
+def prep_polygons_strtree(polyset: PolygonSet):
+    """Join state with the STR bbox-tree prefilter, put in the object
+    store (see :func:`prep_polygons`)."""
+    return ray.put({"polys": polyset, "prefilter": BoxTree(polyset)})
 
 
 class PolyJoiner:
-    """Actor-pool stage: inner/semi point-in-polygon join.
+    """map_batches callable: inner/semi/tag point-in-polygon join.
 
     Parameters
     ----------
-    prep_ref : ObjectRef from :func:`prep_polygons`
+    prep_ref : ObjectRef from :func:`prep_polygons` or
+               :func:`prep_polygons_strtree`
     mode : "inner"  -> one output row per (point, containing polygon)
            "semi"   -> input row passes through iff contained by >= 1
                        polygon (karta ``within_polygon`` subset semantics)
@@ -186,47 +158,21 @@ class PolyJoiner:
                        first match by polygon order, for aggregation)
     """
 
-    def __init__(self, prep_ref, mode: str = "inner",
-                 cell_col: str = "cell_id", with_name: bool = True):
-        prep = ray.get(prep_ref) if isinstance(prep_ref, ray.ObjectRef) else prep_ref
+    def __init__(self, prep_ref, mode: str = "inner", with_name: bool = True):
+        prep = resolve(prep_ref)
         self.polys: PolygonSet = prep["polys"]
-        self.cover_cells: np.ndarray = prep["cover_cells"]
-        self.cover_off: np.ndarray = prep["cover_off"]
-        self.cover_flat: np.ndarray = prep["cover_flat"]
-        self.zoom: int = prep["zoom"]
+        self.prefilter = prep["prefilter"]
         self.mode = mode
-        self.cell_col = cell_col
         self.with_name = with_name
         # vectorized poly_name lookup (take on a prebuilt arrow array,
         # not a per-output-row Python list comprehension)
         self.name_arr = pa.array(list(self.polys.name), pa.string())
 
-    def _candidates(self, cells: np.ndarray):
-        """Vectorized cell -> candidate pairs: (point_idx, poly_idx)."""
-        n = len(cells)
-        if len(self.cover_cells) == 0:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        pos = np.searchsorted(self.cover_cells, cells)
-        pos_c = np.minimum(pos, len(self.cover_cells) - 1)
-        match = self.cover_cells[pos_c] == cells
-        starts = self.cover_off[pos_c]
-        counts = np.where(match, self.cover_off[pos_c + 1] - starts, 0)
-        total = int(counts.sum())
-        if total == 0:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        pt_idx = np.repeat(np.arange(n, dtype=np.int64), counts)
-        cum = np.cumsum(counts) - counts
-        flat_pos = (np.arange(total, dtype=np.int64)
-                    - np.repeat(cum, counts) + np.repeat(starts, counts))
-        return pt_idx, self.cover_flat[flat_pos]
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        cells = batch.column(self.cell_col).to_numpy(zero_copy_only=False)
         lon = batch.column("lon").to_numpy(zero_copy_only=False)
         lat = batch.column("lat").to_numpy(zero_copy_only=False)
-        n = len(cells)
 
-        pt_idx, poly_idx = self._candidates(cells)
+        pt_idx, poly_idx = self.prefilter.candidates(batch, lon, lat)
         hit_point: list = []
         hit_poly: list = []
         if len(pt_idx):
@@ -254,7 +200,7 @@ class PolyJoiner:
             return batch.take(pa.array(keep, pa.int64()))
 
         if self.mode == "tag":
-            tag = np.full(n, -1, dtype=np.int64)
+            tag = np.full(batch.num_rows, -1, dtype=np.int64)
             # first match by polygon order: process high->low so low wins
             for ip in sorted(set(pls.tolist()), reverse=True):
                 tag[pts[pls == ip]] = self.polys.poly_id[ip]
@@ -273,48 +219,33 @@ class PolyJoiner:
             "poly_name", self.name_arr.take(pa.array(pls, pa.int64())))
 
 
-# per-worker-process cache of constructed joiners: Ray reuses worker
-# processes across tasks, so a task-based join stage gets actor-like
-# state amortization (build once per worker) with elastic task
-# scheduling (no actor-pool spin-up / autoscaling lag).
-_JOINER_CACHE: dict = {}
-
-
 def _join_batch(batch: pa.Table, *, prep_ref, mode: str,
-                cell_col: str, with_name: bool = True) -> pa.Table:
-    key = (prep_ref.hex() if hasattr(prep_ref, "hex") else id(prep_ref),
-           mode, cell_col, with_name)
-    joiner = _JOINER_CACHE.get(key)
-    if joiner is None:
-        joiner = PolyJoiner(prep_ref, mode=mode, cell_col=cell_col,
-                            with_name=with_name)
-        _JOINER_CACHE.clear()  # at most one live polygon layer per worker
-        _JOINER_CACHE[key] = joiner
-    return joiner(batch)
+                with_name: bool) -> pa.Table:
+    return cached(PolyJoiner, prep_ref, mode, with_name)(batch)
 
 
-# batch_size=8192 deliberately breaks read->map fusion: the parquet read
-# then pipelines with the compute chain across the streaming executor
-# instead of serializing I/O and compute inside one fused task (measured
-# ~1.5x faster end-to-end on the 4M-page bench).
-def pip_join(points_ds, polyset: PolygonSet, *, zoom: int = DEFAULT_ZOOM,
-             mode: str = "inner", concurrency=None, batch_size: int = 8192,
-             cell_col: str = "cell_id", with_name: bool = True):
-    """points Dataset (with lon/lat/cell_id columns) x PolygonSet ->
-    joined Dataset.
-
-    The polygon state is broadcast once with ray.put and read zero-copy
-    in every task; the constructed joiner is cached per worker process
-    (see _JOINER_CACHE). Pass ``concurrency`` to force an actor pool
-    instead (useful when the prep is expensive enough to pin workers)."""
-    prep_ref = prep_polygons(polyset, zoom)
-    kwargs = dict(
-        batch_format="pyarrow",
-        batch_size=batch_size,
+def _map_join(points_ds, prep_ref, mode: str = "inner",
+              with_name: bool = True):
+    return points_ds.map_batches(
+        _join_batch, batch_format="pyarrow", batch_size=BATCH_SIZE,
         zero_copy_batch=True,
-        fn_kwargs={"prep_ref": prep_ref, "mode": mode, "cell_col": cell_col,
-                   "with_name": with_name},
-    )
-    if concurrency is not None and not isinstance(concurrency, (tuple, list)):
-        kwargs["concurrency"] = concurrency
-    return points_ds.map_batches(_join_batch, **kwargs)
+        fn_kwargs={"prep_ref": prep_ref, "mode": mode,
+                   "with_name": with_name})
+
+
+def pip_join(points_ds, polyset: PolygonSet, *, zoom: int = DEFAULT_ZOOM,
+             mode: str = "inner", with_name: bool = True):
+    """points Dataset (with lon/lat/cell_id columns) x PolygonSet ->
+    joined Dataset, through the cell-cover prefilter.
+
+    The polygon state is broadcast once with ray.put; each worker
+    process builds its joiner from it once and reuses it across tasks."""
+    return _map_join(points_ds, prep_polygons(polyset, zoom), mode,
+                     with_name)
+
+
+def pip_join_strtree(points_ds, polyset: PolygonSet):
+    """points Dataset (with lon/lat columns) x PolygonSet -> joined
+    Dataset, through the STR bbox-tree prefilter. Same rows as
+    :func:`pip_join`."""
+    return _map_join(points_ds, prep_polygons_strtree(polyset))

@@ -23,6 +23,8 @@ import pyarrow as pa
 
 import ray
 
+from ..state.worker import resolve
+
 
 def _assign(emb: np.ndarray, cent: np.ndarray) -> np.ndarray:
     # squared L2 via the expansion; cent is (k, d)
@@ -87,7 +89,7 @@ def kmeans_fit(emb_ds, k: int, *, iters: int = 10,
         ref = ray.put(cent)
 
         def partial(batch: pa.Table, *, ref=ref) -> pa.Table:
-            c = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+            c = resolve(ref)
             emb = list_column_to_matrix(batch.column(emb_col))
             return _label_sum_rows(emb, _assign(emb, c))
 
@@ -117,7 +119,7 @@ def kmeans_predict(emb_ds, centroids: np.ndarray, *,
     ref = ray.put(np.asarray(centroids, dtype=np.float64))
 
     def fn(batch: pa.Table, *, ref=ref) -> pa.Table:
-        c = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+        c = resolve(ref)
         emb = list_column_to_matrix(batch.column(emb_col))
         lab = _assign(emb, c)
         # replace any pre-existing label column

@@ -20,6 +20,7 @@ import pyarrow as pa
 import ray
 
 from ..kernels import geodesy, tiles
+from ..state.worker import cached, resolve
 
 D2R = np.pi / 180.0
 
@@ -125,9 +126,7 @@ class KnnJoiner:
     rows (left cols + neighbor_id + rank), exact by ring expansion."""
 
     def __init__(self, index_ref, k: int, max_ring: int | None = None):
-        self.index: RightIndex = (ray.get(index_ref)
-                                  if isinstance(index_ref, ray.ObjectRef)
-                                  else index_ref)
+        self.index: RightIndex = resolve(index_ref)
         self.k = k
         self.max_ring = max_ring or (1 << self.index.zoom)
 
@@ -215,14 +214,9 @@ def knn_join(left_ds, right_index: RightIndex, k: int, *,
     joins use :func:`knn_join_coshuffle`.
     """
     ref = ray.put(right_index)
-    cache: dict = {}
 
     def fn(batch: pa.Table) -> pa.Table:
-        j = cache.get("j")
-        if j is None:
-            j = KnnJoiner(ref, k=k)
-            cache["j"] = j
-        return j(batch)
+        return cached(KnnJoiner, ref, k)(batch)
 
     return left_ds.map_batches(fn, batch_format="pyarrow",
                                batch_size=batch_size, zero_copy_batch=True)

@@ -174,8 +174,8 @@ class MediaFeatureExtractor:
     """map_batches stage: payload -> fixed-dim feature vector.
 
     Setup (the "model/codec load") happens once per worker; batches
-    should be small because payloads are heavy (size batch_size so
-    batch_size x payload_bytes fits the worker heap).
+    should be small because payloads are heavy (MEDIA_BATCH_SIZE x
+    payload_bytes must fit the worker heap).
     """
 
     def __init__(self, dim: int = 32):
@@ -200,28 +200,22 @@ class MediaFeatureExtractor:
                                  matrix_to_list_column(feats))
 
 
-def extract_media_features(media_ds, *, dim: int = 32, batch_size: int = 64,
-                           concurrency=None):
-    """Feature extraction over a media Dataset; batch size is
-    deliberately small (heavy binary payloads). Task-based with a
-    per-worker extractor cache unless ``concurrency`` forces a pool."""
-    if concurrency is not None:
-        return media_ds.map_batches(
-            MediaFeatureExtractor,
-            fn_constructor_kwargs={"dim": dim},
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=concurrency, zero_copy_batch=True)
-    cache: dict = {}
+# rows per feature-extraction batch: deliberately small, payloads are
+# heavy binary
+MEDIA_BATCH_SIZE = 64
+
+
+def extract_media_features(media_ds, *, dim: int = 32):
+    """Feature extraction over a media Dataset. Task-based; the
+    extractor is built once per worker process (state/worker.py)."""
+    from ..state.worker import cached
 
     def fn(batch: pa.Table) -> pa.Table:
-        x = cache.get("x")
-        if x is None:
-            x = MediaFeatureExtractor(dim=dim)
-            cache["x"] = x
-        return x(batch)
+        return cached(MediaFeatureExtractor, dim)(batch)
 
     return media_ds.map_batches(fn, batch_format="pyarrow",
-                                batch_size=batch_size, zero_copy_batch=True)
+                                batch_size=MEDIA_BATCH_SIZE,
+                                zero_copy_batch=True)
 
 
 def media_decode_stats(batch: pa.Table) -> pa.Table:

@@ -26,6 +26,7 @@ import pyarrow as pa
 import ray
 
 from ..kernels import raster as RK
+from ..state.worker import cached, resolve
 from .agg import tree_sum
 
 TILE = 256
@@ -281,7 +282,7 @@ class GridSampler:
     def __init__(self, grid_ref, mode: str = "bilinear",
                  x_col: str = "lon", y_col: str = "lat",
                  out_col: str = "value"):
-        g = ray.get(grid_ref) if isinstance(grid_ref, ray.ObjectRef) else grid_ref
+        g = resolve(grid_ref)
         self.values = g["values"]
         self.transform = g["transform"]
         self.nodata = g.get("nodata", np.nan)
@@ -527,8 +528,8 @@ def regrid_tiles_stage(tiles_ds, *, transform, shape, new_dx, new_dy,
     # positions() call keeps the float-op order identical to the
     # point-sampling paths. Broadcast ONCE via ray.put (a 10^7-pixel
     # axis is an 80 MB map — shipped per task through closure capture
-    # it would re-serialize with every tile task) and cached per
-    # worker process.
+    # it would re-serialize with every tile task) and read zero-copy
+    # from the object store.
     gi_all = np.arange(ny_new, dtype=np.int64)
     gj_all = np.arange(nx_new, dtype=np.int64)
     x_all, _ = RK.world_coords(new_t, np.zeros(nx_new), gj_all)
@@ -543,13 +544,9 @@ def regrid_tiles_stage(tiles_ds, *, transform, shape, new_dx, new_dy,
         sj_all = RK._lohi(J_all)[0]
     maps_ref = ray.put({"gi": gi_all, "gj": gj_all, "I": I_all,
                         "J": J_all, "si": si_all, "sj": sj_all})
-    cache: dict = {}
 
     def emit(batch: pa.Table) -> pa.Table:
-        maps = cache.get("m")
-        if maps is None:
-            maps = ray.get(maps_ref)
-            cache["m"] = maps
+        maps = resolve(maps_ref)
         gi_all, gj_all = maps["gi"], maps["gj"]
         I_all, J_all = maps["I"], maps["J"]
         si_all, sj_all = maps["si"], maps["sj"]
@@ -606,16 +603,10 @@ def sample_points(points_ds, values, transform, *, mode="bilinear",
     ref = ray.put({"values": np.asarray(values, dtype=np.float64),
                    "transform": tuple(transform), "nodata": nodata})
 
-    # task-based with a per-worker sampler cache: actor-like state
-    # amortization without actor-pool spin-up lag (join.py pattern)
-    cache: dict = {}
-
+    # task-based; the sampler is built once per worker process
+    # (state/worker.py)
     def fn(batch: pa.Table) -> pa.Table:
-        s = cache.get("s")
-        if s is None:
-            s = GridSampler(ref, mode=mode, x_col=x_col, y_col=y_col)
-            cache["s"] = s
-        return s(batch)
+        return cached(GridSampler, ref, mode, x_col, y_col)(batch)
 
     return points_ds.map_batches(fn, batch_format="pyarrow",
                                  zero_copy_batch=True)

@@ -81,6 +81,8 @@ def tfidf_table(ds, *, id_col: str = "doc_id", text_col: str = "text",
     import ray
     import ray.data
 
+    from ..state.worker import resolve
+
     n_docs = ds.count()
     tf = doc_term_freqs(ds, id_col=id_col, text_col=text_col)
     tf = tf.materialize()
@@ -99,8 +101,8 @@ def tfidf_table(ds, *, id_col: str = "doc_id", text_col: str = "text",
         order = np.argsort(tok_arr, kind="stable")
         ref = ray.put({"tokens": tok_arr[order], "df": df_arr[order]})
 
-        def resolve(batch: pa.Table, *, ref=ref) -> pa.Table:
-            data = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+        def attach_df(batch: pa.Table, *, ref=ref) -> pa.Table:
+            data = resolve(ref)
             tok = batch.column("token").to_numpy(zero_copy_only=False)
             i = np.searchsorted(data["tokens"], tok)
             dfv = data["df"][i]
@@ -110,7 +112,7 @@ def tfidf_table(ds, *, id_col: str = "doc_id", text_col: str = "text",
                 "tfidf", pa.array(_weight(tfv, dfv, n_docs),
                                   pa.float64()))
 
-        return tf.map_batches(resolve, batch_format="pyarrow")
+        return tf.map_batches(attach_df, batch_format="pyarrow")
 
     joined = tf.join(df, "inner", num_partitions=max(
         1, tf.num_blocks()), on=("token",))

@@ -1,1 +1,2 @@
-"""Per-actor index state: STR-packed bbox tree, cell indexes."""
+"""Stage state: the per-worker broadcast-state helper (``worker``) and
+the STR-packed bbox tree (``strtree``)."""

@@ -2,8 +2,8 @@
 
 Distributed replacement for the reference's insertion R-tree
 (karta/rtree.h via karta/vector/rtree.pyx:39-108, float32 bboxes,
-maxchildren=50): built once per actor over the polygon partition's
-bboxes, probed per batch. STR packing (Leutenegger et al. 1997) gives
+maxchildren=50): built once over the polygon layer's bboxes, read
+from the object store once per worker process, probed per batch. STR packing (Leutenegger et al. 1997) gives
 near-optimal static trees with zero insertion logic; bboxes are float64
 (the reference's float32 truncation is a documented precision hazard,
 SURVEY.md §7.4 — prefilter precision cannot change results because the

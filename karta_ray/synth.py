@@ -19,19 +19,10 @@ import numpy as np
 import pyarrow as pa
 
 from .extract import escape_text
+from .functions.text import mix64
 from .geoms import PolygonSet
 
 _M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def mix64(x):
-    """splitmix64 finalizer — deterministic per-id uniform hash."""
-    with np.errstate(over="ignore"):
-        x = np.asarray(x, dtype=np.uint64)
-        x = (x + np.uint64(0x9E3779B97F4A7C15))
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> np.uint64(31))
 
 
 def u01(ids, salt: int):

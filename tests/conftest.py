@@ -3,7 +3,12 @@ import sys
 
 import pytest
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
+
+# fixture files of the reference karta checkout, expected next to this repo
+REFERENCE_DATA = os.path.join(os.path.dirname(REPO), "reference", "tests",
+                              "data")
 
 
 @pytest.fixture(scope="session")
@@ -18,3 +23,12 @@ def ray_session():
                  ignore_reinit_error=True)
     yield
     ray.shutdown()
+
+
+@pytest.fixture(scope="session")
+def reference_data():
+    """Path of the reference checkout's test-data directory; a test that
+    requests it is skipped when the checkout is absent."""
+    if not os.path.isdir(REFERENCE_DATA):
+        pytest.skip(f"reference test data not present at {REFERENCE_DATA}")
+    return REFERENCE_DATA

@@ -47,6 +47,69 @@ class TestGeoJSON:
         np.testing.assert_allclose(back["polygons"][0]["rings"][0],
                                    out["polygons"][0]["rings"][0])
 
+    def test_file_round_trip(self, tmp_path):
+        # to_geojson -> file -> read_geojson keeps coordinates,
+        # properties, names and holes exactly
+        import json
+
+        from karta_ray.geoms import PolygonSet
+
+        pts = pa.table({
+            "geom_id": pa.array([0, 1, 2], pa.int64()),
+            "lon": pa.array([-123.25, 0.0, 151.2], pa.float64()),
+            "lat": pa.array([49.5, 0.0, -33.85], pa.float64()),
+            "props": pa.array([json.dumps({"name": n}) for n in "abc"]),
+        })
+        outer = np.array([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)])
+        hole = np.array([(4.0, 4.0), (4.0, 6.0), (6.0, 6.0), (6.0, 4.0)])
+        polys = [{"poly_id": 0, "rings": [outer, hole], "name": "holed"},
+                 {"poly_id": 1, "rings": [outer + 20.0], "name": "plain"}]
+        path = tmp_path / "layer.geojson"
+        path.write_text(to_geojson(points=pts, polygons=polys))
+
+        back = read_geojson(str(path))
+        for col in ("lon", "lat"):
+            assert back["points"].column(col).to_pylist() == \
+                pts.column(col).to_pylist()
+        assert [json.loads(p)["name"] for p in
+                back["points"].column("props").to_pylist()] == list("abc")
+        assert [p["name"] for p in back["polygons"]] == ["holed", "plain"]
+        for got, want in zip(back["polygons"], polys):
+            assert len(got["rings"]) == len(want["rings"])
+            for g, w in zip(got["rings"], want["rings"]):
+                np.testing.assert_array_equal(g, w)
+        ps = PolygonSet.from_rings(back["polygons"])
+        assert ps.contains(np.array([2.0, 5.0]), np.array([2.0, 5.0]),
+                           0).tolist() == [True, False]
+
+    def test_multi_and_bare_geometries(self):
+        import json
+
+        gj = {"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"k": 1},
+             "geometry": {"type": "MultiPoint",
+                          "coordinates": [[1.0, 2.0], [3.0, 4.0]]}},
+            {"type": "Feature", "properties": {},
+             "geometry": {"type": "MultiLineString", "coordinates": [
+                 [[0, 0], [1, 1]], [[2, 2], [3, 3], [4, 2]]]}},
+            {"type": "Feature", "properties": {"name": "two"},
+             "geometry": {"type": "MultiPolygon", "coordinates": [
+                 [[[0, 0], [1, 0], [1, 1], [0, 0]]],
+                 [[[5, 5], [6, 5], [6, 6], [5, 5]]]]}}]}
+        out = read_geojson(json.dumps(gj))
+        assert out["points"].column("geom_id").to_pylist() == [0, 0]
+        assert out["points"].column("lat").to_pylist() == [2.0, 4.0]
+        assert json.loads(out["points"].column("props")[0].as_py()) == {"k": 1}
+        assert [ln["vertices"].shape for ln in out["lines"]] == [(2, 2), (3, 2)]
+        assert [p["poly_id"] for p in out["polygons"]] == [2, 2]
+        assert [p["name"] for p in out["polygons"]] == ["two", "two"]
+        assert [len(p["rings"][0]) for p in out["polygons"]] == [3, 3]
+
+        bare = read_geojson(json.dumps(
+            {"type": "LineString", "coordinates": [[0, 0], [1, 1]]}))
+        assert len(bare["lines"]) == 1
+        assert bare["points"].num_rows == 0 and bare["polygons"] == []
+
 
 class TestMultimodal:
     def test_schema_and_determinism(self):
@@ -100,44 +163,55 @@ class TestMultimodal:
         assert encode_ppm(dark)[:2] == b"P6"
 
     @pytest.mark.usefixtures("ray_session")
-    def test_actor_pool_stage(self):
+    def test_feature_stage(self):
         import ray.data
 
         from karta_ray.stages.multimodal import extract_media_features
 
-        ds = ray.data.from_arrow(synth_media_table(100))
-        out = extract_media_features(ds, dim=8, batch_size=16,
-                                     concurrency=2).to_pandas()
+        table = synth_media_table(100)
+        ds = ray.data.from_arrow(table)
+        out = extract_media_features(ds, dim=8).to_pandas()
         assert len(out) == 100
         assert len(out["features"].iloc[0]) == 8
+        # same features as the extractor run in-process
+        want = MediaFeatureExtractor(dim=8)(table).to_pandas()
+        got = out.sort_values("media_id").reset_index(drop=True)
+        want = want.sort_values("media_id").reset_index(drop=True)
+        np.testing.assert_array_equal(np.stack(got["features"]),
+                                      np.stack(want["features"]))
+
+
+@pytest.fixture
+def geojson_dir(reference_data):
+    import os
+
+    return os.path.join(reference_data, "geojson_input")
 
 
 class TestGeoJSONReferenceFixtures:
     """Parse the reference's checked-in GeoJSON fixtures
-    (/root/reference/tests/data/geojson_input/*)."""
+    (tests/data/geojson_input/* of the reference checkout)."""
 
-    DIR = "/root/reference/tests/data/geojson_input"
-
-    def test_all_fixtures_parse(self):
+    def test_all_fixtures_parse(self, geojson_dir):
         import os
 
-        for name in sorted(os.listdir(self.DIR)):
+        for name in sorted(os.listdir(geojson_dir)):
             if not (name.endswith(".json") or name.endswith(".geojson")):
                 continue
-            out = read_geojson(os.path.join(self.DIR, name))
+            out = read_geojson(os.path.join(geojson_dir, name))
             total = (out["points"].num_rows + len(out["polygons"])
                      + len(out["lines"]))
             if name != "geometrycollection.json":  # not supported by karta either
                 assert total > 0, name
 
-    def test_california_outline_contains(self):
+    def test_california_outline_contains(self, geojson_dir):
         # the fixture stores the state outline as a MultiLineString;
         # close it into a ring and run the winding test
         import numpy as np
 
         from karta_ray.kernels import predicates as P
 
-        out = read_geojson(f"{self.DIR}/california.geojson")
+        out = read_geojson(f"{geojson_dir}/california.geojson")
         assert len(out["lines"]) == 1
         ring = out["lines"][0]["vertices"]
         assert len(ring) > 1000  # 1161-vertex coastline
@@ -152,24 +226,23 @@ class TestGeoJSONReferenceFixtures:
         assert 0 < inside.sum() < inside.size
         assert not P.points_in_ring(np.array([0.0]), np.array([0.0]), ring)[0]
 
-    def test_us_capitols_points(self):
-        out = read_geojson(f"{self.DIR}/us-capitols.json")
+    def test_us_capitols_points(self, geojson_dir):
+        out = read_geojson(f"{geojson_dir}/us-capitols.json")
         assert out["points"].num_rows >= 50
 
 
+@pytest.fixture
+def trail_gpx(reference_data):
+    import os
+
+    return os.path.join(reference_data, "gpx_input", "fishermans-trail.gpx")
+
+
 class TestGPX:
-    GPX_PATH = "/root/reference/tests/data/gpx_input/fishermans-trail.gpx"
-
-    def test_read_tracks(self):
-        import os
-
-        import pytest as _pytest
-
-        if not os.path.exists(self.GPX_PATH):
-            _pytest.skip("reference gpx fixture absent")
+    def test_read_tracks(self, trail_gpx):
         from karta_ray.sources.gpx import read_gpx_tracks
 
-        t = read_gpx_tracks(self.GPX_PATH)
+        t = read_gpx_tracks(trail_gpx)
         assert t.num_rows >= 1
         assert t.column("kind")[0].as_py() == "line"
         verts = t.column("vertices")[0].as_py()
@@ -179,17 +252,11 @@ class TestGPX:
         assert ele[0] == 73.189
         assert "Fisherman's Trail" in t.column("name")[0].as_py()
 
-    def test_track_lengths_positive(self):
-        import os
-
-        import pytest as _pytest
-
-        if not os.path.exists(self.GPX_PATH):
-            _pytest.skip("reference gpx fixture absent")
+    def test_track_lengths_positive(self, trail_gpx):
         from karta_ray import crs
         from karta_ray.sources.gpx import read_gpx_tracks, track_lengths
 
-        t = read_gpx_tracks(self.GPX_PATH)
+        t = read_gpx_tracks(trail_gpx)
         lens = track_lengths(t, crs.SphericalEarth)
         assert (lens > 0).all()
 

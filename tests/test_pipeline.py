@@ -31,7 +31,7 @@ class TestFlagship:
         n = 3000
         ps = synth.admin_polygons()
         ds = synth.pages_dataset(n, override_num_blocks=8)
-        out = flagship_pipeline(ds, zoom=7, polyset=ps, concurrency=2)
+        out = flagship_pipeline(ds, zoom=7, polyset=ps)
         tbl = out.to_arrow_refs()
         import ray
         parts = [ray.get(r) for r in tbl]
@@ -50,7 +50,7 @@ class TestFlagship:
         results = []
         for blocks in (2, 7):
             ds = synth.pages_dataset(n, override_num_blocks=blocks)
-            out = flagship_pipeline(ds, zoom=7, polyset=ps, concurrency=2)
+            out = flagship_pipeline(ds, zoom=7, polyset=ps)
             df = out.to_pandas().sort_values(["url", "poly_id"]).reset_index(drop=True)
             results.append(df[["url", "poly_id"]])
         assert results[0].equals(results[1])
@@ -59,7 +59,7 @@ class TestFlagship:
         n = 2000
         ps = synth.admin_polygons()
         ds = synth.pages_dataset(n, override_num_blocks=4)
-        joined = flagship_pipeline(ds, zoom=7, polyset=ps, concurrency=2)
+        joined = flagship_pipeline(ds, zoom=7, polyset=ps)
         agg = flagship_aggregate(joined).to_pandas()
         assert (agg["n"] > 0).all()
         # total joined rows preserved by the partial+final aggregate

@@ -1,5 +1,7 @@
-"""Raster goldens ported from /root/reference/tests/grid_tests.py and
+"""Raster goldens ported from the reference's tests/grid_tests.py and
 aai_tests.py, plus tiled-stage equivalence tests."""
+
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -128,12 +130,12 @@ class TestMaskPoly:
 
 
 class TestAAI:
-    def test_read_corner_and_center(self):
+    def test_read_corner_and_center(self, reference_data):
         # aai_tests.py:9-21 (ported verbatim: grid[::-1] == control)
         control = peaks(49)
         for ref in ("corner", "center"):
             vals, T, nodata = read_aai(
-                f"/root/reference/tests/data/peaks49_{ref}.asc")
+                os.path.join(reference_data, f"peaks49_{ref}.asc"))
             assert T == (0.0, 0.0, 30.0, 30.0, 0.0, 0.0)
             np.testing.assert_allclose(vals[::-1], control, atol=1e-6)
 
@@ -181,6 +183,20 @@ class TestTiledStages:
         t = tiles_from_grid(vals, T_UNIT, tile=32, overlap=2)
         back, T = grid_from_tiles(t)
         np.testing.assert_allclose(back, vals)
+        assert T == T_UNIT
+
+    def test_apply_stage(self):
+        # karta Grid.apply: element-wise UDF per tile, no halo needed
+        from karta_ray.stages.raster import (apply_stage, grid_from_tiles,
+                                             tiles_dataset)
+
+        vals = peaks(100)
+        ds = tiles_dataset(vals, T_UNIT, tile=32, overlap=1)
+        out = apply_stage(ds, lambda a: 2.0 * a + 1.0)
+        import ray
+        tabs = [ray.get(r) for r in out.to_arrow_refs()]
+        got, T = grid_from_tiles(pa.concat_tables(tabs))
+        np.testing.assert_array_equal(got, 2.0 * vals + 1.0)
         assert T == T_UNIT
 
     def test_stencil_stage_matches_whole_grid(self):
@@ -330,16 +346,21 @@ class TestMoreStencils:
 
 @pytest.mark.usefixtures("ray_session")
 class TestRasterPipelineE2E:
-    """EP2/EP3 analogue (SURVEY.md §3): AAI fixture -> tile records ->
+    """EP2/EP3 analogue (SURVEY.md §3): AAI file -> tile records ->
     stencil -> reassembly -> line-profile sampling."""
 
-    def test_aai_to_hillshade_profile(self):
+    def test_aai_to_hillshade_profile(self, tmp_path):
         import ray
         from karta_ray import crs
         from karta_ray.stages.raster import (grid_from_tiles, profile_stage,
                                              stencil_stage, tiles_dataset)
 
-        vals, T, _ = read_aai("/root/reference/tests/data/peaks49_corner.asc")
+        # the reference's peaks49_corner.asc: 30 m cells, rows stored so
+        # that the read grid is peaks(49) flipped (aai_tests.py:9-21)
+        path = str(tmp_path / "peaks49_corner.asc")
+        write_aai(path, peaks(49)[::-1], (0.0, 0.0, 30.0, 30.0, 0.0, 0.0))
+        vals, T, _ = read_aai(path)
+        assert T == (0.0, 0.0, 30.0, 30.0, 0.0, 0.0)
         ds = tiles_dataset(vals, T, tile=16, overlap=1)
         shaded = stencil_stage(ds, "hillshade", res=(30.0, 30.0))
         tabs = [ray.get(r) for r in shaded.to_arrow_refs()]

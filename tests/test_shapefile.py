@@ -1,6 +1,6 @@
 """Pure-Python shapefile reader vs the reference conformance corpus.
 
-Goldens ported from /root/reference/tests/shapefile_tests.py:139-171
+Goldens ported from the reference's tests/shapefile_tests.py:139-171
 (points/line/polygon fixtures) and :251-328 (shapelib corpus). The
 fixture files themselves are read from the reference checkout (public
 shapelib test data, (c) 1999 Frank Warmerdam, MIT-style license).
@@ -14,16 +14,21 @@ import pytest
 from karta_ray.sources.shapefile import (read_dbf, read_shapefile,
                                          shapefile_members_table)
 
-TESTDATA = "/root/reference/tests/data/shapefile"
 
-pytestmark = pytest.mark.skipif(not os.path.isdir(TESTDATA),
-                                reason="reference fixtures not present")
+@pytest.fixture
+def shp(reference_data):
+    return os.path.join(reference_data, "shapefile")
+
+
+@pytest.fixture
+def corpus(shp):
+    return os.path.join(shp, "shapelib")
 
 
 class TestBasicFixtures:
-    def test_read_points(self):
+    def test_read_points(self, shp):
         # shapefile_tests.py:139-151
-        pts = read_shapefile(os.path.join(TESTDATA, "points"))
+        pts = read_shapefile(os.path.join(shp, "points"))
         assert len(pts) == 4
         assert [p["type"] for p in pts] == ["Point"] * 4
         x = [p["coordinates"][0] for p in pts]
@@ -34,16 +39,16 @@ class TestBasicFixtures:
             ["T. officianale", "C. tectorum", "M. alba", "V. cracca"]
         assert [p["properties"]["ID"] for p in pts] == ["0", "1", "2", "3"]
 
-    def test_read_line(self):
+    def test_read_line(self, shp):
         # shapefile_tests.py:153-160
-        line = read_shapefile(os.path.join(TESTDATA, "line"))[0]
+        line = read_shapefile(os.path.join(shp, "line"))[0]
         assert line["type"] == "Line"
         assert line["coordinates"][:, 0].tolist() == [1.0, 5.0, 5.0, 3.0, 1.0]
         assert line["coordinates"][:, 1].tolist() == [5.0, 5.0, 1.0, 3.0, 1.0]
 
-    def test_read_polygon(self):
+    def test_read_polygon(self, shp):
         # shapefile_tests.py:162-170 (closed ring repeats first vertex)
-        poly = read_shapefile(os.path.join(TESTDATA, "polygon"))[0]
+        poly = read_shapefile(os.path.join(shp, "polygon"))[0]
         assert poly["type"] == "Polygon"
         ring = poly["coordinates"][0]
         assert ring[:, 0].tolist()[:5] == [1.0, 5.0, 5.0, 3.0, 1.0]
@@ -52,8 +57,6 @@ class TestBasicFixtures:
 
 class TestShapelibCorpus:
     """shapefile_tests.py:251-328 — type + count goldens."""
-
-    DIR = os.path.join(TESTDATA, "shapelib")
 
     CASES = [
         ("test1", "Point", 2), ("test2", "Point", 2), ("test3", "Point", 2),
@@ -66,40 +69,40 @@ class TestShapelibCorpus:
     ]
 
     @pytest.mark.parametrize("name,first_type,count", CASES)
-    def test_corpus(self, name, first_type, count):
-        res = read_shapefile(os.path.join(self.DIR, name))
+    def test_corpus(self, corpus, name, first_type, count):
+        res = read_shapefile(os.path.join(corpus, name))
         assert len(res) == count
         assert res[0]["type"] == first_type
 
-    def test_readable_unnumbered(self):
+    def test_readable_unnumbered(self, corpus):
         # test_/test_0 only assert readability in the reference
-        assert isinstance(read_shapefile(os.path.join(self.DIR, "test")),
+        assert isinstance(read_shapefile(os.path.join(corpus, "test")),
                           list)
-        assert read_shapefile(os.path.join(self.DIR, "test0")) == []
+        assert read_shapefile(os.path.join(corpus, "test0")) == []
 
-    def test_7_multipart_is_multiline(self):
-        res = read_shapefile(os.path.join(self.DIR, "test7"))
+    def test_7_multipart_is_multiline(self, corpus):
+        res = read_shapefile(os.path.join(corpus, "test7"))
         assert res[3]["type"] == "Multiline"  # shapefile_tests.py:295-297
 
-    def test_dbf_attributes(self):
-        fields, rows = read_dbf(os.path.join(self.DIR, "test.dbf"))
+    def test_dbf_attributes(self, corpus):
+        fields, rows = read_dbf(os.path.join(corpus, "test.dbf"))
         assert len(rows) == 3
 
 
 class TestMembersTable:
-    def test_points_table(self):
-        t = shapefile_members_table(os.path.join(TESTDATA, "points"))
+    def test_points_table(self, shp):
+        t = shapefile_members_table(os.path.join(shp, "points"))
         assert t.num_rows == 4
         assert "species" in t.column_names
         assert t.column("kind").to_pylist() == ["point"] * 4
 
-    def test_polygon_joins_with_engine(self):
+    def test_polygon_joins_with_engine(self, shp):
         # the members table feeds the geometry-set join stages directly
         import ray.data
 
         from karta_ray.stages.geomjoin import touching
 
-        members = shapefile_members_table(os.path.join(TESTDATA, "line"))
+        members = shapefile_members_table(os.path.join(shp, "line"))
         ds = ray.data.from_arrow(members)
         target = np.array([(0.0, 0.0), (6.0, 0.0), (6.0, 6.0), (0.0, 6.0)])
         out = touching(ds, target, target_kind="polygon").to_pandas()

@@ -76,8 +76,26 @@ class TestSTRtreeJoinEquivalence:
                               fn_kwargs={"zoom": 7}))
 
         a = pip_join(pts, ps, zoom=7).to_pandas()
-        b = pip_join_strtree(pts, ps, concurrency=2).to_pandas()
+        b = pip_join_strtree(pts, ps).to_pandas()
         key = ["url", "poly_id"]
         a = a[key].sort_values(key).reset_index(drop=True)
         b = b[key].sort_values(key).reset_index(drop=True)
         assert a.equals(b)
+
+    def test_prefilters_agree_in_every_mode(self):
+        # both prefilters feed the one exact test: identical tables
+        from karta_ray import synth
+        from karta_ray.stages.extract import extract_geotag_stage
+        from karta_ray.stages.join import (PolyJoiner, prep_polygons,
+                                           prep_polygons_strtree)
+        from karta_ray.stages.tiles import assign_cells
+
+        ps = synth.admin_polygons()
+        batch = assign_cells(extract_geotag_stage(synth.pages_table(3000)),
+                             zoom=7)
+        cell_ref, box_ref = prep_polygons(ps, 7), prep_polygons_strtree(ps)
+        for mode in ("inner", "semi", "tag"):
+            a = PolyJoiner(cell_ref, mode)(batch).to_pandas()
+            b = PolyJoiner(box_ref, mode)(batch).to_pandas()
+            assert len(a) > 0
+            assert a.equals(b), mode  # NaN-aware (tag keeps untagged rows)
