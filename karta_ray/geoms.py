@@ -10,11 +10,26 @@ R-tree. Here a polygon layer is a plain-arrays structure — cheap to
 - ``ring_poly`` (R,)  int64   — owning polygon index per ring
 - ``ring_hole`` (R,)  bool    — ring 0 of a polygon is the outer ring,
   others are holes (karta ``Polygon.subs``, geometry.py:994-997)
+- ``poly_ring_off`` (P+1,) int64 — ring offsets per polygon (the rings of
+  polygon p are ``poly_ring_off[p] : poly_ring_off[p+1]``, outer first)
 - ``poly_id``  (P,)  int64, ``name`` list[str], ``crs`` list[str]
 - ``bbox``     (P, 4) float64 — dateline-aware for geographical CRS
   (karta/vector/dateline.pyx:19-61)
+- ``is_polar`` (P,)  bool    — the outer ring winds around a pole
 
-Rings are NOT explicitly closed (karta ring convention).
+Rings are NOT explicitly closed (karta ring convention). ``bbox`` and
+``is_polar`` come from one batched pass over the outer rings
+(``predicates.bbox_geographical_rings`` / ``ring_flags``).
+
+Two derived structures serve the PIP join (stages/join.py), both array
+programs over the whole layer:
+
+- :meth:`PolygonSet.cover_arrays` — the cell cover of the prefilter
+  boxes (:meth:`PolygonSet.cover_boxes`) as sorted ``(cells, off, flat)``
+  arrays; :meth:`PolygonSet.cell_cover` is a dict view of them;
+- :class:`RingTable` — per-ring polar/dateline/hole flags plus the
+  unrolled vertices and frame centres of dateline rings, for the exact
+  test of many (point, polygon) pairs at once.
 """
 
 from __future__ import annotations
@@ -24,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import predicates, tiles
+from .kernels import geodesy, predicates, tiles
 
 
 @dataclass
@@ -38,50 +53,63 @@ class PolygonSet:
     crs: list
     bbox: np.ndarray
     is_polar: np.ndarray = field(default=None)
+    poly_ring_off: np.ndarray = field(default=None, init=False)
+
+    def __post_init__(self):
+        # rings are stored polygon after polygon
+        self.poly_ring_off = np.searchsorted(
+            self.ring_poly, np.arange(len(self.poly_id) + 1)).astype(np.int64)
+        if self.is_polar is None:
+            self.is_polar = np.zeros(len(self.poly_id), dtype=bool)
 
     @classmethod
     def from_rings(cls, polygons: Sequence[dict]):
         """Build from [{'poly_id', 'name', 'crs', 'rings': [ring0, ...]}]
         where each ring is an (n, 2) array-like (ring0 = outer)."""
-        verts = []
-        ring_off = [0]
-        ring_poly = []
-        ring_hole = []
+        rings = []
+        n_rings = []
         poly_id = []
         names = []
         crss = []
-        bboxes = []
-        polar = []
-        off = 0
-        for ip, p in enumerate(polygons):
+        for p in polygons:
             poly_id.append(p["poly_id"])
             names.append(p.get("name", str(p["poly_id"])))
-            crs_tag = p.get("crs", "lonlat_wgs84")
-            crss.append(crs_tag)
-            for ir, ring in enumerate(p["rings"]):
-                ring = np.asarray(ring, dtype=np.float64).reshape(-1, 2)
-                verts.append(ring)
-                off += len(ring)
-                ring_off.append(off)
-                ring_poly.append(ip)
-                ring_hole.append(ir > 0)
-            outer = np.asarray(p["rings"][0], dtype=np.float64).reshape(-1, 2)
-            if crs_tag == "cartesian":
-                bboxes.append(predicates.bbox_planar(outer))
-                polar.append(False)
-            else:
-                bboxes.append(predicates.bbox_geographical(outer, ring=True))
-                polar.append(predicates.ring_is_polar(outer))
+            crss.append(p.get("crs", "lonlat_wgs84"))
+            if not len(p["rings"]):
+                raise ValueError(f"polygon {p['poly_id']} has no rings")
+            rings.extend(np.asarray(r, dtype=np.float64).reshape(-1, 2)
+                         for r in p["rings"])
+            n_rings.append(len(p["rings"]))
+        ring_len = np.fromiter((len(r) for r in rings), dtype=np.int64,
+                               count=len(rings))
+        ring_off = np.concatenate([[0], np.cumsum(ring_len)]).astype(np.int64)
+        poly_ring_off = np.concatenate([[0], np.cumsum(n_rings)]).astype(np.int64)
+        verts = np.concatenate(rings) if rings else np.empty((0, 2))
+
+        # outer rings: bbox and is_polar in one batched pass per CRS kind
+        start = ring_off[poly_ring_off[:-1]]
+        count = ring_len[poly_ring_off[:-1]]
+        geo = np.array([c != "cartesian" for c in crss], dtype=bool)
+        bbox = np.empty((len(poly_id), 4))
+        xs, ys = verts[:, 0], verts[:, 1]
+        bbox[geo] = np.column_stack(predicates.bbox_geographical_rings(
+            xs, ys, start[geo], count[geo]))
+        bbox[~geo] = np.column_stack(predicates.bbox_planar_rings(
+            xs, ys, start[~geo], count[~geo]))
+        is_polar = np.zeros(len(poly_id), dtype=bool)
+        is_polar[geo] = predicates.ring_flags(xs, start[geo], count[geo])[0]
+
+        ring_poly = np.repeat(np.arange(len(poly_id), dtype=np.int64), n_rings)
         return cls(
-            verts=np.concatenate(verts) if verts else np.empty((0, 2)),
-            ring_off=np.asarray(ring_off, dtype=np.int64),
-            ring_poly=np.asarray(ring_poly, dtype=np.int64),
-            ring_hole=np.asarray(ring_hole, dtype=bool),
+            verts=verts,
+            ring_off=ring_off,
+            ring_poly=ring_poly,
+            ring_hole=np.arange(len(rings)) != poly_ring_off[ring_poly],
             poly_id=np.asarray(poly_id, dtype=np.int64),
             name=names,
             crs=crss,
-            bbox=np.asarray(bboxes, dtype=np.float64),
-            is_polar=np.asarray(polar, dtype=bool),
+            bbox=bbox,
+            is_polar=is_polar,
         )
 
     def __len__(self):
@@ -89,10 +117,8 @@ class PolygonSet:
 
     def rings_of(self, ip: int):
         """List of (n, 2) vertex arrays for polygon index ip (outer first)."""
-        out = []
-        for r in np.nonzero(self.ring_poly == ip)[0]:
-            out.append(self.verts[self.ring_off[r]:self.ring_off[r + 1]])
-        return out
+        return [self.verts[self.ring_off[r]:self.ring_off[r + 1]]
+                for r in range(self.poly_ring_off[ip], self.poly_ring_off[ip + 1])]
 
     def contains(self, px, py, ip: int):
         """Exact membership of points vs polygon index ip, with karta's
@@ -118,54 +144,147 @@ class PolygonSet:
             px, py, rings, geographical=(self.crs[ip] != "cartesian"),
             azimuth_fn=azimuth_fn)
 
+    def cover_boxes(self):
+        """(P, 4) lon/lat boxes the prefilters cover, one per polygon: its
+        bbox, or for a polar polygon the full-longitude box from its
+        low-latitude edge to the pole it winds (its lon/lat bbox is
+        meaningless around the pole; the sign of the outer ring's mean
+        latitude picks the pole). ``xmin > xmax`` still marks a
+        dateline-crossing box."""
+        boxes = self.bbox.reshape(-1, 4).copy()
+        polar = self.is_polar
+        if polar.any():
+            outer = self.poly_ring_off[:-1]
+            start = self.ring_off[outer]
+            owner, idx = predicates.slice_index(start, self.ring_off[outer + 1] - start)
+            north = np.bincount(owner, weights=self.verts[idx, 1],
+                                minlength=len(self)) > 0
+            boxes[polar, 0], boxes[polar, 2] = -180.0, 180.0
+            boxes[polar & north, 3] = 90.0
+            boxes[polar & ~north, 1] = -90.0
+        return boxes
+
+    def cover_arrays(self, zoom: int):
+        """The cell cover as sorted arrays ``(cells, off, flat)``: the
+        polygon indices whose cover includes ``cells[k]`` are
+        ``flat[off[k]:off[k+1]]``, ascending, a polygon repeated as often
+        as its cover lists the cell. A polygon covers the Web-Mercator
+        tiles its :meth:`cover_boxes` box intersects
+        (``tiles.cells_covering_bbox``)."""
+        owner, cells = tiles.expand_tile_spans(
+            zoom, *tiles.bbox_tile_spans(*self.cover_boxes().T, zoom))
+        order = np.argsort(cells, kind="stable")   # keeps polygon order
+        cells, flat = cells[order], owner[order]
+        first = np.flatnonzero(np.diff(cells, prepend=cells[:1] - 1))
+        return cells[first], np.append(first, len(cells)).astype(np.int64), flat
+
     def cell_cover(self, zoom: int):
-        """dict cell_id -> np.ndarray of polygon indices whose bbox
-        intersects that Web-Mercator tile. Polar polygons cover every x
-        at rows between the pole and their low-latitude edge (their
-        lon/lat bbox is meaningless around the pole)."""
-        cover: dict[int, list] = {}
-        n = 1 << zoom
-        for ip in range(len(self)):
-            xmin, ymin, xmax, ymax = self.bbox[ip]
-            if self.is_polar is not None and self.is_polar[ip]:
-                # northern polar ring: rows 0 .. row(ymin); southern: rows
-                # row(ymax) .. n-1 (signs of the ring latitudes decide)
-                outer = self.rings_of(ip)[0]
-                north = outer[:, 1].mean() > 0
-                if north:
-                    _, ybot = tiles.tile_xy(0.0, max(ymin, -tiles.MERCATOR_LAT_MAX), zoom)
-                    rows = range(0, min(int(ybot), n - 1) + 1)
-                else:
-                    _, ytop = tiles.tile_xy(0.0, min(ymax, tiles.MERCATOR_LAT_MAX), zoom)
-                    rows = range(max(int(ytop), 0), n)
-                cells = [tiles.pack_cell(np.int64(zoom), np.int64(x), np.int64(y))
-                         for y in rows for x in range(n)]
-                cells = np.asarray(cells, dtype=np.int64)
-            else:
-                # xmin > xmax encodes a dateline-crossing bbox;
-                # cells_covering_bbox covers both sides of the dateline,
-                # matching the dateline-aware exact test
-                # (points_in_ring_dateline).
-                cells = tiles.cells_covering_bbox(xmin, ymin, xmax, ymax, zoom)
-            for c in np.asarray(cells).ravel():
-                cover.setdefault(int(c), []).append(ip)
-        return {c: np.asarray(v, dtype=np.int64) for c, v in cover.items()}
+        """dict cell_id -> np.ndarray of polygon indices whose cover
+        includes that Web-Mercator tile (a view of :meth:`cover_arrays`)."""
+        cells, off, flat = self.cover_arrays(zoom)
+        return {c: flat[off[k]:off[k + 1]] for k, c in enumerate(cells.tolist())}
 
     def to_arrow(self):
         """Arrow table in the FIXTURES.md §2 layout (one row per polygon)."""
         import pyarrow as pa
 
-        rings_col = []
-        for ip in range(len(self)):
-            rings_col.append([r.tolist() for r in self.rings_of(ip)])
+        points = pa.FixedSizeListArray.from_arrays(
+            pa.array(self.verts.ravel(), pa.float64()), 2)
+        rings = pa.ListArray.from_arrays(
+            pa.array(self.ring_off, pa.int32()), points)
         return pa.table({
             "poly_id": pa.array(self.poly_id, pa.int64()),
             "name": pa.array(self.name, pa.string()),
-            "rings": pa.array(
-                rings_col,
-                pa.list_(pa.list_(pa.list_(pa.float64(), 2)))),
+            "rings": pa.ListArray.from_arrays(
+                pa.array(self.poly_ring_off, pa.int32()), rings),
             "bbox": pa.StructArray.from_arrays(
                 [pa.array(self.bbox[:, i]) for i in range(4)],
                 names=["xmin", "ymin", "xmax", "ymax"]),
             "crs": pa.array(self.crs, pa.string()),
         })
+
+
+def _wgs84_azimuth(x1, y1, x2, y2):
+    """Karney inverse azimuth on WGS84 (the ``lonlat_wgs84`` CRS)."""
+    from .kernels import karney
+
+    az, _, _ = karney.inverse_vec(karney.WGS84_A, karney.WGS84_B,
+                                  *np.broadcast_arrays(x1, y1, x2, y2))
+    return az
+
+
+class RingTable:
+    """Exact-test table of a :class:`PolygonSet`, built once at prep time:
+    :meth:`contains` tests many (point, polygon) pairs at once with the
+    same result, bit for bit, as ``PolygonSet.contains`` per polygon.
+
+    Per ring: ``polar`` (azimuth-sum test), ``karney`` (that test's
+    azimuth is Karney's, else spherical), ``hole``, and ``dateline``
+    (winding test in an unrolled longitude frame: the ring's unrolled
+    vertices are ``dl_verts[dl_start[r]:]``, its frame centre
+    ``center[r]``). Other rings are tested on ``verts`` as stored; edge
+    vectors are formed in the kernel, not stored, so the table adds
+    little to the broadcast join state.
+    """
+
+    def __init__(self, polys: PolygonSet):
+        start = polys.ring_off[:-1]
+        count = np.diff(polys.ring_off)
+        xs, ys = polys.verts[:, 0], polys.verts[:, 1]
+        geo = np.array([c != "cartesian" for c in polys.crs], dtype=bool)[polys.ring_poly]
+        polar, crosses = predicates.ring_flags(xs, start, count)
+        self.polar = geo & polar
+        self.dateline = geo & ~polar & crosses
+        self.karney = np.array([c == "lonlat_wgs84" for c in polys.crs],
+                               dtype=bool)[polys.ring_poly]
+        self.hole = polys.ring_hole
+        self.ring_off = polys.ring_off
+        self.poly_ring_off = polys.poly_ring_off
+        self.verts = polys.verts
+
+        dl = np.flatnonzero(self.dateline)
+        self.dl_start = np.full(len(count), -1, dtype=np.int64)
+        self.dl_start[dl] = np.cumsum(count[dl]) - count[dl]
+        self.center = np.full(len(count), np.nan)
+        lon_u, self.center[dl] = predicates.unroll_rings(xs, start[dl], count[dl])
+        _, idx = predicates.slice_index(start[dl], count[dl])
+        self.dl_verts = np.column_stack([lon_u, ys[idx]])
+
+    def contains(self, px, py, poly):
+        """Membership of each point (px[k], py[k]) in polygon poly[k]."""
+        px = np.asarray(px, dtype=np.float64)
+        py = np.asarray(py, dtype=np.float64)
+        poly = np.asarray(poly, dtype=np.int64)
+        r0 = self.poly_ring_off[poly]
+        pair, ring = predicates.slice_index(r0, self.poly_ring_off[poly + 1] - r0)
+        count = self.ring_off[ring + 1] - self.ring_off[ring]
+        hit = np.zeros(len(ring), dtype=bool)
+
+        plain = ~self.polar[ring] & ~self.dateline[ring]
+        p, r = pair[plain], ring[plain]
+        hit[plain] = predicates.winding_number_pairs(
+            px[p], py[p], self.verts, self.ring_off[r], count[plain], p) != 0
+
+        dl = self.dateline[ring]
+        if dl.any():
+            p, r = pair[dl], ring[dl]
+            c = self.center[r]
+            hit[dl] = predicates.winding_number_pairs(
+                c + geodesy.reduce_deg(px[p] - c), py[p], self.dl_verts,
+                self.dl_start[r], count[dl], p) != 0
+
+        # polar rings are rare: one azimuth-sum call per ring, over the
+        # pair's points in pair order (the point set PolygonSet.contains
+        # sees for that polygon)
+        for r in np.unique(ring[self.polar[ring]]):
+            sel = np.flatnonzero(ring == r)
+            hit[sel] = predicates.points_in_ring_polar(
+                px[pair[sel]], py[pair[sel]],
+                self.verts[self.ring_off[r]:self.ring_off[r + 1]],
+                azimuth_fn=_wgs84_azimuth if self.karney[r] else geodesy.sphere_azimuth)
+
+        inside = np.zeros(len(poly), dtype=bool)
+        outer = ~self.hole[ring]
+        inside[pair[outer]] = hit[outer]
+        inside[pair[hit & ~outer]] = False   # hole subtraction
+        return inside

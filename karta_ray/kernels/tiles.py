@@ -175,3 +175,42 @@ def cells_covering_bbox(xmin, ymin, xmax, ymax, zoom: int):
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     zg = np.full(xg.size, zoom, dtype=np.int64)
     return pack_cell(zg, xg.ravel(), yg.ravel())
+
+
+def bbox_tile_spans(xmin, ymin, xmax, ymax, zoom: int):
+    """:func:`cells_covering_bbox` for many bboxes, as tile spans: bbox k
+    covers columns ``xa[k] ..`` (``na[k]`` of them) then ``0 ..``
+    (``nb[k]``, the part past the dateline), times rows ``y0[k] ..``
+    (``ny[k]``). Returns (xa, na, nb, y0, ny) int64 arrays; same rows and
+    columns as the scalar function."""
+    n = 1 << zoom
+    xmin, ymin, xmax, ymax = (np.asarray(v, dtype=np.float64)
+                              for v in (xmin, ymin, xmax, ymax))
+    ylo = np.maximum(ymin, -MERCATOR_LAT_MAX)
+    yhi = np.minimum(ymax, MERCATOR_LAT_MAX)
+    _, ytop = tile_xy(np.zeros_like(yhi), yhi, zoom)
+    _, ybot = tile_xy(np.zeros_like(ylo), ylo, zoom)
+    y0 = np.maximum(ytop, 0)
+    ny = np.where(ylo > yhi, 0,
+                  np.maximum(np.minimum(ybot, n - 1) - y0 + 1, 0))
+    xa, _ = tile_xy(xmin, np.zeros_like(xmin), zoom)
+    x1, _ = tile_xy(xmax, np.zeros_like(xmax), zoom)
+    x1 = np.minimum(x1, n - 1)
+    wrap = ~(xmin <= xmax)   # [xmin, 180) U [-180, xmax]
+    na = np.where(wrap, np.maximum(n - xa, 0), np.maximum(x1 - xa + 1, 0))
+    nb = np.where(wrap, np.maximum(x1 + 1, 0), 0)
+    return xa, na, nb, y0, ny
+
+
+def expand_tile_spans(zoom: int, xa, na, nb, y0, ny):
+    """(owner, cell) of every tile of the spans of :func:`bbox_tile_spans`,
+    owner after owner, packed at ``zoom``."""
+    cnt = (na + nb) * ny
+    owner = np.repeat(np.arange(len(cnt), dtype=np.int64), cnt)
+    t = np.arange(len(owner), dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    rows = ny[owner]
+    xi, yi = t // rows, t % rows
+    first = na[owner]
+    x = np.where(xi < first, xa[owner] + xi, xi - first)
+    return owner, pack_cell(np.full(len(owner), zoom, dtype=np.int64), x,
+                            y0[owner] + yi)

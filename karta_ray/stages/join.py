@@ -8,17 +8,21 @@ distributed shape:
    Web-Mercator ``cell_id`` (tile zoom Z);
 2. the polygon layer is prepped ONCE into plain arrays plus a prefilter
    (the cell cover of :func:`prep_polygons` or the STR bbox tree of
-   :func:`prep_polygons_strtree`), put in the object store with
-   ``ray.put`` and read by every task from the same copy;
+   :func:`prep_polygons_strtree`) and the per-ring exact-test table
+   (``geoms.RingTable``), put in the object store with ``ray.put`` and
+   read by every task from the same copy;
 3. the join is a task-based ``map_batches`` over :func:`_join_batch`,
    which builds one ``PolyJoiner`` per worker process
    (``state.worker.cached``). The joiner takes (point, polygon)
    candidate pairs from the prefilter, then runs the exact
-   winding-number / polar-azimuth test per candidate polygon,
-   vectorized over the point subset.
+   winding-number / polar-azimuth test on all of them at once: pairs
+   expand to (pair, ring), winding numbers come from the rings' vertex
+   arrays in cache-sized chunks, polar rings take the azimuth-sum test,
+   and holes are subtracted per pair.
 
 Both prefilters are strict supersets of the reference's bbox prefilter,
-and the exact test is identical — so join outputs match row-for-row.
+and the exact test computes what ``PolygonSet.contains`` computes, with
+the same floating-point operations — so join outputs match row-for-row.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import pyarrow as pa
 
 import ray
 
-from ..geoms import PolygonSet
+from ..geoms import PolygonSet, RingTable
 from ..state.strtree import STRtree
 from ..state.worker import cached, resolve
 
@@ -50,16 +54,7 @@ class CellCover:
     dict probes. Reads the batch's ``cell_id`` column."""
 
     def __init__(self, polyset: PolygonSet, zoom: int):
-        cover = polyset.cell_cover(zoom)
-        self.cells = np.fromiter(sorted(cover), dtype=np.int64,
-                                 count=len(cover))
-        self.off = np.zeros(len(self.cells) + 1, dtype=np.int64)
-        flat = []
-        for i, c in enumerate(self.cells):
-            flat.append(cover[int(c)])
-            self.off[i + 1] = self.off[i] + len(cover[int(c)])
-        self.flat = (np.concatenate(flat) if flat
-                     else np.empty(0, dtype=np.int64))
+        self.cells, self.off, self.flat = polyset.cover_arrays(zoom)
 
     def candidates(self, batch: pa.Table, lon, lat):
         """(point_idx, poly_idx) candidate pairs, point-major."""
@@ -86,32 +81,21 @@ class BoxTree:
     state/strtree.py): needs no cell assignment, so it serves a polygon
     layer queried without one or at many zooms.
 
-    Dateline-crossing bboxes (xmin > xmax) split into two boxes; polar
-    polygons get a full-longitude box down to their low-latitude edge
-    (their lon/lat bbox is meaningless around a pole)."""
+    Its boxes are ``PolygonSet.cover_boxes`` (polar polygons reach the
+    pole), a dateline-crossing box (xmin > xmax) split in two."""
 
     def __init__(self, polyset: PolygonSet):
-        boxes = []
-        owner = []
-        for ip in range(len(polyset)):
-            xmin, ymin, xmax, ymax = polyset.bbox[ip]
-            if polyset.is_polar is not None and polyset.is_polar[ip]:
-                outer = polyset.rings_of(ip)[0]
-                if outer[:, 1].mean() > 0:
-                    boxes.append((-180.0, ymin, 180.0, 90.0))
-                else:
-                    boxes.append((-180.0, -90.0, 180.0, ymax))
-                owner.append(ip)
-            elif xmin > xmax:
-                boxes.append((xmin, ymin, 180.0, ymax))
-                owner.append(ip)
-                boxes.append((-180.0, ymin, xmax, ymax))
-                owner.append(ip)
-            else:
-                boxes.append((xmin, ymin, xmax, ymax))
-                owner.append(ip)
-        self.tree = STRtree(np.asarray(boxes, dtype=np.float64))
-        self.box_owner = np.asarray(owner, dtype=np.int64)
+        cover = polyset.cover_boxes()
+        wrap = cover[:, 0] > cover[:, 2]
+        # one box per polygon, two (east part first) for a dateline box
+        self.box_owner = np.repeat(np.arange(len(cover), dtype=np.int64),
+                                   1 + wrap)
+        boxes = cover[self.box_owner]
+        west = np.zeros(len(boxes), dtype=bool)
+        west[1:] = self.box_owner[1:] == self.box_owner[:-1]
+        boxes[wrap[self.box_owner] & ~west, 2] = 180.0
+        boxes[west, 0] = -180.0
+        self.tree = STRtree(boxes)
         self.n_polys = len(polyset)
 
     def candidates(self, batch: pa.Table, lon, lat):
@@ -128,6 +112,11 @@ class BoxTree:
         return pt_idx, poly_idx
 
 
+def _prep(polyset: PolygonSet, prefilter):
+    return ray.put({"polys": polyset, "prefilter": prefilter,
+                    "rings": RingTable(polyset)})
+
+
 def prep_polygons(polyset: PolygonSet, zoom: int = DEFAULT_ZOOM):
     """Join state with the cell-cover prefilter, put in the object store.
 
@@ -135,13 +124,13 @@ def prep_polygons(polyset: PolygonSet, zoom: int = DEFAULT_ZOOM):
     worker reads the same immutable copy from shared memory instead of
     re-shipping it per task.
     """
-    return ray.put({"polys": polyset, "prefilter": CellCover(polyset, zoom)})
+    return _prep(polyset, CellCover(polyset, zoom))
 
 
 def prep_polygons_strtree(polyset: PolygonSet):
     """Join state with the STR bbox-tree prefilter, put in the object
     store (see :func:`prep_polygons`)."""
-    return ray.put({"polys": polyset, "prefilter": BoxTree(polyset)})
+    return _prep(polyset, BoxTree(polyset))
 
 
 class PolyJoiner:
@@ -162,6 +151,7 @@ class PolyJoiner:
         prep = resolve(prep_ref)
         self.polys: PolygonSet = prep["polys"]
         self.prefilter = prep["prefilter"]
+        self.rings: RingTable = prep["rings"]
         self.mode = mode
         self.with_name = with_name
         # vectorized poly_name lookup (take on a prebuilt arrow array,
@@ -172,44 +162,24 @@ class PolyJoiner:
         lon = batch.column("lon").to_numpy(zero_copy_only=False)
         lat = batch.column("lat").to_numpy(zero_copy_only=False)
 
+        # exact test of every candidate pair at once
         pt_idx, poly_idx = self.prefilter.candidates(batch, lon, lat)
-        hit_point: list = []
-        hit_poly: list = []
-        if len(pt_idx):
-            # exact test per distinct candidate polygon over its points
-            order = np.argsort(poly_idx, kind="stable")
-            pt_s, pl_s = pt_idx[order], poly_idx[order]
-            uniq, starts_u = np.unique(pl_s, return_index=True)
-            bounds = np.append(starts_u, len(pl_s))
-            for k, ip in enumerate(uniq):
-                idx = pt_s[bounds[k]:bounds[k + 1]]
-                mask = self.polys.contains(lon[idx], lat[idx], int(ip))
-                if mask.any():
-                    hit_point.append(idx[mask])
-                    hit_poly.append(np.full(int(mask.sum()), ip, dtype=np.int64))
-
-        if hit_point:
-            pts = np.concatenate(hit_point)
-            pls = np.concatenate(hit_poly)
-        else:
-            pts = np.empty(0, dtype=np.int64)
-            pls = np.empty(0, dtype=np.int64)
+        hit = self.rings.contains(lon[pt_idx], lat[pt_idx], poly_idx)
+        pts, pls = pt_idx[hit], poly_idx[hit]
 
         if self.mode == "semi":
-            keep = np.unique(pts)
-            return batch.take(pa.array(keep, pa.int64()))
+            return batch.take(pa.array(np.unique(pts), pa.int64()))
 
+        # pairs by (point order, poly order), for determinism
+        o = np.lexsort((pls, pts))
+        pts, pls = pts[o], pls[o]
         if self.mode == "tag":
+            # first match by polygon order: each point's first pair
             tag = np.full(batch.num_rows, -1, dtype=np.int64)
-            # first match by polygon order: process high->low so low wins
-            for ip in sorted(set(pls.tolist()), reverse=True):
-                tag[pts[pls == ip]] = self.polys.poly_id[ip]
+            tagged, first = np.unique(pts, return_index=True)
+            tag[tagged] = self.polys.poly_id[pls[first]]
             return batch.append_column("poly_id", pa.array(tag, pa.int64()))
 
-        # inner: sort pairs by (point order, poly order) for determinism
-        if len(pts):
-            o = np.lexsort((pls, pts))
-            pts, pls = pts[o], pls[o]
         out = batch.take(pa.array(pts, pa.int64()))
         out = out.append_column(
             "poly_id", pa.array(self.polys.poly_id[pls], pa.int64()))
