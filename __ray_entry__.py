@@ -9,13 +9,16 @@ nothing here (or in karta_ray) calls ``ray.init``/``ray.shutdown``.
   point-in-polygon join against the admin layer.
 - ``queries()``    — one callable per implemented operator (SURVEY.md §2).
 - ``oracle_sql()`` — DuckDB-equivalent SQL per query (bit-parity
-  derivations; see karta_ray/pipelines/queries.py).
+  derivations). Both come from karta_ray/pipelines/registry.py: each
+  query is one ``@query(oracle=...)``-decorated ``q_<name>`` function.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from typing import Any
+
+from karta_ray.pipelines import registry
 
 
 def entry() -> Any:
@@ -25,79 +28,9 @@ def entry() -> Any:
     return flagship_from_documents("/root/testdata/sf0.001")
 
 
-def _keep_schema_when_empty(fn: Callable[[str], Any]) -> Callable[[str], Any]:
-    """Ray's ``to_pandas()`` on an all-empty Dataset drops the columns,
-    which a downstream schema compare misreads as a mismatch even when
-    both engines legitimately return 0 rows; hand back a TYPED empty
-    Arrow table instead. Non-Dataset results pass through."""
-
-    def run(sf_dir: str) -> Any:
-        res = fn(sf_dir)
-        import ray.data
-
-        if isinstance(res, ray.data.Dataset):
-            res = res.materialize()
-            if res.count() == 0:
-                return res.schema().base_schema.empty_table()
-        return res
-
-    return run
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
-    from karta_ray.pipelines import queries as Q
-    from karta_ray.pipelines import queries2 as Q2
-    from karta_ray.pipelines import queries3 as Q3
-    from karta_ray.pipelines import queries4 as Q4
-
-    raw = {
-        **Q2.new_queries(),
-        **Q3.new_queries3(),
-        **Q4.new_queries4(),
-        "tile_assign": Q.q_tile_assign,
-        "pip_join": Q.q_pip_join,
-        "pip_agg": Q.q_pip_agg,
-        "grid_binning": Q.q_grid_binning,
-        "geotiff_grid": Q.q_geotiff_grid,
-        "within_radius": Q.q_within_radius,
-        "knn": Q.q_knn,
-        "knn_join": Q.q_knn_join,
-        "dedup_exact": Q.q_dedup_exact,
-        "text_stats": Q.q_text_stats,
-        "sessionize": Q.q_sessionize,
-        "window_agg": Q.q_window_agg,
-        "topk_users": Q.q_topk_users,
-        "props_extract": Q.q_props_extract,
-        "approx_distinct": Q.q_approx_distinct,
-        "ngram_jaccard": Q.q_ngram_jaccard,
-        "minhash_lsh": Q.q_minhash_lsh,
-        "simhash": Q.q_simhash,
-        "ann_topk": Q.q_ann_topk,
-        "ann_ivf": Q.q_ann_ivf,
-        "embed_neardup": Q.q_embed_neardup,
-        "doc_quality": Q.q_doc_quality,
-        "media_features": Q.q_media_features,
-        "doc_fingerprint": Q.q_doc_fingerprint,
-        "lang_id": Q.q_lang_id,
-        "grid_sample": Q.q_grid_sample,
-        "within_bbox": Q.q_within_bbox,
-        "convex_hull": Q.q_convex_hull,
-        "salted_cell_count": Q.q_salted_cell_count,
-    }
-    return {k: _keep_schema_when_empty(v) for k, v in raw.items()}
+    return registry.queries()
 
 
 def oracle_sql() -> dict[str, str]:
-    from karta_ray.pipelines import oracles_hard as OH
-    from karta_ray.pipelines import queries as Q
-    from karta_ray.pipelines import queries2 as Q2
-    from karta_ray.pipelines import queries3 as Q3
-    from karta_ray.pipelines import queries4 as Q4
-
-    # queries2 also upgrades lang_id from rows-only to oracle-checked;
-    # oracles_hard covers the formerly rows-only approximate/iterative
-    # ops (minhash_lsh, simhash, approx_distinct, kmeans, convex_hull,
-    # ann_ivf) with bit-parity SQL
-    return {**Q.oracle_sqls(), **Q2.new_oracle_sqls(),
-            **Q3.new_oracle_sqls3(), **Q4.new_oracle_sqls4(),
-            **OH.hard_oracle_sqls()}
+    return registry.oracle_sql()

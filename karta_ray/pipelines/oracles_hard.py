@@ -26,7 +26,8 @@ hash/bit arithmetic:
   products use the identical float64 expression as kernels/hull.py
   ``isleft``, so the comparisons agree bit for bit.
 - ann_ivf      — exact-mode twin (nprobe=None probes every cluster),
-  so the brute-force ann_topk ranking SQL applies unchanged.
+  so its query registers the brute-force ann_topk SQL unchanged (no
+  builder here).
 
 Known fixture-level assumptions (latent, not exercised by the
 deterministic testdata, documented for honesty):
@@ -55,8 +56,9 @@ FNV_SEED = 1469598103934665603
 FNV_PRIME = 1099511628211
 
 
-def _minhash_sql(k: int, bands: int, threshold: float, cap: int) -> str:
+def minhash_sql(k: int, bands: int, threshold: float) -> str:
     from ..functions.text import _MH_A, _MH_B
+    from ..stages.dedup import LSH_MAX_BUCKET as cap
 
     rows = k // bands
     params = ", ".join(
@@ -104,7 +106,9 @@ FROM agree WHERE CAST(n_eq AS DOUBLE) / {k} >= {threshold!r}
 """
 
 
-def _simhash_sql(max_hamming: int, cap: int) -> str:
+def simhash_sql(max_hamming: int) -> str:
+    from ..stages.dedup import SIMHASH_MAX_BUCKET as cap
+
     pow2 = ", ".join(f"({b}, {1 << b}::HUGEINT)" for b in range(64))
     i64max = 1 << 63
     return f"""
@@ -149,7 +153,7 @@ FROM ham WHERE hamming <= {max_hamming} GROUP BY doc_a, doc_b
 """
 
 
-def _hll_sql(p: int) -> str:
+def hll_sql(p: int) -> str:
     cases = " ".join(f"WHEN rest >= {1 << (63 - i)}::UBIGINT THEN {i + 1}"
                      for i in range(0, 64 - p + 1))
     return f"""
@@ -165,7 +169,7 @@ FROM r GROUP BY bucket
 """
 
 
-def _kmeans_sql(k: int) -> str:
+def kmeans_sql(k: int) -> str:
     return f"""
 WITH cent AS (
   SELECT row_number() OVER (ORDER BY vec_id) - 1 AS label,
@@ -185,7 +189,7 @@ FROM a WHERE rk = 1 GROUP BY label
 """
 
 
-def _hull_sql(lon_mult: int, lat_mult: int) -> str:
+def hull_sql(lon_mult: int, lat_mult: int) -> str:
     return f"""
 WITH pts AS (
   SELECT DISTINCT
@@ -248,32 +252,3 @@ walk AS (
   SELECT * FROM w)
 SELECT CAST(ord AS BIGINT) AS "order", x, y FROM walk
 """
-
-
-def hard_oracle_sqls() -> dict[str, str]:
-    from . import queries as Q
-    from .queries2 import KMEANS_K
-
-    from ..stages.dedup import LSH_MAX_BUCKET, SIMHASH_MAX_BUCKET
-
-    ann_ivf = f"""
-WITH q AS (SELECT vec_id AS query_id, embedding AS qe FROM embeddings
-           WHERE vec_id < {Q.ANN_NQUERIES}),
-d AS (SELECT q.query_id, e.vec_id,
-             list_cosine_similarity(q.qe, e.embedding) AS sim
-      FROM q CROSS JOIN embeddings e WHERE e.vec_id <> q.query_id),
-r AS (SELECT query_id, vec_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY sim DESC, vec_id) AS rank
-      FROM d)
-SELECT query_id, vec_id, CAST(rank AS BIGINT) AS rank
-FROM r WHERE rank <= {Q.ANN_K}
-"""
-    return {
-        "minhash_lsh": _minhash_sql(128, 16, 0.5, LSH_MAX_BUCKET),
-        "simhash": _simhash_sql(3, SIMHASH_MAX_BUCKET),
-        "approx_distinct": _hll_sql(Q.HLL_P),
-        "kmeans": _kmeans_sql(KMEANS_K),
-        "convex_hull": _hull_sql(Q.LON_MULT, Q.LAT_MULT),
-        "ann_ivf": ann_ivf,
-    }

@@ -21,6 +21,8 @@ import pyarrow.compute as pc
 
 from ..kernels import geodesy, predicates
 from ..geoms import PolygonSet
+from . import oracles_hard as OH
+from .registry import query
 
 ZOOM = 8
 LON_MULT = 2654435761
@@ -36,6 +38,15 @@ PTS_SQL = f"""
          ((l_orderkey*8 + l_linenumber) * {LAT_MULT} % 160000000) / 1000000.0 - 80.0 AS lat
   FROM lineitem
 """
+
+
+def tile_xy_sql(zoom: int) -> tuple[str, str]:
+    """(tile_x, tile_y) SQL over lon/lat at ``zoom`` — the SQL mirror
+    of kernels/tiles.py::tile_xy (same IEEE op sequence)."""
+    c = f"(128/pi()*2^{zoom})"
+    return (f"CAST(floor({c} * (lon*pi()/180 + pi()) / 256) AS BIGINT)",
+            f"CAST(floor({c} * (pi() - ln(tan(pi()/4 + lat*pi()/360))) / 256)"
+            f" AS BIGINT)")
 
 
 def derive_coords(key: np.ndarray):
@@ -188,9 +199,10 @@ def pip_pairs_sql() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Queries (Ray side)
+# Queries, each followed by its DuckDB oracle SQL
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: TILE_ASSIGN_SQL)
 def q_tile_assign(sf_dir: str):
     """Tile assignment at ZOOM for every derived point (ints only)."""
     from ..stages.tiles import assign_cells
@@ -202,6 +214,16 @@ def q_tile_assign(sf_dir: str):
         ["l_orderkey", "l_linenumber", "tile_x", "tile_y", "cell_id"])
 
 
+_TX, _TY = tile_xy_sql(ZOOM)
+TILE_ASSIGN_SQL = f"""
+WITH pts AS ({PTS_SQL})
+SELECT l_orderkey, l_linenumber, {_TX} AS tile_x, {_TY} AS tile_y,
+       {ZOOM << 58} + {_TX}*536870912 + {_TY} AS cell_id
+FROM pts
+"""
+
+
+@query(oracle=lambda: pip_join_sql())
 def q_pip_join(sf_dir: str):
     """Inner point-in-polygon join -> (keys, poly_id)."""
     from ..stages.join import pip_join
@@ -215,6 +237,13 @@ def q_pip_join(sf_dir: str):
     return joined.select_columns(["l_orderkey", "l_linenumber", "poly_id"])
 
 
+def pip_join_sql() -> str:
+    return pip_pairs_sql().replace(
+        ",\n       l_quantity\nFROM wn WHERE w <> 0",
+        "\nFROM wn WHERE w <> 0")
+
+
+@query(oracle=lambda: _pip_agg_sql())
 def q_pip_agg(sf_dir: str):
     """Join + per-polygon aggregate with a partial combiner:
     (poly_id, n_points, sum_qty)."""
@@ -240,6 +269,16 @@ def q_pip_agg(sf_dir: str):
     return tree_sum(part, ["poly_id"], ["n_points", "sum_qty"])
 
 
+def _pip_agg_sql() -> str:
+    return f"""
+WITH pairs AS ({pip_pairs_sql()})
+SELECT CAST(poly_id AS BIGINT) AS poly_id, COUNT(*) AS n_points,
+       CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) AS sum_qty
+FROM pairs GROUP BY poly_id
+"""
+
+
+@query(oracle=lambda: GRID_BINNING_SQL)
 def q_grid_binning(sf_dir: str):
     """gridpoints semantics (karta/raster/grid.py:1259-1302): bin points
     into a 1-degree grid, per-cell count + mean quantity (mean from
@@ -274,6 +313,18 @@ def q_grid_binning(sf_dir: str):
     return agg.map_batches(finalize, batch_format="pyarrow")
 
 
+GRID_BINNING_SQL = f"""
+WITH pts AS ({PTS_SQL})
+SELECT CAST(floor(lon + 180.0) AS BIGINT) AS gi,
+       CAST(floor(lat + 80.0) AS BIGINT) AS gj,
+       COUNT(*) AS n_points,
+       CAST(CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) AS DOUBLE)
+         / CAST(COUNT(*) AS DOUBLE) AS mean_qty
+FROM pts GROUP BY 1, 2
+"""
+
+
+@query(oracle=lambda: GEOTIFF_GRID_SQL)
 def q_geotiff_grid(sf_dir: str):
     """GeoTIFF sink+source certification through the driver: bin the
     lineitem points into the 1-degree count grid (distributed, bounded
@@ -370,6 +421,15 @@ def q_geotiff_grid(sf_dir: str):
     return tiles.map_batches(cells_from_tiles, batch_format="pyarrow")
 
 
+GEOTIFF_GRID_SQL = f"""
+WITH pts AS ({PTS_SQL})
+SELECT CAST(floor(lon + 180.0) AS BIGINT) AS gi,
+       CAST(floor(lat + 80.0) AS BIGINT) AS gj,
+       COUNT(*) AS n_points
+FROM pts GROUP BY 1, 2
+"""
+
+
 RADIUS_CENTER = (10.33, 20.77)
 RADIUS_M = 2_000_000.0
 
@@ -385,6 +445,14 @@ def _sphere_dist_locos(lon, lat, lon0, lat0):
     return geodesy.SPHERE_RADIUS * np.arccos(np.minimum(1.0, np.maximum(-1.0, c)))
 
 
+# the same distance to RADIUS_CENTER, in SQL over lon/lat
+_LOCOS_SQL = (f"6370997.0 * acos(least(1.0, greatest(-1.0, "
+              f"sin({RADIUS_CENTER[1]!r}*pi()/180)*sin(lat*pi()/180) + "
+              f"cos({RADIUS_CENTER[1]!r}*pi()/180)*cos(lat*pi()/180)*"
+              f"cos(lon*pi()/180 - {RADIUS_CENTER[0]!r}*pi()/180))))")
+
+
+@query(oracle=lambda: WITHIN_RADIUS_SQL)
 def q_within_radius(sf_dir: str):
     """Points strictly within RADIUS_M of RADIUS_CENTER (border excluded,
     karta/vector/geometry.py:1349-1377)."""
@@ -401,9 +469,16 @@ def q_within_radius(sf_dir: str):
     return ds.map_batches(filt, batch_format="pyarrow")
 
 
+WITHIN_RADIUS_SQL = f"""
+WITH pts AS ({PTS_SQL})
+SELECT l_orderkey, l_linenumber FROM pts WHERE {_LOCOS_SQL} < {RADIUS_M!r}
+"""
+
+
 KNN_K = 25
 
 
+@query(oracle=lambda: KNN_SQL)
 def q_knn(sf_dir: str):
     """k-nearest derived points to RADIUS_CENTER: distributed top-k via
     per-batch pruning then a global sort + limit."""
@@ -426,6 +501,13 @@ def q_knn(sf_dir: str):
     return top.select_columns(["l_orderkey", "l_linenumber"])
 
 
+KNN_SQL = f"""
+WITH pts AS ({PTS_SQL})
+SELECT l_orderkey, l_linenumber FROM pts
+ORDER BY {_LOCOS_SQL}, l_orderkey, l_linenumber LIMIT {KNN_K}
+"""
+
+
 KNN_JOIN_K = 3
 SUPP_MULTS = (3266489917, 2654435761)
 CUST_MULTS = (2246822519, 3266489917)
@@ -438,6 +520,7 @@ def _derive(key, mults):
     return lon, lat
 
 
+@query(oracle=lambda: KNN_JOIN_SQL)
 def q_knn_join(sf_dir: str):
     """kNN join: for each supplier-derived point, the KNN_JOIN_K nearest
     customer-derived points — per-cell probes with exact ring expansion
@@ -469,6 +552,35 @@ def q_knn_join(sf_dir: str):
     return out.select_columns(["s_suppkey", "neighbor_id", "rank"])
 
 
+KNN_JOIN_SQL = f"""
+WITH s AS (
+  SELECT s_suppkey,
+         (s_suppkey * {SUPP_MULTS[0]} % 360000000) / 1000000.0 - 180.0 AS slon,
+         (s_suppkey * {SUPP_MULTS[1]} % 160000000) / 1000000.0 - 80.0 AS slat
+  FROM supplier),
+c AS (
+  SELECT c_custkey,
+         (c_custkey * {CUST_MULTS[0]} % 360000000) / 1000000.0 - 180.0 AS clon,
+         (c_custkey * {CUST_MULTS[1]} % 160000000) / 1000000.0 - 80.0 AS clat
+  FROM customer),
+d AS (
+  SELECT s.s_suppkey, c.c_custkey,
+         6370997.0 * acos(least(1.0, greatest(-1.0,
+             sin(slat*pi()/180)*sin(clat*pi()/180) +
+             cos(slat*pi()/180)*cos(clat*pi()/180)*
+             cos(clon*pi()/180 - slon*pi()/180)))) AS dist
+  FROM s CROSS JOIN c),
+r AS (
+  SELECT s_suppkey, c_custkey,
+         row_number() OVER (PARTITION BY s_suppkey
+                            ORDER BY dist, c_custkey) AS rank
+  FROM d)
+SELECT s_suppkey, c_custkey AS neighbor_id, CAST(rank AS BIGINT) AS rank
+FROM r WHERE rank <= {KNN_JOIN_K}
+"""
+
+
+@query(oracle=lambda: DEDUP_EXACT_SQL)
 def q_dedup_exact(sf_dir: str):
     """Exact dedup of documents on text: representative = min doc_id,
     plus the duplicate count.
@@ -510,6 +622,13 @@ def q_dedup_exact(sf_dir: str):
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
+DEDUP_EXACT_SQL = """
+SELECT MIN(doc_id) AS doc_id, COUNT(*) AS n_copies
+FROM documents GROUP BY text
+"""
+
+
+@query(oracle=lambda: TEXT_STATS_SQL)
 def q_text_stats(sf_dir: str):
     """Per-language document stats (token = space-separated)."""
     import ray.data
@@ -537,9 +656,18 @@ def q_text_stats(sf_dir: str):
     return tree_sum(part, ["lang"], ["n_docs", "sum_chars", "sum_tokens"])
 
 
+TEXT_STATS_SQL = """
+SELECT lang, COUNT(*) AS n_docs,
+       CAST(SUM(CAST(n_chars AS BIGINT)) AS BIGINT) AS sum_chars,
+       CAST(SUM(CAST(length(text) - length(replace(text, ' ', '')) + 1 AS BIGINT)) AS BIGINT) AS sum_tokens
+FROM documents GROUP BY lang
+"""
+
+
 BBOX = (-60.0, -30.0, 45.0, 42.5)
 
 
+@query(oracle=lambda: WITHIN_BBOX_SQL)
 def q_within_bbox(sf_dir: str):
     """Strict bbox filter (karta ``within_bbox`` exclusive-bounds
     fallback semantics, karta/vector/geometry.py:1379-1389)."""
@@ -556,6 +684,15 @@ def q_within_bbox(sf_dir: str):
     return ds.map_batches(filt, batch_format="pyarrow")
 
 
+WITHIN_BBOX_SQL = f"""
+WITH pts AS ({PTS_SQL})
+SELECT l_orderkey, l_linenumber FROM pts
+WHERE lon > {BBOX[0]!r} AND lon < {BBOX[2]!r}
+  AND lat > {BBOX[1]!r} AND lat < {BBOX[3]!r}
+"""
+
+
+@query(oracle=lambda: OH.hull_sql(LON_MULT, LAT_MULT))
 def q_convex_hull(sf_dir: str):
     """Global convex hull of the derived point cloud (distributed
     partial-hull + exact final); oracle-checked including the CCW scan
@@ -568,6 +705,7 @@ def q_convex_hull(sf_dir: str):
     return convex_hull(ds, x_col="lon", y_col="lat", geographical=False)
 
 
+@query(oracle=lambda: SALTED_CELL_COUNT_SQL)
 def q_salted_cell_count(sf_dir: str):
     """Per-cell point counts via the salted-groupby path (hot cells split
     into sub-keys then recombined); results identical to a plain count,
@@ -584,6 +722,14 @@ def q_salted_cell_count(sf_dir: str):
     return salted_count(ds, "cell_id", salts=8, bounded_cardinality=True)
 
 
+_TX4, _TY4 = tile_xy_sql(4)
+SALTED_CELL_COUNT_SQL = f"""
+WITH pts AS ({PTS_SQL})
+SELECT {4 << 58} + {_TX4}*536870912 + {_TY4} AS cell_id, COUNT(*) AS n
+FROM pts GROUP BY 1
+"""
+
+
 GRID_T = (-180.0, -80.0, 1.0, 1.0, 0.0, 0.0)
 GRID_SHAPE = (160, 360)
 
@@ -593,6 +739,7 @@ def _synthetic_grid():
     return ((ii * 31 + jj * 17) % 97).astype(np.float64)
 
 
+@query(oracle=lambda: GRID_SAMPLE_SQL)
 def q_grid_sample(sf_dir: str):
     """Raster<-vector sampling join: nearest-cell sample of a synthetic
     1-degree grid at every derived point (karta Grid.sample_nearest
@@ -611,6 +758,16 @@ def q_grid_sample(sf_dir: str):
     return out.map_batches(to_int, batch_format="pyarrow")
 
 
+GRID_SAMPLE_SQL = f"""
+WITH pts AS ({PTS_SQL})
+SELECT l_orderkey, l_linenumber,
+       (CAST(round_even(lat - {GRID_T[1]!r} - 0.5, 0) AS BIGINT) * 31
+        + CAST(round_even(lon - {GRID_T[0]!r} - 0.5, 0) AS BIGINT) * 17) % 97
+       AS cell_value
+FROM pts
+"""
+
+
 NGRAM_TAU = 0.7
 NGRAM_MAX_DF = 50
 NGRAM_DF_DENOM = 200  # df cap = min(1000, max(NGRAM_MAX_DF, n//200))
@@ -618,17 +775,6 @@ NGRAM_DF_CEIL = 1000
 ANN_K = 10
 ANN_NQUERIES = 5
 NEARDUP_TAU = 0.42
-
-
-def _dataset_or_empty_table(ds):
-    """Ray's ``to_pandas()`` on an all-empty Dataset drops the columns,
-    which a schema compare reads as a mismatch even when both sides
-    legitimately have 0 rows; hand back a TYPED empty Arrow table
-    instead."""
-    ds = ds.materialize()
-    if ds.count() == 0:
-        return ds.schema().base_schema.empty_table()
-    return ds
 
 
 def ngram_df_cap(n_docs: int) -> int:
@@ -646,6 +792,7 @@ def ngram_df_cap(n_docs: int) -> int:
     return min(NGRAM_DF_CEIL, max(NGRAM_MAX_DF, n_docs // NGRAM_DF_DENOM))
 
 
+@query(oracle=lambda: NGRAM_JACCARD_SQL)
 def q_ngram_jaccard(sf_dir: str):
     """Exact character-3-gram Jaccard near-dup pairs >= NGRAM_TAU over
     documents (shingle-bucket shuffle + pair counting)."""
@@ -657,10 +804,40 @@ def q_ngram_jaccard(sf_dir: str):
                                columns=["doc_id", "text"],
                                override_num_blocks=32)
     max_df = ngram_df_cap(ds.count())  # parquet metadata — cheap
-    return _dataset_or_empty_table(
-        ngram_jaccard_pairs(ds, threshold=NGRAM_TAU, max_df=max_df))
+    return ngram_jaccard_pairs(ds, threshold=NGRAM_TAU, max_df=max_df)
 
 
+NGRAM_JACCARD_SQL = f"""
+WITH g0 AS (
+  -- shingle set per doc; docs shorter than the 3-gram window contribute
+  -- their whole text as one shingle (mirrors char_shingles' fallback;
+  -- empty docs contribute nothing)
+  SELECT DISTINCT doc_id, sh
+  FROM (SELECT doc_id,
+               unnest(CASE
+                 WHEN length(text) = 0 THEN CAST([] AS VARCHAR[])
+                 WHEN length(text) < 3 THEN [text]
+                 ELSE [substr(text, g, 3) FOR g IN range(1, length(text)-1)]
+               END) AS sh
+        FROM documents)),
+rare AS (SELECT sh FROM g0 GROUP BY sh
+         HAVING COUNT(*) <= LEAST({NGRAM_DF_CEIL}, GREATEST({NGRAM_MAX_DF},
+             (SELECT COUNT(*) FROM documents) // {NGRAM_DF_DENOM}))),
+g AS (SELECT g0.doc_id, g0.sh FROM g0 JOIN rare USING (sh)),
+sizes AS (SELECT doc_id, COUNT(*) AS n FROM g GROUP BY doc_id),
+shared AS (
+  SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, COUNT(*) AS n_shared
+  FROM g a JOIN g b ON a.sh = b.sh AND a.doc_id < b.doc_id
+  GROUP BY a.doc_id, b.doc_id)
+SELECT doc_a, doc_b, CAST(n_shared AS BIGINT) AS n_shared
+FROM shared JOIN sizes sa ON sa.doc_id = doc_a
+            JOIN sizes sb ON sb.doc_id = doc_b
+WHERE CAST(n_shared AS DOUBLE)/(CAST(sa.n AS DOUBLE) + CAST(sb.n AS DOUBLE)
+      - CAST(n_shared AS DOUBLE)) >= {NGRAM_TAU!r}
+"""
+
+
+@query(oracle=lambda: OH.minhash_sql(128, 16, 0.5))
 def q_minhash_lsh(sf_dir: str):
     """MinHash+LSH near-dup candidates (the approximate web-scale path,
     distributed groupby pair-dedup); oracle-checked bit for bit — the
@@ -677,6 +854,7 @@ def q_minhash_lsh(sf_dir: str):
     return minhash_lsh_pairs(ds, threshold=0.5)
 
 
+@query(oracle=lambda: OH.simhash_sql(3))
 def q_simhash(sf_dir: str):
     """SimHash near-dup pairs (Hamming <= 3); oracle-checked bit for
     bit via md5-parity token hashes (pipelines/oracles_hard.py)."""
@@ -704,6 +882,7 @@ def _load_queries_driver_side(sf_dir: str, n: int):
     return vid, mat
 
 
+@query(oracle=lambda: ANN_TOPK_SQL)
 def q_ann_topk(sf_dir: str):
     """Exact brute-force cosine top-k for ANN_NQUERIES query vectors."""
     import ray.data
@@ -717,6 +896,22 @@ def q_ann_topk(sf_dir: str):
     return out.select_columns(["query_id", "vec_id", "rank"])
 
 
+ANN_TOPK_SQL = f"""
+WITH q AS (SELECT vec_id AS query_id, embedding AS qe FROM embeddings
+           WHERE vec_id < {ANN_NQUERIES}),
+d AS (SELECT q.query_id, e.vec_id,
+             list_cosine_similarity(q.qe, e.embedding) AS sim
+      FROM q CROSS JOIN embeddings e WHERE e.vec_id <> q.query_id),
+r AS (SELECT query_id, vec_id,
+             row_number() OVER (PARTITION BY query_id
+                                ORDER BY sim DESC, vec_id) AS rank
+      FROM d)
+SELECT query_id, vec_id, CAST(rank AS BIGINT) AS rank
+FROM r WHERE rank <= {ANN_K}
+"""
+
+
+@query(oracle=lambda: ANN_TOPK_SQL)
 def q_ann_ivf(sf_dir: str):
     """IVF-bucketed top-k in exact mode (nprobe=None probes every
     cluster) — runs the full IVF machinery (centroid pass, per-label
@@ -734,6 +929,7 @@ def q_ann_ivf(sf_dir: str):
     return out.select_columns(["query_id", "vec_id", "rank"])
 
 
+@query(oracle=lambda: EMBED_NEARDUP_SQL)
 def q_embed_neardup(sf_dir: str):
     """Exact all-pairs embedding cosine >= NEARDUP_TAU via the blocked
     triangle join — no driver materialization, no broadcast of the full
@@ -748,6 +944,14 @@ def q_embed_neardup(sf_dir: str):
     return cosine_neardup_blocked(ds, NEARDUP_TAU, nblocks=4)
 
 
+EMBED_NEARDUP_SQL = f"""
+SELECT a.vec_id AS vec_a, b.vec_id AS vec_b
+FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
+WHERE list_cosine_similarity(a.embedding, b.embedding) >= {NEARDUP_TAU!r}
+"""
+
+
+@query(oracle=lambda: DOC_QUALITY_SQL)
 def q_doc_quality(sf_dir: str):
     """Integer quality metrics per document — pure Arrow compute
     (utf8_length / replace_substring / replace_substring_regex), no
@@ -782,6 +986,18 @@ def q_doc_quality(sf_dir: str):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
+DOC_QUALITY_SQL = """
+SELECT doc_id,
+       CAST(length(text) AS BIGINT) AS n_chars_m,
+       CAST(length(text) - length(replace(text, ' ', '')) AS BIGINT) AS n_spaces,
+       CAST(length(text) - length(replace(text, '.', '')) AS BIGINT) AS n_periods,
+       CAST(length(text) - length(replace(text, ',', '')) AS BIGINT) AS n_commas,
+       CAST(length(text) - length(regexp_replace(text, '[0-9]', '', 'g')) AS BIGINT) AS n_digits
+FROM documents
+"""
+
+
+@query(oracle=lambda: DOC_FINGERPRINT_SQL)
 def q_doc_fingerprint(sf_dir: str):
     """Deterministic document fingerprint (md5 of text)."""
     import ray.data
@@ -802,9 +1018,15 @@ def q_doc_fingerprint(sf_dir: str):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
+DOC_FINGERPRINT_SQL = """
+SELECT doc_id, md5(text) AS fp FROM documents
+"""
+
+
+@query(oracle=lambda: lang_id_sql())
 def q_lang_id(sf_dir: str):
-    """Marker-based language ID prediction; rows-only driver check
-    (accuracy asserted in tests against the lang column)."""
+    """Marker-based language ID prediction (accuracy asserted in tests
+    against the lang column)."""
     import ray.data
 
     from ..functions.text import lang_id_batch
@@ -822,6 +1044,42 @@ def q_lang_id(sf_dir: str):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
+def lang_id_sql() -> str:
+    """Mirror of functions.text.lang_id: marker-frequency scores over
+    ' ' || lower(text) || ' ', strict argmax in sorted lang order
+    ('und' when every score is 0)."""
+    from ..functions.text import _LANG_MARKERS, _LANGS
+
+    score_exprs = []
+    for lang in _LANGS:
+        terms = []
+        for m in _LANG_MARKERS[lang]:
+            esc = m.replace("'", "''")
+            terms.append(f"(length(p) - length(replace(p, '{esc}', '')))"
+                         f" / {len(m)}")
+        score_exprs.append(f"({' + '.join(terms)}) AS s_{lang}")
+    score_cols = ",\n         ".join(score_exprs)
+    best = " , ".join(f"s_{lang}" for lang in _LANGS)
+    case = "\n".join(
+        f"         WHEN s_{lang} = g AND g > 0 THEN '{lang}'"
+        for lang in _LANGS)
+    return f"""
+WITH padded AS (
+  SELECT doc_id, ' ' || lower(text) || ' ' AS p FROM documents),
+scores AS (
+  SELECT doc_id,
+         {score_cols}
+  FROM padded),
+g AS (SELECT *, GREATEST({best}) AS g FROM scores)
+SELECT doc_id,
+       CASE
+{case}
+         ELSE 'und' END AS pred_lang
+FROM g
+"""
+
+
+@query(oracle=lambda: PROPS_EXTRACT_SQL)
 def q_props_extract(sf_dir: str):
     """Semi-structured extraction: pull the ``"k"`` field out of the
     events ``props`` JSON column and aggregate it per event type.
@@ -851,9 +1109,18 @@ def q_props_extract(sf_dir: str):
                     ["event_type"], ["sum_k", "n"])
 
 
+PROPS_EXTRACT_SQL = """
+SELECT event_type,
+       CAST(SUM(CAST(json_extract(props, '$.k') AS BIGINT)) AS BIGINT) AS sum_k,
+       COUNT(*) AS n
+FROM events GROUP BY event_type
+"""
+
+
 HLL_P = 12
 
 
+@query(oracle=lambda: OH.hll_sql(HLL_P))
 def q_approx_distinct(sf_dir: str):
     """HyperLogLog sketch of distinct users over events, emitted as its
     (bucket, register) rows — integer-exact and oracle-checked bit for
@@ -872,6 +1139,7 @@ def q_approx_distinct(sf_dir: str):
 TOPK_USERS = 20
 
 
+@query(oracle=lambda: TOPK_USERS_SQL)
 def q_topk_users(sf_dir: str):
     """Top-k users by event count (count aggregate -> global sort ->
     limit; deterministic tiebreak by user_id)."""
@@ -892,9 +1160,16 @@ def q_topk_users(sf_dir: str):
     return top.limit(TOPK_USERS)
 
 
+TOPK_USERS_SQL = f"""
+WITH c AS (SELECT user_id, COUNT(*) AS n FROM events GROUP BY user_id)
+SELECT user_id, n FROM c ORDER BY n DESC, user_id LIMIT {TOPK_USERS}
+"""
+
+
 WINDOW_US = 3600 * 1_000_000
 
 
+@query(oracle=lambda: WINDOW_AGG_SQL)
 def q_window_agg(sf_dir: str):
     """Tumbling-window aggregate over the events stream: per event_type
     per hour, count + integer value sum (partial per batch + tree
@@ -924,6 +1199,16 @@ def q_window_agg(sf_dir: str):
                     ["event_type", "window_us"], ["n", "sum_cents"])
 
 
+WINDOW_AGG_SQL = f"""
+SELECT event_type,
+       (epoch_us(ts) // {WINDOW_US}) * {WINDOW_US} AS window_us,
+       COUNT(*) AS n,
+       CAST(SUM(CAST(round_even(value * 100, 0) AS BIGINT)) AS BIGINT) AS sum_cents
+FROM events GROUP BY 1, 2
+"""
+
+
+@query(oracle=lambda: MEDIA_FEATURES_SQL)
 def q_media_features(sf_dir: str):
     """Multimodal decode as a two-stage Ray pipeline over real
     containers: per-doc deterministic payloads are ENCODED (binary PPM
@@ -1021,6 +1306,7 @@ FROM allstat
 SESSION_GAP_US = 1800 * 1_000_000
 
 
+@query(oracle=lambda: SESSIONIZE_SQL)
 def q_sessionize(sf_dir: str):
     """Per-user sessionization of the events stream (30-min idle gap):
     (user_id, n_events, n_sessions) — sort by (user, ts) + vectorized
@@ -1035,196 +1321,7 @@ def q_sessionize(sf_dir: str):
     return sessionize(ds, gap_us=SESSION_GAP_US)
 
 
-# ---------------------------------------------------------------------------
-# Oracle SQL
-# ---------------------------------------------------------------------------
-
-def oracle_sqls() -> dict:
-    d2r = "pi()/180"
-    locos = (f"6370997.0 * acos(least(1.0, greatest(-1.0, "
-             f"sin({RADIUS_CENTER[1]!r}*{d2r})*sin(lat*{d2r}) + "
-             f"cos({RADIUS_CENTER[1]!r}*{d2r})*cos(lat*{d2r})*"
-             f"cos(lon*{d2r} - {RADIUS_CENTER[0]!r}*{d2r}))))")
-    return {
-        "tile_assign": f"""
-WITH pts AS ({PTS_SQL})
-SELECT l_orderkey, l_linenumber,
-       CAST(floor((128/pi()*2^{ZOOM}) * (lon*pi()/180 + pi()) / 256) AS BIGINT) AS tile_x,
-       CAST(floor((128/pi()*2^{ZOOM}) * (pi() - ln(tan(pi()/4 + lat*pi()/360))) / 256) AS BIGINT) AS tile_y,
-       {ZOOM << 58}
-         + CAST(floor((128/pi()*2^{ZOOM}) * (lon*pi()/180 + pi()) / 256) AS BIGINT)*536870912
-         + CAST(floor((128/pi()*2^{ZOOM}) * (pi() - ln(tan(pi()/4 + lat*pi()/360))) / 256) AS BIGINT) AS cell_id
-FROM pts
-""",
-        "pip_join": pip_pairs_sql().replace(
-            ",\n       l_quantity\nFROM wn WHERE w <> 0",
-            "\nFROM wn WHERE w <> 0"),
-        "pip_agg": f"""
-WITH pairs AS ({pip_pairs_sql()})
-SELECT CAST(poly_id AS BIGINT) AS poly_id, COUNT(*) AS n_points,
-       CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) AS sum_qty
-FROM pairs GROUP BY poly_id
-""",
-        "grid_binning": f"""
-WITH pts AS ({PTS_SQL})
-SELECT CAST(floor(lon + 180.0) AS BIGINT) AS gi,
-       CAST(floor(lat + 80.0) AS BIGINT) AS gj,
-       COUNT(*) AS n_points,
-       CAST(CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) AS DOUBLE)
-         / CAST(COUNT(*) AS DOUBLE) AS mean_qty
-FROM pts GROUP BY 1, 2
-""",
-        "geotiff_grid": f"""
-WITH pts AS ({PTS_SQL})
-SELECT CAST(floor(lon + 180.0) AS BIGINT) AS gi,
-       CAST(floor(lat + 80.0) AS BIGINT) AS gj,
-       COUNT(*) AS n_points
-FROM pts GROUP BY 1, 2
-""",
-        "within_radius": f"""
-WITH pts AS ({PTS_SQL})
-SELECT l_orderkey, l_linenumber FROM pts WHERE {locos} < {RADIUS_M!r}
-""",
-        "knn": f"""
-WITH pts AS ({PTS_SQL})
-SELECT l_orderkey, l_linenumber FROM pts
-ORDER BY {locos}, l_orderkey, l_linenumber LIMIT {KNN_K}
-""",
-        "knn_join": f"""
-WITH s AS (
-  SELECT s_suppkey,
-         (s_suppkey * {SUPP_MULTS[0]} % 360000000) / 1000000.0 - 180.0 AS slon,
-         (s_suppkey * {SUPP_MULTS[1]} % 160000000) / 1000000.0 - 80.0 AS slat
-  FROM supplier),
-c AS (
-  SELECT c_custkey,
-         (c_custkey * {CUST_MULTS[0]} % 360000000) / 1000000.0 - 180.0 AS clon,
-         (c_custkey * {CUST_MULTS[1]} % 160000000) / 1000000.0 - 80.0 AS clat
-  FROM customer),
-d AS (
-  SELECT s.s_suppkey, c.c_custkey,
-         6370997.0 * acos(least(1.0, greatest(-1.0,
-             sin(slat*pi()/180)*sin(clat*pi()/180) +
-             cos(slat*pi()/180)*cos(clat*pi()/180)*
-             cos(clon*pi()/180 - slon*pi()/180)))) AS dist
-  FROM s CROSS JOIN c),
-r AS (
-  SELECT s_suppkey, c_custkey,
-         row_number() OVER (PARTITION BY s_suppkey
-                            ORDER BY dist, c_custkey) AS rank
-  FROM d)
-SELECT s_suppkey, c_custkey AS neighbor_id, CAST(rank AS BIGINT) AS rank
-FROM r WHERE rank <= {KNN_JOIN_K}
-""",
-        "dedup_exact": """
-SELECT MIN(doc_id) AS doc_id, COUNT(*) AS n_copies
-FROM documents GROUP BY text
-""",
-        "text_stats": """
-SELECT lang, COUNT(*) AS n_docs,
-       CAST(SUM(CAST(n_chars AS BIGINT)) AS BIGINT) AS sum_chars,
-       CAST(SUM(CAST(length(text) - length(replace(text, ' ', '')) + 1 AS BIGINT)) AS BIGINT) AS sum_tokens
-FROM documents GROUP BY lang
-""",
-        "within_bbox": f"""
-WITH pts AS ({PTS_SQL})
-SELECT l_orderkey, l_linenumber FROM pts
-WHERE lon > {BBOX[0]!r} AND lon < {BBOX[2]!r}
-  AND lat > {BBOX[1]!r} AND lat < {BBOX[3]!r}
-""",
-        "salted_cell_count": f"""
-WITH pts AS ({PTS_SQL})
-SELECT {4 << 58}
-       + CAST(floor((128/pi()*2^4) * (lon*pi()/180 + pi()) / 256) AS BIGINT)*536870912
-       + CAST(floor((128/pi()*2^4) * (pi() - ln(tan(pi()/4 + lat*pi()/360))) / 256) AS BIGINT) AS cell_id,
-       COUNT(*) AS n
-FROM pts GROUP BY 1
-""",
-        "grid_sample": f"""
-WITH pts AS ({PTS_SQL})
-SELECT l_orderkey, l_linenumber,
-       (CAST(round_even(lat - {GRID_T[1]!r} - 0.5, 0) AS BIGINT) * 31
-        + CAST(round_even(lon - {GRID_T[0]!r} - 0.5, 0) AS BIGINT) * 17) % 97
-       AS cell_value
-FROM pts
-""",
-        "ngram_jaccard": f"""
-WITH g0 AS (
-  -- shingle set per doc; docs shorter than the 3-gram window contribute
-  -- their whole text as one shingle (mirrors char_shingles' fallback;
-  -- empty docs contribute nothing)
-  SELECT DISTINCT doc_id, sh
-  FROM (SELECT doc_id,
-               unnest(CASE
-                 WHEN length(text) = 0 THEN CAST([] AS VARCHAR[])
-                 WHEN length(text) < 3 THEN [text]
-                 ELSE [substr(text, g, 3) FOR g IN range(1, length(text)-1)]
-               END) AS sh
-        FROM documents)),
-rare AS (SELECT sh FROM g0 GROUP BY sh
-         HAVING COUNT(*) <= LEAST({NGRAM_DF_CEIL}, GREATEST({NGRAM_MAX_DF},
-             (SELECT COUNT(*) FROM documents) // {NGRAM_DF_DENOM}))),
-g AS (SELECT g0.doc_id, g0.sh FROM g0 JOIN rare USING (sh)),
-sizes AS (SELECT doc_id, COUNT(*) AS n FROM g GROUP BY doc_id),
-shared AS (
-  SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, COUNT(*) AS n_shared
-  FROM g a JOIN g b ON a.sh = b.sh AND a.doc_id < b.doc_id
-  GROUP BY a.doc_id, b.doc_id)
-SELECT doc_a, doc_b, CAST(n_shared AS BIGINT) AS n_shared
-FROM shared JOIN sizes sa ON sa.doc_id = doc_a
-            JOIN sizes sb ON sb.doc_id = doc_b
-WHERE CAST(n_shared AS DOUBLE)/(CAST(sa.n AS DOUBLE) + CAST(sb.n AS DOUBLE)
-      - CAST(n_shared AS DOUBLE)) >= {NGRAM_TAU!r}
-""",
-        "ann_topk": f"""
-WITH q AS (SELECT vec_id AS query_id, embedding AS qe FROM embeddings
-           WHERE vec_id < {ANN_NQUERIES}),
-d AS (SELECT q.query_id, e.vec_id,
-             list_cosine_similarity(q.qe, e.embedding) AS sim
-      FROM q CROSS JOIN embeddings e WHERE e.vec_id <> q.query_id),
-r AS (SELECT query_id, vec_id,
-             row_number() OVER (PARTITION BY query_id
-                                ORDER BY sim DESC, vec_id) AS rank
-      FROM d)
-SELECT query_id, vec_id, CAST(rank AS BIGINT) AS rank
-FROM r WHERE rank <= {ANN_K}
-""",
-        "embed_neardup": f"""
-SELECT a.vec_id AS vec_a, b.vec_id AS vec_b
-FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.embedding, b.embedding) >= {NEARDUP_TAU!r}
-""",
-        "doc_quality": """
-SELECT doc_id,
-       CAST(length(text) AS BIGINT) AS n_chars_m,
-       CAST(length(text) - length(replace(text, ' ', '')) AS BIGINT) AS n_spaces,
-       CAST(length(text) - length(replace(text, '.', '')) AS BIGINT) AS n_periods,
-       CAST(length(text) - length(replace(text, ',', '')) AS BIGINT) AS n_commas,
-       CAST(length(text) - length(regexp_replace(text, '[0-9]', '', 'g')) AS BIGINT) AS n_digits
-FROM documents
-""",
-        "doc_fingerprint": """
-SELECT doc_id, md5(text) AS fp FROM documents
-""",
-        "media_features": MEDIA_FEATURES_SQL,
-        "props_extract": """
-SELECT event_type,
-       CAST(SUM(CAST(json_extract(props, '$.k') AS BIGINT)) AS BIGINT) AS sum_k,
-       COUNT(*) AS n
-FROM events GROUP BY event_type
-""",
-        "topk_users": f"""
-WITH c AS (SELECT user_id, COUNT(*) AS n FROM events GROUP BY user_id)
-SELECT user_id, n FROM c ORDER BY n DESC, user_id LIMIT {TOPK_USERS}
-""",
-        "window_agg": f"""
-SELECT event_type,
-       (epoch_us(ts) // {WINDOW_US}) * {WINDOW_US} AS window_us,
-       COUNT(*) AS n,
-       CAST(SUM(CAST(round_even(value * 100, 0) AS BIGINT)) AS BIGINT) AS sum_cents
-FROM events GROUP BY 1, 2
-""",
-        "sessionize": f"""
+SESSIONIZE_SQL = f"""
 WITH o AS (
   SELECT user_id, ts,
          CASE WHEN epoch_us(ts) - lag(epoch_us(ts))
@@ -1234,5 +1331,4 @@ WITH o AS (
 SELECT user_id, COUNT(*) AS n_events,
        CAST(1 + SUM(new_sess) AS BIGINT) AS n_sessions
 FROM o GROUP BY user_id
-""",
-    }
+"""

@@ -22,7 +22,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .queries import GRID_T, PTS_SQL, _synthetic_grid
+from . import oracles_hard as OH
+from .queries import (GRID_T, KNN_JOIN_SQL, PTS_SQL, _synthetic_grid,
+                      pip_join_sql)
+from .registry import query
 
 # ---------------------------------------------------------------------------
 # Derived layers (integer vertices)
@@ -85,6 +88,7 @@ def _line_sql(mod, xm, xr, ym, yr, table="part", key="p_partkey"):
 # 1. Per-segment planar lengths (length/cumulength building block)
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: LINE_SEGMENTS_SQL)
 def q_line_segments(sf_dir: str):
     """(line_id, seg_idx, seg_len, seg2): per-segment planar length
     (sqrt of an exact integer, the same IEEE op sequence as
@@ -151,6 +155,7 @@ FROM s WHERE dx IS NOT NULL
 # 2. Ring measures: planar area, orientation, centroid
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: RING_STATS_SQL)
 def q_ring_stats(sf_dir: str):
     """(ring_id, n_vertices, area, is_cw, cx, cy) over integer-vertex
     rings — exercises ring_area_planar (x0-anchored shoelace),
@@ -265,6 +270,7 @@ WHERE nv >= 3 AND ABS((0.5*(xf + xl) - xmin) * (yf - yl) + opensum) <> 0.0
 # 3. Layer union with field intersection (karta merge)
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: UNION_LAYERS_SQL)
 def q_union_layers(sf_dir: str):
     """Union of a supplier-derived and a customer-derived point layer;
     only the common columns (gid, lon, lat) survive (karta merge
@@ -317,6 +323,7 @@ FROM customer
 # 4. Nearest point on a chain (shortest_distance_to building block)
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: point_to_line_sql())
 def q_point_to_line(sf_dir: str):
     """(keys, d2): squared distance from every derived point to the
     NEAREST_CHAIN polyline — per-segment planar projection via
@@ -426,6 +433,7 @@ GEOM_SEGS_SQL = f"""
 """
 
 
+@query(oracle=lambda: intersection_points_sql())
 def q_intersection_points(sf_dir: str):
     """All intersection points of each customer-derived member segment
     with the TARGET_POLY ring (stages/geomjoin.intersection_points:
@@ -487,6 +495,7 @@ WHERE rxs <> 0 AND t > 0 AND t <= 1 AND u > 0 AND u <= 1
 # 6. Geometry-set joins: touching / within vs a polygon target
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: _geom_join_sql("touching"))
 def q_geom_touching(sf_dir: str):
     """Members whose polyline touches TARGET_POLY: contains(first
     vertex) OR intersects (stages/geomjoin semantics, reference
@@ -498,6 +507,7 @@ def q_geom_touching(sf_dir: str):
     return out.select_columns(["geom_id"])
 
 
+@query(oracle=lambda: _geom_join_sql("within"))
 def q_geom_within(sf_dir: str):
     """Members strictly inside TARGET_POLY: contains(first vertex) AND
     NOT intersects (geometry.py:1527-1544)."""
@@ -594,6 +604,7 @@ CROSS_RING = np.array([(-60.0, -40.0), (20.0, -70.0), (70.0, 10.0),
                        (10.0, 60.0), (-30.0, 20.0), (-80.0, 30.0)])
 
 
+@query(oracle=lambda: count_crossings_sql())
 def q_count_crossings(sf_dir: str):
     """(keys, n_crossings): upward ray crossings of every derived point
     against the closed CROSS_RING — kernels.predicates.count_crossings
@@ -653,6 +664,7 @@ FROM c GROUP BY rid
 # 8. Halo-tiled stencil: ESRI slope over the synthetic grid
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: SLOPE_STENCIL_SQL)
 def q_slope_stencil(sf_dir: str):
     """(i, j, slope) for interior cells of the synthetic 1-degree grid,
     computed through the halo-tiled stencil stage (64x64 tiles,
@@ -723,6 +735,7 @@ FROM st
 # 9. Bilinear sampling (crfuncs.pyx:118-157 incl. the _lohi bracket)
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: grid_sample_bilinear_sql())
 def q_grid_sample_bilinear(sf_dir: str):
     """(keys, value): bilinear sample of the synthetic grid at every
     derived point through the broadcast-grid sampling stage; rows whose
@@ -792,145 +805,10 @@ WHERE i0f >= 0 AND i1f < 160 AND j0f >= 0 AND j1f < 360
 
 
 # ---------------------------------------------------------------------------
-# 10. Language-ID oracle (upgrades q_lang_id from rows-only)
-# ---------------------------------------------------------------------------
-
-def lang_id_sql() -> str:
-    """Mirror of functions.text.lang_id: marker-frequency scores over
-    ' ' || lower(text) || ' ', strict argmax in sorted lang order
-    ('und' when every score is 0)."""
-    from ..functions.text import _LANG_MARKERS, _LANGS
-
-    score_exprs = []
-    for lang in _LANGS:
-        terms = []
-        for m in _LANG_MARKERS[lang]:
-            esc = m.replace("'", "''")
-            terms.append(f"(length(p) - length(replace(p, '{esc}', '')))"
-                         f" / {len(m)}")
-        score_exprs.append(f"({' + '.join(terms)}) AS s_{lang}")
-    score_cols = ",\n         ".join(score_exprs)
-    best = " , ".join(f"s_{lang}" for lang in _LANGS)
-    case = "\n".join(
-        f"         WHEN s_{lang} = g AND g > 0 THEN '{lang}'"
-        for lang in _LANGS)
-    return f"""
-WITH padded AS (
-  SELECT doc_id, ' ' || lower(text) || ' ' AS p FROM documents),
-scores AS (
-  SELECT doc_id,
-         {score_cols}
-  FROM padded),
-g AS (SELECT *, GREATEST({best}) AS g FROM scores)
-SELECT doc_id,
-       CASE
-{case}
-         ELSE 'und' END AS pred_lang
-FROM g
-"""
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-def new_queries() -> dict:
-    return {
-        "line_segments": q_line_segments,
-        "ring_stats": q_ring_stats,
-        "union_layers": q_union_layers,
-        "point_to_line": q_point_to_line,
-        "intersection_points": q_intersection_points,
-        "geom_touching": q_geom_touching,
-        "geom_within": q_geom_within,
-        "count_crossings": q_count_crossings,
-        "slope_stencil": q_slope_stencil,
-        "grid_sample_bilinear": q_grid_sample_bilinear,
-        "knn_join_coshuffle": q_knn_join_coshuffle,
-        "pip_strtree": q_pip_strtree,
-        "bbox_members": q_bbox_members,
-        "grid_extrema": q_grid_extrema,
-        "raster_merge": q_raster_merge,
-        "within_distance": q_within_distance,
-        "token_count": q_token_count,
-        "kmeans": q_kmeans,
-        "project_conic": q_project_conic,
-        "asof_join": q_asof_join,
-        "band_join": q_band_join,
-        "rolling_purchases": q_rolling_purchases,
-        "value_quantiles": q_value_quantiles,
-        "bloom_semi_join": q_bloom_semi_join,
-        "stratified_sample": q_stratified_sample,
-        "grouped_topn": q_grouped_topn,
-        "heavy_hitters": q_heavy_hitters,
-        "tfidf": q_tfidf,
-        "pii_scrub": q_pii_scrub,
-        "grouped_sample": q_grouped_sample,
-        "dedup_clusters": q_dedup_clusters,
-        "quality_filter": q_quality_filter,
-        "bloom_anti_join": q_bloom_anti_join,
-        "grouped_distinct": q_grouped_distinct,
-        "jsonl_roundtrip": q_jsonl_roundtrip,
-        "lang_centroids": q_lang_centroids,
-    }
-
-
-def new_oracle_sqls() -> dict:
-    return {
-        "line_segments": LINE_SEGMENTS_SQL,
-        "ring_stats": RING_STATS_SQL,
-        "union_layers": UNION_LAYERS_SQL,
-        "point_to_line": point_to_line_sql(),
-        "intersection_points": intersection_points_sql(),
-        "geom_touching": _geom_join_sql("touching"),
-        "geom_within": _geom_join_sql("within"),
-        "count_crossings": count_crossings_sql(),
-        "slope_stencil": SLOPE_STENCIL_SQL,
-        "grid_sample_bilinear": grid_sample_bilinear_sql(),
-        "lang_id": lang_id_sql(),
-        "knn_join_coshuffle": _knn_coshuffle_sql(),
-        "pip_strtree": _pip_strtree_sql(),
-        "bbox_members": BBOX_MEMBERS_SQL,
-        "grid_extrema": GRID_EXTREMA_SQL,
-        "raster_merge": RASTER_MERGE_SQL,
-        "within_distance": within_distance_sql(),
-        "token_count": TOKEN_COUNT_SQL,
-        "project_conic": project_conic_sql(),
-        "asof_join": ASOF_JOIN_SQL,
-        "band_join": BAND_JOIN_SQL,
-        "rolling_purchases": ROLLING_PURCHASES_SQL,
-        "value_quantiles": VALUE_QUANTILES_SQL,
-        "bloom_semi_join": BLOOM_SEMI_JOIN_SQL,
-        "stratified_sample": _stratified_sample_sql(),
-        "grouped_topn": GROUPED_TOPN_SQL,
-        "heavy_hitters": HEAVY_HITTERS_SQL,
-        "tfidf": TFIDF_SQL,
-        "pii_scrub": PII_SCRUB_SQL,
-        "grouped_sample": GROUPED_SAMPLE_SQL,
-        "dedup_clusters": _dedup_clusters_sql(),
-        "quality_filter": QUALITY_FILTER_SQL,
-        "bloom_anti_join": BLOOM_ANTI_JOIN_SQL,
-        "grouped_distinct": _grouped_distinct_sql(),
-        "jsonl_roundtrip": JSONL_ROUNDTRIP_SQL,
-        "lang_centroids": LANG_CENTROIDS_SQL,
-    }
-
-
-def _knn_coshuffle_sql() -> str:
-    from .queries import oracle_sqls
-
-    return oracle_sqls()["knn_join"]
-
-
-def _pip_strtree_sql() -> str:
-    from .queries import oracle_sqls
-
-    return oracle_sqls()["pip_join"]
-
-# ---------------------------------------------------------------------------
 # 11. Scale-path variants certified against the same oracles
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: KNN_JOIN_SQL)
 def q_knn_join_coshuffle(sf_dir: str):
     """The big-big kNN join (co-shuffle with boundary-cell replication
     and distributed residue rounds) on the same supplier x customer
@@ -979,6 +857,7 @@ def q_knn_join_coshuffle(sf_dir: str):
     return out.map_batches(shape, batch_format="pyarrow")
 
 
+@query(oracle=lambda: pip_join_sql())
 def q_pip_strtree(sf_dir: str):
     """The PIP join through the STR-packed bbox-tree prefilter
     (state/strtree.py) — result-identical to the cell-cover path and
@@ -994,6 +873,7 @@ def q_pip_strtree(sf_dir: str):
 BBOX_QUERY = (-30.0, -25.0, 10.0, 30.0)
 
 
+@query(oracle=lambda: BBOX_MEMBERS_SQL)
 def q_bbox_members(sf_dir: str):
     """Multipart bbox search (reference within_bbox/touching_bbox,
     geometry.py:1472-1494): member-segment bboxes vs a query box via a
@@ -1053,6 +933,7 @@ WHERE bxmin <= {BBOX_QUERY[2]!r} AND bxmax >= {BBOX_QUERY[0]!r}
 # 12. Grid extrema / data extent (tiled partials + tree combine)
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: GRID_EXTREMA_SQL)
 def q_grid_extrema(sf_dir: str):
     """Nodata-masked extrema + data extent of the synthetic grid (cells
     with value 0 are nodata), computed from tile-record partials with a
@@ -1128,6 +1009,7 @@ FROM ok
 MERGE_W = (1.0, 3.0)  # normalized by the stage to (0.5, 1.5) — dyadic
 
 
+@query(oracle=lambda: RASTER_MERGE_SQL)
 def q_raster_merge(sf_dir: str):
     """Weighted mosaic of two integer-translated synthetic grids as a
     distributed tile-record merge (stages/raster.merge_grids_stage —
@@ -1170,6 +1052,7 @@ FROM u GROUP BY I, J
 WITHIN_DIST_R = 60.0
 
 
+@query(oracle=lambda: within_distance_sql())
 def q_within_distance(sf_dir: str):
     """karta ``within_distance`` semantics (geometry.py:794-807: the
     point must be within R of EVERY segment of the chain): per-segment
@@ -1231,6 +1114,7 @@ FROM proj GROUP BY rid
 TOKEN_PATTERN = r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s]"
 
 
+@query(oracle=lambda: TOKEN_COUNT_SQL)
 def q_token_count(sf_dir: str):
     """BPE-ish token counting: words / numbers / punctuation runs via
     one RE2 pattern (Arrow count_substring_regex; DuckDB's regex engine
@@ -1268,12 +1152,13 @@ FROM documents
 """
 
 # ---------------------------------------------------------------------------
-# 15. k-means clustering + IVF over fitted clusters (rows-only)
+# 15. k-means clustering + IVF over fitted clusters
 # ---------------------------------------------------------------------------
 
 KMEANS_K = 8
 
 
+@query(oracle=lambda: OH.kmeans_sql(KMEANS_K))
 def q_kmeans(sf_dir: str):
     """Distributed k-means assignment step: deterministic seed centroids
     (k smallest vec_ids, the same seeds Lloyd's starts from) broadcast
@@ -1330,6 +1215,7 @@ CONIC_LCC = dict(lon_0=-96.0, lat_0=23.0, lat_1=33.0, lat_2=45.0)
 CONIC_AEA = dict(lon_0=-96.0, lat_0=23.0, lat_1=29.5, lat_2=45.5)
 
 
+@query(oracle=lambda: project_conic_sql())
 def q_project_conic(sf_dir: str):
     """(keys, x_lcc_cm, y_lcc_cm, x_aea_cm, y_aea_cm) — Lambert
     conformal conic and Albers equal-area projected coordinates
@@ -1422,6 +1308,7 @@ FROM r
 # int64 timestamps/keys and a bit-identical pass-through double.
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: ASOF_JOIN_SQL)
 def q_asof_join(sf_dir: str):
     """(event_id, user_id, ts_us, purchase_id, us_since,
     purchase_value) — inner as-of join of the events stream against
@@ -1488,6 +1375,7 @@ FROM l ASOF JOIN r ON l.user_id = r.user_id AND l.ts >= r.ts
 BAND_US = 86_400_000_000  # 24 h in microseconds
 
 
+@query(oracle=lambda: BAND_JOIN_SQL)
 def q_band_join(sf_dir: str):
     """(event_id, user_id, ts_us, purchase_id, us_since,
     purchase_value) — one row per (event, in-band prior purchase)."""
@@ -1551,6 +1439,7 @@ FROM l JOIN r ON l.user_id = r.user_id
 # sums; no pair materialization, so window density can't blow memory).
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: ROLLING_PURCHASES_SQL)
 def q_rolling_purchases(sf_dir: str):
     """(event_id, user_id, ts_us, n_band, sum_cents) — one row per
     non-purchase event, zero-match rows included."""
@@ -1606,6 +1495,7 @@ GROUP BY 1, 2, 3
 # (stages/quantile.py). Oracle: DuckDB quantile_disc.
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: VALUE_QUANTILES_SQL)
 def q_value_quantiles(sf_dir: str):
     """(event_type, p50, p90, p99, n_rows) — exact discrete quantiles
     of value-in-cents per event type."""
@@ -1649,6 +1539,7 @@ FROM c GROUP BY event_type
 # is |matches| + |right keys|, never |lineitem|.
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: BLOOM_SEMI_JOIN_SQL)
 def q_bloom_semi_join(sf_dir: str):
     """(l_orderkey, l_linenumber, qty_x100) — lineitems of URGENT
     orders via bloom pre-filter + exact verify."""
@@ -1701,6 +1592,7 @@ _SAMPLE_RATES = {"en": 0.1}
 _SAMPLE_DEFAULT = 0.5
 
 
+@query(oracle=lambda: _stratified_sample_sql())
 def q_stratified_sample(sf_dir: str):
     """(doc_id, lang, source, n_chars) of the deterministic sample."""
     import ray.data
@@ -1734,6 +1626,7 @@ WHERE md5_number_lower(CAST(doc_id AS VARCHAR))
 # per-group dispatch. Tie-break on o_orderkey makes the row set unique.
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: GROUPED_TOPN_SQL)
 def q_grouped_topn(sf_dir: str):
     """(o_custkey, o_orderkey, o_totalprice): top 3 orders per
     customer by price, price ties broken by orderkey ascending."""
@@ -1766,6 +1659,7 @@ QUALIFY row_number() OVER (PARTITION BY o_custkey
 HEAVY_K = 20
 
 
+@query(oracle=lambda: HEAVY_HITTERS_SQL)
 def q_heavy_hitters(sf_dir: str):
     """(token, n): the 20 most frequent space-split tokens in
     documents.text."""
@@ -1797,6 +1691,7 @@ LIMIT {HEAVY_K}
 # the float exactly.
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: TFIDF_SQL)
 def q_tfidf(sf_dir: str):
     """(doc_id, token, tf, df, tfidf) for every (document, term)."""
     import ray.data
@@ -1836,6 +1731,7 @@ SCRUB_RULES = [("name", r"\bcustomer\b", "<NAME>"),
                ("id", r"\b(key|hash)\b", "<ID>")]
 
 
+@query(oracle=lambda: PII_SCRUB_SQL)
 def q_pii_scrub(sf_dir: str):
     """(doc_id, n_name, n_id, text_clean): redacted text + per-rule
     match counts."""
@@ -1872,6 +1768,7 @@ FROM documents
 SAMPLE_K = 25
 
 
+@query(oracle=lambda: GROUPED_SAMPLE_SQL)
 def q_grouped_sample(sf_dir: str):
     """(lang, doc_id, source): exactly 25 docs per language (fewer if
     the language is smaller), selected by md5 rank."""
@@ -1908,6 +1805,7 @@ QUALIFY row_number() OVER (
 CLUSTER_THRESHOLD = 0.8
 
 
+@query(oracle=lambda: _dedup_clusters_sql())
 def q_dedup_clusters(sf_dir: str):
     """(doc_id, cluster_id) for every document."""
     import ray.data
@@ -1928,10 +1826,7 @@ def q_dedup_clusters(sf_dir: str):
 
 
 def _dedup_clusters_sql() -> str:
-    from ..stages.dedup import LSH_MAX_BUCKET
-    from .oracles_hard import _minhash_sql
-
-    base = _minhash_sql(128, 16, CLUSTER_THRESHOLD, LSH_MAX_BUCKET)
+    base = OH.minhash_sql(128, 16, CLUSTER_THRESHOLD)
     i = base.rindex("\nSELECT doc_a, doc_b")
     ctes, final = base[:i], base[i + 1:]
     return (
@@ -1956,6 +1851,7 @@ def _dedup_clusters_sql() -> str:
 # shuffle, not a data shuffle) + a broadcast threshold lookup.
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: QUALITY_FILTER_SQL)
 def q_quality_filter(sf_dir: str):
     """(doc_id, lang, n_chars) of docs with n_chars >= per-lang median
     (quantile_disc semantics)."""
@@ -2000,6 +1896,7 @@ WHERE n_chars >= med
 # fraction) are joined.
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: BLOOM_ANTI_JOIN_SQL)
 def q_bloom_anti_join(sf_dir: str):
     """(l_orderkey, l_partkey, l_quantity) of lineitems whose order is
     NOT 1-URGENT."""
@@ -2038,6 +1935,7 @@ WHERE l_orderkey NOT IN (SELECT o_orderkey FROM orders
 GROUPED_HLL_P = 12
 
 
+@query(oracle=lambda: _grouped_distinct_sql())
 def q_grouped_distinct(sf_dir: str):
     """(event_type, bucket, register) — one HLL per event type."""
     import ray.data
@@ -2078,6 +1976,7 @@ FROM r GROUP BY event_type, bucket
 # (same caveat as the geotiff fixture, documented).
 # ---------------------------------------------------------------------------
 
+@query(oracle=lambda: JSONL_ROUNDTRIP_SQL)
 def q_jsonl_roundtrip(sf_dir: str):
     """(lang, n_docs, sum_chars) aggregated AFTER a jsonl round-trip —
     equality with the direct aggregate proves the codec lossless."""
@@ -2139,6 +2038,7 @@ FROM documents GROUP BY lang
 EMB_DIM = 64
 
 
+@query(oracle=lambda: LANG_CENTROIDS_SQL)
 def q_lang_centroids(sf_dir: str):
     """(lang, dim, centroid): elementwise mean embedding per language.
 

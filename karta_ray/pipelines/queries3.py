@@ -12,6 +12,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .registry import query
+
 # ---------------------------------------------------------------------------
 # 1. Table profiling: per-column nulls / exact distinct / byte lengths /
 # min-max — the standard first pass over an unknown corpus. One scan,
@@ -29,6 +31,7 @@ import pyarrow.compute as pc
 PROFILE_COLS = ["doc_id", "text", "lang", "source", "n_chars"]
 
 
+@query(oracle=lambda: PROFILE_TABLE_SQL)
 def q_profile_table(sf_dir: str):
     """(col, n_rows, n_null, n_distinct, sum_len, min_v, max_v) per
     documents column; values compared as their decimal/UTF-8 string
@@ -151,6 +154,7 @@ FROM documents""" for c in PROFILE_COLS)
 # ---------------------------------------------------------------------------
 
 
+@query(oracle=lambda: REPETITION_SIGNALS_SQL)
 def q_repetition_signals(sf_dir: str):
     """(doc_id, n_words, n_distinct_words, top_word_n, n_bigrams,
     n_distinct_bigrams, top_bigram_n, dup_word_frac, top_word_frac)
@@ -251,6 +255,7 @@ FROM ws LEFT JOIN bs ON ws.doc_id = bs.doc_id
 RANK_NTILES = 97
 
 
+@query(oracle=lambda: GLOBAL_RANK_SQL)
 def q_global_rank(sf_dir: str):
     """(event_id, value, rnk, pct, tile) over all events."""
     import ray.data
@@ -294,6 +299,7 @@ WINDOW w AS (ORDER BY value, event_id)
 # ---------------------------------------------------------------------------
 
 
+@query(oracle=lambda: EVENT_TRANSITIONS_SQL)
 def q_event_transitions(sf_dir: str):
     """(prev_type, next_type, n) over per-user time-ordered events."""
     import ray.data
@@ -348,6 +354,7 @@ GROUP BY event_type, nxt
 # ---------------------------------------------------------------------------
 
 
+@query(oracle=lambda: GROUPED_REGRESSION_SQL)
 def q_grouped_regression(sf_dir: str):
     """(event_type, n, slope, intercept) of y = user_id % 997 against
     x = second-of-hour(ts)."""
@@ -430,6 +437,7 @@ FROM s
 POSTINGS_CAP = 220
 
 
+@query(oracle=lambda: INVERTED_INDEX_SQL)
 def q_inverted_index(sf_dir: str):
     """(term, df, postings) for bigram terms with df <= POSTINGS_CAP."""
     import ray.data
@@ -527,6 +535,7 @@ def _pack_ts_id_val(ts_us, eid, val) -> pa.Array:
                                  [None, pa.py_buffer(packed.tobytes())])
 
 
+@query(oracle=lambda: LATEST_SNAPSHOT_SQL)
 def q_latest_snapshot(sf_dir: str):
     """(user_id, last_ts_us, last_event_id, last_value) per user."""
     import ray.data
@@ -596,6 +605,7 @@ FROM r WHERE rn = 1
 TRIGRAM_MIN_SUPPORT = 5
 
 
+@query(oracle=lambda: NGRAM_COUNTS_SQL)
 def q_ngram_counts(sf_dir: str):
     """(trigram, n) for word trigrams with n >= TRIGRAM_MIN_SUPPORT."""
     import ray.data
@@ -653,6 +663,7 @@ CONTAMINATION_PROBES = [
 ]
 
 
+@query(oracle=lambda: CONTAMINATION_SQL)
 def q_contamination(sf_dir: str):
     """(probe, n_docs): documents containing each probe substring."""
     import ray.data
@@ -692,6 +703,7 @@ CONTAMINATION_SQL = "\nUNION ALL\n".join(
 # ---------------------------------------------------------------------------
 
 
+@query(oracle=lambda: GROUPED_RANK_SQL)
 def q_grouped_rank(sf_dir: str):
     """(event_id, user_id, seq): 1-based position of each event in its
     user's (ts, event_id) order."""
@@ -738,6 +750,7 @@ FROM events
 # ---------------------------------------------------------------------------
 
 
+@query(oracle=lambda: TABLE_CHECKSUM_SQL)
 def q_table_checksum(sf_dir: str):
     """(checksum, n_rows) over documents: md5-row-digest sum mod 2^64."""
     import ray.data
@@ -778,35 +791,3 @@ SELECT CAST(CAST(sum(CAST(md5_number_lower(
        count(*) AS n_rows
 FROM documents
 """
-
-
-def new_queries3() -> dict:
-    return {
-        "profile_table": q_profile_table,
-        "repetition_signals": q_repetition_signals,
-        "global_rank": q_global_rank,
-        "event_transitions": q_event_transitions,
-        "grouped_regression": q_grouped_regression,
-        "inverted_index": q_inverted_index,
-        "latest_snapshot": q_latest_snapshot,
-        "ngram_counts": q_ngram_counts,
-        "contamination": q_contamination,
-        "grouped_rank": q_grouped_rank,
-        "table_checksum": q_table_checksum,
-    }
-
-
-def new_oracle_sqls3() -> dict:
-    return {
-        "profile_table": PROFILE_TABLE_SQL,
-        "repetition_signals": REPETITION_SIGNALS_SQL,
-        "global_rank": GLOBAL_RANK_SQL,
-        "event_transitions": EVENT_TRANSITIONS_SQL,
-        "grouped_regression": GROUPED_REGRESSION_SQL,
-        "inverted_index": INVERTED_INDEX_SQL,
-        "latest_snapshot": LATEST_SNAPSHOT_SQL,
-        "ngram_counts": NGRAM_COUNTS_SQL,
-        "contamination": CONTAMINATION_SQL,
-        "grouped_rank": GROUPED_RANK_SQL,
-        "table_checksum": TABLE_CHECKSUM_SQL,
-    }

@@ -11,8 +11,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..kernels import tiles as tk
 from .queries import (GRID_SHAPE, GRID_T, PTS_SQL, ZOOM, _edges_sql_values,
-                      _synthetic_grid, points_ds, query_polyset)
+                      _synthetic_grid, points_ds, query_polyset, tile_xy_sql)
+from .registry import query
 
 # ---------------------------------------------------------------------------
 # 1. Zonal statistics: per-polygon aggregate of the raster cells whose
@@ -69,6 +71,7 @@ def _cells_from_tile_records(batch: pa.Table) -> pa.Table:
     })
 
 
+@query(oracle=lambda: _zonal_sql())
 def q_zonal_stats(sf_dir: str):
     """Per-polygon stats (count/sum/min/max/mean) of the synthetic
     1-degree grid's cell centers inside each query polygon."""
@@ -149,56 +152,53 @@ FROM wn WHERE w <> 0 GROUP BY poly_id
 # ---------------------------------------------------------------------------
 
 
+def pyramid_partial(batch: pa.Table) -> pa.Table:
+    """Per-block (zoom, tile_x, tile_y, n_points) at every zoom
+    0..ZOOM. Points outside the zoom-ZOOM tile domain [0, 2^ZOOM)^2
+    are dropped before packing: tile_xy emits -1 sentinels for bad
+    coordinates, x == 2^ZOOM at lon == 180 and y out of range for |lat|
+    beyond the Mercator domain, and packing those would silently
+    corrupt tile ids. The derived points have lon in [-180, 180) and
+    lat in [-80, 80), so nothing drops on them; the filter makes that a
+    property of the operator, not of the data."""
+    x, y = tk.tile_xy(batch.column("lon").to_numpy(),
+                      batch.column("lat").to_numpy(), ZOOM)
+    ok = (x >= 0) & (x < (1 << ZOOM)) & (y >= 0) & (y < (1 << ZOOM))
+    x, y = x[ok], y[ok]
+    packed = (x << 29) | y
+    uniq, n = np.unique(packed, return_counts=True)
+    zs, xs, ys, ns = [], [], [], []
+    for z in range(ZOOM, -1, -1):
+        zs.append(np.full(len(uniq), z, np.int64))
+        xs.append(uniq >> 29)
+        ys.append(uniq & ((1 << 29) - 1))
+        ns.append(n)
+        parent = ((uniq >> 29) >> 1) << 29 | ((uniq & ((1 << 29) - 1)) >> 1)
+        uniq, inv = np.unique(parent, return_inverse=True)
+        # int64 accumulator (bincount weights go through float64
+        # and would lose exactness above 2^53)
+        acc = np.zeros(len(uniq), np.int64)
+        np.add.at(acc, inv, n)
+        n = acc
+    return pa.table({
+        "zoom": pa.array(np.concatenate(zs), pa.int64()),
+        "tile_x": pa.array(np.concatenate(xs), pa.int64()),
+        "tile_y": pa.array(np.concatenate(ys), pa.int64()),
+        "n_points": pa.array(np.concatenate(ns), pa.int64()),
+    })
+
+
+@query(oracle=lambda: _pyramid_sql())
 def q_tile_pyramid(sf_dir: str):
-    from ..kernels import tiles as tk
     from ..stages.agg import tree_sum
 
-    ds = points_ds(sf_dir)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        lon = batch.column("lon").to_numpy()
-        lat = batch.column("lat").to_numpy()
-        x, y = tk.tile_xy(lon, lat, ZOOM)
-        # guard the pack: tile_xy emits -1 sentinels for bad
-        # coordinates and y can leave [0, 2^z) for |lat| beyond the
-        # Mercator domain — packing those would silently corrupt tile
-        # ids (ADVICE r4). The current point derivation keeps lat in
-        # [-80, 80) so nothing drops today; the filter makes that a
-        # property of the operator, not of the data.
-        ok = (x >= 0) & (y >= 0) & (y < (1 << ZOOM))
-        x, y = x[ok], y[ok]
-        packed = (x << 29) | y
-        uniq, n = np.unique(packed, return_counts=True)
-        zs, xs, ys, ns = [], [], [], []
-        for z in range(ZOOM, -1, -1):
-            zs.append(np.full(len(uniq), z, np.int64))
-            xs.append(uniq >> 29)
-            ys.append(uniq & ((1 << 29) - 1))
-            ns.append(n)
-            parent = ((uniq >> 29) >> 1) << 29 | ((uniq & ((1 << 29) - 1)) >> 1)
-            uniq, inv = np.unique(parent, return_inverse=True)
-            # int64 accumulator (bincount weights go through float64
-            # and would lose exactness above 2^53)
-            acc = np.zeros(len(uniq), np.int64)
-            np.add.at(acc, inv, n)
-            n = acc
-        return pa.table({
-            "zoom": pa.array(np.concatenate(zs), pa.int64()),
-            "tile_x": pa.array(np.concatenate(xs), pa.int64()),
-            "tile_y": pa.array(np.concatenate(ys), pa.int64()),
-            "n_points": pa.array(np.concatenate(ns), pa.int64()),
-        })
-
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    parts = points_ds(sf_dir).map_batches(
+        pyramid_partial, batch_format="pyarrow", zero_copy_batch=True)
     return tree_sum(parts, ["zoom", "tile_x", "tile_y"], ["n_points"])
 
 
 def _pyramid_sql() -> str:
-    c = f"(128/pi()*2^{ZOOM})"
-    tx = f"CAST(floor({c} * (lon*pi()/180 + pi()) / 256) AS BIGINT)"
-    ty = (f"CAST(floor({c} * (pi() - ln(tan(pi()/4 + lat*pi()/360))) / 256)"
-          f" AS BIGINT)")
+    tx, ty = tile_xy_sql(ZOOM)
     return f"""
 WITH pts AS ({PTS_SQL}),
 base AS (
@@ -209,6 +209,8 @@ SELECT CAST(z.zoom AS BIGINT) AS zoom,
        base.ty >> ({ZOOM} - z.zoom) AS tile_y,
        CAST(SUM(n) AS BIGINT) AS n_points
 FROM base CROSS JOIN range({ZOOM + 1}) z(zoom)
+WHERE base.tx >= 0 AND base.tx < {1 << ZOOM}
+  AND base.ty >= 0 AND base.ty < {1 << ZOOM}
 GROUP BY 1, 2, 3
 """
 
@@ -229,6 +231,7 @@ GROUP BY 1, 2, 3
 FUNNEL_STEPS = ("view", "click", "purchase")
 
 
+@query(oracle=lambda: _funnel_sql())
 def q_funnel(sf_dir: str):
     import ray.data
 
@@ -280,6 +283,7 @@ LEFT JOIN f3 ON u.user_id = f3.user_id
 # ---------------------------------------------------------------------------
 
 
+@query(oracle=lambda: _STAR_SQL)
 def q_star_join(sf_dir: str):
     import pyarrow.parquet as pq
     import ray
@@ -413,6 +417,7 @@ GROUP BY n_name
 # ---------------------------------------------------------------------------
 
 
+@query(oracle=lambda: _CSV_ROUNDTRIP_SQL)
 def q_csv_roundtrip(sf_dir: str):
     import shutil
     import tempfile
@@ -483,6 +488,7 @@ FROM events GROUP BY event_type
 CURATION_SAMPLE_RATE = 0.5
 
 
+@query(oracle=lambda: _curation_sql())
 def q_curation_pipeline(sf_dir: str):
     import ray
     import ray.data
@@ -595,6 +601,7 @@ FROM f GROUP BY lang
 SCELL_LEVEL = 12
 
 
+@query(oracle=lambda: _cell_index_sql())
 def q_cell_index(sf_dir: str):
     from ..kernels import scells
 
@@ -661,6 +668,7 @@ FROM g
 # ---------------------------------------------------------------------------
 
 
+@query(oracle=lambda: _cell_pyramid_sql())
 def q_cell_pyramid(sf_dir: str):
     from ..kernels import scells
     from ..stages.agg import tree_sum
@@ -740,6 +748,7 @@ def _pgrid_tiles(overlap: int = 0):
                            overlap=overlap)
 
 
+@query(oracle=lambda: _grid_profile_sql())
 def q_grid_profile(sf_dir: str):
     import ray.data
 
@@ -799,6 +808,7 @@ RESAMPLE_DX = 3.0
 RESAMPLE_DY = 2.0
 
 
+@query(oracle=lambda: _grid_resample_sql())
 def q_grid_resample(sf_dir: str):
     from ..stages.raster import regrid_tiles_stage
 
@@ -844,6 +854,7 @@ FROM range({ny}) t1(gi) CROSS JOIN range({nx}) t2(gj)
 # ---------------------------------------------------------------------------
 
 
+@query(oracle=lambda: _session_windows_sql())
 def q_session_windows(sf_dir: str):
     import ray.data
 
@@ -896,6 +907,7 @@ CHUNK_OVERLAP = 100
 CHUNK_STEP = CHUNK_SIZE - CHUNK_OVERLAP
 
 
+@query(oracle=lambda: CHUNK_DOCUMENTS_SQL)
 def q_chunk_documents(sf_dir: str):
     import hashlib
 
@@ -950,42 +962,3 @@ FROM d, unnest(range(0, CAST(floor((d.L - 1) / {CHUNK_STEP}) AS BIGINT)
                         + 1)) u(k)
 WHERE d.L > 0
 """
-
-
-# ---------------------------------------------------------------------------
-# registration
-# ---------------------------------------------------------------------------
-
-
-def new_queries4() -> dict:
-    return {
-        "zonal_stats": q_zonal_stats,
-        "tile_pyramid": q_tile_pyramid,
-        "funnel": q_funnel,
-        "star_join": q_star_join,
-        "csv_roundtrip": q_csv_roundtrip,
-        "curation_pipeline": q_curation_pipeline,
-        "cell_index": q_cell_index,
-        "cell_pyramid": q_cell_pyramid,
-        "grid_profile": q_grid_profile,
-        "grid_resample": q_grid_resample,
-        "session_windows": q_session_windows,
-        "chunk_documents": q_chunk_documents,
-    }
-
-
-def new_oracle_sqls4() -> dict:
-    return {
-        "zonal_stats": _zonal_sql(),
-        "tile_pyramid": _pyramid_sql(),
-        "funnel": _funnel_sql(),
-        "star_join": _STAR_SQL,
-        "csv_roundtrip": _CSV_ROUNDTRIP_SQL,
-        "curation_pipeline": _curation_sql(),
-        "cell_index": _cell_index_sql(),
-        "cell_pyramid": _cell_pyramid_sql(),
-        "grid_profile": _grid_profile_sql(),
-        "grid_resample": _grid_resample_sql(),
-        "session_windows": _session_windows_sql(),
-        "chunk_documents": CHUNK_DOCUMENTS_SQL,
-    }

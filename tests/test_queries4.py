@@ -274,3 +274,21 @@ class TestChunkDocuments:
                                     "n_chars"]].to_numpy()))
         assert rows == [("a", 0, 400), ("b", 0, 401), ("b", 1, 1),
                         ("c", 0, 500), ("c", 1, 100)]
+
+
+def test_tile_pyramid_drops_points_outside_tile_domain():
+    # lon == 180.0 maps to x == 2^ZOOM (tile_xy does not clamp at the
+    # antimeridian); packing it would emit a tile outside [0, 2^z) at
+    # every zoom, so the partial must drop it
+    from karta_ray.pipelines.queries import ZOOM
+    from karta_ray.pipelines.queries4 import pyramid_partial
+
+    batch = pa.table({"lon": pa.array([180.0, 179.9, -180.0, 0.0]),
+                      "lat": pa.array([10.0, 10.0, -10.0, 89.0])})
+    out = pyramid_partial(batch).to_pandas()
+    assert set(out["zoom"]) == set(range(ZOOM + 1))
+    for z, g in out.groupby("zoom"):
+        assert (g["tile_x"] >= 0).all() and (g["tile_x"] < (1 << z)).all()
+        assert (g["tile_y"] >= 0).all() and (g["tile_y"] < (1 << z)).all()
+        # lon 180 and lat 89 (beyond the Mercator domain) are dropped
+        assert g["n_points"].sum() == 2
