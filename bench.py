@@ -1,8 +1,9 @@
 """Benchmark harness.
 
-Default: ray.init(num_cpus=$RAY_GRAFT_CPUS or 32), run the headline
-spatial-join + tile-assignment pipeline over a pre-materialized synthetic
-pages table plus every queries() pipeline over $GRAFT_SF_DIR (default
+Default: ray.init(num_cpus=$RAY_GRAFT_CPUS, else the CPUs in this
+process's affinity mask), run the headline spatial-join +
+tile-assignment pipeline over a pre-materialized synthetic pages table
+plus every queries() pipeline over $GRAFT_SF_DIR (default
 /root/testdata/sf0.1), print ONE JSON line.
 
 --scaling: run the headline pipeline in two fresh processes
@@ -26,7 +27,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 N_PAGES = int(os.environ.get("GRAFT_BENCH_PAGES", "1000000"))
 # scaling criterion workload: sized so per-run fixed overhead (~1 s of
 # Ray startup/barrier cost) is small against even the 32-cpu run — the

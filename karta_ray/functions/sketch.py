@@ -116,10 +116,10 @@ def approx_distinct(ds, col: str, p: int = _P_DEFAULT) -> float:
     """Approximate distinct count of a column over a Dataset.
 
     Per-batch register partials (vectorized hash — no per-row Python)
-    are tree-combined as (bucket, register-max) rows INSIDE the
-    cluster; the driver collects only the <= 2^p final register rows —
-    transfer independent of block count (at 10^6 blocks the former
-    per-block 2^p-byte blob collect would put GBs on the driver)."""
+    are folded as (bucket, register-max) rows by ``tree_agg``; the
+    driver holds only the <= 2^p final register rows plus one flush
+    buffer (at 10^6 blocks the former per-block 2^p-byte blob collect
+    held GBs on the driver)."""
     rows = hll_register_rows(ds, col, p, hash_fn="fast")
     tbl = rows.take_all()
     return hll_count_from_rows(

@@ -27,10 +27,9 @@ def flagship_pipeline(pages_ds, *, zoom: int = 7, polyset=None,
 
     ``slim=True`` is the aggregate-sink flavor: when the consumer only
     needs (poly_id, cell_id) counts, url / tile_x/y/z / poly_name are
-    dead weight on the one object-store boundary in the pipeline (the
-    read->extract->cells chain fuses into one task, pip_join's
-    batch_size breaks fusion there to pipeline I/O with compute), so
-    they are pruned before the exchange — 24 B/doc crosses instead of
+    dead weight, so they are pruned right after extract: the stages
+    fused after it (the parquet read is its own operator; extract ->
+    cells -> join -> partial run as one task) carry 24 B/doc instead of
     ~100. A sink that DOES need url should carry it inline instead (the
     flagship has no shuffle between extract and sink, so a row-id +
     join-url-back-at-the-sink plan would cost a real hash shuffle to
@@ -101,8 +100,10 @@ def _partial_counts(batch: pa.Table) -> pa.Table:
 
 def flagship_aggregate(joined_ds):
     """(poly_id, cell_id) page counts: partial counts inside map_batches,
-    then a tree combine (salted skew is absorbed by the pre-aggregation:
-    a hot cell contributes one partial row per block, not per page)."""
+    folded on the driver by ``tree_sum`` in the same single executor run
+    (salted skew is absorbed by the pre-aggregation: a hot cell
+    contributes one partial row per block, not per page). The returned
+    Dataset is materialized; reading it re-runs nothing."""
     from ..stages.agg import tree_sum
 
     part = joined_ds.map_batches(_partial_counts, batch_format="pyarrow",

@@ -1,12 +1,12 @@
-"""Partial + tree-combine aggregation for bounded-cardinality groupbys.
+"""Partial + driver-fold aggregation for bounded-cardinality groupbys.
 
 Ray Data's ``groupby().sum()`` runs a sort-based all-to-all shuffle whose
-fixed overhead (~5 s on this host) dominates when the post-partial data
-is small. For aggregates whose group count is bounded (per-(polygon,
-cell) counts, grid bins, per-language stats), a partial aggregate inside
-``map_batches`` followed by a repartition tree-combine is both faster at
-bench scale and scalable: each level shrinks the data by ~(blocks /
-fanout) x, and every step is a plain map over Arrow blocks.
+fixed overhead dominates when the post-partial data is small (4-6x
+slower than :func:`tree_agg` on the bench workloads, measured). For
+aggregates whose group count is bounded (per-(polygon, cell) counts,
+grid bins, per-language stats), a partial aggregate per block inside
+one ``map_batches`` run, folded on the driver as the blocks stream in,
+costs one executor run and no barrier.
 
 For unbounded keys (exact dedup on url/text at 10^12 rows) keep
 ``ds.groupby`` — the real hash/sort shuffle is the right primitive there.
@@ -29,34 +29,53 @@ def _make_combine(keys: list, col_aggs: list):
     return combine
 
 
-def tree_agg(ds, keys: list, col_aggs: list, *, fanout: int = 32):
+FLUSH_ROWS = 65_536  # driver fold buffer floor, in partial rows
+
+
+def stream_fold(parts, combine, *, flush_rows: int = FLUSH_ROWS):
+    """Run ``parts`` once and fold its non-empty blocks on the driver as
+    they stream in, re-combining with the running result whenever the
+    new rows reach max(``flush_rows``, groups so far): O(partial rows)
+    driver work, memory bounded by groups plus one buffer. ``combine``
+    must be associative and idempotent. ``None`` if every block is empty."""
+    import ray
+
+    buf, groups, buffered = [], 0, 0
+    for bundle in parts.iter_internal_ref_bundles():
+        # skip empty blocks: Ray's are schema-less and break the concat
+        for block in ray.get([r for r, meta in bundle.blocks
+                              if meta.num_rows != 0]):
+            buf.append(block)
+            buffered += block.num_rows
+            if buffered >= max(flush_rows, groups):
+                buf = [combine(pa.concat_tables(buf))]
+                groups, buffered = buf[0].num_rows, 0
+    return combine(pa.concat_tables(buf)) if buf else None
+
+
+def tree_agg(ds, keys: list, col_aggs: list):
     """Combine a Dataset of partial rows into one row per key group with
-    associative per-column aggregations (``sum``/``max``/``min``):
-    per-block combine -> (coalesce to ``fanout`` blocks -> combine, only
-    when the combined partials span more than ``4 x fanout`` blocks) ->
-    single block -> final combine.
+    associative per-column aggregations (``sum``/``max``/``min``), in
+    ONE Ray Data execution: each block is combined in a fused
+    ``map_batches`` (<= groups rows out) and :func:`stream_fold` folds
+    those partials on the driver. The result is a
+    ``ray.data.from_arrow`` Dataset that knows its schema, so
+    ``to_arrow_refs()``/``take_all()``/``to_pandas()`` never re-run the
+    aggregate; an empty input keeps the dtype-strict schema."""
+    import ray.data
 
-    The per-block combine is materialized so the intermediate tree
-    level is a data-driven choice: a bench-scale run (dozens of blocks)
-    skips a whole all-to-all barrier (~0.5 s fixed cost, measured),
-    while a 10^6-block corpus still gets the fanout level that keeps
-    the final block at ``fanout x groups`` rows instead of ``blocks x
-    groups``. The materialize writes only combined partials (<= groups
-    rows per block) — data the repartition would persist anyway."""
     combine = _make_combine(keys, col_aggs)
-    ds = ds.map_batches(combine, batch_format="pyarrow",
-                        zero_copy_batch=True).materialize()
-    if ds.num_blocks() > 4 * fanout:
-        ds = ds.repartition(fanout)
-        ds = ds.map_batches(combine, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    ds = ds.repartition(1)
-    return ds.map_batches(combine, batch_format="pyarrow", zero_copy_batch=True)
+    out = stream_fold(ds.map_batches(combine, batch_format="pyarrow",
+                                     zero_copy_batch=True), combine)
+    if out is None:  # map_batches drops an empty block's schema
+        schema = ds.schema()
+        out = combine(schema.base_schema.empty_table()) if schema else pa.table({})
+    return ray.data.from_arrow(out)
 
 
-def tree_sum(ds, keys: list, sum_cols: list, *, fanout: int = 32):
+def tree_sum(ds, keys: list, sum_cols: list):
     """tree_agg specialization: every column summed."""
-    return tree_agg(ds, keys, [(c, "sum") for c in sum_cols], fanout=fanout)
+    return tree_agg(ds, keys, [(c, "sum") for c in sum_cols])
 
 
 def group_runs(batch: pa.Table, keys: list):
@@ -103,13 +122,17 @@ def side_residue_sharder(keys: list, *, shards: int = 8,
     no cross-shard combine; a hot group costs ``|shared| + |rows| /
     shards`` per residue task instead of O(group) on one node.
 
-    Shard bases derive from the group's KEY VALUES (crc32), so
-    fragments of one group exported from different blocks land in
-    consistent sub-residues.
+    Shard bases derive from a 64-bit blake2b digest of the group's KEY
+    VALUES, so fragments of one group exported from different blocks
+    land in consistent sub-residues, and distinct groups share a base
+    only on a digest collision.
     """
-    import zlib
-
     import numpy as np
+
+    from ..functions.text import hash_bytes_u64
+
+    # keep base * shards + (shards - 1) below 2^63
+    shift = np.uint64(shards.bit_length() + 1)
 
     def sharder(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -119,11 +142,11 @@ def side_residue_sharder(keys: list, *, shards: int = 8,
         side = batch.column(side_col).to_numpy(zero_copy_only=False)
         kreprs = [batch.column(k).take(pa.array(starts)).to_pylist()
                   for k in keys]
+        digests = hash_bytes_u64([repr(t).encode() for t in zip(*kreprs)])
+        bases = (digests >> shift).astype(np.int64) * shards
         idx_parts, shard_parts = [], []
         for run, (s, e) in enumerate(zip(starts, ends)):
-            h = zlib.crc32(repr(tuple(kr[run] for kr in kreprs))
-                           .encode()) * 2654435761
-            base = np.int64(h & 0x3FFFFFFFFFFF) * shards
+            base = bases[run]
             rs = side[s:e]
             li = np.flatnonzero(rs == shard_side).astype(np.int64) + s
             ri = np.flatnonzero(rs != shard_side).astype(np.int64) + s

@@ -117,10 +117,10 @@ def ann_ivf_topk(emb_ds, query_ids, query_mat, k: int = 10, *,
                  exclude_self: bool = True):
     """IVF variant (``nprobe=None`` probes every cluster — the
     exact-mode twin, result identical to brute-force top-k):
-    compute per-cluster centroids (one small pass, partials
-    tree-combined in the cluster so the driver collects only the
-    k x d final rows — independent of block count), then score each
-    query only against its ``nprobe`` nearest clusters."""
+    compute per-cluster centroids (one small pass, partials folded by
+    ``tree_sum`` so the driver holds only the k x d result plus one
+    flush buffer), then score each query only against its ``nprobe``
+    nearest clusters."""
     from .kmeans import _label_sum_rows, collect_centroid_sums
 
     def partial_centroids(batch: pa.Table) -> pa.Table:

@@ -5,10 +5,12 @@ The naive plan — hash-join left against right — shuffles every left
 row. Here only rows that *probably* match move:
 
 1. **build**: each right block sets its keys' k double-hashed bit
-   positions in a local m-bit bitmap; bitmaps OR-combine through a
-   fixed-fanout tree (``m/8`` bytes per partial, independent of row
-   count) and the final bitmap is broadcast once via ``ray.put`` —
-   every probe task reads the same object-store copy.
+   positions in a local m-bit bitmap (``m/8`` bytes per block,
+   independent of row count); the driver ORs the bitmaps as they
+   stream in from one executor run (``agg.stream_fold``; blocks x m/8
+   bytes reach it, and right is the small side), and the final bitmap
+   is broadcast once via ``ray.put`` — every probe task reads the same
+   object-store copy.
 2. **probe**: a stateless ``map_batches`` filter keeps left rows whose
    k positions are all set. False-positive rate ~ (1-e^{-kn/m})^k;
    with the default m=2^23, k=4 it stays under 1% up to ~1M keys.
@@ -40,29 +42,12 @@ def _positions(keys: np.ndarray, m_bits: int, n_hashes: int) -> np.ndarray:
             % np.uint64(m_bits)).astype(np.int64)
 
 
-def _drop_empty_blocks(ds):
-    """Range shuffles can leave schema-LESS empty blocks that
-    ``Dataset.join`` rejects ("no match for key field"); drop them by
-    block metadata. Bounded: blocks stay in the object store — only
-    refs and row counts touch the driver."""
+def build_bloom(right, *, key: str, m_bits: int, n_hashes: int):
+    """OR-fold a bitmap over ``right[key]``; returns an ObjectRef to the
+    packed uint8 numpy bitmap."""
     import ray
-    import ray.data
 
-    refs = []
-    for bundle in ds.materialize().iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows:
-                refs.append(ref)
-    if not refs:
-        return ds  # all-empty: caller's join output is empty anyway
-    return ray.data.from_arrow_refs(refs)
-
-
-def build_bloom(right, *, key: str, m_bits: int, n_hashes: int,
-                fanout: int = 32):
-    """OR-tree a bitmap over ``right[key]``; returns (ObjectRef to a
-    packed uint8 numpy bitmap, n_set_bits)."""
-    import ray
+    from .agg import stream_fold
 
     nbytes = m_bits // 8
 
@@ -81,21 +66,14 @@ def build_bloom(right, *, key: str, m_bits: int, n_hashes: int,
             acc |= np.frombuffer(buf.as_py(), dtype=np.uint8)
         return pa.table({"bm": pa.array([acc.tobytes()], pa.binary())})
 
-    # data-driven OR-tree (same pattern as agg.tree_agg): partials are
-    # one m/8-byte bitmap per block, so with few blocks a single
-    # reduce task ORs them all and the intermediate all-to-all barrier
-    # is pure overhead; above 4 x fanout blocks the fanout level keeps
-    # the final task at fanout bitmaps instead of blocks bitmaps
-    parts = right.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True).materialize()
-    if parts.num_blocks() > 4 * fanout:
-        parts = (parts.repartition(fanout)
-                 .map_batches(combine, batch_format="pyarrow"))
-    merged = (parts.repartition(1)
-              .map_batches(combine, batch_format="pyarrow"))
-    final = np.frombuffer(merged.take(1)[0]["bm"], dtype=np.uint8).copy()
-    n_set = int(np.unpackbits(final).sum())
-    return ray.put(final), n_set
+    # each block's bitmap is ORed into the running one as it arrives
+    # (flush_rows=1), so the driver holds at most two bitmaps
+    merged = stream_fold(right.map_batches(partial, batch_format="pyarrow",
+                                           zero_copy_batch=True),
+                         combine, flush_rows=1)
+    if merged is None:
+        return ray.put(np.zeros(nbytes, dtype=np.uint8))
+    return ray.put(np.frombuffer(merged.column("bm")[0].as_py(), dtype=np.uint8))
 
 
 def bloom_semi_join(left, right, *, key: str,
@@ -116,8 +94,7 @@ def bloom_semi_join(left, right, *, key: str,
     misses the filter and never enters the verify join at all — only
     the bloom hits (true members + the tiny FP fraction) are joined.
     """
-    bm_ref, _ = build_bloom(right, key=key, m_bits=m_bits,
-                            n_hashes=n_hashes)
+    bm_ref = build_bloom(right, key=key, m_bits=m_bits, n_hashes=n_hashes)
 
     def make_probe(keep_hits: bool):
         def probe(batch: pa.Table, *, ref=bm_ref) -> pa.Table:
@@ -149,10 +126,8 @@ def bloom_semi_join(left, right, *, key: str,
         lambda b: b.select([key]).rename_columns(["__bloom_rkey"]),
         batch_format="pyarrow", zero_copy_batch=True)
     if not right_distinct:
-        # sorted_agg, not ds.groupby().count(): Ray's groupby can emit
-        # schema-less empty blocks that Dataset.join rejects, and
-        # sorted_agg's range shuffle is the repo-wide distinct
-        # primitive for unbounded keys anyway
+        # sorted_agg, not ds.groupby().count(): its range shuffle is the
+        # repo-wide distinct primitive for unbounded keys
         from .agg import sorted_agg
 
         rkeys = rkeys.map_batches(
@@ -164,9 +139,7 @@ def bloom_semi_join(left, right, *, key: str,
                            [("__bloom_n", "sum")]).map_batches(
             lambda b: b.select(["__bloom_rkey"]),
             batch_format="pyarrow", zero_copy_batch=True)
-        rkeys = _drop_empty_blocks(rkeys)
 
-    out_cols = left.schema().base_schema.names
     left_schema = left.schema().base_schema
     if anti:
         misses = left.map_batches(make_probe(False),

@@ -320,8 +320,8 @@ def minhash_lsh_pairs(docs_ds, *, id_col: str = "doc_id",
     # shuffle (sorted_sum: sort + per-block Arrow combine + bounded
     # boundary residue) — safe for UNBOUNDED pair cardinality (the
     # corpus-scale shape) without ray.data.groupby's per-tiny-group
-    # finalization cost. "tree" ends in a single-block combine: lower
-    # fixed latency, only for small candidate sets.
+    # finalization cost. "tree" folds on the driver: lower fixed
+    # latency, only for small candidate sets.
     if pair_dedup == "groupby":
         from .agg import sorted_sum
 

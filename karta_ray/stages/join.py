@@ -38,10 +38,14 @@ from ..state.worker import cached, resolve
 
 DEFAULT_ZOOM = 7
 
-# batch_size=8192 deliberately breaks read->map fusion: the parquet read
-# then pipelines with the compute chain across the streaming executor
-# instead of serializing I/O and compute inside one fused task (measured
-# ~1.5x faster end-to-end on the 4M-page bench).
+# Rows per _join_batch call. It does not break read->map fusion: with it
+# or with batch_size=None the flagship plan is the same, ReadParquet as
+# its own operator and extract -> cells -> _join_batch -> partial fused
+# into one. Kept over batch_size=None on an interleaved perfbench A/B
+# (5 pairs per workload, 4 CPUs): whole blocks cut pip_dense
+# norm_rows_per_s 7% (median 87.0k vs 93.5k rows/s) and raised
+# flagship_pages setup_s 13% and peak_pss_mb 5%, though they lifted its
+# scaling_eff from 0.28 to 0.41.
 BATCH_SIZE = 8192
 
 _EMPTY_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))

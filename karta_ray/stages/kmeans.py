@@ -3,11 +3,12 @@
 The scale shape: centroids broadcast per iteration (k x d floats — tiny
 relative to data), assignment + per-centroid partial (sum, count)
 computed inside map_batches as (label, dim, s, n) rows, partials
-TREE-COMBINED inside the cluster (stages.agg.tree_sum); the driver
-collects only the k x d final rows — transfer independent of block
-count (the former per-block take_all() put O(blocks * k * d) on the
-driver: GBs at 10^6 blocks). Data streams through each iteration; no
-full materialization of the vectors.
+folded on the driver as they stream in (stages.agg.tree_sum): driver
+memory holds the k x d result plus one flush buffer, never every
+block's partials at once (the former per-block take_all() held
+O(blocks * k * d) rows: GBs at 10^6 blocks), though the rows streamed
+through the driver still grow with the block count. Data streams
+through each iteration; no full materialization of the vectors.
 
 Used to build real IVF cluster assignments (`ann_ivf_topk` probes the
 nprobe nearest centroids) when the corpus has no precomputed labels.
@@ -52,8 +53,8 @@ def _label_sum_rows(emb: np.ndarray, lab: np.ndarray) -> pa.Table:
 
 
 def collect_centroid_sums(parts_ds, d: int):
-    """Tree-combine (label, dim, s, n) partials in the cluster and
-    collect only the final k x d rows: returns (labels, sums, counts)."""
+    """Fold (label, dim, s, n) partials into the final k x d rows
+    (``tree_sum``): returns (labels, sums, counts)."""
     from .agg import tree_sum
 
     rows = tree_sum(parts_ds, ["label", "dim"], ["s", "n"]).take_all()

@@ -129,3 +129,28 @@ class TestBloomAntiJoin:
                                ray.data.from_arrow(right), key="k",
                                anti=True, m_bits=1 << 12)
         assert anti.count() == 59
+
+
+class TestBuildBloom:
+    def test_bitmap_is_or_of_block_bitmaps(self, ray_session):
+        import ray
+
+        from karta_ray.stages.bloomjoin import _positions, build_bloom
+
+        m_bits, n_hashes = 1 << 12, 3
+        rng = np.random.RandomState(9)
+        blocks = [pa.table({"k": rng.randint(0, 10**6, n).astype(np.int64)})
+                  for n in (300, 0, 41, 1, 700)]
+        want = np.zeros(m_bits // 8, dtype=np.uint8)
+        for b in blocks:
+            bm = np.zeros(m_bits // 8, dtype=np.uint8)
+            pos = _positions(b.column("k").to_numpy(), m_bits, n_hashes).ravel()
+            np.bitwise_or.at(bm, pos >> 3,
+                             np.uint8(1) << (pos & 7).astype(np.uint8))
+            want |= bm
+        got = ray.get(build_bloom(ray.data.from_arrow(blocks), key="k",
+                                  m_bits=m_bits, n_hashes=n_hashes))
+        assert np.array_equal(got, want)
+        empty = ray.get(build_bloom(ray.data.from_arrow(blocks[1]), key="k",
+                                    m_bits=m_bits, n_hashes=n_hashes))
+        assert np.array_equal(empty, np.zeros(m_bits // 8, dtype=np.uint8))

@@ -3,6 +3,8 @@
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from karta_ray import synth
 from karta_ray.pipelines.flagship import flagship_aggregate, flagship_pipeline
@@ -156,9 +158,8 @@ class TestTreeAggProperty:
                 .sort_values(["k1", "k2"]).reset_index(drop=True))
         assert got.equals(want)
 
-    def test_adaptive_tree_level(self):
-        # >4*fanout input blocks must take the intermediate-combine
-        # branch and still produce exact results
+    def test_exact_over_many_blocks(self):
+        # 48 input blocks, one partial per block folded on the driver
         import ray.data
 
         from karta_ray.stages.agg import tree_agg
@@ -169,13 +170,119 @@ class TestTreeAggProperty:
             "k": pa.array(rng.randint(0, 11, n).astype(np.int64)),
             "s": pa.array(rng.randint(-5, 5, n).astype(np.int64)),
         })
-        ds = ray.data.from_arrow(df).repartition(40)
-        got = tree_agg(ds, ["k"], [("s", "sum")], fanout=8) \
+        ds = ray.data.from_arrow(df).repartition(48)
+        assert ds.materialize().num_blocks() == 48
+        got = tree_agg(ds, ["k"], [("s", "sum")]) \
             .to_pandas().sort_values("k").reset_index(drop=True)
         want = (df.to_pandas().groupby("k", as_index=False)
                 .agg(s=("s", "sum"))
                 .sort_values("k").reset_index(drop=True))
         assert got.equals(want)
+
+    def test_one_execution_partial_once_per_block(self, monkeypatch):
+        # flagship_aggregate(...) then to_arrow_refs(): one executor run,
+        # the partial once per input block, and no re-execution to fetch
+        # the result's schema
+        import ray
+        import ray.data
+        from ray.data._internal.execution.streaming_executor import \
+            StreamingExecutor
+
+        from karta_ray.pipelines import flagship
+
+        @ray.remote
+        class Counter:
+            def __init__(self):
+                self.n = 0
+
+            def add(self):
+                self.n += 1
+
+            def get(self):
+                return self.n
+
+        counter = Counter.remote()
+        partial = flagship._partial_counts
+
+        def counted(batch):
+            ray.get(counter.add.remote())
+            return partial(batch)
+
+        runs = []
+        execute = StreamingExecutor.execute
+
+        def counting_execute(self, dag, *args, **kwargs):
+            runs.append(str(dag))
+            return execute(self, dag, *args, **kwargs)
+
+        monkeypatch.setattr(flagship, "_partial_counts", counted)
+        monkeypatch.setattr(StreamingExecutor, "execute", counting_execute)
+        rng = np.random.RandomState(2)
+        blocks = [pa.table({"poly_id": rng.randint(0, 9, 500),
+                            "cell_id": rng.randint(0, 30, 500)})
+                  for _ in range(12)]
+        ds = flagship.flagship_aggregate(ray.data.from_arrow(blocks))
+        assert len(runs) == 1
+        got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+        assert ray.get(counter.get.remote()) == len(blocks)
+        assert all("MapBatches" not in r for r in runs[1:])
+        want = partial(pa.concat_tables(blocks))
+        assert got.sort_by([("poly_id", "ascending"), ("cell_id", "ascending")]) \
+            .equals(want.sort_by([("poly_id", "ascending"),
+                                  ("cell_id", "ascending")]))
+
+    @pytest.mark.parametrize("empty_blocks", ["one_empty_block",
+                                              "mapped_to_empty"])
+    def test_empty_input_keeps_schema(self, empty_blocks):
+        import ray.data
+
+        from karta_ray.stages.agg import tree_agg
+
+        t = pa.table({"k": pa.array([1, 2], pa.int32()),
+                      "s": pa.array([1, 2], pa.int32()),
+                      "m": pa.array([1.5, 2.5], pa.float64())})
+        if empty_blocks == "one_empty_block":
+            ds = ray.data.from_arrow(t.slice(0, 0))
+        else:
+            ds = ray.data.from_arrow([t] * 3).map_batches(
+                lambda b: b.slice(0, 0), batch_format="pyarrow")
+        out = tree_agg(ds, ["k"], [("s", "sum"), ("m", "max")])
+        got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+        assert got.num_rows == 0
+        # pyarrow widens an int32 sum to int64
+        assert got.schema == pa.schema([("k", pa.int32()), ("s", pa.int64()),
+                                        ("m", pa.float64())])
+
+    @given(st.lists(st.integers(0, 400), min_size=0, max_size=12),
+           st.sampled_from(["sum", "min", "max"]),
+           st.integers(1, 300), st.integers(0, 2**31))
+    @settings(max_examples=25, deadline=None)
+    def test_fold_equals_group_by(self, cuts, agg, flush_rows, seed):
+        # random block splits (empty blocks included) and flush sizes:
+        # the fold equals one pa.Table.group_by over the whole input
+        import ray.data
+
+        from karta_ray.stages.agg import _make_combine, stream_fold, tree_agg
+
+        rng = np.random.RandomState(seed % 2**32)
+        n = 400
+        t = pa.table({"k1": rng.randint(0, 6, n), "k2": rng.randint(0, 4, n),
+                      "v": rng.randint(-50, 50, n),
+                      "f": rng.uniform(-1, 1, n)})
+        edges = [0] + sorted(cuts) + [n]
+        ds = ray.data.from_arrow([t.slice(a, b - a)
+                                  for a, b in zip(edges, edges[1:])])
+        col_aggs = [("v", agg), ("f", "min" if agg == "sum" else agg)]
+        keys = ["k1", "k2"]
+        order = [("k1", "ascending"), ("k2", "ascending")]
+        combine = _make_combine(keys, col_aggs)
+        want = combine(t).sort_by(order)
+        got = pa.concat_tables(ray.get(
+            tree_agg(ds, keys, col_aggs).to_arrow_refs())).sort_by(order)
+        assert got.equals(want)
+        folded = stream_fold(ds.map_batches(combine, batch_format="pyarrow"),
+                             combine, flush_rows=flush_rows).sort_by(order)
+        assert folded.equals(want)
 
 
 @pytest.mark.usefixtures("ray_session")

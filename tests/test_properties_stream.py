@@ -6,8 +6,9 @@ invariants the distributed plans rest on:
   collapse(A + B)) — this is exactly what makes exporting pre-collapsed
   per-block partials to the residue sound.
 - agg.side_residue_sharder: every shard-side row lands in exactly one
-  sub-residue, every shared-side row in all of them, and a group's
-  shard base is consistent across separately-sharded batches.
+  sub-residue, every shared-side row in all of them, a group's shard
+  base is consistent across separately-sharded batches, and distinct
+  groups of the tested key domain never share a base.
 """
 
 import numpy as np
@@ -139,3 +140,19 @@ class TestSharderProperties:
             return set(out.column("_rshard").to_numpy() // shards)
 
         assert base(1) == base(7)
+
+    @given(st.integers(2, 8))
+    @settings(max_examples=7, deadline=None)
+    def test_bases_distinct_over_key_domain(self, shards):
+        # every (k, bucket) group the tests above draw from gets its own
+        # base, so their shard ids cannot collide
+        from karta_ray.stages.agg import side_residue_sharder
+
+        k, bucket = np.meshgrid(np.arange(101), np.arange(6), indexing="ij")
+        t = pa.table({"k": pa.array(k.ravel(), pa.int64()),
+                      "bucket": pa.array(bucket.ravel(), pa.int64()),
+                      "side": pa.array(np.zeros(k.size, np.int8))})
+        out = side_residue_sharder(["k", "bucket"], shards=shards)(t)
+        sh = out.column("_rshard").to_numpy()
+        assert sh.min() >= 0
+        assert len(np.unique(sh // shards)) == k.size
