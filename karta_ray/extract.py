@@ -9,6 +9,10 @@ Python per-row loop.
 Page payloads live inside ``<article>...</article>`` with minimal HTML
 entity escaping (&amp; &lt; &gt;); geotags are a fixed in-text pattern
 ``@geo(lat,lon)`` with 5-decimal fixed-point coordinates.
+
+:func:`extract_text` and :func:`parse_geotag` are the reference path.
+:func:`geotag_from_html` gives the same geotags straight from the html
+bytes, without building the text.
 """
 
 from __future__ import annotations
@@ -51,7 +55,44 @@ def parse_geotag(text_col):
     m = pc.extract_regex(text_col, GEOTAG_RE)
     lat = pc.cast(pc.struct_field(m, "lat"), pa.float64())
     lon = pc.cast(pc.struct_field(m, "lon"), pa.float64())
-    lon_np = lon.to_numpy(zero_copy_only=False)
-    lat_np = lat.to_numpy(zero_copy_only=False)
-    return (np.where(np.isnan(lon_np), np.nan, lon_np),
-            np.where(np.isnan(lat_np), np.nan, lat_np))
+    return (lon.to_numpy(zero_copy_only=False),
+            lat.to_numpy(zero_copy_only=False))
+
+
+def _positions(col) -> np.ndarray:
+    """int32 byte positions / lengths as numpy, nulls as -1."""
+    return pc.fill_null(col, -1).to_numpy()
+
+
+def geotag_from_html(html_col):
+    """binary html -> (lon, lat), equal bit for bit to
+    ``parse_geotag(extract_text(html_col))``.
+
+    The payload is the span the greedy ``ARTICLE_RE`` captures: from the
+    end of the first ``<article>`` to the start of the last
+    ``</article>``. A row's geotag is the first ``GEOTAG_RE`` match in
+    the html when that match starts inside the payload. This is exact
+    because ``GEOTAG_RE`` matches no ``&``, ``<`` or ``>``: unescaping
+    the payload can neither create nor remove a match, and no match can
+    straddle a tag. Rows whose first match lies before ``<article>``
+    may still have one inside it; they alone take the reference path.
+    """
+    html = pc.cast(html_col, pa.string())  # raises on invalid UTF-8
+    first = _positions(pc.find_substring(html, "<article>"))
+    last_rev = _positions(pc.find_substring(
+        pc.binary_reverse(pc.cast(html, pa.binary())), "</article>"[::-1]))
+    start = first + len("<article>")
+    end = _positions(pc.binary_length(html)) - last_rev - len("</article>")
+    payload = (first >= 0) & (last_rev >= 0) & (end >= start)
+    pos = _positions(pc.find_substring_regex(html, GEOTAG_RE))
+    m = pc.extract_regex(html, GEOTAG_RE)
+    inside = payload & (pos >= start) & (pos < end)
+    lon = np.where(inside, pc.cast(pc.struct_field(m, "lon"), pa.float64())
+                   .to_numpy(zero_copy_only=False), np.nan)
+    lat = np.where(inside, pc.cast(pc.struct_field(m, "lat"), pa.float64())
+                   .to_numpy(zero_copy_only=False), np.nan)
+    before = np.flatnonzero(payload & (pos >= 0) & (pos < start))
+    if len(before):
+        lon[before], lat[before] = parse_geotag(
+            extract_text(html.take(before)))
+    return lon, lat

@@ -38,14 +38,18 @@ from ..state.worker import cached, resolve
 
 DEFAULT_ZOOM = 7
 
-# Rows per _join_batch call. It does not break read->map fusion: with it
-# or with batch_size=None the flagship plan is the same, ReadParquet as
-# its own operator and extract -> cells -> _join_batch -> partial fused
-# into one. Kept over batch_size=None on an interleaved perfbench A/B
-# (5 pairs per workload, 4 CPUs): whole blocks cut pip_dense
-# norm_rows_per_s 7% (median 87.0k vs 93.5k rows/s) and raised
-# flagship_pages setup_s 13% and peak_pss_mb 5%, though they lifted its
-# scaling_eff from 0.28 to 0.41.
+# Rows per _join_batch call. Over a split read (ReadParquet->SplitBlocks,
+# as perfbench's 8 files on 4 CPUs get) it does not break read->map
+# fusion. With one read task per file (files >> CPUs, the design scale)
+# there is no split, and Ray will not fuse a row-changing Read into an
+# operator with min_rows_per_bundle: 8192 leaves ReadParquet its own
+# operator, so html crosses the object store once, while batch_size=None
+# fuses the read into extract -> ... (4 CPUs, override_num_blocks=8,
+# 8 interleaved jobs each: 0.730 s vs 0.494 s per job). Kept because on
+# the split read whole blocks cut pip_dense norm_rows_per_s 7% and raised
+# flagship_pages setup_s 13% and peak_pss_mb 5% (interleaved perfbench
+# A/B, 5 pairs per workload), though they lifted its scaling_eff from
+# 0.28 to 0.41.
 BATCH_SIZE = 8192
 
 _EMPTY_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))

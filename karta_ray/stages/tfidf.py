@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..state.worker import cached, resolve
 from .heavy import tokens_of
 
 # above this many distinct tokens the df table stops being
@@ -75,13 +76,18 @@ def _weight(tf: np.ndarray, df: np.ndarray, n_docs: int) -> np.ndarray:
     return np.round(tf * np.log(n_docs / df), 6)
 
 
+def _df_lookup(ref):
+    """The broadcast (sorted tokens, df) arrays, deserialized once per
+    worker process by :func:`cached`; a builder of its own, so this
+    stage keeps its own cache entry."""
+    return resolve(ref)
+
+
 def tfidf_table(ds, *, id_col: str = "doc_id", text_col: str = "text",
                 df_broadcast_max: int = DF_BROADCAST_MAX_TOKENS):
     """(doc_id, token, tf, df, tfidf) for every (document, term)."""
     import ray
     import ray.data
-
-    from ..state.worker import resolve
 
     n_docs = ds.count()
     tf = doc_term_freqs(ds, id_col=id_col, text_col=text_col)
@@ -102,7 +108,7 @@ def tfidf_table(ds, *, id_col: str = "doc_id", text_col: str = "text",
         ref = ray.put({"tokens": tok_arr[order], "df": df_arr[order]})
 
         def attach_df(batch: pa.Table, *, ref=ref) -> pa.Table:
-            data = resolve(ref)
+            data = cached(_df_lookup, ref)
             tok = batch.column("token").to_numpy(zero_copy_only=False)
             i = np.searchsorted(data["tokens"], tok)
             dfv = data["df"][i]
