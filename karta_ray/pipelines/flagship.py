@@ -5,9 +5,10 @@ the admin-boundary layer -> per-(polygon, cell) aggregate.
 This is the end-to-end shape the engine is graded on (BASELINE.json
 north_rule): every stage is a task-based map_batches over zero-copy
 Arrow; the only stateful stage is the join, whose polygon state is
-broadcast once and built once per worker process; the only shuffle is
-the final small groupby over (poly_id, cell_id) pre-aggregated inside
-map_batches.
+broadcast once and built once per worker process. Nothing shuffles:
+the (poly_id, cell_id) aggregate is partial counts inside map_batches,
+folded on the driver as they stream in (``stages.agg.tree_sum``), in
+the same executor run.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ def flagship_pipeline(pages_ds, *, zoom: int = 7, polyset=None,
     needs (poly_id, cell_id) counts, url / tile_x/y/z / poly_name are
     dead weight, so they are pruned right after extract: the stages
     fused after it (the parquet read is its own operator; extract ->
-    cells -> join -> partial run as one task) carry 24 B/doc instead of
-    ~100. A sink that DOES need url should carry it inline instead (the
-    flagship has no shuffle between extract and sink, so a row-id +
-    join-url-back-at-the-sink plan would cost a real hash shuffle to
-    save a 43-byte column that fused stages move for free)."""
+    cells -> join -> partial are one operator, one task per 8192-row
+    bundle) carry 24 B/doc instead of ~100. A sink that DOES need url
+    should carry it inline instead (the flagship has no shuffle between
+    extract and sink, so a row-id + join-url-back-at-the-sink plan would
+    cost a real hash shuffle to save a 43-byte column that fused stages
+    move for free)."""
     if polyset is None:
         polyset = synth.admin_polygons()
     ds = pages_ds.map_batches(extract_geotag_stage, batch_format="pyarrow",
@@ -91,8 +93,8 @@ def flagship_checkpointed(pages_dir: str, ckpt_root: str, *, zoom: int = 7,
 
 
 def _partial_counts(batch: pa.Table) -> pa.Table:
-    """Combiner: per-batch (poly_id, cell_id) counts, shrinking the
-    shuffle input by ~batch_size/groups before the global groupby."""
+    """Combiner: per-batch (poly_id, cell_id) counts, shrinking what the
+    driver fold reads by ~batch_size/groups."""
     t = batch.select(["poly_id", "cell_id"])
     g = t.group_by(["poly_id", "cell_id"]).aggregate([("cell_id", "count")])
     return g.rename_columns(["poly_id", "cell_id", "n"])

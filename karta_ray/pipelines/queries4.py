@@ -757,10 +757,10 @@ def q_grid_profile(sf_dir: str):
     from ..stages.raster import tile_sample_stage
 
     pts = to_points(np.asarray(PROFILE_LINE), PROFILE_DX, crsmod.Cartesian)
-    stations = ray.data.from_arrow(pa.table({
+    stations = ray.data.from_blocks([pa.table({
         "x": pa.array(pts[:, 0], pa.float64()),
         "y": pa.array(pts[:, 1], pa.float64()),
-    })).repartition(8)
+    })]).repartition(8)
     return tile_sample_stage(stations, _pgrid_tiles(overlap=1),
                              transform=PGRID_T, shape=PGRID_SHAPE,
                              mode="bilinear")

@@ -58,8 +58,9 @@ def tree_agg(ds, keys: list, col_aggs: list):
     associative per-column aggregations (``sum``/``max``/``min``), in
     ONE Ray Data execution: each block is combined in a fused
     ``map_batches`` (<= groups rows out) and :func:`stream_fold` folds
-    those partials on the driver. The result is a
-    ``ray.data.from_arrow`` Dataset that knows its schema, so
+    those partials on the driver. The result wraps the folded table as
+    one block (``ray.data.from_blocks``: no remote metadata task, unlike
+    ``from_arrow``), so it knows its schema and
     ``to_arrow_refs()``/``take_all()``/``to_pandas()`` never re-run the
     aggregate; an empty input keeps the dtype-strict schema."""
     import ray.data
@@ -70,7 +71,7 @@ def tree_agg(ds, keys: list, col_aggs: list):
     if out is None:  # map_batches drops an empty block's schema
         schema = ds.schema()
         out = combine(schema.base_schema.empty_table()) if schema else pa.table({})
-    return ray.data.from_arrow(out)
+    return ray.data.from_blocks([out])
 
 
 def tree_sum(ds, keys: list, sum_cols: list):

@@ -330,7 +330,7 @@ def cosine_neardup_lsh(emb_ds, threshold: float, *, bits: int = 32,
                        "mat": np.ascontiguousarray(mat[order])})
 
         def verify_bcast(batch: pa.Table, *, ref=ref) -> pa.Table:
-            data = resolve(ref)
+            data = cached(resolve, ref)
             a = batch.column("vec_a").to_numpy()
             b = batch.column("vec_b").to_numpy()
             ia = np.searchsorted(data["ids"], a)
@@ -347,10 +347,10 @@ def cosine_neardup_lsh(emb_ds, threshold: float, *, bits: int = 32,
     # join path: traffic bounded by the candidate count
     uniq = uniq.materialize()
     if uniq.count() == 0:
-        return ray.data.from_arrow(pa.table({
+        return ray.data.from_blocks([pa.table({
             "vec_a": pa.array([], pa.int64()),
             "vec_b": pa.array([], pa.int64()),
-            "sim": pa.array([], pa.float64())}))
+            "sim": pa.array([], pa.float64())})])
 
     def to_binary(batch: pa.Table) -> pa.Table:
         # Acero's hash join rejects list<double> payload columns; carry
@@ -493,7 +493,7 @@ def cosine_neardup_pairs(emb_ds, full_ids, full_mat, threshold: float):
                    "mat": _normalize(np.asarray(full_mat, dtype=np.float64))})
 
     def score(batch: pa.Table, *, ref=ref, threshold=threshold) -> pa.Table:
-        data = resolve(ref)
+        data = cached(resolve, ref)
         vid = batch.column("vec_id").to_numpy().astype(np.int64)
         emb = _normalize(_to_matrix(batch.column("embedding")))
         sims = emb @ data["mat"].T  # (nb, N)

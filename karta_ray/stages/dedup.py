@@ -20,7 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import text as T
-from ..state.worker import resolve
+from ..state.worker import cached, resolve
 from .agg import tree_sum
 
 
@@ -125,10 +125,10 @@ def ngram_jaccard_pairs(docs_ds, *, id_col: str = "doc_id",
         # cap): Dataset.join cannot handle a schema-less empty side
         import ray.data
 
-        return ray.data.from_arrow(pa.table({
+        return ray.data.from_blocks([pa.table({
             "doc_a": pa.array([], pa.int64()),
             "doc_b": pa.array([], pa.int64()),
-            "n_shared": pa.array([], pa.int64())}))
+            "n_shared": pa.array([], pa.int64())})])
     # partitions sized to the pair volume: Ray's hash join fails on
     # empty (schema-less) partitions when a side has few distinct keys
     np_ = 8 if pairs.count() >= 50_000 else 1
@@ -345,7 +345,7 @@ def minhash_lsh_pairs(docs_ds, *, id_col: str = "doc_id",
                        "mat": np.ascontiguousarray(mat[order])})
 
         def estimate_bcast(batch: pa.Table, *, ref=ref) -> pa.Table:
-            data = resolve(ref)
+            data = cached(resolve, ref)
             da = batch.column("doc_a").to_numpy()
             db = batch.column("doc_b").to_numpy()
             ia = np.searchsorted(data["ids"], da)
@@ -362,10 +362,10 @@ def minhash_lsh_pairs(docs_ds, *, id_col: str = "doc_id",
     # join path: Dataset.join cannot handle a schema-less empty side
     uniq = uniq.materialize()
     if uniq.count() == 0:
-        return ray.data.from_arrow(pa.table({
+        return ray.data.from_blocks([pa.table({
             "doc_a": pa.array([], pa.int64()),
             "doc_b": pa.array([], pa.int64()),
-            "est_sim": pa.array([], pa.float64())}))
+            "est_sim": pa.array([], pa.float64())})])
     j1 = uniq.join(sigs, "inner", num_partitions=8,
                    on=("doc_a",), right_on=("doc_id",)).materialize()
     j2 = j1.rename_columns({"sig": "sig_a"}).join(

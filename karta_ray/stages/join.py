@@ -33,23 +33,29 @@ import pyarrow as pa
 import ray
 
 from ..geoms import PolygonSet, RingTable
+from ..state.executor import buffer_ahead
 from ..state.strtree import STRtree
 from ..state.worker import cached, resolve
 
 DEFAULT_ZOOM = 7
 
-# Rows per _join_batch call. Over a split read (ReadParquet->SplitBlocks,
-# as perfbench's 8 files on 4 CPUs get) it does not break read->map
-# fusion. With one read task per file (files >> CPUs, the design scale)
-# there is no split, and Ray will not fuse a row-changing Read into an
-# operator with min_rows_per_bundle: 8192 leaves ReadParquet its own
-# operator, so html crosses the object store once, while batch_size=None
-# fuses the read into extract -> ... (4 CPUs, override_num_blocks=8,
-# 8 interleaved jobs each: 0.730 s vs 0.494 s per job). Kept because on
-# the split read whole blocks cut pip_dense norm_rows_per_s 7% and raised
-# flagship_pages setup_s 13% and peak_pss_mb 5% (interleaved perfbench
-# A/B, 5 pairs per workload), though they lifted its scaling_eff from
-# 0.28 to 0.41.
+# Rows per _join_batch call. A split read (ReadParquet->SplitBlocks,
+# which Ray plans when there are fewer read tasks than its detected
+# parallelism, as perfbench's 8 files on 4 CPUs get) never fuses with a
+# map, whatever the batch size (ray/data/_internal/logical/rules/
+# operator_fusion.py:168). With one read task per file (files >> CPUs,
+# the design scale) there is no split, and Ray will not fuse a
+# row-changing Read into an operator with min_rows_per_bundle: 8192
+# leaves ReadParquet its own operator, so html crosses the object store
+# once, while batch_size=None fuses the read into extract -> ... (4 CPUs,
+# override_num_blocks=8, 8 interleaved jobs each: 0.730 s vs 0.494 s per
+# job). Kept because on the split read whole blocks cut pip_dense
+# norm_rows_per_s 7% and raised flagship_pages setup_s 13% and
+# peak_pss_mb 5% (interleaved perfbench A/B, 5 pairs per workload),
+# though they lifted its scaling_eff from 0.28 to 0.41. With a 16-block
+# generator buffer (see state.executor) a flagship_pages job at all 4
+# CPUs took 0.505 s at 4096, 0.506 s at 8192, 0.578 s at 16384 and
+# 0.571 s at None, and the one-CPU leg got slower at the other sizes.
 BATCH_SIZE = 8192
 
 _EMPTY_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -204,7 +210,8 @@ def _join_batch(batch: pa.Table, *, prep_ref, mode: str,
 
 def _map_join(points_ds, prep_ref, mode: str = "inner",
               with_name: bool = True):
-    return points_ds.map_batches(
+    # the whole plan, its read included, shares this context
+    return buffer_ahead(points_ds).map_batches(
         _join_batch, batch_format="pyarrow", batch_size=BATCH_SIZE,
         zero_copy_batch=True,
         fn_kwargs={"prep_ref": prep_ref, "mode": mode,

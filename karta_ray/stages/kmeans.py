@@ -24,7 +24,7 @@ import pyarrow as pa
 
 import ray
 
-from ..state.worker import resolve
+from ..state.worker import cached, resolve
 
 
 def _assign(emb: np.ndarray, cent: np.ndarray) -> np.ndarray:
@@ -90,7 +90,7 @@ def kmeans_fit(emb_ds, k: int, *, iters: int = 10,
         ref = ray.put(cent)
 
         def partial(batch: pa.Table, *, ref=ref) -> pa.Table:
-            c = resolve(ref)
+            c = cached(resolve, ref)
             emb = list_column_to_matrix(batch.column(emb_col))
             return _label_sum_rows(emb, _assign(emb, c))
 
@@ -120,7 +120,7 @@ def kmeans_predict(emb_ds, centroids: np.ndarray, *,
     ref = ray.put(np.asarray(centroids, dtype=np.float64))
 
     def fn(batch: pa.Table, *, ref=ref) -> pa.Table:
-        c = resolve(ref)
+        c = cached(resolve, ref)
         emb = list_column_to_matrix(batch.column(emb_col))
         lab = _assign(emb, c)
         # replace any pre-existing label column

@@ -87,7 +87,7 @@ def tiles_from_grid(values, transform, *, grid_id=0, band=0,
 def tiles_dataset(values, transform, **kw):
     import ray.data
 
-    return ray.data.from_arrow(tiles_from_grid(values, transform, **kw))
+    return ray.data.from_blocks([tiles_from_grid(values, transform, **kw)])
 
 
 def merge_grids_stage(tile_datasets, weights=None, grid_origins=None,

@@ -146,5 +146,5 @@ def resumable_parquet_sink(ds, root: str, *, by: str, shards: int = 64):
     if len(done):
         import ray.data
 
-        metrics = metrics.union(ray.data.from_arrow(skipped))
+        metrics = metrics.union(ray.data.from_blocks([skipped]))
     return metrics

@@ -76,13 +76,6 @@ def _weight(tf: np.ndarray, df: np.ndarray, n_docs: int) -> np.ndarray:
     return np.round(tf * np.log(n_docs / df), 6)
 
 
-def _df_lookup(ref):
-    """The broadcast (sorted tokens, df) arrays, deserialized once per
-    worker process by :func:`cached`; a builder of its own, so this
-    stage keeps its own cache entry."""
-    return resolve(ref)
-
-
 def tfidf_table(ds, *, id_col: str = "doc_id", text_col: str = "text",
                 df_broadcast_max: int = DF_BROADCAST_MAX_TOKENS):
     """(doc_id, token, tf, df, tfidf) for every (document, term)."""
@@ -108,7 +101,7 @@ def tfidf_table(ds, *, id_col: str = "doc_id", text_col: str = "text",
         ref = ray.put({"tokens": tok_arr[order], "df": df_arr[order]})
 
         def attach_df(batch: pa.Table, *, ref=ref) -> pa.Table:
-            data = cached(_df_lookup, ref)
+            data = cached(resolve, ref)
             tok = batch.column("token").to_numpy(zero_copy_only=False)
             i = np.searchsorted(data["tokens"], tok)
             dfv = data["df"][i]

@@ -21,7 +21,11 @@ _LIVE: dict = {}
 
 
 def resolve(ref):
-    """``ray.get(ref)`` for an ObjectRef, otherwise ``ref`` itself."""
+    """``ray.get(ref)`` for an ObjectRef, otherwise ``ref`` itself.
+
+    A stage that reads a broadcast in every batch reads it through
+    ``cached(resolve, ref)``: deserialized once per worker process, in
+    the one entry all such stages share."""
     return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
 
 

@@ -134,6 +134,137 @@ class TestJoinModes:
             assert tagged.loc[pid] == grp["poly_id"].min()
 
 
+@pytest.fixture(scope="module")
+def pages_dir(tmp_path_factory):
+    """Synthetic pages as 8 parquet files, read back like perfbench's."""
+    import pyarrow.parquet as pq
+
+    d = tmp_path_factory.mktemp("pages")
+    for i in range(8):
+        pq.write_table(synth.pages_table(2000, start=2000 * i),
+                       str(d / f"part-{i}.parquet"))
+    return str(d)
+
+
+def _flagship_job(pages_dir):
+    """perfbench's flagship job: parquet read -> slim flagship pipeline
+    -> flagship_aggregate, read back with to_arrow_refs()."""
+    import ray
+    import ray.data
+
+    joined = flagship_pipeline(ray.data.read_parquet(pages_dir), zoom=7,
+                               slim=True)
+    return pa.concat_tables(ray.get(flagship_aggregate(joined).to_arrow_refs()))
+
+
+def _probe_steps(monkeypatch):
+    """Per scheduling step of the streaming executor: (tasks in flight
+    after the step's dispatch, summed over operators; the map operators'
+    streaming-generator buffer depths)."""
+    from ray.data._internal.execution.operators.map_operator import \
+        MapOperator
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    steps = []
+    step = StreamingExecutor._scheduling_loop_step
+
+    def probed(self, topology):
+        more = step(self, topology)
+        steps.append((
+            sum(op.num_active_tasks() for op in topology),
+            {op.data_context._max_num_blocks_in_streaming_gen_buffer
+             for op in topology if isinstance(op, MapOperator)}))
+        return more
+
+    monkeypatch.setattr(StreamingExecutor, "_scheduling_loop_step", probed)
+    return steps
+
+
+def _context_fields(ctx):
+    """A DataContext's fields, ExecutionOptions (which has no __eq__) by
+    its own fields."""
+    f = dict(vars(ctx))
+    f["execution_options"] = vars(ctx.execution_options)
+    return f
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestExecutorScope:
+    """The join plan's executor setting (state.executor.buffer_ahead)
+    stays on the plan's own context and leaves the caller's limits
+    alone."""
+
+    def test_one_cpu_cap_holds(self, monkeypatch, pages_dir):
+        from ray.data import DataContext, ExecutionResources
+
+        from karta_ray.state.executor import GEN_BUFFER_BLOCKS
+
+        steps = _probe_steps(monkeypatch)
+        opts = DataContext.get_current().execution_options
+        monkeypatch.setattr(opts, "resource_limits",
+                            ExecutionResources.for_limits(cpu=1))
+        capped = _flagship_job(pages_dir)
+        assert steps and max(n for n, _ in steps) == 1
+        assert set().union(*(d for _, d in steps)) == {GEN_BUFFER_BLOCKS}
+        # the probe can see more than one task: uncapped, the same job
+        # runs several at once, with the same output
+        monkeypatch.setattr(opts, "resource_limits", ExecutionResources())
+        steps.clear()
+        order = [("poly_id", "ascending"), ("cell_id", "ascending")]
+        assert _flagship_job(pages_dir).sort_by(order).equals(
+            capped.sort_by(order))
+        assert max(n for n, _ in steps) > 1
+
+    def test_global_context_unchanged(self, pages_dir):
+        import copy
+
+        from ray.data import DataContext
+
+        before = copy.deepcopy(DataContext.get_current())
+        assert _flagship_job(pages_dir).num_rows > 0
+        assert _context_fields(DataContext.get_current()) == \
+            _context_fields(before)
+
+    def test_join_plans_carry_buffer_depth(self, monkeypatch, tmp_path,
+                                          pages_dir):
+        import inspect
+        import types
+
+        import ray.data
+        from ray.data import DataContext
+        from ray.data._internal.execution.operators.task_pool_map_operator \
+            import TaskPoolMapOperator
+
+        from karta_ray.pipelines.flagship import flagship_checkpointed
+        from karta_ray.stages.join import pip_join_strtree
+        from karta_ray.state.executor import GEN_BUFFER_BLOCKS, buffer_ahead
+
+        # a rename in Ray fails here, not as a silent no-op
+        name = "_max_num_blocks_in_streaming_gen_buffer"
+        assert name in vars(DataContext())
+        assert name in inspect.getsource(TaskPoolMapOperator)
+        with pytest.raises(AttributeError):
+            buffer_ahead(types.SimpleNamespace(context=types.SimpleNamespace()))
+
+        default = getattr(DataContext(), name)
+        assert default != GEN_BUFFER_BLOCKS
+        pages = ray.data.read_parquet(pages_dir)
+        joined = flagship_pipeline(pages, zoom=7, slim=True)
+        # one context for the whole lineage, read included
+        assert joined.context is pages.context
+        assert getattr(joined.context, name) == GEN_BUFFER_BLOCKS
+        pts = ray.data.from_arrow(pa.table({"lon": [1.0], "lat": [2.0]}))
+        assert getattr(pip_join_strtree(pts, synth.admin_polygons())
+                       .context, name) == GEN_BUFFER_BLOCKS
+        # the checkpointed flagship: only its join stage sets the depth
+        steps = _probe_steps(monkeypatch)
+        flagship_checkpointed(pages_dir, str(tmp_path / "ckpt"))
+        depths = set().union(*(d for _, d in steps))
+        assert depths == {default, GEN_BUFFER_BLOCKS}
+        assert getattr(DataContext.get_current(), name) == default
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestTreeAggProperty:
     def test_matches_pandas_groupby(self):
