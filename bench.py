@@ -1,31 +1,47 @@
 """Benchmark harness.
 
-Default: ray.init(num_cpus=$RAY_GRAFT_CPUS, else the CPUs in this
-process's affinity mask), run the headline spatial-join +
-tile-assignment pipeline over a pre-materialized synthetic pages table
-plus every queries() pipeline over $GRAFT_SF_DIR (default
-/root/testdata/sf0.1), print ONE JSON line.
+Every mode times one job, :func:`headline`: read the url and html
+columns of a pre-materialized synthetic pages table, run the slim
+flagship pipeline (extract -> geotag -> cell assign -> PIP join) and its
+per-(poly, cell) aggregate, fully consumed; best of 3 after a warm-up,
+in a fresh process (``--child``). Every job the working tree runs is
+checked against brute-force expected counts (perfbench/check.py),
+computed once per pages dir outside the timed region and cached beside
+it; a mismatch exits non-zero and prints no result line.
 
---scaling: run the headline pipeline in two fresh processes
-(num_cpus=8 and num_cpus=32) on the same input and report docs/sec at
-both plus scaling efficiency (the sandbox stand-in for N vs 4N nodes).
+Default: the headline at num_cpus=$RAY_GRAFT_CPUS (else the CPUs in
+this process's affinity mask), every queries() pipeline over
+$GRAFT_SF_DIR (default /root/testdata/sf0.1) and the A/B below
+(GRAFT_BENCH_AB=0 skips it); prints ONE JSON line.
 
---ab [rev]: interleaved A/B of the working tree vs a git rev (default:
-the last recorded round commit) — 5 fresh-process headline runs per
-side, alternating A B A B ..., reporting median + min/max spread per
-side and the ratio of medians. This is the regression check that this
-host's +-40% run-to-run noise cannot fake: both sides see the same
-noise distribution because runs interleave in time.
+--scaling: the headline at 2, 8 and 32 CPUs on the same
+$GRAFT_SCALING_PAGES input (the sandbox stand-in for N vs 4N nodes);
+``value`` is the 2->8 efficiency.
+
+--ab [rev [reps]]: interleaved A/B of the working tree vs a git rev
+(default: the last recorded round commit) — 5 headline runs per side,
+alternating A B A B ..., reporting median + min/max spread per side and
+the ratio of medians. This is the regression check that this host's
++-40% run-to-run noise cannot fake: both sides see the same noise
+distribution because runs interleave in time. The rev's polygon layer
+may differ from the working tree's, so its side is not checked.
+
+--micro: single-core kernel microbenchmarks.
+
+--child REPO CPUS PAGES_DIR: one headline measurement with karta_ray
+imported from REPO; prints ONE JSON line.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
 
+HERE = os.path.dirname(os.path.realpath(__file__))
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 N_PAGES = int(os.environ.get("GRAFT_BENCH_PAGES", "1000000"))
@@ -35,29 +51,69 @@ N_PAGES = int(os.environ.get("GRAFT_BENCH_PAGES", "1000000"))
 # round 4's pipeline got fast enough that 4M pages no longer saturates
 # 32 cpus for a meaningful interval
 N_SCALING = int(os.environ.get("GRAFT_SCALING_PAGES", "16000000"))
-PAGES_DIR = f"/tmp/karta_ray_bench/pages_{N_PAGES}"
+BENCH_ROOT = "/tmp/karta_ray_bench"
+ZOOM = 7
+# the last judged round's snapshot commit: default A/B comparand for
+# both `--ab` and the A/B block in the default bench run (revs before
+# the slim flagship pipeline cannot run the headline job)
+AB_BASE_REV = os.environ.get("GRAFT_AB_REV", "a270480")  # r5 snapshot
 
 
-def ensure_pages(n: int = N_PAGES) -> str:
-    """Materialize the deterministic pages table to parquet once
-    (generation is input preparation, not the measured pipeline)."""
+def ensure_pages(n: int, root: str = BENCH_ROOT) -> str:
+    """Materialize the deterministic pages table of ids ``0..n-1`` to
+    ``root/pages_<n>`` once (generation is input preparation, not the
+    measured pipeline)."""
+    pages_dir = os.path.join(root, f"pages_{n}")
+    marker = os.path.join(pages_dir, "_DONE")
+    if os.path.exists(marker):
+        return pages_dir
     import ray
 
-    marker = os.path.join(PAGES_DIR, "_DONE")
-    if os.path.exists(marker):
-        return PAGES_DIR
     from karta_ray import synth
 
-    os.makedirs(PAGES_DIR, exist_ok=True)
+    own = not ray.is_initialized()
+    if own:
+        ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False)
+    os.makedirs(pages_dir, exist_ok=True)
     # enough files that read->map fusion can still fan out to every core
     ds = synth.pages_dataset(n, override_num_blocks=max(128, n // 8192))
-    ds.write_parquet(PAGES_DIR)
+    ds.write_parquet(pages_dir)
+    if own:
+        ray.shutdown()
     with open(marker, "w") as f:
         f.write(str(n))
-    return PAGES_DIR
+    return pages_dir
 
 
-def warmup():
+def n_docs(pages_dir: str) -> int:
+    with open(os.path.join(pages_dir, "_DONE")) as f:
+        return int(f.read())
+
+
+def expected_path(pages_dir: str) -> str:
+    return pages_dir.rstrip("/") + "_expected.parquet"
+
+
+def expected_counts(pages_dir: str):
+    """Brute-force ``(poly_id, cell_id, n)`` of the headline job over
+    ``pages_dir`` (perfbench/check.py), cached beside the dir."""
+    import pyarrow.parquet as pq
+
+    path = expected_path(pages_dir)
+    if not os.path.exists(path):
+        import numpy as np
+
+        from karta_ray import synth
+        from perfbench import check, gen
+
+        lon, lat = gen.page_lonlat(np.arange(n_docs(pages_dir)))
+        want = check.expected_pip_counts(synth.admin_polygons(), lon, lat, ZOOM)
+        pq.write_table(want, path + ".tmp")
+        os.replace(path + ".tmp", path)
+    return pq.read_table(path)
+
+
+def warmup(num_cpus: int):
     """Spread import-heavy no-op tasks across the worker pool so the
     timed run measures steady-state throughput, not Python import and
     worker cold-start cost (a real cluster's workers are warm)."""
@@ -71,44 +127,74 @@ def warmup():
         from karta_ray.stages import ann, dedup, extract, join  # noqa: F401
         return batch
 
-    (ray.data.range(NUM_CPUS * 16, override_num_blocks=NUM_CPUS * 16)
+    (ray.data.range(num_cpus * 16, override_num_blocks=num_cpus * 16)
         .map_batches(touch, batch_size=1).materialize())
     # first sort in a session initializes the shuffle infrastructure
     # (~4 s measured); pay it here, not inside a timed query
     ray.data.range(1000, override_num_blocks=8).sort("id").materialize()
 
 
-def run_headline(pages_dir: str, reps: int = 3) -> dict:
+def headline(pages_dir: str, want=None, reps: int = 3) -> dict:
     """Headline: read -> extract -> geotag -> tile -> PIP join -> per-
     (poly, cell) aggregate, fully consumed. Best of ``reps`` runs (this
-    host's page-fault behavior adds +-40% run-to-run noise)."""
-    import ray
+    host's page-fault behavior adds +-40% run-to-run noise). Each run's
+    aggregate must equal ``want`` unless it is None."""
+    import pyarrow as pa
 
+    import ray
     from karta_ray import synth
     from karta_ray.pipelines.flagship import (flagship_aggregate,
                                               flagship_pipeline)
 
-    n_docs = int(open(os.path.join(pages_dir, "_DONE")).read())
+    if want is not None:
+        from perfbench.check import counts_equal
+    n = n_docs(pages_dir)
     best = None
-    rows = 0
     for _ in range(reps):
         t0 = time.perf_counter()
         ds = ray.data.read_parquet(pages_dir, columns=["url", "html"])
         # slim: the consumer is the (poly_id, cell_id) aggregate, so
         # url / tile_xyz / poly_name are pruned before the one
         # object-store exchange (24 B/doc crosses instead of ~100)
-        joined = flagship_pipeline(ds, zoom=7, polyset=synth.admin_polygons(),
+        joined = flagship_pipeline(ds, zoom=ZOOM, polyset=synth.admin_polygons(),
                                    slim=True)
-        agg = flagship_aggregate(joined)
-        rows = 0
-        for b in agg.iter_batches(batch_format="pyarrow"):
-            rows += len(b)
+        got = list(flagship_aggregate(joined).iter_batches(batch_format="pyarrow"))
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
-        if os.environ.get("GRAFT_BENCH_STATS"):
-            print(agg.stats(), file=sys.stderr)
-    return {"sec": best, "docs": n_docs, "docs_per_sec": n_docs / best,
-            "agg_rows": rows}
+        got = pa.concat_tables(got)
+        if want is not None and not counts_equal(got, want):
+            sys.exit(f"headline aggregate over {pages_dir} differs from "
+                     f"the expected counts in {expected_path(pages_dir)}")
+    return {"sec": best, "docs": n, "docs_per_sec": n / best,
+            "rows": got.num_rows, "checked": want is not None}
+
+
+def child(repo: str, cpus: int, pages_dir: str):
+    """``--child``: one headline measurement in this fresh process, with
+    karta_ray imported from ``repo``; only the working tree is checked.
+    Ray workers put the driver's working directory first on their path
+    (the driver's own ``sys.path`` is not passed on), so the child runs
+    from ``repo``: workers then import ``repo``'s karta_ray too."""
+    repo, pages_dir = os.path.realpath(repo), os.path.abspath(pages_dir)
+    os.chdir(repo)
+    sys.path.insert(0, repo)
+    import ray
+
+    want = expected_counts(pages_dir) if repo == HERE else None
+    ray.init(address="local", num_cpus=cpus, include_dashboard=False)
+    warmup(cpus)
+    res = headline(pages_dir, want)
+    ray.shutdown()
+    print(json.dumps(res))
+
+
+def run_child(repo: str, cpus: int, pages_dir: str) -> dict:
+    p = subprocess.run([sys.executable, os.path.join(HERE, "bench.py"), "--child",
+                        repo, str(cpus), pages_dir], capture_output=True, text=True)
+    if p.returncode:
+        raise RuntimeError(f"bench child ({repo}, {cpus} cpus) exited "
+                           f"{p.returncode}:\n{p.stderr[-3000:]}")
+    return json.loads([l for l in p.stdout.splitlines() if l.startswith("{")][-1])
 
 
 def run_queries(sf_dir: str) -> dict:
@@ -127,54 +213,7 @@ def run_queries(sf_dir: str) -> dict:
     return out
 
 
-def read_floor(pages_dir: str, reps: int = 2) -> float:
-    """Time the bare parquet read+decode (fused count, bytes never
-    enter the object store): the single-host NON-SCALING floor. On
-    this VM the decode is bound by first-touch page-fault cost, not
-    CPU — measured ~2.2 s at 8 cpus and ~2.7 s at 32 for 16M pages —
-    so it is the whole 8->32 efficiency bend; a real multi-node
-    cluster adds read parallelism with every node."""
-    import pyarrow as pa
-
-    import ray
-
-    def cnt(b):
-        return pa.table({"n": pa.array([b.num_rows])})
-
-    best = None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        ds = ray.data.read_parquet(pages_dir, columns=["html"])
-        for _b in (ds.map_batches(cnt, batch_format="pyarrow")
-                   .iter_batches(batch_format="pyarrow")):
-            pass
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
-    return best
-
-
-def child_main(num_cpus: int):
-    import ray
-
-    ray.init(address="local", num_cpus=num_cpus, include_dashboard=False)
-    pages_dir = ensure_pages(N_SCALING)
-    warmup()
-    res = run_headline(pages_dir)
-    res["read_floor_sec"] = round(read_floor(pages_dir), 2)
-    ray.shutdown()
-    print(json.dumps({"num_cpus": num_cpus, **res}))
-
-
 def scaling_main():
-    # generation pass first so both timed runs read identical parquet
-    import ray
-
-    global PAGES_DIR
-    PAGES_DIR = f"/tmp/karta_ray_bench/pages_{N_SCALING}"
-    ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False)
-    ensure_pages(N_SCALING)
-    ray.shutdown()
-
     # three points, two N->4N pairs: 2->8 exercises pure task scaling;
     # 8->32 additionally runs into this single host's memory-bandwidth
     # / first-touch page-fault ceiling (~2.7M docs/s aggregate), which
@@ -182,103 +221,39 @@ def scaling_main():
     # node brings its own memory controllers — do not share. Both
     # efficiencies are reported; see BASELINE.md for the full 2/4/8/16/
     # 32 curve.
-    results = {}
-    for cpus in (2, 8, 32):
-        env = dict(os.environ, GRAFT_BENCH_PAGES=str(N_SCALING))
-        p = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", str(cpus)],
-            capture_output=True, text=True, check=True, env=env)
-        line = [l for l in p.stdout.splitlines() if l.startswith("{")][-1]
-        results[cpus] = json.loads(line)
+    pages_dir = ensure_pages(N_SCALING)
+    results = {cpus: run_child(HERE, cpus, pages_dir) for cpus in (2, 8, 32)}
     eff_2_8 = results[2]["sec"] / results[8]["sec"] / 4
     eff_8_32 = results[8]["sec"] / results[32]["sec"] / 4
-    # engine-compute efficiency: subtract the measured non-scaling
-    # input-decode floor (read_floor) from each leg — the term a
-    # multi-node cluster scales by adding nodes
-    c8 = results[8]["sec"] - results[8].get("read_floor_sec", 0.0)
-    c32 = results[32]["sec"] - results[32].get("read_floor_sec", 0.0)
-    eff_compute_8_32 = c8 / c32 / 4 if c32 > 0 else float("nan")
     print(json.dumps({
         "metric": "spatial-join+tile throughput scaling (N vs 4N cpus)",
         "value": round(eff_2_8, 4),
         "unit": "efficiency",
         "sf": N_SCALING,
-        "docs_per_sec_2": round(results[2]["docs_per_sec"], 1),
-        "docs_per_sec_8": round(results[8]["docs_per_sec"], 1),
-        "docs_per_sec_32": round(results[32]["docs_per_sec"], 1),
-        "sec_2": round(results[2]["sec"], 2),
-        "sec_8": round(results[8]["sec"], 2),
-        "sec_32": round(results[32]["sec"], 2),
+        **{f"docs_per_sec_{c}": round(r["docs_per_sec"], 1) for c, r in results.items()},
+        **{f"sec_{c}": round(r["sec"], 2) for c, r in results.items()},
         "efficiency_2_to_8": round(eff_2_8, 4),
         "efficiency_8_to_32": round(eff_8_32, 4),
-        "read_floor_sec_8": results[8].get("read_floor_sec"),
-        "read_floor_sec_32": results[32].get("read_floor_sec"),
-        "efficiency_8_to_32_compute": round(eff_compute_8_32, 4),
-        "note": "8->32 bends on the non-scaling single-host "
-                "input-decode floor (read_floor: bare parquet "
-                "read+decode with NO engine work — page-fault bound "
-                "on this VM, node-parallel on a real cluster); "
-                "efficiency_8_to_32_compute nets that floor out and "
-                "is the cluster-relevant term (measured 0.76-1.05 "
-                "across host windows). 2->8 is the unsaturated N->4N "
-                "evidence. Full curve in BASELINE.md",
     }))
 
 
-_AB_CHILD = r'''
-import json, sys, time
-repo, cpus, pages_dir, n_docs = sys.argv[1], int(sys.argv[2]), sys.argv[3], int(sys.argv[4])
-sys.path.insert(0, repo)
-import ray
-ray.init(address="local", num_cpus=cpus, include_dashboard=False)
-from karta_ray import synth
-from karta_ray.pipelines.flagship import flagship_pipeline, flagship_aggregate
-def touch(batch):
-    from karta_ray.kernels import predicates, tiles
-    from karta_ray.stages import extract, join
-    return batch
-(ray.data.range(cpus * 16, override_num_blocks=cpus * 16)
-    .map_batches(touch, batch_size=1).materialize())
-t0 = time.perf_counter()
-ds = ray.data.read_parquet(pages_dir, columns=["url", "html"])
-joined = flagship_pipeline(ds, zoom=7, polyset=synth.admin_polygons())
-rows = 0
-for b in flagship_aggregate(joined).iter_batches(batch_format="pyarrow"):
-    rows += len(b)
-sec = time.perf_counter() - t0
-ray.shutdown()
-print(json.dumps({"sec": sec, "rows": rows,
-                  "docs_per_sec": n_docs / sec}))
-'''
-
-
-def ab_block(rev: str, reps: int = 5, pages_dir: str | None = None) -> dict:
+def ab_block(rev: str, reps: int = 5) -> dict:
     """Interleaved A/B regression check of the working tree vs ``rev``
     — both sides sample the same host-noise distribution, so the ratio
     of medians is trustworthy even when absolute times swing +/-40%
     between windows (the disclosed behavior of this VM)."""
-    import statistics
-
-    if pages_dir is None:
-        import ray
-
-        ray.init(address="local", num_cpus=NUM_CPUS,
-                 include_dashboard=False)
-        pages_dir = ensure_pages(N_PAGES)
-        ray.shutdown()
-
-    here = os.path.dirname(os.path.abspath(__file__))
-    # key the worktree cache by the RESOLVED sha so a moved branch/ref
-    # never silently reuses a stale checkout
-    sha = subprocess.run(["git", "-C", here, "rev-parse", rev],
-                         check=True, capture_output=True,
-                         text=True).stdout.strip()
+    pages_dir = ensure_pages(N_PAGES)
+    # key the checkout by the RESOLVED sha so a moved branch/ref never
+    # silently reuses a stale one
+    sha = subprocess.run(["git", "-C", HERE, "rev-parse", rev], check=True,
+                         capture_output=True, text=True).stdout.strip()
     wt = f"/tmp/karta_ray_ab/{sha}"
     if not os.path.isdir(wt):
-        os.makedirs(os.path.dirname(wt), exist_ok=True)
-        subprocess.run(["git", "-C", here, "worktree", "add", "--detach",
-                        "--force", wt, sha], check=True,
-                       capture_output=True, text=True)
+        os.makedirs(wt + ".tmp", exist_ok=True)
+        tar = subprocess.run(["git", "-C", HERE, "archive", sha], check=True,
+                             capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", wt + ".tmp"], input=tar, check=True)
+        os.rename(wt + ".tmp", wt)
 
     times = {"a": [], "b": []}
     rows = {}
@@ -287,16 +262,11 @@ def ab_block(rev: str, reps: int = 5, pages_dir: str | None = None) -> dict:
         # order, any first-position transient (page-cache state left by
         # the previous child's exit) penalizes the same side every rep
         # and shows up as a phantom 10-15% ratio shift between windows
-        order = (("a", here), ("b", wt))
+        order = (("a", HERE), ("b", wt))
         if rep % 2:
             order = order[::-1]
         for side, repo in order:
-            p = subprocess.run(
-                [sys.executable, "-c", _AB_CHILD, repo, str(NUM_CPUS),
-                 pages_dir, str(N_PAGES)],
-                capture_output=True, text=True, check=True)
-            line = [l for l in p.stdout.splitlines() if l.startswith("{")][-1]
-            res = json.loads(line)
+            res = run_child(repo, NUM_CPUS, pages_dir)
             times[side].append(res["sec"])
             rows[side] = res["rows"]
     med_a = statistics.median(times["a"])
@@ -315,10 +285,6 @@ def ab_block(rev: str, reps: int = 5, pages_dir: str | None = None) -> dict:
                          round(max(times["b"]), 3)],
         "a_rows": rows["a"], "b_rows": rows["b"],
     }
-
-
-def ab_main(rev: str, reps: int = 5):
-    print(json.dumps(ab_block(rev, reps)))
 
 
 def micro_main():
@@ -375,18 +341,13 @@ def micro_main():
     print(json.dumps({"metric": "kernel microbench (single core)", **out}))
 
 
-# the last judged round's snapshot commit: default A/B comparand for
-# both `--ab` and the A/B block in the default bench run
-AB_BASE_REV = os.environ.get("GRAFT_AB_REV", "599f011")  # r4 snapshot
-
-
 def main():
     import ray
 
+    pages_dir = ensure_pages(N_PAGES)
+    head = run_child(HERE, NUM_CPUS, pages_dir)
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False)
-    pages_dir = ensure_pages()
-    warmup()
-    headline = run_headline(pages_dir)
+    warmup(NUM_CPUS)
     queries = run_queries(SF_DIR)
     ray.shutdown()
 
@@ -399,32 +360,33 @@ def main():
             # 5 interleaved reps/side: 3-rep medians still swing ±12%
             # between windows (measured 0.94 vs 1.16 for near-identical
             # sides); 5 is the smallest count whose median stays stable
-            ab = ab_block(AB_BASE_REV, reps=5, pages_dir=pages_dir)
-        except Exception as exc:  # missing rev/worktree: disclose, don't die
+            ab = ab_block(AB_BASE_REV, reps=5)
+        except Exception as exc:  # missing rev/checkout: disclose, don't die
             ab = {"error": f"{type(exc).__name__}: {exc}"}
 
     print(json.dumps({
         "metric": "spatial-join + tile-assignment throughput (docs/sec)",
-        "value": round(headline["sec"], 3),
+        "value": round(head["sec"], 3),
         "unit": "sec",
         "queries": queries,
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
-        "docs": headline["docs"],
-        "docs_per_sec": round(headline["docs_per_sec"], 1),
+        "docs": head["docs"],
+        "docs_per_sec": round(head["docs_per_sec"], 1),
         "ab": ab,
     }))
 
 
 if __name__ == "__main__":
-    if len(sys.argv) > 1 and sys.argv[1] == "--child":
-        child_main(int(sys.argv[2]))
-    elif len(sys.argv) > 1 and sys.argv[1] == "--scaling":
+    mode = sys.argv[1] if len(sys.argv) > 1 else None
+    if mode == "--child":
+        child(sys.argv[2], int(sys.argv[3]), sys.argv[4])
+    elif mode == "--scaling":
         scaling_main()
-    elif len(sys.argv) > 1 and sys.argv[1] == "--micro":
+    elif mode == "--micro":
         micro_main()
-    elif len(sys.argv) > 1 and sys.argv[1] == "--ab":
-        ab_main(sys.argv[2] if len(sys.argv) > 2 else AB_BASE_REV,
-                reps=int(sys.argv[3]) if len(sys.argv) > 3 else 5)
+    elif mode == "--ab":
+        print(json.dumps(ab_block(sys.argv[2] if len(sys.argv) > 2 else AB_BASE_REV,
+                                  reps=int(sys.argv[3]) if len(sys.argv) > 3 else 5)))
     else:
         main()

@@ -270,18 +270,16 @@ def band_keys(sig: np.ndarray, bands: int, rows: int) -> np.ndarray:
     return out
 
 
-def simhash_batch(texts: list[str], *, hash_fn: str = "md5") -> np.ndarray:
+def simhash_batch(texts: list[str]) -> np.ndarray:
     """64-bit SimHash per document, vectorized across the batch.
 
     Tokenization is single-space split with empties dropped — chosen
     (over ``str.split()``) because it is exactly DuckDB's
     ``unnest(string_split(text, ' ')) ... WHERE w <> ''``, so a SQL
-    oracle reproduces the multiset bit-for-bit.  ``hash_fn="md5"``
-    (default) hashes tokens with :func:`md5_u64` (DuckDB
-    ``md5_number_lower`` parity); ``"blake2b"`` uses the engine-internal
-    hash.  Token hashes are cached per unique token, and the per-bit
-    +/-1 vote runs as one ``np.add.reduceat`` over the batch."""
-    hasher = md5_u64 if hash_fn == "md5" else hash_bytes_u64
+    oracle reproduces the multiset bit-for-bit.  Tokens hash with
+    :func:`md5_u64` (DuckDB ``md5_number_lower`` parity), cached per
+    unique token, and the per-bit +/-1 vote runs as one
+    ``np.add.reduceat`` over the batch."""
     cache: dict[str, int] = {}
     flat: list[int] = []
     lens = np.empty(len(texts), dtype=np.int64)
@@ -295,7 +293,7 @@ def simhash_batch(texts: list[str], *, hash_fn: str = "md5") -> np.ndarray:
                 pending.append(w)
         flat.extend(toks)  # resolved to hashes below
     if pending:
-        hs = hasher([w.encode() for w in pending])
+        hs = md5_u64([w.encode() for w in pending])
         for w, h in zip(pending, hs):
             cache[w] = int(h)
     out = np.zeros(len(texts), dtype=np.uint64)

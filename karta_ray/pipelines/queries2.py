@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.worker import cached, resolve
 from . import oracles_hard as OH
 from .queries import (GRID_T, KNN_JOIN_SQL, PTS_SQL, _synthetic_grid,
                       pip_join_sql)
@@ -1869,7 +1870,7 @@ def q_quality_filter(sf_dir: str):
     ref = ray.put(thr)
 
     def keep(batch: pa.Table, *, ref=ref) -> pa.Table:
-        t = ray.get(ref) if not isinstance(ref, dict) else ref
+        t = cached(resolve, ref)
         langs = batch.column("lang").to_pylist()
         n = batch.column("n_chars").to_numpy()
         lim = np.fromiter((t[l] for l in langs), dtype=np.int64,

@@ -12,6 +12,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..kernels import tiles as tk
+from ..state.worker import cached, resolve
 from .queries import (GRID_SHAPE, GRID_T, PTS_SQL, ZOOM, _edges_sql_values,
                       _synthetic_grid, points_ds, query_polyset, tile_xy_sql)
 from .registry import query
@@ -302,7 +303,7 @@ def q_star_join(sf_dir: str):
                                    columns=["o_orderkey", "o_custkey"])
 
     def orders_side(batch: pa.Table, *, ref) -> pa.Table:
-        cks, nks = ray.get(ref)
+        cks, nks = cached(resolve, ref)
         q = batch.column("o_custkey").to_numpy()
         if len(cks) == 0:  # empty dimension -> empty inner join
             ok = np.zeros(len(q), dtype=bool)
@@ -542,7 +543,7 @@ def q_curation_pipeline(sf_dir: str):
     t_sample = np.uint64(int(CURATION_SAMPLE_RATE * (1 << 64)))
 
     def keep(batch: pa.Table, *, ref=thr_ref) -> pa.Table:
-        t = ray.get(ref) if not isinstance(ref, dict) else ref
+        t = cached(resolve, ref)
         langs = batch.column("lang").to_pylist()
         n = batch.column("n_chars").to_numpy()
         lim = np.fromiter((t[l] for l in langs), dtype=np.int64,

@@ -30,6 +30,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.text import mix64
+from ..state.worker import cached, resolve
 
 
 def _positions(keys: np.ndarray, m_bits: int, n_hashes: int) -> np.ndarray:
@@ -98,9 +99,7 @@ def bloom_semi_join(left, right, *, key: str,
 
     def make_probe(keep_hits: bool):
         def probe(batch: pa.Table, *, ref=bm_ref) -> pa.Table:
-            import ray
-
-            bm = ray.get(ref) if not isinstance(ref, np.ndarray) else ref
+            bm = cached(resolve, ref)
             k = batch.column(key).to_numpy(zero_copy_only=False)
             if not len(k):
                 return batch

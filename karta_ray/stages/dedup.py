@@ -398,15 +398,14 @@ def minhash_lsh_pairs(docs_ds, *, id_col: str = "doc_id",
 # SimHash
 # ---------------------------------------------------------------------------
 
-def simhash_rows(batch: pa.Table, *, id_col: str, text_col: str,
-                 hash_fn: str = "md5") -> pa.Table:
+def simhash_rows(batch: pa.Table, *, id_col: str, text_col: str) -> pa.Table:
     """Per doc: 64-bit SimHash over token hashes -> 4 x 16-bit block
     bucket rows.  Signatures come from the vectorized
-    :func:`functions.text.simhash_batch` (md5 token hashes by default,
-    so a DuckDB oracle can mirror every bit)."""
+    :func:`functions.text.simhash_batch` (md5 token hashes, so a DuckDB
+    oracle can mirror every bit)."""
     ids = batch.column(id_col).to_numpy()
     texts = batch.column(text_col).to_pylist()
-    sigs = T.simhash_batch(texts, hash_fn=hash_fn)
+    sigs = T.simhash_batch(texts)
     n = len(texts)
     sig_i64 = sigs.view(np.int64)
     blocks = np.arange(4, dtype=np.uint64)

@@ -39,6 +39,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..state.worker import cached, resolve
 from .agg import group_runs, sorted_map_groups, sorted_sum
 
 _INF = np.int64(1 << 62)
@@ -120,9 +121,15 @@ def _local_cc_block(batch: pa.Table) -> pa.Table:
     return pa.table({"v": pa.array(ids), "lbl": pa.array(lbl)})
 
 
+def _labeled_ids(*refs) -> np.ndarray:
+    """Sorted ``v`` of every label block: the labeled vertices."""
+    return np.sort(np.concatenate([resolve(r).column("v").to_numpy()
+                                   for r in refs]))
+
+
 def connected_components(edges, *, src: str = "a", dst: str = "b",
                          vertices=None, v_col: str = "v",
-                         max_iters: int = 50, verbose: bool = False,
+                         max_iters: int = 50,
                          small_input_rows: int = 500_000):
     """(v, cluster_id) for every vertex; cluster_id = min vertex id of
     its component. ``edges`` is a Dataset of undirected (src, dst)
@@ -158,8 +165,6 @@ def connected_components(edges, *, src: str = "a", dst: str = "b",
     adj = _rebase(adj)
 
     if adj.count() <= small_input_rows:
-        import ray as _ray
-
         labels_blk = (adj.repartition(1)
                       .map_batches(_local_cc_block, batch_size=None,
                                    batch_format="pyarrow").materialize())
@@ -179,10 +184,9 @@ def connected_components(edges, *, src: str = "a", dst: str = "b",
                            .to_numpy(zero_copy_only=False)
                            .astype(np.int64))
             if refs:
-                tbls = [_ray.get(r) if not isinstance(r, pa.Table) else r
-                        for r in refs]
-                ids_s = np.sort(np.concatenate(
-                    [t.column("v").to_numpy() for t in tbls]))
+                # one entry keyed by the whole tuple: one ``cached``
+                # call per ref would evict the others' entries
+                ids_s = cached(_labeled_ids, *refs)
                 if len(ids_s):
                     idx = np.minimum(np.searchsorted(ids_s, vv),
                                      len(ids_s) - 1)
@@ -282,9 +286,6 @@ def connected_components(edges, *, src: str = "a", dst: str = "b",
 
     labels = None
     for it in range(max_iters):
-        if verbose:
-            import time
-            t0 = time.time()
         both = both0 if it == 0 else adj_tagged.union(
             labels.map_batches(tag_lbl, batch_format="pyarrow"))
         msgs = sorted_map_groups(both, ["v"], _scatter_block,
@@ -311,9 +312,6 @@ def connected_components(edges, *, src: str = "a", dst: str = "b",
             # from round 1 on
             labels = _rebase(compress(labels).drop_columns(["changed"])
                              .repartition(n_blocks))
-        if verbose:
-            print(f"[cc] round {it}: changed={n_changed} "
-                  f"({time.time() - t0:.1f}s)", flush=True)
 
     return labels.map_batches(
         lambda b: b.rename_columns(["v", "cluster_id"]),

@@ -19,6 +19,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.text import mix64
+
 
 def _count_per_key(key_col: str):
     """Per-block (key, n) counting kernel shared by the detector and
@@ -108,11 +110,9 @@ def add_salt(ds, key_col: str, hot_keys, *, salts: int = 16,
         pos = np.searchsorted(hot, keys)
         pos_c = np.minimum(pos, len(hot) - 1)
         is_hot = hot[pos_c] == keys
-        # cheap per-row deterministic hash for the salt
-        h = (np.arange(len(keys), dtype=np.uint64)
-             * np.uint64(0x9E3779B97F4A7C15) + keys.astype(np.uint64))
-        with np.errstate(over="ignore"):
-            h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        # per-row deterministic hash for the salt
+        h = mix64(mix64(keys.astype(np.uint64))
+                  + np.arange(len(keys), dtype=np.uint64))
         salt = np.where(is_hot, (h % np.uint64(salts)).astype(np.int64), 0)
         return batch.append_column(salt_col, pa.array(salt, pa.int64()))
 

@@ -14,33 +14,14 @@ from __future__ import annotations
 import os
 import sys
 
-import duckdb
 import numpy as np
 import pandas as pd
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from perfbench.check import oracle_frames, result_frame  # noqa: E402
 
 TABLES = ("region nation customer supplier part orders lineitem events "
           "documents embeddings").split()
-
-
-def to_pandas(res):
-    import pyarrow as pa
-    import ray.data
-
-    if isinstance(res, ray.data.Dataset):
-        return res.to_pandas()
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    return res
-
-
-def normalize(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)].copy()
-    for c in df.columns:
-        if df[c].dtype == object:
-            df[c] = df[c].astype(str)
-    return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
 def value_hash(df: pd.DataFrame) -> str:
@@ -82,21 +63,15 @@ def main():
                  num_cpus=int(os.environ.get("CHECK_CPUS", "8")),
                  include_dashboard=False)
 
-    con = duckdb.connect()
-    for t in TABLES:
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
-                    f"read_parquet('{sf_dir}/{t}.parquet')")
-
     import __ray_entry__ as entrymod
 
-    qs = entrymod.queries()
+    qs = {n: f for n, f in entrymod.queries().items() if not only or n in only}
     oracles = entrymod.oracle_sql()
+    wants = oracle_frames(sf_dir, TABLES, {n: oracles[n] for n in qs})
     failures = []
     for name, fn in qs.items():
-        if only and name not in only:
-            continue
-        got = normalize(to_pandas(fn(sf_dir)))
-        want = normalize(con.execute(oracles[name]).df())
+        got = result_frame(fn(sf_dir))
+        want = wants[name]
         status = "OK"
         detail = ""
         if list(got.columns) != list(want.columns):
