@@ -60,7 +60,10 @@ def matrix_to_binary_column(mat: np.ndarray):
 def binary_column_to_matrix(col, dtype, d: int) -> np.ndarray:
     """Inverse of :func:`matrix_to_binary_column`: uniform-width binary
     column -> (n, d) ndarray via one buffer view (no per-row bytes)."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    arr = col
+    if isinstance(arr, pa.ChunkedArray):
+        # combine_chunks copies even a single chunk
+        arr = arr.chunk(0) if arr.num_chunks == 1 else arr.combine_chunks()
     n = len(arr)
     if n == 0:
         return np.empty((0, d), dtype=dtype)

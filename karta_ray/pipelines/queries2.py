@@ -22,7 +22,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..state.worker import cached, resolve
 from . import oracles_hard as OH
 from .queries import (GRID_T, KNN_JOIN_SQL, PTS_SQL, _synthetic_grid,
                       pip_join_sql)
@@ -1856,29 +1855,23 @@ def _dedup_clusters_sql() -> str:
 def q_quality_filter(sf_dir: str):
     """(doc_id, lang, n_chars) of docs with n_chars >= per-lang median
     (quantile_disc semantics)."""
-    import ray
     import ray.data
 
+    from ..stages.lookup import lookup
     from ..stages.quantile import grouped_quantiles
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "lang", "n_chars"])
     med = grouped_quantiles(ds.select_columns(["lang", "n_chars"]),
                             ["lang"], "n_chars", [50])
-    # one row per language — bounded, safe to collect and broadcast
-    thr = {r["lang"]: r["p50"] for r in med.take_all()}
-    ref = ray.put(thr)
 
-    def keep(batch: pa.Table, *, ref=ref) -> pa.Table:
-        t = cached(resolve, ref)
-        langs = batch.column("lang").to_pylist()
+    def keep(batch: pa.Table) -> pa.Table:
         n = batch.column("n_chars").to_numpy()
-        lim = np.fromiter((t[l] for l in langs), dtype=np.int64,
-                          count=len(langs))
-        return batch.filter(pa.array(n >= lim))
+        lim = batch.column("p50").to_numpy()
+        return batch.drop_columns(["p50"]).filter(pa.array(n >= lim))
 
-    return ds.map_batches(keep, batch_format="pyarrow",
-                          zero_copy_batch=True)
+    return lookup(ds, med, on="lang", key="lang", columns=["p50"]) \
+        .map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
 
 
 QUALITY_FILTER_SQL = """

@@ -12,7 +12,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..kernels import tiles as tk
-from ..state.worker import cached, resolve
 from .queries import (GRID_SHAPE, GRID_T, PTS_SQL, ZOOM, _edges_sql_values,
                       _synthetic_grid, points_ds, query_polyset, tile_xy_sql)
 from .registry import query
@@ -275,9 +274,9 @@ LEFT JOIN f3 ON u.user_id = f3.user_id
 # side tag; segmented sums via np.add.reduceat). This replaces Ray's
 # generic hash join, whose aggregator fixed cost measured ~4x slower
 # here (10.8 s vs ~2.5 s at sf0.1) — the same single-scan trade the
-# as-of join made. The small dimensions (customer -> nation) are
-# ray.put once and looked up with np.searchsorted inside map_batches —
-# never re-shipped per batch, never shuffled. The per-nation aggregate
+# as-of join made. The small customer -> nation dimension is attached
+# by stages/lookup.py (broadcast once, np.searchsorted per batch, never
+# shuffled while it fits the byte bound). The per-nation aggregate
 # is bounded (25 keys) so partials collapse per block before the tree
 # combine. At 100 TB the sorted shuffle is the standard all-to-all;
 # per-orderkey groups are tiny (<=7 rows) so no skew guard is needed.
@@ -287,45 +286,29 @@ LEFT JOIN f3 ON u.user_id = f3.user_id
 @query(oracle=lambda: _STAR_SQL)
 def q_star_join(sf_dir: str):
     import pyarrow.parquet as pq
-    import ray
     import ray.data
 
     from ..stages.agg import group_runs, sorted_map_groups, tree_sum
+    from ..stages.lookup import lookup
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
                          columns=["c_custkey", "c_nationkey"])
-    order_ck = np.argsort(cust.column("c_custkey").to_numpy())
-    ck_sorted = cust.column("c_custkey").to_numpy()[order_ck]
-    nk_by_ck = cust.column("c_nationkey").to_numpy()[order_ck]
-    dim_ref = ray.put((ck_sorted, nk_by_ck.astype(np.int64)))
-
     orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                    columns=["o_orderkey", "o_custkey"])
 
-    def orders_side(batch: pa.Table, *, ref) -> pa.Table:
-        cks, nks = cached(resolve, ref)
-        q = batch.column("o_custkey").to_numpy()
-        if len(cks) == 0:  # empty dimension -> empty inner join
-            ok = np.zeros(len(q), dtype=bool)
-            idx_c = np.zeros(len(q), dtype=np.int64)
-            nks = np.zeros(1, dtype=np.int64)
-        else:
-            idx = np.searchsorted(cks, q)
-            idx_c = np.minimum(idx, len(cks) - 1)
-            ok = cks[idx_c] == q
-        n = int(ok.sum())
+    def orders_side(batch: pa.Table) -> pa.Table:
+        n = batch.num_rows
         return pa.table({
-            "okey": pa.array(
-                batch.column("o_orderkey").to_numpy()[ok], pa.int64()),
+            "okey": batch.column("o_orderkey").cast(pa.int64()),
             "side": pa.array(np.zeros(n, np.int64), pa.int64()),
-            "nationkey": pa.array(nks[idx_c][ok], pa.int64()),
+            "nationkey": batch.column("c_nationkey").cast(pa.int64()),
             "qty": pa.array(np.zeros(n, np.int64), pa.int64()),
             "n": pa.array(np.zeros(n, np.int64), pa.int64()),
         })
 
-    left = orders.map_batches(orders_side, batch_format="pyarrow",
-                              zero_copy_batch=True,
-                              fn_kwargs={"ref": dim_ref})
+    left = lookup(orders, cust, on="o_custkey", key="c_custkey",
+                  columns=["c_nationkey"]).map_batches(
+        orders_side, batch_format="pyarrow", zero_copy_batch=True)
 
     li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                                columns=["l_orderkey", "l_quantity"])
@@ -491,11 +474,11 @@ CURATION_SAMPLE_RATE = 0.5
 
 @query(oracle=lambda: _curation_sql())
 def q_curation_pipeline(sf_dir: str):
-    import ray
     import ray.data
 
     from ..functions.text import hash_column_u64, md5_u64
     from ..stages.agg import group_runs, sorted_map_groups, tree_sum
+    from ..stages.lookup import lookup
     from ..stages.quantile import grouped_quantiles
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -538,22 +521,18 @@ def q_curation_pipeline(sf_dir: str):
 
     med = grouped_quantiles(deduped.select_columns(["lang", "n_chars"]),
                             ["lang"], "n_chars", [50])
-    thr = {r["lang"]: r["p50"] for r in med.take_all()}
-    thr_ref = ray.put(thr)
     t_sample = np.uint64(int(CURATION_SAMPLE_RATE * (1 << 64)))
 
-    def keep(batch: pa.Table, *, ref=thr_ref) -> pa.Table:
-        t = cached(resolve, ref)
-        langs = batch.column("lang").to_pylist()
+    def keep(batch: pa.Table) -> pa.Table:
         n = batch.column("n_chars").to_numpy()
-        lim = np.fromiter((t[l] for l in langs), dtype=np.int64,
-                          count=len(langs))
+        lim = batch.column("p50").to_numpy()
         ids = batch.column("doc_id").to_pylist()
         hv = md5_u64([str(i).encode() for i in ids])
-        return batch.filter(pa.array((n >= lim) & (hv < t_sample)))
+        return batch.drop_columns(["p50"]).filter(
+            pa.array((n >= lim) & (hv < t_sample)))
 
-    kept = deduped.map_batches(keep, batch_format="pyarrow",
-                               zero_copy_batch=True)
+    kept = lookup(deduped, med, on="lang", key="lang", columns=["p50"]) \
+        .map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({

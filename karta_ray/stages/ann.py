@@ -19,6 +19,7 @@ import pyarrow as pa
 import ray
 
 from ..state.worker import cached, resolve
+from .lookup import lookup
 
 
 def _to_matrix(col) -> np.ndarray:
@@ -211,20 +212,14 @@ def _hyperplanes(dim: int, bits: int) -> np.ndarray:
     return rng.randn(bits, dim)
 
 
-# above this many vectors the normalized embedding matrix stops being
-# broadcastable and candidate verification switches to distributed
-# hash joins against the embedding dataset
-EMB_BROADCAST_MAX_DOCS = 1_000_000  # ~0.5 GB at d=64 float64
-
-
 def lsh_band_rows(bits: int, bands: int):
     """map_batches fn: (band, key, vec_id) rows — IDS ONLY, 24 B/row.
 
     The embedding is deliberately NOT carried through the bucket
     shuffle (an embedding column here would amplify shuffle bytes by
     bands x vector size — the mistake minhash r02 fixed); surviving
-    candidates recover their vectors afterwards via broadcast lookup or
-    a distributed hash join."""
+    candidates recover their vectors afterwards through
+    :func:`~karta_ray.stages.lookup.lookup`."""
     rows_per_band = bits // bands
 
     def sig_rows(batch: pa.Table) -> pa.Table:
@@ -250,40 +245,6 @@ def lsh_band_rows(bits: int, bands: int):
     return sig_rows
 
 
-def _bucket_candidates_block(max_bucket: int):
-    """Block fn for sorted_map_groups over (band, key): unique-id
-    candidate pairs per under-cap bucket run, vectorized over the
-    block's runs (no per-group dispatch)."""
-    from .agg import group_runs
-
-    def fn(block: pa.Table) -> pa.Table:
-        empty = pa.table({"vec_a": pa.array([], pa.int64()),
-                          "vec_b": pa.array([], pa.int64()),
-                          "n": pa.array([], pa.int64())})
-        if block.num_rows < 2:
-            return empty
-        vid = block.column("vec_id").to_numpy()
-        starts, ends = group_runs(block, ["band", "key"])
-        out_a, out_b = [], []
-        for s, e in zip(starts, ends):
-            if e - s < 2 or e - s > max_bucket:
-                continue
-            ids = np.unique(vid[s:e])
-            if len(ids) < 2:
-                continue
-            ai, bi = np.triu_indices(len(ids), 1)
-            out_a.append(ids[ai])
-            out_b.append(ids[bi])
-        if not out_a:
-            return empty
-        a = np.concatenate(out_a).astype(np.int64)
-        b = np.concatenate(out_b).astype(np.int64)
-        return pa.table({"vec_a": pa.array(a), "vec_b": pa.array(b),
-                         "n": pa.array(np.ones(len(a), np.int64))})
-
-    return fn
-
-
 def cosine_neardup_lsh(emb_ds, threshold: float, *, bits: int = 32,
                        bands: int = 4, max_bucket: int = 512):
     """Near-duplicate pairs via random-hyperplane LSH — the no-broadcast
@@ -294,97 +255,53 @@ def cosine_neardup_lsh(emb_ds, threshold: float, *, bits: int = 32,
     (range shuffle + per-block run processing, over-cap buckets
     tombstone-truncated) -> cross-band pair dedup (sorted_sum, unbounded
     pair cardinality) -> exact cosine verification of surviving pairs
-    only, recovering vectors adaptively: broadcast matrix lookup below
-    EMB_BROADCAST_MAX_DOCS, distributed hash joins above.
+    only, each pair's two normalized vectors attached by
+    :func:`~karta_ray.stages.lookup.lookup` (broadcast while they fit,
+    else hash-joined).
 
     Approximate (recall < 1 for moderate thresholds; near-certain for
     true near-dups with cos >~ 0.95); verification is exact, so emitted
     sims equal the brute-force values.
     """
-    import ray.data
-
+    from ..functions.arrays import (binary_column_to_matrix,
+                                    matrix_to_binary_column)
     from .agg import sorted_map_groups, sorted_sum
+    from .dedup import bucket_pairs_block
 
     emb_ds = emb_ds.materialize()
     rows = emb_ds.map_batches(lsh_band_rows(bits, bands),
                               batch_format="pyarrow")
-    cand = sorted_map_groups(rows, ["band", "key"],
-                             _bucket_candidates_block(max_bucket),
-                             max_group_rows=max_bucket)
-    uniq = sorted_sum(cand, ["vec_a", "vec_b"], ["n"])
-
-    n_docs = emb_ds.count()
-    if n_docs <= EMB_BROADCAST_MAX_DOCS:
-        # broadcast path: normalized matrix ray.put once, zero-copy
-        # object-store read per task, searchsorted id lookup
-        parts_id, parts_m = [], []
-        for batch in emb_ds.iter_batches(batch_format="pyarrow",
-                                         batch_size=65536):
-            parts_id.append(batch.column("vec_id").to_numpy()
-                            .astype(np.int64))
-            parts_m.append(_normalize(_to_matrix(batch.column("embedding"))))
-        ids = np.concatenate(parts_id)
-        mat = np.vstack(parts_m)
-        order = np.argsort(ids, kind="stable")
-        ref = ray.put({"ids": ids[order],
-                       "mat": np.ascontiguousarray(mat[order])})
-
-        def verify_bcast(batch: pa.Table, *, ref=ref) -> pa.Table:
-            data = cached(resolve, ref)
-            a = batch.column("vec_a").to_numpy()
-            b = batch.column("vec_b").to_numpy()
-            ia = np.searchsorted(data["ids"], a)
-            ib = np.searchsorted(data["ids"], b)
-            sim = np.einsum("ij,ij->i", data["mat"][ia], data["mat"][ib])
-            keep = np.nonzero(sim >= threshold)[0]
-            out = batch.select(["vec_a", "vec_b"]).take(
-                pa.array(keep, pa.int64()))
-            return out.append_column("sim", pa.array(sim[keep],
-                                                     pa.float64()))
-
-        return uniq.map_batches(verify_bcast, batch_format="pyarrow")
-
-    # join path: traffic bounded by the candidate count
-    uniq = uniq.materialize()
-    if uniq.count() == 0:
-        return ray.data.from_blocks([pa.table({
-            "vec_a": pa.array([], pa.int64()),
-            "vec_b": pa.array([], pa.int64()),
-            "sim": pa.array([], pa.float64())})])
+    cand = sorted_map_groups(
+        rows, ["band", "key"],
+        bucket_pairs_block("vec_id", ("vec_a", "vec_b"), max_bucket),
+        max_group_rows=max_bucket)
+    pairs = sorted_sum(cand, ["vec_a", "vec_b"], ["n"])
 
     def to_binary(batch: pa.Table) -> pa.Table:
         # Acero's hash join rejects list<double> payload columns; carry
         # the normalized vector as a same-bytes binary blob instead
-        from ..functions.arrays import matrix_to_binary_column
-
         m = _normalize(_to_matrix(batch.column("embedding")))
         return pa.table({"vec_id": batch.column("vec_id"),
-                         "embx": matrix_to_binary_column(m)})
+                         "emb": matrix_to_binary_column(m)})
 
-    emb_tbl = emb_ds.map_batches(to_binary, batch_format="pyarrow")
-    j1 = uniq.join(emb_tbl, "inner", num_partitions=8,
-                   on=("vec_a",), right_on=("vec_id",)).materialize()
-    j2 = j1.rename_columns({"embx": "emb_a"}).join(
-        emb_tbl, "inner", num_partitions=8,
-        on=("vec_b",), right_on=("vec_id",)).materialize()
+    vecs = emb_ds.map_batches(to_binary, batch_format="pyarrow") \
+        .materialize()
+    for side in ("a", "b"):
+        pairs = lookup(pairs, vecs, on=f"vec_{side}", key="vec_id",
+                       columns=["emb"], suffix=f"_{side}")
 
-    def verify_join(batch: pa.Table) -> pa.Table:
-        from ..functions.arrays import binary_column_to_matrix
-
-        if batch.num_rows == 0:
-            return pa.table({"vec_a": pa.array([], pa.int64()),
-                             "vec_b": pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        d = len(batch.column("emb_a")[0].as_py()) // 8
-        ea = binary_column_to_matrix(batch.column("emb_a"), np.float64, d)
-        eb = binary_column_to_matrix(batch.column("embx"), np.float64, d)
-        sim = np.einsum("ij,ij->i", ea, eb)
+    def verify(batch: pa.Table) -> pa.Table:
+        ea, eb = batch.column("emb_a"), batch.column("emb_b")
+        d = len(ea[0].as_py()) // 8 if len(ea) else 0
+        sim = np.einsum("ij,ij->i",
+                        binary_column_to_matrix(ea, np.float64, d),
+                        binary_column_to_matrix(eb, np.float64, d))
         keep = np.nonzero(sim >= threshold)[0]
         out = batch.select(["vec_a", "vec_b"]).take(
             pa.array(keep, pa.int64()))
         return out.append_column("sim", pa.array(sim[keep], pa.float64()))
 
-    return j2.map_batches(verify_join, batch_format="pyarrow")
+    return pairs.map_batches(verify, batch_format="pyarrow")
 
 
 def cosine_neardup_blocked(emb_ds, threshold: float, *, nblocks: int = 8):

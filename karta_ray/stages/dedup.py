@@ -20,8 +20,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import text as T
-from ..state.worker import cached, resolve
 from .agg import tree_sum
+from .lookup import lookup
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +104,8 @@ def ngram_jaccard_pairs(docs_ds, *, id_col: str = "doc_id",
     counts = tree_sum(emitted, ["doc_a", "doc_b"], ["n"]).materialize()
 
     # post-filter shingle-set sizes: the sentinel rows (doc, -1) of the
-    # same shuffle. Joined back to the pair rows with two small hash
-    # joins (pair cardinality is DF-capped) — no O(n_docs) driver dict
-    # (the r01 scale-killer).
+    # same shuffle, looked up per pair side (pair cardinality is
+    # DF-capped) — no O(n_docs) driver dict (the r01 scale-killer)
     def split_sizes(batch: pa.Table) -> pa.Table:
         mask = batch.column("doc_b").to_numpy() == -1
         t = batch.filter(pa.array(mask))
@@ -117,32 +116,27 @@ def ngram_jaccard_pairs(docs_ds, *, id_col: str = "doc_id",
         mask = batch.column("doc_b").to_numpy() >= 0
         return batch.filter(pa.array(mask))
 
-    sizes = counts.map_batches(split_sizes, batch_format="pyarrow")
     pairs = counts.map_batches(split_pairs, batch_format="pyarrow") \
         .materialize()
     if pairs.count() == 0:
-        # no candidate pairs at all (e.g. every shingle above the DF
-        # cap): Dataset.join cannot handle a schema-less empty side
+        # no candidate pairs (e.g. every shingle above the DF cap): the
+        # map stages below would drop the empty input's schema
         import ray.data
 
         return ray.data.from_blocks([pa.table({
             "doc_a": pa.array([], pa.int64()),
             "doc_b": pa.array([], pa.int64()),
             "n_shared": pa.array([], pa.int64())})])
-    # partitions sized to the pair volume: Ray's hash join fails on
-    # empty (schema-less) partitions when a side has few distinct keys
-    np_ = 8 if pairs.count() >= 50_000 else 1
-    j1 = pairs.join(sizes, "inner", num_partitions=np_,
-                    on=("doc_a",), right_on=("doc_id",),
-                    right_suffix="_a").materialize()
-    j2 = j1.rename_columns({"sz": "sz_a"}).join(
-        sizes, "inner", num_partitions=np_,
-        on=("doc_b",), right_on=("doc_id",)).materialize()
+    sizes = counts.map_batches(split_sizes, batch_format="pyarrow") \
+        .materialize()
+    for side in ("a", "b"):
+        pairs = lookup(pairs, sizes, on=f"doc_{side}", key="doc_id",
+                       columns=["sz"], suffix=f"_{side}")
 
     def threshold_filter(batch: pa.Table) -> pa.Table:
         c = batch.column("n").to_numpy().astype(np.float64)
         na = batch.column("sz_a").to_numpy().astype(np.float64)
-        nb = batch.column("sz").to_numpy().astype(np.float64)
+        nb = batch.column("sz_b").to_numpy().astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             j = c / (na + nb - c)
         keep = np.nonzero(j >= threshold)[0]
@@ -150,7 +144,7 @@ def ngram_jaccard_pairs(docs_ds, *, id_col: str = "doc_id",
             pa.array(keep, pa.int64()))
         return out.rename_columns(["doc_a", "doc_b", "n_shared"])
 
-    return j2.map_batches(threshold_filter, batch_format="pyarrow")
+    return pairs.map_batches(threshold_filter, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -197,113 +191,57 @@ def _band_rows(bands: int, rows: int):
 LSH_MAX_BUCKET = 200
 
 
-def _lsh_candidates(group: pa.Table) -> pa.Table:
-    empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                      "doc_b": pa.array([], pa.int64()),
-                      "n": pa.array([], pa.int64())})
-    if group.num_rows > LSH_MAX_BUCKET:
-        # oversized bucket: a band key shared by this many documents is
-        # not a near-dup signal (hash pileup); skip — standard LSH
-        # bucket-size cap, keeps the stage sub-quadratic
-        return empty
-    ids = np.unique(group.column("doc_id").to_numpy())
-    m = len(ids)
-    if m < 2:
-        return empty
-    ai, bi = np.triu_indices(m, 1)
-    return pa.table({
-        "doc_a": pa.array(ids[ai], pa.int64()),
-        "doc_b": pa.array(ids[bi], pa.int64()),
-        "n": pa.array(np.ones(len(ai), dtype=np.int64)),
-    })
-
-
-def _lsh_candidates_block(batch: pa.Table) -> pa.Table:
-    """Run-vectorized :func:`_lsh_candidates` over a (band, key)-sorted
-    block: one numpy pass finds the bucket runs, a small loop over runs
-    (not one Ray dispatch per bucket) emits the pairs. Identical
-    per-bucket semantics: row-count cap, unique ids, triu pairs."""
+def bucket_pairs_block(id_col: str, pair_cols: tuple, max_bucket: int):
+    """Block fn for ``sorted_map_groups`` over a (band, key)-sorted
+    block: per bucket run of at most ``max_bucket`` rows, the
+    (a < b) pairs of its unique ``id_col`` values as ``pair_cols`` plus
+    ``n`` = 1. A bucket above the cap is a hash pileup, not a near-dup
+    signal, and is skipped: the standard LSH bucket-size cap, which
+    keeps the stage sub-quadratic. One numpy pass finds the runs and a
+    small loop over runs (not one Ray dispatch per bucket) emits the
+    pairs."""
     from .agg import group_runs
 
-    did = batch.column("doc_id").to_numpy()
-    starts, ends = group_runs(batch, ["band", "key"])
-    out_a, out_b = [], []
-    for s, e in zip(starts, ends):
-        if e - s > LSH_MAX_BUCKET or e - s < 2:
-            continue
-        ids = np.unique(did[s:e])
-        m = len(ids)
-        if m < 2:
-            continue
-        ai, bi = np.triu_indices(m, 1)
-        out_a.append(ids[ai])
-        out_b.append(ids[bi])
-    if not out_a:
-        return pa.table({"doc_a": pa.array([], pa.int64()),
-                         "doc_b": pa.array([], pa.int64()),
-                         "n": pa.array([], pa.int64())})
-    da = np.concatenate(out_a).astype(np.int64)
-    db = np.concatenate(out_b).astype(np.int64)
-    return pa.table({
-        "doc_a": pa.array(da),
-        "doc_b": pa.array(db),
-        "n": pa.array(np.ones(len(da), dtype=np.int64)),
-    })
+    def fn(block: pa.Table) -> pa.Table:
+        ids_all = block.column(id_col).to_numpy()
+        starts, ends = group_runs(block, ["band", "key"])
+        out_a, out_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for s, e in zip(starts, ends):
+            if e - s < 2 or e - s > max_bucket:
+                continue
+            ids = np.unique(ids_all[s:e])
+            ai, bi = np.triu_indices(len(ids), 1)
+            out_a.append(ids[ai])
+            out_b.append(ids[bi])
+        a = np.concatenate(out_a).astype(np.int64)
+        return pa.table({
+            pair_cols[0]: pa.array(a),
+            pair_cols[1]: pa.array(np.concatenate(out_b).astype(np.int64)),
+            "n": pa.array(np.ones(len(a), dtype=np.int64)),
+        })
 
+    return fn
 
-# above this many docs the signature table stops being broadcastable
-# and est_sim recovery switches to distributed hash joins
-SIG_BROADCAST_MAX_DOCS = 2_000_000  # ~2 GB of signatures
 
 _EST_CHUNK = 8192
 
 
-def _est_matrix_lookup(mat: np.ndarray, ia: np.ndarray,
-                       ib: np.ndarray, k: int) -> np.ndarray:
-    """Chunked signature-agreement estimate via index lookup into a
-    shared (n_docs, k) matrix. Gathers go into preallocated, reused
-    buffers: one big (n_pairs, k) gather would allocate hundreds of MB
-    of fresh pages whose first-touch faults dominate wall time on this
-    host (see kernels/predicates.winding_number)."""
-    n = len(ia)
-    est = np.empty(n, dtype=np.float64)
-    ch = min(_EST_CHUNK, max(n, 1))
-    ba = np.empty((ch, k), dtype=mat.dtype)
-    bb = np.empty((ch, k), dtype=mat.dtype)
-    eq = np.empty((ch, k), dtype=bool)
-    for s in range(0, n, _EST_CHUNK):
-        e = min(s + _EST_CHUNK, n)
-        m = e - s
-        np.take(mat, ia[s:e], axis=0, out=ba[:m])
-        np.take(mat, ib[s:e], axis=0, out=bb[:m])
-        np.equal(ba[:m], bb[:m], out=eq[:m])
-        est[s:e] = eq[:m].mean(axis=1)
-    return est
-
-
 def minhash_lsh_pairs(docs_ds, *, id_col: str = "doc_id",
                       text_col: str = "text", k: int = 128,
-                      bands: int = 16, threshold: float = 0.6,
-                      pair_dedup: str = "groupby"):
+                      bands: int = 16, threshold: float = 0.6):
     """Near-dup pairs via MinHash banding.
 
     Shape: per-doc signature (once) -> id-only band rows (24 B/row, no
     signature amplification through the bucket shuffle) -> bucket
-    candidate pairs -> cross-band dedup (tree combine) -> similarity
-    estimated from full-signature agreement for the candidates only ->
-    threshold.
-
-    Signature recovery for candidates is adaptive: below
-    SIG_BROADCAST_MAX_DOCS the signature matrix is ray.put once and
-    candidate batches look it up with searchsorted (no extra shuffle);
-    above it, candidates hash-join the signature table (two distributed
-    joins, traffic bounded by the candidate count — still far below the
-    16x per-band signature replication this replaced)."""
-    import ray
-    import ray.data
-
+    candidate pairs -> cross-band dedup (``sorted_sum``: a range
+    shuffle, safe for unbounded pair cardinality) -> each candidate's
+    two signatures attached by :func:`~karta_ray.stages.lookup.lookup`
+    (broadcast while the signature table fits, else hash-joined:
+    traffic bounded by the candidate count, far below the 16x per-band
+    signature replication this replaced) -> similarity estimated from
+    full-signature agreement -> threshold."""
     from ..functions.arrays import binary_column_to_matrix
-    from .agg import tree_sum
+    from .agg import sorted_map_groups, sorted_sum
 
     sigs = docs_ds.map_batches(
         minhash_sig_rows, batch_format="pyarrow",
@@ -311,70 +249,18 @@ def minhash_lsh_pairs(docs_ds, *, id_col: str = "doc_id",
                    "k": k}).materialize()
     band_r = sigs.map_batches(_band_rows(bands, k // bands),
                               batch_format="pyarrow")
-    from .agg import sorted_map_groups
-
-    cand = sorted_map_groups(band_r, ["band", "key"],
-                             _lsh_candidates_block,
-                             max_group_rows=LSH_MAX_BUCKET)
-    # cross-band pair dedup. Default "groupby" is a distributed range
-    # shuffle (sorted_sum: sort + per-block Arrow combine + bounded
-    # boundary residue) — safe for UNBOUNDED pair cardinality (the
-    # corpus-scale shape) without ray.data.groupby's per-tiny-group
-    # finalization cost. "tree" folds on the driver: lower fixed
-    # latency, only for small candidate sets.
-    if pair_dedup == "groupby":
-        from .agg import sorted_sum
-
-        uniq = sorted_sum(cand, ["doc_a", "doc_b"], ["n"])
-    else:
-        uniq = tree_sum(cand, ["doc_a", "doc_b"], ["n"])
-
-    n_docs = sigs.count()
-    if n_docs <= SIG_BROADCAST_MAX_DOCS:
-        # broadcast path: one zero-copy object-store read per task
-        parts = []
-        for batch in sigs.iter_batches(batch_format="pyarrow",
-                                       batch_size=65536):
-            parts.append((batch.column("doc_id").to_numpy(),
-                          binary_column_to_matrix(batch.column("sig"),
-                                                  np.int64, k)))
-        ids = np.concatenate([p[0] for p in parts])
-        mat = np.vstack([p[1] for p in parts])
-        order = np.argsort(ids, kind="stable")
-        ref = ray.put({"ids": ids[order],
-                       "mat": np.ascontiguousarray(mat[order])})
-
-        def estimate_bcast(batch: pa.Table, *, ref=ref) -> pa.Table:
-            data = cached(resolve, ref)
-            da = batch.column("doc_a").to_numpy()
-            db = batch.column("doc_b").to_numpy()
-            ia = np.searchsorted(data["ids"], da)
-            ib = np.searchsorted(data["ids"], db)
-            est = _est_matrix_lookup(data["mat"], ia, ib, k)
-            keep = np.nonzero(est >= threshold)[0]
-            out = batch.select(["doc_a", "doc_b"]).take(
-                pa.array(keep, pa.int64()))
-            return out.append_column("est_sim",
-                                     pa.array(est[keep], pa.float64()))
-
-        return uniq.map_batches(estimate_bcast, batch_format="pyarrow")
-
-    # join path: Dataset.join cannot handle a schema-less empty side
-    uniq = uniq.materialize()
-    if uniq.count() == 0:
-        return ray.data.from_blocks([pa.table({
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "est_sim": pa.array([], pa.float64())})])
-    j1 = uniq.join(sigs, "inner", num_partitions=8,
-                   on=("doc_a",), right_on=("doc_id",)).materialize()
-    j2 = j1.rename_columns({"sig": "sig_a"}).join(
-        sigs, "inner", num_partitions=8,
-        on=("doc_b",), right_on=("doc_id",)).materialize()
+    cand = sorted_map_groups(
+        band_r, ["band", "key"],
+        bucket_pairs_block("doc_id", ("doc_a", "doc_b"), LSH_MAX_BUCKET),
+        max_group_rows=LSH_MAX_BUCKET)
+    pairs = sorted_sum(cand, ["doc_a", "doc_b"], ["n"])
+    for side in ("a", "b"):
+        pairs = lookup(pairs, sigs, on=f"doc_{side}", key="doc_id",
+                       columns=["sig"], suffix=f"_{side}")
 
     def estimate(batch: pa.Table) -> pa.Table:
         sa = binary_column_to_matrix(batch.column("sig_a"), np.int64, k)
-        sb = binary_column_to_matrix(batch.column("sig"), np.int64, k)
+        sb = binary_column_to_matrix(batch.column("sig_b"), np.int64, k)
         # sa/sb are buffer views over the batch (no fresh gather); the
         # chunked equality avoids one big boolean temporary
         n = len(sa)
@@ -391,7 +277,7 @@ def minhash_lsh_pairs(docs_ds, *, id_col: str = "doc_id",
         return out.append_column("est_sim",
                                  pa.array(est[keep], pa.float64()))
 
-    return j2.map_batches(estimate, batch_format="pyarrow")
+    return pairs.map_batches(estimate, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

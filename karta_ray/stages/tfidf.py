@@ -10,11 +10,9 @@ Scale shape:
   distinct by construction, so df = per-block token counts of those
   rows summed through :func:`~karta_ray.stages.agg.sorted_sum`
   (shuffle bounded by per-block distinct tokens).
-- **join back** is adaptive like the MinHash signature recovery
-  (dedup.py): below ``df_broadcast_max`` distinct tokens the df table
-  is ``ray.put`` once as a sorted array and every tf batch resolves
-  df with one searchsorted (no shuffle); above it, a distributed
-  ``Dataset.join`` on token.
+- **join back** is one :func:`~karta_ray.stages.lookup.lookup` on
+  token: the df table is broadcast once and searchsorted per tf batch
+  while it fits ``lookup.BROADCAST_MAX_BYTES``, else hash-joined.
 
 The weight is rounded to 6 decimals on both the engine and SQL sides
 so a DuckDB oracle mirrors the float exactly (same convention as the
@@ -26,13 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..state.worker import cached, resolve
-from .heavy import tokens_of
-
-# above this many distinct tokens the df table stops being
-# broadcastable and the tf<-df resolution switches to a distributed
-# hash join
-DF_BROADCAST_MAX_TOKENS = 2_000_000
+from .lookup import lookup
 
 
 def doc_term_freqs(ds, *, id_col: str = "doc_id",
@@ -76,45 +68,12 @@ def _weight(tf: np.ndarray, df: np.ndarray, n_docs: int) -> np.ndarray:
     return np.round(tf * np.log(n_docs / df), 6)
 
 
-def tfidf_table(ds, *, id_col: str = "doc_id", text_col: str = "text",
-                df_broadcast_max: int = DF_BROADCAST_MAX_TOKENS):
+def tfidf_table(ds, *, id_col: str = "doc_id", text_col: str = "text"):
     """(doc_id, token, tf, df, tfidf) for every (document, term)."""
-    import ray
-    import ray.data
-
     n_docs = ds.count()
     tf = doc_term_freqs(ds, id_col=id_col, text_col=text_col)
     tf = tf.materialize()
-    df = doc_freqs(tf).materialize()
-
-    if df.count() <= df_broadcast_max:
-        toks, dfs = [], []
-        for batch in df.iter_batches(batch_format="pyarrow",
-                                     batch_size=65536):
-            toks.append(batch.column("token").to_numpy(
-                zero_copy_only=False))
-            dfs.append(batch.column("df").to_numpy())
-        tok_arr = np.concatenate(toks) if toks else np.array([], "O")
-        df_arr = (np.concatenate(dfs) if dfs
-                  else np.array([], np.int64))
-        order = np.argsort(tok_arr, kind="stable")
-        ref = ray.put({"tokens": tok_arr[order], "df": df_arr[order]})
-
-        def attach_df(batch: pa.Table, *, ref=ref) -> pa.Table:
-            data = cached(resolve, ref)
-            tok = batch.column("token").to_numpy(zero_copy_only=False)
-            i = np.searchsorted(data["tokens"], tok)
-            dfv = data["df"][i]
-            tfv = batch.column("tf").to_numpy()
-            return batch.append_column(
-                "df", pa.array(dfv, pa.int64())).append_column(
-                "tfidf", pa.array(_weight(tfv, dfv, n_docs),
-                                  pa.float64()))
-
-        return tf.map_batches(attach_df, batch_format="pyarrow")
-
-    joined = tf.join(df, "inner", num_partitions=max(
-        1, tf.num_blocks()), on=("token",))
+    df = doc_freqs(tf)
 
     def weigh(batch: pa.Table) -> pa.Table:
         tfv = batch.column("tf").to_numpy()
@@ -122,7 +81,8 @@ def tfidf_table(ds, *, id_col: str = "doc_id", text_col: str = "text",
         return batch.append_column(
             "tfidf", pa.array(_weight(tfv, dfv, n_docs), pa.float64()))
 
-    return joined.map_batches(weigh, batch_format="pyarrow")
+    return lookup(tf, df, on="token", key="token", columns=["df"]) \
+        .map_batches(weigh, batch_format="pyarrow")
 
 
 def top_term_per_doc(ds, *, id_col: str = "doc_id",

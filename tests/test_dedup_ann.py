@@ -245,12 +245,12 @@ class TestAnnLsh:
         assert set(schema.names) == {"band", "key", "vec_id"}
         assert rows.count() == 50 * 4
 
-    def test_lsh_join_path_matches_broadcast(self):
+    def test_lsh_join_path_matches_broadcast(self, monkeypatch):
         # force the distributed-join verification path and check it
         # emits the same pairs as the broadcast path
         import ray.data
 
-        import karta_ray.stages.ann as annmod
+        import karta_ray.stages.lookup as lk
         from karta_ray.stages.ann import cosine_neardup_lsh
 
         rng = np.random.RandomState(21)
@@ -261,12 +261,8 @@ class TestAnnLsh:
             "vec_id": pa.array(ids),
             "embedding": pa.array(mat.tolist())})).repartition(4)
         bcast = cosine_neardup_lsh(ds, 0.95).to_pandas()
-        old = annmod.EMB_BROADCAST_MAX_DOCS
-        annmod.EMB_BROADCAST_MAX_DOCS = 0
-        try:
-            joined = cosine_neardup_lsh(ds, 0.95).to_pandas()
-        finally:
-            annmod.EMB_BROADCAST_MAX_DOCS = old
+        monkeypatch.setattr(lk, "BROADCAST_MAX_BYTES", 0)
+        joined = cosine_neardup_lsh(ds, 0.95).to_pandas()
         assert (set(zip(bcast.vec_a, bcast.vec_b))
                 == set(zip(joined.vec_a, joined.vec_b)))
         assert (7, 100) in set(zip(joined.vec_a, joined.vec_b))
@@ -494,22 +490,27 @@ class TestBlockedNeardupEmptyBlocks:
         assert len(out) == 10 * 6  # 4 copies -> 6 pairs per group
 
 
-class TestMinhashGroupbyDedup:
-    def test_groupby_dedup_matches_tree(self):
+class TestMinhashLookupPaths:
+    def test_join_path_matches_broadcast(self, ray_session, monkeypatch):
+        # the candidates' signatures attached by a hash join (forced by a
+        # zero broadcast bound) give the same pairs and estimates
+        import pyarrow.parquet as pq
         import ray.data
 
+        import karta_ray.stages.lookup as lk
         from karta_ray.stages.dedup import minhash_lsh_pairs
 
-        import pyarrow.parquet as pq
         tbl = pq.read_table("/root/testdata/sf0.001/documents.parquet",
                             columns=["doc_id", "text"])
-        ds = ray.data.from_arrow(tbl)
+        ds = ray.data.from_arrow(tbl).repartition(4)
+        key = ["doc_a", "doc_b"]
         a = minhash_lsh_pairs(ds, threshold=0.5).to_pandas()
-        b = minhash_lsh_pairs(ds, threshold=0.5,
-                              pair_dedup="groupby").to_pandas()
-        ka = set(zip(a.doc_a, a.doc_b))
-        kb = set(zip(b.doc_a, b.doc_b))
-        assert ka == kb and len(ka) > 0
+        monkeypatch.setattr(lk, "BROADCAST_MAX_BYTES", 0)
+        b = minhash_lsh_pairs(ds, threshold=0.5).to_pandas()
+        assert len(a) > 0
+        assert list(a.dtypes) == list(b.dtypes)
+        assert (a.sort_values(key).reset_index(drop=True).equals(
+            b.sort_values(key).reset_index(drop=True)))
 
 
 class TestIVFGroupedScorer:
@@ -608,23 +609,6 @@ class TestSortedSum:
                         "n": pa.array([], pa.int64())})
         out = sorted_sum(ray.data.from_arrow(tbl), ["ka"], ["n"])
         assert out.count() == 0
-
-    def test_minhash_pair_dedup_paths_agree(self):
-        import ray.data
-
-        from karta_ray.stages.dedup import minhash_lsh_pairs
-
-        ids, docs = corpus()
-        ds = ray.data.from_arrow(pa.table({
-            "doc_id": pa.array(ids, pa.int64()),
-            "text": pa.array(docs, pa.string())})).repartition(4)
-        a = minhash_lsh_pairs(ds, threshold=0.5,
-                              pair_dedup="groupby").to_pandas()
-        b = minhash_lsh_pairs(ds, threshold=0.5,
-                              pair_dedup="tree").to_pandas()
-        key = ["doc_a", "doc_b"]
-        assert (a.sort_values(key).reset_index(drop=True)[key].equals(
-            b.sort_values(key).reset_index(drop=True)[key]))
 
 
 class TestPropsRegexParity:

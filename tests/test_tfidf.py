@@ -52,15 +52,18 @@ class TestTfidf:
         out = tfidf_table(ray.data.from_arrow(t).repartition(7))
         assert _collect(out) == _brute(t)
 
-    def test_join_path_equals_broadcast_path(self, ray_session):
+    def test_join_path_equals_broadcast_path(self, ray_session,
+                                             monkeypatch):
         import ray
 
+        import karta_ray.stages.lookup as lk
         from karta_ray.stages.tfidf import tfidf_table
 
         t = _corpus(200)
         ds = ray.data.from_arrow(t).repartition(5)
         bcast = tfidf_table(ds)
-        joined = tfidf_table(ds, df_broadcast_max=0)
+        monkeypatch.setattr(lk, "BROADCAST_MAX_BYTES", 0)
+        joined = tfidf_table(ds)
         assert _collect(bcast) == _collect(joined)
 
     def test_top_term_per_doc(self, ray_session):
