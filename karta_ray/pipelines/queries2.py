@@ -1324,9 +1324,9 @@ def q_asof_join(sf_dir: str):
     def split(batch: pa.Table):
         # one scan, one pass: purchases are the right stream, the rest
         # the left — row-disjoint subsets of the same source
-        is_purchase = pc.equal(batch.column("event_type"),
-                               "purchase").to_numpy(zero_copy_only=False)
-        return ~is_purchase, is_purchase
+        is_purchase = pc.equal(batch.column("event_type"), "purchase")
+        return (batch.filter(pc.invert(is_purchase)),
+                batch.filter(is_purchase))
 
     joined = asof_join(ev, None, key="user_id", on="ts",
                        left_cols=["event_id"],
@@ -2036,16 +2036,18 @@ EMB_DIM = 64
 def q_lang_centroids(sf_dir: str):
     """(lang, dim, centroid): elementwise mean embedding per language.
 
-    The emb x docs primary-key join is ONE sorted co-shuffle (both
-    sides tagged and unioned, range shuffle by id) with the per-lang
-    partial aggregation FUSED into the run merge — joined rows are
-    never materialized, and the generic hash join's aggregator fixed
-    cost (the dominant term at bench scale) is gone entirely. Both
-    sides are unique on the key, so every complete run is (doc row,
-    emb row)."""
+    The emb x docs primary-key join is ONE co-group by id
+    (stages/cogroup.py; docs the right side, embeddings the left) with
+    the per-lang partial aggregation FUSED into the run merge — joined
+    rows are never materialized, and the generic hash join's
+    aggregator fixed cost (the dominant term at bench scale) is gone
+    entirely. Both sides are unique on the key, so every complete run
+    is (doc row, emb row); the merge checks that, which a keyed lookup
+    could not do for a duplicated ``vec_id`` on the probe side."""
     import ray.data
 
-    from ..stages.agg import group_runs, sorted_map_groups, tree_sum
+    from ..stages.agg import group_runs, tree_sum
+    from ..stages.cogroup import SIDE, cogroup
 
     from ..functions.arrays import (binary_column_to_matrix,
                                     matrix_to_binary_column)
@@ -2057,27 +2059,16 @@ def q_lang_centroids(sf_dir: str):
 
     # Arrow range shuffles reject nothing, but fixed-width binary blobs
     # shuffle cheaper than list<float> columns — pack the vector
-    def emb_side(batch: pa.Table) -> pa.Table:
+    def emb_vecs(batch: pa.Table) -> pa.Table:
         mat = np.asarray(batch.column("embedding").combine_chunks()
                          .flatten().to_numpy(zero_copy_only=False),
                          dtype=np.float32).reshape(-1, EMB_DIM)
-        n = batch.num_rows
         return pa.table({"key": batch.column("vec_id"),
-                         "side": pa.array(np.ones(n, np.int8), pa.int8()),
-                         "lang": pa.nulls(n, pa.string()),
                          "vec": matrix_to_binary_column(mat)})
 
-    def docs_side(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
+    def doc_langs(batch: pa.Table) -> pa.Table:
         return pa.table({"key": batch.column("doc_id"),
-                         "side": pa.array(np.zeros(n, np.int8), pa.int8()),
-                         "lang": batch.column("lang"),
-                         "vec": pa.nulls(n, pa.binary())})
-
-    unioned = (docs.map_batches(docs_side, batch_format="pyarrow",
-                                zero_copy_batch=True)
-               .union(emb.map_batches(emb_side, batch_format="pyarrow",
-                                      zero_copy_batch=True)))
+                         "lang": batch.column("lang")})
 
     def merge(tbl: pa.Table) -> pa.Table:
         empty = pa.table({"lang": pa.array([], pa.string()),
@@ -2087,7 +2078,7 @@ def q_lang_centroids(sf_dir: str):
         if tbl.num_rows == 0:
             return empty
         starts, ends = group_runs(tbl, ["key"])
-        side = tbl.column("side").to_numpy()
+        side = tbl.column(SIDE).to_numpy()
         # doc_id / vec_id are primary keys by contract: a run longer
         # than 2 means a duplicated key on one side — fail loudly
         # rather than silently dropping (or worse, pairing a doc row
@@ -2129,8 +2120,8 @@ def q_lang_centroids(sf_dir: str):
             "n": pa.array(np.concatenate(out_n)),
         })
 
-    parts = sorted_map_groups(unioned, ["key"], merge,
-                              sort_keys=["key", "side"])
+    parts = cogroup(emb, docs, prep=(emb_vecs, doc_langs), keys=["key"],
+                    block_fn=merge)
     rows = tree_sum(parts, ["lang", "dim"], ["s", "n"])
 
     def finish(batch: pa.Table) -> pa.Table:

@@ -268,18 +268,14 @@ LEFT JOIN f3 ON u.user_id = f3.user_id
 
 # ---------------------------------------------------------------------------
 # 4. Star join: fact x fact equi-join + broadcast dimensions. The
-# big-big side (lineitem x orders) is ONE sorted co-shuffle: both
-# sides are tagged and unioned, range-shuffled by orderkey, and each
-# key run is merged vectorized (the dimension row sorts first via the
-# side tag; segmented sums via np.add.reduceat). This replaces Ray's
-# generic hash join, whose aggregator fixed cost measured ~4x slower
-# here (10.8 s vs ~2.5 s at sf0.1) — the same single-scan trade the
-# as-of join made. The small customer -> nation dimension is attached
-# by stages/lookup.py (broadcast once, np.searchsorted per batch, never
-# shuffled while it fits the byte bound). The per-nation aggregate
-# is bounded (25 keys) so partials collapse per block before the tree
-# combine. At 100 TB the sorted shuffle is the standard all-to-all;
-# per-orderkey groups are tiny (<=7 rows) so no skew guard is needed.
+# lineitem x orders join is a primary-key attach, so it is a keyed
+# lookup (stages/lookup.py) like the customer -> nation dimension:
+# each lineitem block collapses to (orderkey, qty, n) partials (lines
+# of one order are mostly co-located in the source), the orders ->
+# nation table attaches each partial's nation (broadcast once,
+# np.searchsorted per batch; a hash join above the lookup's byte
+# bound), and the bounded (25-key) per-nation sums fold in tree_sum.
+# Lineitem is never shuffled; orders moves once, into the broadcast.
 # ---------------------------------------------------------------------------
 
 
@@ -288,81 +284,38 @@ def q_star_join(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data
 
-    from ..stages.agg import group_runs, sorted_map_groups, tree_sum
+    from ..stages.agg import tree_sum
     from ..stages.lookup import lookup
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
                          columns=["c_custkey", "c_nationkey"])
     orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                    columns=["o_orderkey", "o_custkey"])
-
-    def orders_side(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "okey": batch.column("o_orderkey").cast(pa.int64()),
-            "side": pa.array(np.zeros(n, np.int64), pa.int64()),
-            "nationkey": batch.column("c_nationkey").cast(pa.int64()),
-            "qty": pa.array(np.zeros(n, np.int64), pa.int64()),
-            "n": pa.array(np.zeros(n, np.int64), pa.int64()),
-        })
-
-    left = lookup(orders, cust, on="o_custkey", key="c_custkey",
-                  columns=["c_nationkey"]).map_batches(
-        orders_side, batch_format="pyarrow", zero_copy_batch=True)
+    order_nation = lookup(orders, cust, on="o_custkey", key="c_custkey",
+                          columns=["c_nationkey"]).map_batches(
+        lambda b: pa.table({
+            "o_orderkey": b.column("o_orderkey"),
+            "nationkey": b.column("c_nationkey").cast(pa.int64())}),
+        batch_format="pyarrow", zero_copy_batch=True)
 
     li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                                columns=["l_orderkey", "l_quantity"])
 
-    def li_side(batch: pa.Table) -> pa.Table:
-        # per-block pre-collapse by orderkey: same-order lines are
-        # mostly co-located in the source, so the shuffle ships ~one
-        # row per (block, orderkey) instead of one per lineitem
+    def order_partials(batch: pa.Table) -> pa.Table:
         q = batch.column("l_quantity").to_numpy().astype(np.int64)
         t = pa.table({
             "okey": batch.column("l_orderkey").cast(pa.int64()),
-            "qty": pa.array(q, pa.int64()),
-            "n": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
+            "sum_qty": pa.array(q, pa.int64()),
+            "n_rows": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = (t.group_by(["okey"]).aggregate([("qty", "sum"), ("n", "sum")])
-              .rename_columns(["okey", "qty", "n"]))
-        m = g.num_rows
-        return pa.table({
-            "okey": g.column("okey"),
-            "side": pa.array(np.ones(m, np.int64), pa.int64()),
-            "nationkey": pa.array(np.full(m, -1, np.int64), pa.int64()),
-            "qty": g.column("qty"),
-            "n": g.column("n"),
-        })
+        return (t.group_by(["okey"])
+                 .aggregate([("sum_qty", "sum"), ("n_rows", "sum")])
+                 .rename_columns(["okey", "sum_qty", "n_rows"]))
 
-    right = li.map_batches(li_side, batch_format="pyarrow",
-                           zero_copy_batch=True)
-
-    def merge_runs(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pa.table({"nationkey": pa.array([], pa.int64()),
-                             "n_rows": pa.array([], pa.int64()),
-                             "sum_qty": pa.array([], pa.int64())})
-        starts, _ends = group_runs(tbl, ["okey"])
-        side = tbl.column("side").to_numpy()
-        natk = tbl.column("nationkey").to_numpy()
-        qty = tbl.column("qty").to_numpy()
-        nn = tbl.column("n").to_numpy()
-        cnt = np.add.reduceat(nn, starts)
-        qsum = np.add.reduceat(qty, starts)
-        # inner semantics: the dim row (side 0) sorts first in its run;
-        # runs without one (orphan lineitem) or without lineitem drop
-        keep = (side[starts] == 0) & (cnt > 0)
-        part = pa.table({
-            "nationkey": pa.array(natk[starts][keep], pa.int64()),
-            "n_rows": pa.array(cnt[keep], pa.int64()),
-            "sum_qty": pa.array(qsum[keep], pa.int64()),
-        })
-        g = part.group_by(["nationkey"]).aggregate(
-            [("n_rows", "sum"), ("sum_qty", "sum")])
-        return g.rename_columns(["nationkey", "n_rows", "sum_qty"])
-
-    parts = sorted_map_groups(left.union(right), ["okey"], merge_runs,
-                              sort_keys=["okey", "side"])
+    parts = lookup(li.map_batches(order_partials, batch_format="pyarrow",
+                                  zero_copy_batch=True),
+                   order_nation, on="okey", key="o_orderkey",
+                   columns=["nationkey"])
     agg = tree_sum(parts, ["nationkey"], ["n_rows", "sum_qty"])
 
     nat = pq.read_table(f"{sf_dir}/nation.parquet",

@@ -40,7 +40,9 @@ def _keep_schema_when_empty(fn: Callable[[str], Any]) -> Callable[[str], Any]:
     """Ray's ``to_pandas()`` on an all-empty Dataset drops the columns,
     which a downstream schema compare misreads as a mismatch even when
     both engines legitimately return 0 rows; hand back a TYPED empty
-    Arrow table instead. Non-Dataset results pass through."""
+    Arrow table instead. Non-Dataset results pass through. An empty
+    result whose schema Ray dropped (a map over empty blocks) raises
+    ``ValueError``: the query must return a typed empty Dataset."""
 
     @functools.wraps(fn)
     def run(sf_dir: str) -> Any:
@@ -50,7 +52,12 @@ def _keep_schema_when_empty(fn: Callable[[str], Any]) -> Callable[[str], Any]:
         if isinstance(res, ray.data.Dataset):
             res = res.materialize()
             if res.count() == 0:
-                return res.schema().base_schema.empty_table()
+                schema = res.schema()
+                if schema is None:
+                    raise ValueError(
+                        f"{fn.__name__} returned an empty Dataset without "
+                        f"a schema; return a typed empty Dataset instead")
+                return schema.base_schema.empty_table()
         return res
 
     return run

@@ -286,9 +286,8 @@ def cosine_neardup_lsh(emb_ds, threshold: float, *, bits: int = 32,
 
     vecs = emb_ds.map_batches(to_binary, batch_format="pyarrow") \
         .materialize()
-    for side in ("a", "b"):
-        pairs = lookup(pairs, vecs, on=f"vec_{side}", key="vec_id",
-                       columns=["emb"], suffix=f"_{side}")
+    pairs = lookup(pairs, vecs, on=["vec_a", "vec_b"], key="vec_id",
+                   columns=["emb"], suffix=["_a", "_b"])
 
     def verify(batch: pa.Table) -> pa.Table:
         ea, eb = batch.column("emb_a"), batch.column("emb_b")

@@ -6,10 +6,11 @@ Ray Data has no asof primitive; a naive plan is a per-key
 this repo removed everywhere) or a full interval product. This shape is
 one range shuffle plus a residual pass over block-boundary rows:
 
-1. union both sides into one stream tagged ``side`` (right=0, left=1)
-   and ``sort([key, on, side])`` — Ray's range shuffle. ``side`` in the
-   sort key makes a right row at exactly ``ts`` sort BEFORE the left
-   row it should match (asof semantics ``l.on >= r.on``).
+1. the two sides as one side-tagged stream (:func:`~.cogroup.tagged`:
+   ``__side`` right=0, left=1), sorted by ``[key, on, __side]`` — Ray's
+   range shuffle. ``__side`` in the sort key makes a right row at
+   exactly ``ts`` sort BEFORE the left row it should match (asof
+   semantics ``l.on >= r.on``).
 2. per sorted block, one vectorized pass (``np.maximum.accumulate``
    over right-row indices + a key-equality guard) matches every left
    row whose as-of right row is in the same block — by construction of
@@ -38,13 +39,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def _ts_i64(arr: pa.ChunkedArray) -> np.ndarray:
-    np_arr = arr.to_numpy(zero_copy_only=False)
-    if np_arr.dtype.kind == "M":
-        np_arr = np_arr.astype("datetime64[us]")
-    return np_arr.astype(np.int64)
-
+from .cogroup import SIDE, int64_values, split_prep, tagged
 
 def _match_block(u: np.ndarray, side: np.ndarray):
     """For rows sorted by (key, on, side): (left_idx, right_idx|-1)."""
@@ -83,58 +78,27 @@ def asof_join(left, right, *, key: str, on: str,
 
     ``split_fn``: when both sides are row-disjoint subsets of ONE
     source (the common self-asof, e.g. events vs their own purchase
-    sub-stream), pass ``split_fn(batch) -> (left_mask, right_mask)``
-    and ``left`` is treated as that single source — each batch is
-    tagged into both sides in one pass, halving the scan and the
-    pre-sort block count (``right`` is then ignored and may be None).
+    sub-stream), pass ``split_fn(batch) -> (left_batch, right_batch)``
+    and ``left`` is treated as that single source (``right=None``) —
+    each batch is split into both sides in one pass, halving the scan
+    and the pre-sort block count.
     """
     r_on = f"r_{on}"
     r_cols = [f"r_{c}" for c in right_cols]
     out_names = list(left_cols) + [key, on, r_on] + r_cols
 
-    # null-fill types for the side each payload column is absent from
-    src_schema = left.schema().base_schema
-    left_types = {c: src_schema.field(c).type for c in left_cols}
-    right_schema = (src_schema if split_fn is not None
-                    else right.schema().base_schema)
-    right_types = {f"r_{c}": right_schema.field(c).type
-                   for c in right_cols}
+    def prep_left(b: pa.Table) -> pa.Table:
+        return pa.table({key: b.column(key),
+                         on: int64_values(b.column(on))}
+                        | {c: b.column(c) for c in left_cols})
 
-    def tag_left(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = {key: batch.column(key), on: pa.array(_ts_i64(batch.column(on))),
-                "side": pa.array(np.ones(n, dtype=np.int8))}
-        for c in left_cols:
-            cols[c] = batch.column(c)
-        for c in r_cols:
-            cols[c] = pa.nulls(n, right_types[c])
-        return pa.table(cols)
+    def prep_right(b: pa.Table) -> pa.Table:
+        return pa.table({key: b.column(key),
+                         on: int64_values(b.column(on))}
+                        | {rc: b.column(c)
+                           for c, rc in zip(right_cols, r_cols)})
 
-    def tag_right(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = {key: batch.column(key), on: pa.array(_ts_i64(batch.column(on))),
-                "side": pa.array(np.zeros(n, dtype=np.int8))}
-        for c in left_cols:
-            cols[c] = pa.nulls(n, left_types[c])
-        for c, src in zip(r_cols, right_cols):
-            cols[c] = batch.column(src)
-        return pa.table(cols)
-
-    if split_fn is not None:
-        def tag_both(batch: pa.Table) -> pa.Table:
-            lmask, rmask = split_fn(batch)
-            return pa.concat_tables([
-                tag_left(batch.filter(pa.array(lmask))),
-                tag_right(batch.filter(pa.array(rmask)))])
-
-        both = left.map_batches(tag_both, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    else:
-        both = (left.map_batches(tag_left, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-                .union(right.map_batches(tag_right,
-                                         batch_format="pyarrow",
-                                         zero_copy_batch=True)))
+    both = tagged(left, right, split_prep(split_fn, prep_left, prep_right))
 
     def emit_matched(batch: pa.Table, li: np.ndarray,
                      m: np.ndarray) -> pa.Table:
@@ -151,7 +115,7 @@ def asof_join(left, right, *, key: str, on: str,
 
     def stage1(batch: pa.Table) -> pa.Table:
         u = batch.column(key).to_numpy(zero_copy_only=False)
-        side = batch.column("side").to_numpy(zero_copy_only=False)
+        side = batch.column(SIDE).to_numpy(zero_copy_only=False)
         li, m = _match_block(u, side)
         matched = emit_matched(batch, li, m)
         # pending lefts + per-(key, block) carries keep the union
@@ -161,7 +125,7 @@ def asof_join(left, right, *, key: str, on: str,
                                        _last_right_per_key(u, side)])
         leftover = batch.take(pa.array(np.sort(leftover_idx)))
         matched_pad = matched.append_column(
-            "side", pa.array(np.full(matched.num_rows, 2, dtype=np.int8)))
+            SIDE, pa.array(np.full(matched.num_rows, 2, dtype=np.int8)))
         pad_null = pa.nulls(matched.num_rows, pa.int64())
         for name in leftover.column_names:
             if name not in matched_pad.column_names:
@@ -177,17 +141,17 @@ def asof_join(left, right, *, key: str, on: str,
     # one execution: stage1 maps per-block over the sort's output plan
     # (batch_size=None = whole sorted block); materialized because both
     # the matched and leftover branches read it
-    s1 = (both.sort([key, on, "side"])
+    s1 = (both.sort([key, on, SIDE])
           .map_batches(stage1, batch_size=None, batch_format="pyarrow")
           .materialize())
 
     def keep_matched(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch.column("side"), 2)) \
+        return batch.filter(pc.equal(batch.column(SIDE), 2)) \
                     .select(out_names)
 
     def keep_leftover(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.not_equal(batch.column("side"), 2)) \
-                    .select([key, on, "side"] + left_cols + r_cols)
+        return batch.filter(pc.not_equal(batch.column(SIDE), 2)) \
+                    .select([key, on, SIDE] + left_cols + r_cols)
 
     matched = s1.map_batches(keep_matched, batch_format="pyarrow",
                              zero_copy_batch=True)
@@ -196,12 +160,12 @@ def asof_join(left, right, *, key: str, on: str,
 
     def stage2(batch: pa.Table) -> pa.Table:
         u = batch.column(key).to_numpy(zero_copy_only=False)
-        side = batch.column("side").to_numpy(zero_copy_only=False)
+        side = batch.column(SIDE).to_numpy(zero_copy_only=False)
         li, m = _match_block(u, side)
         return emit_matched(batch, li, m).select(out_names)
 
     from .agg import sorted_map_groups
 
     finished = sorted_map_groups(leftover, [key], stage2,
-                                 sort_keys=[key, on, "side"])
+                                 sort_keys=[key, on, SIDE])
     return matched.union(finished)

@@ -15,19 +15,23 @@ row. Here only rows that *probably* match move:
    k positions are all set. False-positive rate ~ (1-e^{-kn/m})^k;
    with the default m=2^23, k=4 it stays under 1% up to ~1M keys.
 3. **verify** (exact semantics): survivors — true matches plus the
-   small false-positive residue — go through one sorted co-shuffle
-   against the right key set (see :func:`_verify_filter`), so the
-   output is the EXACT semi-join. The shuffle volume is |survivors| +
-   |right keys|, not |left|.
+   small false-positive residue — are co-grouped with the right key
+   set (:func:`~.cogroup.cogroup`, see :func:`_verify_filter`); the
+   probe is the left side's prep, so survivors are tagged in the same
+   task that filters them. The output is the EXACT semi-join; the
+   shuffle volume is |survivors| + |right keys|, not |left|.
 
-Scale audit: left streams (never materialized); the only broadcast is
-the m/8-byte bitmap; the verify join's left side is output-sized.
+Scale audit: left streams (never materialized); the right side is read
+once, as its key column alone, which the build and the verify share;
+the only broadcast is the m/8-byte bitmap; the verify join's left side
+is output-sized.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.text import mix64
 from ..state.worker import cached, resolve
@@ -85,8 +89,9 @@ def bloom_semi_join(left, right, *, key: str,
     anti-join (left rows whose key is NOT in right) with ``anti=True``.
 
     ``right_distinct=True`` asserts right keys are already unique
-    (e.g. a primary key) and skips the dedup shuffle; otherwise the
-    right side is group-reduced first. ``exact=False`` skips the
+    (e.g. a primary key); otherwise each right block drops its own
+    duplicate keys before the verify join, which is exact under
+    duplicates either way. ``exact=False`` skips the
     verify join: for the semi-join it returns the bloom survivors
     (SUPERSET of the true result, FP-rate documented above); for the
     anti-join it returns the bloom misses (SUBSET — blooms have no
@@ -95,14 +100,25 @@ def bloom_semi_join(left, right, *, key: str,
     misses the filter and never enters the verify join at all — only
     the bloom hits (true members + the tiny FP fraction) are joined.
     """
+    if exact:
+        # build and verify both read the right key set: keep only the
+        # key column, in the left key's type, and read right once
+        ktype = left.schema().base_schema.field(key).type
+
+        def key_only(b: pa.Table) -> pa.Table:
+            k = b.column(key).cast(ktype)
+            return pa.table({key: k if right_distinct else pc.unique(k)})
+
+        right = right.map_batches(key_only, batch_format="pyarrow",
+                                  zero_copy_batch=True).materialize()
     bm_ref = build_bloom(right, key=key, m_bits=m_bits, n_hashes=n_hashes)
 
     def make_probe(keep_hits: bool):
         def probe(batch: pa.Table, *, ref=bm_ref) -> pa.Table:
-            bm = cached(resolve, ref)
             k = batch.column(key).to_numpy(zero_copy_only=False)
             if not len(k):
                 return batch
+            bm = cached(resolve, ref)
             pos = _positions(k, m_bits, n_hashes)
             hit = (bm[pos >> 3]
                    & (np.uint8(1) << (pos & 7).astype(np.uint8))
@@ -111,95 +127,40 @@ def bloom_semi_join(left, right, *, key: str,
             return batch.take(pa.array(np.nonzero(want)[0]))
         return probe
 
-    survivors = left.map_batches(make_probe(True),
-                                 batch_format="pyarrow",
-                                 zero_copy_batch=True)
-    if not exact:
-        if anti:
-            return left.map_batches(make_probe(False),
-                                    batch_format="pyarrow",
-                                    zero_copy_batch=True)
-        return survivors
-
-    rkeys = right.map_batches(
-        lambda b: b.select([key]).rename_columns(["__bloom_rkey"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    if not right_distinct:
-        # sorted_agg, not ds.groupby().count(): its range shuffle is the
-        # repo-wide distinct primitive for unbounded keys
-        from .agg import sorted_agg
-
-        rkeys = rkeys.map_batches(
-            lambda b: b.append_column(
-                "__bloom_n",
-                pa.array(np.ones(b.num_rows, dtype=np.int64))),
-            batch_format="pyarrow", zero_copy_batch=True)
-        rkeys = sorted_agg(rkeys, ["__bloom_rkey"],
-                           [("__bloom_n", "sum")]).map_batches(
-            lambda b: b.select(["__bloom_rkey"]),
-            batch_format="pyarrow", zero_copy_batch=True)
-
-    left_schema = left.schema().base_schema
-    if anti:
-        misses = left.map_batches(make_probe(False),
+    if not exact or anti:
+        probed = left.map_batches(make_probe(not anti),
                                   batch_format="pyarrow",
                                   zero_copy_batch=True)
-        # false positives: bloom hits with no matching right key
-        fps = _verify_filter(survivors, rkeys, key, left_schema,
-                             keep_matched=False)
-        return misses.union(fps)
-    return _verify_filter(survivors, rkeys, key, left_schema,
-                          keep_matched=True)
+        if not exact:
+            return probed
+    verified = _verify_filter(left, right, key, make_probe(True),
+                              keep_matched=not anti)
+    # anti: the misses plus the false positives (bloom hits with no
+    # matching right key)
+    return probed.union(verified) if anti else verified
 
 
-def _verify_filter(survivors, rkeys, key: str, left_schema: pa.Schema,
-                   keep_matched: bool):
-    """Exact membership filter of ``survivors`` against the right key
-    set via ONE sorted co-shuffle (both sides tagged and unioned, range
-    shuffle by key, per-run vectorized keep/drop) — replaces the
-    generic hash join, whose aggregator fixed cost measured ~4x the
-    useful work at bench scale (same trade as the as-of and star
-    joins). Shuffle volume is |survivors| + |right keys|; per-key runs
-    are (left multiplicity + 1) rows, so skew follows the left table's
-    own key skew — and a hot left key whose run straddles sorted
-    blocks splits across sharded sub-residues (the single right-key
-    row replicates, the left rows spread), so the residue is never
-    O(hot key) on one node."""
-    from .agg import group_runs, side_residue_sharder, sorted_map_groups
-
-    out_cols = left_schema.names
-
-    def tag_left(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "__side", pa.array(np.ones(b.num_rows, dtype=np.int8)))
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        cols = {}
-        for f in left_schema:
-            if f.name == key:
-                cols[f.name] = b.column("__bloom_rkey").cast(f.type)
-            else:
-                cols[f.name] = pa.nulls(n, f.type)
-        cols["__side"] = pa.array(np.zeros(n, dtype=np.int8))
-        return pa.table(cols)
-
-    unioned = (survivors.map_batches(tag_left, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-               .union(rkeys.map_batches(tag_right, batch_format="pyarrow",
-                                        zero_copy_batch=True)))
+def _verify_filter(left, rkeys, key: str, probe, keep_matched: bool):
+    """Exact membership filter of the bloom survivors of ``left``
+    (``probe`` is their filter) against the right key set: ONE
+    co-group (:func:`~.cogroup.cogroup`) by key instead of the generic
+    hash join, whose aggregator fixed cost measured ~4x the useful
+    work at bench scale. Shuffle volume is |survivors| + |right keys|;
+    per-key runs are (left multiplicity + right multiplicity) rows, so
+    skew follows the left table's own key skew — and a hot left key
+    whose run straddles sorted blocks splits across sharded
+    sub-residues (its right key rows replicate, the left rows spread),
+    so the residue is never O(hot key) on one node."""
+    from .agg import group_runs
+    from .cogroup import SIDE, cogroup
 
     def block_fn(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return tbl.select(out_cols)
         starts, ends = group_runs(tbl, [key])
-        side = tbl.column("__side").to_numpy()
-        run_idx = np.repeat(np.arange(len(starts)), ends - starts)
+        side = tbl.column(SIDE).to_numpy()
         has_right = side[starts] == 0  # right rows sort first in a run
-        want = (has_right[run_idx] == keep_matched) & (side == 1)
-        return tbl.filter(pa.array(want)).select(out_cols)
+        want = ((np.repeat(has_right, ends - starts) == keep_matched)
+                & (side == 1))
+        return tbl.filter(pa.array(want)).drop_columns([SIDE])
 
-    return sorted_map_groups(
-        unioned, [key], block_fn, sort_keys=[key, "__side"],
-        residue_sharder=side_residue_sharder([key], side_col="__side",
-                                             shard_side=1))
+    return cogroup(left, rkeys, prep=(probe, lambda b: b), keys=[key],
+                   block_fn=block_fn, spread_left=True)

@@ -129,9 +129,8 @@ def ngram_jaccard_pairs(docs_ds, *, id_col: str = "doc_id",
             "n_shared": pa.array([], pa.int64())})])
     sizes = counts.map_batches(split_sizes, batch_format="pyarrow") \
         .materialize()
-    for side in ("a", "b"):
-        pairs = lookup(pairs, sizes, on=f"doc_{side}", key="doc_id",
-                       columns=["sz"], suffix=f"_{side}")
+    pairs = lookup(pairs, sizes, on=["doc_a", "doc_b"], key="doc_id",
+                   columns=["sz"], suffix=["_a", "_b"])
 
     def threshold_filter(batch: pa.Table) -> pa.Table:
         c = batch.column("n").to_numpy().astype(np.float64)
@@ -254,9 +253,8 @@ def minhash_lsh_pairs(docs_ds, *, id_col: str = "doc_id",
         bucket_pairs_block("doc_id", ("doc_a", "doc_b"), LSH_MAX_BUCKET),
         max_group_rows=LSH_MAX_BUCKET)
     pairs = sorted_sum(cand, ["doc_a", "doc_b"], ["n"])
-    for side in ("a", "b"):
-        pairs = lookup(pairs, sigs, on=f"doc_{side}", key="doc_id",
-                       columns=["sig"], suffix=f"_{side}")
+    pairs = lookup(pairs, sigs, on=["doc_a", "doc_b"], key="doc_id",
+                   columns=["sig"], suffix=["_a", "_b"])
 
     def estimate(batch: pa.Table) -> pa.Table:
         sa = binary_column_to_matrix(batch.column("sig_a"), np.int64, k)

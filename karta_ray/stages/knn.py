@@ -269,7 +269,7 @@ def knn_join_coshuffle(left_ds, right_ds, k: int, *, zoom: int,
 
     right_rows = right_ds.map_batches(replicate_right, batch_format="pyarrow")
 
-    def tag_left(batch: pa.Table) -> pa.Table:
+    def left_rows_of(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         return pa.table({
             "cell_id": batch.column("cell_id"),
@@ -279,7 +279,7 @@ def knn_join_coshuffle(left_ds, right_ds, k: int, *, zoom: int,
             "role": pa.array(np.ones(n, dtype=np.int8)),
         })
 
-    left_rows = left_ds.map_batches(tag_left, batch_format="pyarrow")
+    left_rows = left_ds.map_batches(left_rows_of, batch_format="pyarrow")
     both = right_rows.union(left_rows)
 
     def probe(group: pa.Table) -> pa.Table:

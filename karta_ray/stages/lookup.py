@@ -3,7 +3,8 @@ Dataset whose key matches, with inner-join semantics.
 
 One policy for every "broadcast the small side, else hash-join" attach
 (tf-idf document frequencies, MinHash signatures, LSH vectors, n-gram
-set sizes, star-join dimensions, per-language thresholds):
+set sizes, the star join's customer and order nations, per-language
+thresholds):
 
 - **broadcast**, when the keyed side holds at most
   :data:`BROADCAST_MAX_BYTES`: its keys are sorted and put in the object
@@ -31,17 +32,23 @@ BROADCAST_MAX_BYTES = 1 << 30
 JOIN_PARTITION_BYTES = 128 << 20
 
 
-def lookup(ds, keyed, *, on: str, key: str, columns: list,
-           suffix: str = ""):
+def lookup(ds, keyed, *, on, key: str, columns: list, suffix=""):
     """``ds`` rows whose ``on`` value equals a ``keyed[key]``, with that
     keyed row's ``columns`` appended as ``<column><suffix>``; rows with
     no match drop. ``keyed`` is a Dataset or a driver-side ``pa.Table``.
     Probe columns keep their order and types; the appended columns keep
-    the keyed side's types."""
+    the keyed side's types.
+
+    ``on`` and ``suffix`` may be parallel lists, one pair per probe
+    column (the two sides of a candidate pair): the keyed side is then
+    pulled, and broadcast, once, and all of them attach in one pass."""
     import ray
     import ray.data
 
-    names = [c + suffix for c in columns]
+    ons = [on] if isinstance(on, str) else list(on)
+    suffixes = [suffix] if isinstance(suffix, str) else list(suffix)
+    if len(ons) != len(suffixes):
+        raise ValueError("lookup: on and suffix must pair up")
     cols = [key, *columns]
     if isinstance(keyed, pa.Table):
         nbytes = keyed.nbytes
@@ -49,16 +56,21 @@ def lookup(ds, keyed, *, on: str, key: str, columns: list,
         keyed = keyed.materialize()
         nbytes = keyed.size_bytes()
     if nbytes > BROADCAST_MAX_BYTES:
-        ds = ds.materialize()
-        if ds.count():
-            if isinstance(keyed, pa.Table):
-                keyed = ray.data.from_blocks([keyed])
+        if isinstance(keyed, pa.Table):
+            keyed = ray.data.from_blocks([keyed])
+        while ons:
+            ds = ds.materialize()
+            if not ds.count():
+                break  # Dataset.join cannot take an empty side
             right = keyed.select_columns(cols).rename_columns(
-                dict(zip(columns, names)))
+                {c: c + suffixes[0] for c in columns})
             parts = -(-(ds.size_bytes() + nbytes) // JOIN_PARTITION_BYTES)
-            return ds.join(right, "inner", num_partitions=parts,
-                           on=(on,), right_on=(key,))
-        keyed = None  # Dataset.join cannot take an empty side
+            ds = ds.join(right, "inner", num_partitions=parts,
+                         on=(ons[0],), right_on=(key,))
+            ons, suffixes = ons[1:], suffixes[1:]
+        else:
+            return ds
+        keyed = None  # no probe rows left: attach the rest from nothing
 
     table = _table(keyed, cols)
     table = table.filter(pc.is_valid(table.column(key)))
@@ -67,11 +79,11 @@ def lookup(ds, keyed, *, on: str, key: str, columns: list,
     keys = keys[order]
     if (keys[1:] == keys[:-1]).any():
         raise ValueError(f"lookup: duplicate keys in {key!r}")
-    payload = table.select(columns).take(order).rename_columns(names)
-    ref = ray.put((keys, payload))
+    ref = ray.put((keys, table.select(columns).take(order)))
     return ds.map_batches(_attach, batch_format="pyarrow",
                           zero_copy_batch=True,
-                          fn_kwargs={"ref": ref, "on": on})
+                          fn_kwargs={"ref": ref, "on": ons,
+                                     "suffix": suffixes})
 
 
 def _table(keyed, cols: list) -> pa.Table:
@@ -91,18 +103,19 @@ def _table(keyed, cols: list) -> pa.Table:
     return pa.table({c: pa.nulls(0) for c in cols})
 
 
-def _attach(batch: pa.Table, *, ref, on: str) -> pa.Table:
+def _attach(batch: pa.Table, *, ref, on: list, suffix: list) -> pa.Table:
     keys, payload = cached(resolve, ref)
-    col = batch.column(on)
-    if col.null_count:
-        batch = batch.filter(pc.is_valid(col))
-        col = batch.column(on)
-    q = col.to_numpy(zero_copy_only=False)
-    i = np.minimum(np.searchsorted(keys, q), max(len(keys) - 1, 0))
-    hit = keys[i] == q if len(keys) else np.zeros(len(q), bool)
-    if not hit.all():
-        rows = np.nonzero(hit)[0]
-        batch, i = batch.take(rows), i[rows]
-    for name in payload.column_names:
-        batch = batch.append_column(name, payload.column(name).take(i))
+    for o, s in zip(on, suffix):
+        col = batch.column(o)
+        if col.null_count:
+            batch = batch.filter(pc.is_valid(col))
+            col = batch.column(o)
+        q = col.to_numpy(zero_copy_only=False)
+        i = np.minimum(np.searchsorted(keys, q), max(len(keys) - 1, 0))
+        hit = keys[i] == q if len(keys) else np.zeros(len(q), bool)
+        if not hit.all():
+            rows = np.nonzero(hit)[0]
+            batch, i = batch.take(rows), i[rows]
+        for name in payload.column_names:
+            batch = batch.append_column(name + s, payload.column(name).take(i))
     return batch

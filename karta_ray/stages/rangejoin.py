@@ -10,24 +10,25 @@ prunes. This shape bounds the candidate set up front by time-bucketing:
    shares a bucket with exactly ONE replica of r (r.on in
    [l.on - band, l.on] implies b_l - 1 <= b_r <= b_l), so no pair is
    emitted twice and no cross-bucket lookups exist.
-2. one range shuffle groups rows by (key, bucket) with rights sorted
-   before lefts (``sorted_map_groups`` sort_keys
-   [key, bucket, side, on]); per block, every left's in-band right
+2. one co-group (:func:`~.cogroup.cogroup`) brings each (key, bucket)
+   group together with rights sorted before lefts (sort keys
+   [key, bucket, __side, on]); per block, every left's in-band right
    range is found with two vectorized ``np.searchsorted`` calls over a
-   composite (group, relative-time) int64 key, and pairs are emitted
-   with a repeat/arange segment expansion — only in-band pairs are
-   materialized, never the full per-group product.
+   composite (group, relative-time) int64 key (:func:`_windows`), and
+   pairs are emitted with a repeat/arange segment expansion — only
+   in-band pairs are materialized, never the full per-group product.
 
 Scale audit: shuffle volume is |left| + 2 |right| rows moved once; a
 hot (key, bucket) group's cost is its true output size (the in-band
 pairs), which is what any correct band join must produce. Composite
 keys need ``rows_per_block * 4 * band < 2^63`` — 10^8-row blocks at a
 1-hour band leave 6 orders of magnitude of headroom. Groups straddling
-sorted-block boundaries go to a residue that is SHARDED under skew
-(:func:`_band_residue_sharder`): lefts split round-robin across
-``RESIDUE_SHARDS`` sub-residues, rights replicated to each, so a hot
-group costs ``|rights| + |lefts| / shards`` rows per residue task
-instead of O(group) on one node.
+sorted-block boundaries go to a residue that is sharded under skew
+(``spread_left``): lefts split round-robin across sub-residues, rights
+replicated to each, so a hot group costs ``|rights| + |lefts| /
+shards`` rows per residue task instead of O(group) on one node. The
+window bodies are replication-safe: each left row's answer depends
+only on itself and its group's complete right set.
 """
 
 from __future__ import annotations
@@ -36,46 +37,57 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def _np_i64(arr: pa.ChunkedArray) -> np.ndarray:
-    np_arr = arr.to_numpy(zero_copy_only=False)
-    if np_arr.dtype.kind == "M":
-        np_arr = np_arr.astype("datetime64[us]")
-    return np_arr.astype(np.int64)
+from .cogroup import SIDE, cogroup, int64_values, split_prep
 
 
-# sub-residues per straddling (key, bucket) group (see
-# _band_residue_sharder); 8 bounds a hot group's per-task left rows to
-# |lefts|/8 at the cost of 8x the (normally tiny) edge-right rows
-RESIDUE_SHARDS = 8
+def _bucket_prep(key: str, on: str, band: int, left_cols: list,
+                 right_cols: list, right_names: list):
+    """(prep_left, prep_right) of the bucket replication: left rows
+    keep ``left_cols`` in bucket ``on // band``; right rows repeat into
+    that bucket and the next, carrying ``right_cols`` as
+    ``right_names``. ``on`` becomes int64."""
+    def prep_left(b: pa.Table) -> pa.Table:
+        on_i = int64_values(b.column(on))
+        return pa.table({key: b.column(key), on: on_i,
+                         "bucket": on_i // band}
+                        | {c: b.column(c) for c in left_cols})
+
+    def prep_right(b: pa.Table) -> pa.Table:
+        on_i = int64_values(b.column(on))
+        n = b.num_rows
+        rep = pa.array(np.repeat(np.arange(n, dtype=np.int64), 2))
+        return pa.table({key: b.column(key).take(rep),
+                         on: np.repeat(on_i, 2),
+                         "bucket": (np.repeat(on_i // band, 2)
+                                    + np.tile(np.array([0, 1], np.int64),
+                                              n))}
+                        | {name: b.column(c).take(rep)
+                           for c, name in zip(right_cols, right_names)})
+
+    return prep_left, prep_right
 
 
-def _band_residue_sharder(key: str, shards: int = RESIDUE_SHARDS):
-    """Skew guard for the boundary residue shared by :func:`band_join`
-    and :func:`band_agg`.
+def _windows(batch: pa.Table, key: str, on: str, band: int):
+    """(ri, li, lo, hi) of a co-grouped block: right and left row
+    indices, and per left row the range ``ri[lo:hi]`` of its group's
+    rights with ``l.on - band <= r.on <= l.on``."""
+    from .agg import group_runs
 
-    Without it, every straddling (key, bucket) run ships wholesale to
-    ONE residue block, so a hot group that fills whole blocks (a
-    celebrity user inside one band bucket) is O(data) on a single node.
-    The window bodies are replication-safe — each LEFT row's answer
-    depends only on itself plus the group's complete RIGHT set — so the
-    residue can split: lefts are round-robin assigned to ``shards``
-    sub-residues and rights are REPLICATED to all of them. Each
-    sub-residue then computes exact final rows for its lefts with no
-    cross-shard combine; per-task rows are ``|rights| + |lefts| /
-    shards``. The remaining bound is right-side memory (compute stays
-    O(n log n) via prefix sums); collapsing that too would need a
-    per-left identity for a partial-sum combine, which the API does not
-    require callers to provide.
-
-    The shard id base is derived from the (key, bucket) VALUES (crc32),
-    so fragments of one group exported from different blocks land in
-    consistent sub-residues.
-    """
-    from .agg import side_residue_sharder
-
-    return side_residue_sharder([key, "bucket"], shards=shards,
-                                side_col="side", shard_side=1)
+    shift = np.int64(1 << int(2 * band + 1).bit_length())  # > 2 band + 1
+    starts, _ = group_runs(batch, [key, "bucket"])
+    run_id = np.zeros(batch.num_rows, dtype=np.int64)
+    run_id[starts[1:]] = 1
+    run_id = np.cumsum(run_id)
+    on_i = batch.column(on).to_numpy(zero_copy_only=False)
+    bucket = batch.column("bucket").to_numpy(zero_copy_only=False)
+    aug = run_id * shift + (on_i - bucket * band + band)  # rel in [0, 2 band)
+    side = batch.column(SIDE).to_numpy(zero_copy_only=False)
+    ri = np.flatnonzero(side == 0)
+    li = np.flatnonzero(side == 1)
+    r_aug = aug[ri]                                 # sorted: rights first
+    lo = np.searchsorted(r_aug, aug[li] - band, side="left")
+    hi = np.searchsorted(r_aug, aug[li], side="right")
+    return ri, li, lo, hi
 
 
 def band_join(left, right, *, key: str, on: str, band: int,
@@ -87,128 +99,30 @@ def band_join(left, right, *, key: str, on: str, band: int,
     right_cols]`` with ``on``/``r_on`` as int64 (microseconds for
     timestamp input).
 
-    ``split_fn``: single-scan mode — see :func:`band_agg`. The source
-    (passed as ``left``, ``right=None``) must carry both sides'
-    columns.
+    ``split_fn``: single-scan mode — see :func:`band_agg`.
     """
     r_on = f"r_{on}"
     r_cols = [f"r_{c}" for c in right_cols]
-    out_names = list(left_cols) + [key, on, r_on] + r_cols
-
-    src_schema = left.schema().base_schema
-    left_types = {c: src_schema.field(c).type for c in left_cols}
-    right_schema = (src_schema if split_fn is not None
-                    else right.schema().base_schema)
-    right_types = {f"r_{c}": right_schema.field(c).type
-                   for c in right_cols}
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        on_i = _np_i64(batch.column(on))
-        cols = {key: batch.column(key), on: pa.array(on_i),
-                "bucket": pa.array(on_i // band),
-                "side": pa.array(np.ones(n, dtype=np.int8))}
-        for c in left_cols:
-            cols[c] = batch.column(c)
-        for c in r_cols:
-            cols[c] = pa.nulls(n, right_types[c])
-        return pa.table(cols)
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        on_i = _np_i64(batch.column(on))
-        b = on_i // band
-        n = batch.num_rows
-        idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), 2))
-        rep = batch.take(idx)
-        cols = {key: rep.column(key),
-                on: pa.array(np.repeat(on_i, 2)),
-                "bucket": pa.array(np.repeat(b, 2)
-                                   + np.tile(np.array([0, 1],
-                                             dtype=np.int64), n)),
-                "side": pa.array(np.zeros(2 * n, dtype=np.int8))}
-        for c in left_cols:
-            cols[c] = pa.nulls(2 * n, left_types[c])
-        for c, src in zip(r_cols, right_cols):
-            cols[c] = rep.column(src)
-        return pa.table(cols)
-
-    if split_fn is not None:
-        assert right is None, "split_fn mode takes one source dataset"
-
-        def tag_both(batch: pa.Table) -> pa.Table:
-            lb, rb = split_fn(batch)
-            return pa.concat_tables([tag_left(lb), tag_right(rb)])
-
-        both = left.map_batches(tag_both, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    else:
-        both = (left.map_batches(tag_left, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-                .union(right.map_batches(tag_right,
-                                         batch_format="pyarrow",
-                                         zero_copy_batch=True)))
-
-    shift = np.int64(1)
-    while shift < 2 * band + 2:
-        shift <<= 1
 
     def pairs(batch: pa.Table) -> pa.Table:
-        from .agg import group_runs
-
-        n = batch.num_rows
-        empty = pa.table(
-            {c: pa.nulls(0, left_types[c]) for c in left_cols}
-            | {key: pa.nulls(0, batch.schema.field(key).type),
-               on: pa.nulls(0, pa.int64()), r_on: pa.nulls(0, pa.int64())}
-            | {c: pa.nulls(0, right_types[c]) for c in r_cols})
-        if n == 0:
-            return empty
-        u_b = batch.select([key, "bucket"])
-        starts, ends = group_runs(u_b, [key, "bucket"])
-        run_id = np.zeros(n, dtype=np.int64)
-        run_id[starts[1:]] = 1
-        run_id = np.cumsum(run_id)
-        side = batch.column("side").to_numpy(zero_copy_only=False)
-        on_i = batch.column(on).to_numpy(zero_copy_only=False)
-        bucket = batch.column("bucket").to_numpy(zero_copy_only=False)
-        rel = on_i - bucket * band + band        # in [0, 2*band)
-        aug = run_id * shift + rel
-
-        ri = np.nonzero(side == 0)[0]
-        li = np.nonzero(side == 1)[0]
-        if len(ri) == 0 or len(li) == 0:
-            return empty
-        r_aug = aug[ri]                          # sorted (side-major sort)
-        lo = np.searchsorted(r_aug, aug[li] - band, side="left")
-        hi = np.searchsorted(r_aug, aug[li], side="right")
+        ri, li, lo, hi = _windows(batch, key, on, band)
         counts = hi - lo
-        keep = counts > 0
-        li, lo, counts = li[keep], lo[keep], counts[keep]
-        total = int(counts.sum())
-        if total == 0:
-            return empty
         lrep = np.repeat(li, counts)
         seg0 = np.repeat(np.cumsum(counts) - counts, counts)
-        intra = np.arange(total, dtype=np.int64) - seg0
+        intra = np.arange(len(lrep), dtype=np.int64) - seg0
         rrep = ri[np.repeat(lo, counts) + intra]
+        lrows = batch.take(pa.array(lrep, pa.int64()))
+        rrows = batch.take(pa.array(rrep, pa.int64()))
+        return pa.table({c: lrows.column(c) for c in left_cols}
+                        | {key: lrows.column(key), on: lrows.column(on),
+                           r_on: rrows.column(on)}
+                        | {c: rrows.column(c) for c in r_cols})
 
-        lrows = batch.take(pa.array(lrep))
-        rrows = batch.take(pa.array(rrep))
-        cols = {c: lrows.column(c) for c in left_cols}
-        cols[key] = lrows.column(key)
-        cols[on] = lrows.column(on)
-        cols[r_on] = rrows.column(on)
-        for c in r_cols:
-            cols[c] = rrows.column(c)
-        return pa.table(cols)
-
-    from .agg import sorted_map_groups
-
-    out = sorted_map_groups(both, [key, "bucket"], pairs,
-                            sort_keys=[key, "bucket", "side", on],
-                            residue_sharder=_band_residue_sharder(key))
-    return out.map_batches(lambda b: b.select(out_names),
-                           batch_format="pyarrow", zero_copy_batch=True)
+    prep = split_prep(split_fn, *_bucket_prep(key, on, band, left_cols,
+                                              right_cols, r_cols))
+    return cogroup(left, right, prep=prep, keys=[key, "bucket"],
+                   block_fn=pairs, sort_keys=[key, "bucket", SIDE, on],
+                   spread_left=True)
 
 
 def band_agg(left, right, *, key: str, on: str, band: int,
@@ -221,10 +135,9 @@ def band_agg(left, right, *, key: str, on: str, band: int,
     ``split_fn``: when both sides derive from ONE dataset (e.g. event
     sub-streams of one table), pass the single source as ``left``
     (``right=None``) and ``split_fn(batch) -> (left_batch,
-    right_batch)`` returning the two prepared sides; the source is then
-    scanned ONCE and both sides tagged in the same task (same
-    single-scan trade as the self-asof join). ``left_batch`` must carry
-    ``key``/``on``/``left_cols``; ``right_batch`` ``key``/``on``/
+    right_batch)`` returning the two sides; the source is then scanned
+    ONCE and both sides tagged in the same task. ``left_batch`` must
+    carry ``key``/``on``/``left_cols``; ``right_batch`` ``key``/``on``/
     ``agg_cols``.
 
     Same bucket-replication shuffle (|L| + 2 |R| rows moved once), but
@@ -241,115 +154,23 @@ def band_agg(left, right, *, key: str, on: str, band: int,
     Returns ``left_cols + [key, on, "n_band"] + ["sum_" + c for c in
     agg_cols]`` with ``on`` as int64.
     """
-    sum_names = [f"sum_{c}" for c in agg_cols]
-    out_names = list(left_cols) + [key, on, "n_band"] + sum_names
-
-    # with split_fn the source must already carry left_cols (derived
-    # agg cols are fine: they are int64 by contract)
-    left_types = {c: left.schema().base_schema.field(c).type
-                  for c in left_cols}
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        on_i = _np_i64(batch.column(on))
-        cols = {key: batch.column(key), on: pa.array(on_i),
-                "bucket": pa.array(on_i // band),
-                "side": pa.array(np.ones(n, dtype=np.int8))}
-        for c in left_cols:
-            cols[c] = batch.column(c)
-        for c in agg_cols:
-            cols[c] = pa.nulls(n, pa.int64())
-        return pa.table(cols)
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        on_i = _np_i64(batch.column(on))
-        b = on_i // band
-        n = batch.num_rows
-        idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), 2))
-        rep = batch.take(idx)
-        cols = {key: rep.column(key),
-                on: pa.array(np.repeat(on_i, 2)),
-                "bucket": pa.array(np.repeat(b, 2)
-                                   + np.tile(np.array([0, 1],
-                                             dtype=np.int64), n)),
-                "side": pa.array(np.zeros(2 * n, dtype=np.int8))}
-        for c in left_cols:
-            cols[c] = pa.nulls(2 * n, left_types[c])
-        for c in agg_cols:
-            cols[c] = rep.column(c)
-        return pa.table(cols)
-
-    if split_fn is not None:
-        assert right is None, "split_fn mode takes one source dataset"
-
-        def tag_both(batch: pa.Table) -> pa.Table:
-            lb, rb = split_fn(batch)
-            return pa.concat_tables([tag_left(lb), tag_right(rb)])
-
-        both = left.map_batches(tag_both, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    else:
-        both = (left.map_batches(tag_left, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-                .union(right.map_batches(tag_right,
-                                         batch_format="pyarrow",
-                                         zero_copy_batch=True)))
-
-    shift = np.int64(1)
-    while shift < 2 * band + 2:
-        shift <<= 1
-
     def windows(batch: pa.Table) -> pa.Table:
-        from .agg import group_runs
-
-        empty = pa.table(
-            {c: pa.nulls(0, left_types[c]) for c in left_cols}
-            | {key: pa.nulls(0, batch.schema.field(key).type),
-               on: pa.nulls(0, pa.int64()),
-               "n_band": pa.nulls(0, pa.int64())}
-            | {s: pa.nulls(0, pa.int64()) for s in sum_names})
-        n = batch.num_rows
-        if n == 0:
-            return empty
-        starts, _ = group_runs(batch.select([key, "bucket"]),
-                               [key, "bucket"])
-        run_id = np.zeros(n, dtype=np.int64)
-        run_id[starts[1:]] = 1
-        run_id = np.cumsum(run_id)
-        side = batch.column("side").to_numpy(zero_copy_only=False)
-        on_i = batch.column(on).to_numpy(zero_copy_only=False)
-        bucket = batch.column("bucket").to_numpy(zero_copy_only=False)
-        rel = on_i - bucket * band + band
-        aug = run_id * shift + rel
-
-        ri = np.nonzero(side == 0)[0]
-        li = np.nonzero(side == 1)[0]
-        if len(li) == 0:
-            return empty
-        r_aug = aug[ri]
-        lo = np.searchsorted(r_aug, aug[li] - band, side="left")
-        hi = np.searchsorted(r_aug, aug[li], side="right")
-
-        lrows = batch.take(pa.array(li))
-        cols = {c: lrows.column(c) for c in left_cols}
-        cols[key] = lrows.column(key)
-        cols[on] = lrows.column(on)
-        cols["n_band"] = pa.array(hi - lo)
-        for c, s in zip(agg_cols, sum_names):
-            # left rows hold nulls in agg cols; fill so the arrow ->
-            # numpy conversion stays int64 (nulls would promote to
-            # float64 and break exact summation)
-            vals = (pc.fill_null(batch.column(c), 0)
+        ri, li, lo, hi = _windows(batch, key, on, band)
+        lrows = batch.take(pa.array(li, pa.int64()))
+        cols = ({c: lrows.column(c) for c in left_cols}
+                | {key: lrows.column(key), on: lrows.column(on),
+                   "n_band": pa.array(hi - lo, pa.int64())})
+        for c in agg_cols:
+            # exact int64 prefix sums over the block's right rows
+            vals = (pc.fill_null(batch.column(c).take(pa.array(ri)), 0)
                     .to_numpy(zero_copy_only=False).astype(np.int64))
             cum = np.concatenate([[np.int64(0)],
-                                  np.cumsum(vals[ri], dtype=np.int64)])
-            cols[s] = pa.array(cum[hi] - cum[lo])
+                                  np.cumsum(vals, dtype=np.int64)])
+            cols[f"sum_{c}"] = pa.array(cum[hi] - cum[lo], pa.int64())
         return pa.table(cols)
 
-    from .agg import sorted_map_groups
-
-    out = sorted_map_groups(both, [key, "bucket"], windows,
-                            sort_keys=[key, "bucket", "side", on],
-                            residue_sharder=_band_residue_sharder(key))
-    return out.map_batches(lambda b: b.select(out_names),
-                           batch_format="pyarrow", zero_copy_batch=True)
+    prep = split_prep(split_fn, *_bucket_prep(key, on, band, left_cols,
+                                              agg_cols, agg_cols))
+    return cogroup(left, right, prep=prep, keys=[key, "bucket"],
+                   block_fn=windows, sort_keys=[key, "bucket", SIDE, on],
+                   spread_left=True)

@@ -305,19 +305,23 @@ class GridSampler:
 
 def synthetic_tiles(shape, transform, value_fn, *, tile=TILE, overlap=0):
     """Deterministic synthetic raster as a DISTRIBUTED tile-record
-    Dataset: each task materializes its tiles from (tile_i, tile_j) and
-    a global-index ``value_fn(ii, jj)`` — no driver-side grid array
-    ever exists, so the pattern holds for rasters far beyond driver
-    memory."""
+    Dataset: each read task materializes its tiles from (tile_i,
+    tile_j) and a global-index ``value_fn(ii, jj)`` — no driver-side
+    grid array ever exists, so the pattern holds for rasters far beyond
+    driver memory. The read declares the tile-record schema, so
+    ``schema()`` costs no executor run; tasks split the tile ids as
+    ``ray.data.range`` would."""
     import ray.data
+    from ray.data.block import BlockMetadata
+    from ray.data.datasource import Datasource, ReadTask
 
     m, n = shape
     nti = -(-m // tile)
     ntj = -(-n // tile)
 
-    def make(batch: pa.Table) -> pa.Table:
+    def make(tids) -> pa.Table:
         tabs = []
-        for tid in batch.column("id").to_pylist():
+        for tid in tids:
             ti, tj = divmod(tid, ntj)
             i0, j0 = ti * tile, tj * tile
             ny, nx = min(tile, m - i0), min(tile, n - j0)
@@ -347,8 +351,23 @@ def synthetic_tiles(shape, transform, value_fn, *, tile=TILE, overlap=0):
             }))
         return pa.concat_tables(tabs)
 
-    return ray.data.range(nti * ntj).map_batches(
-        make, batch_format="pyarrow")
+    schema = tiles_from_grid(np.zeros((0, 0)), transform).schema
+
+    nt = nti * ntj
+
+    class Tiles(Datasource):
+        def estimate_inmemory_data_size(self):
+            return 8 * nt                 # as ray.data.range(nt)
+
+        def get_read_tasks(self, parallelism):
+            size = max(1, nt // parallelism)
+            return [ReadTask(lambda ids=ids: [make(ids)],
+                             BlockMetadata(len(ids), None, None, None),
+                             schema=schema)
+                    for ids in (range(s, min(s + size, nt))
+                                for s in range(0, nt, size))]
+
+    return ray.data.read_datasource(Tiles())
 
 
 def tile_sample_stage(points_ds, tiles_ds, *, transform, shape,
@@ -365,10 +384,11 @@ def tile_sample_stage(points_ds, tiles_ds, *, transform, shape,
     with its points and samples block-locally with arithmetic
     bit-identical to the broadcast kernels (global float indices,
     integer offsets into the local block). Points whose support leaves
-    the grid are dropped (the broadcast path's nodata rows). Hot tiles
-    (dense point clusters straddling sorted blocks) split across
-    sharded sub-residues — the tile row replicates, its points spread
-    (:func:`..stages.agg.side_residue_sharder`).
+    the grid are dropped (the broadcast path's nodata rows). The
+    co-shuffle is :func:`..stages.cogroup.cogroup` with the points as
+    the left side: hot tiles (dense point clusters straddling sorted
+    blocks) split across sharded sub-residues — the tile row
+    replicates, its points spread.
 
     Reference semantics: karta ``Grid.sample`` / ``Grid.profile``
     (karta/raster/grid.py:971-1064, crfuncs.pyx:48-157).
@@ -381,17 +401,15 @@ def tile_sample_stage(points_ds, tiles_ds, *, transform, shape,
     Returns ``keep_cols + [x_col, y_col, out_col]`` with ``out_col``
     float64.
     """
-    from .agg import side_residue_sharder, sorted_map_groups
+    from .agg import group_runs
+    from .cogroup import SIDE, cogroup
 
     m, n = shape
     ntj = -(-n // tile)
-    keep_cols = list(keep_cols)
-    pts_schema = points_ds.schema().base_schema
-    keep_types = {c: pts_schema.field(c).type for c in keep_cols}
-    pt_cols = keep_cols + [x_col, y_col]
+    pt_cols = list(keep_cols) + [x_col, y_col]
     tile_int_cols = ("i0", "j0", "ny", "nx", "pt", "pl", "pny", "pnx")
 
-    def tag_points(batch: pa.Table) -> pa.Table:
+    def route_points(batch: pa.Table) -> pa.Table:
         x = batch.column(x_col).to_numpy(zero_copy_only=False)
         y = batch.column(y_col).to_numpy(zero_copy_only=False)
         I, J = RK.positions(transform, x, y)
@@ -403,56 +421,27 @@ def tile_sample_stage(points_ds, tiles_ds, *, transform, shape,
             i, i1 = RK._lohi(I)
             j, j1 = RK._lohi(J)
             ok = (i >= 0) & (i1 < m) & (j >= 0) & (j1 < n)
-        t = batch.filter(pa.array(ok)).select(pt_cols)
         tkey = (i[ok] // tile) * ntj + (j[ok] // tile)
-        nr = t.num_rows
-        cols = {"tkey": pa.array(tkey), "side": pa.array(
-            np.ones(nr, dtype=np.int8))}
-        for c in pt_cols:
-            cols[c] = t.column(c)
-        for c in tile_int_cols:
-            cols[c] = pa.nulls(nr, pa.int64())
-        cols["values"] = pa.nulls(nr, pa.binary())
-        cols["dtype"] = pa.nulls(nr, pa.string())
-        return pa.table(cols)
+        return (batch.filter(pa.array(ok)).select(pt_cols)
+                .add_column(0, "tkey", pa.array(tkey, pa.int64())))
 
-    def tag_tiles(batch: pa.Table) -> pa.Table:
+    def key_tiles(batch: pa.Table) -> pa.Table:
         nr = batch.num_rows
         tkey = (batch.column("tile_i").to_numpy() * ntj
                 + batch.column("tile_j").to_numpy())
-        cols = {"tkey": pa.array(tkey.astype(np.int64)),
-                "side": pa.array(np.zeros(nr, dtype=np.int8))}
-        for c in keep_cols:
-            cols[c] = pa.nulls(nr, keep_types[c])
-        cols[x_col] = pa.nulls(nr, pa.float64())
-        cols[y_col] = pa.nulls(nr, pa.float64())
-        for c in tile_int_cols:
-            cols[c] = batch.column(c)
-        cols["values"] = batch.column("values")
-        cols["dtype"] = (batch.column("dtype")
+        return pa.table(
+            {"tkey": pa.array(tkey.astype(np.int64))}
+            | {c: batch.column(c) for c in tile_int_cols}
+            | {"values": batch.column("values"),
+               "dtype": (batch.column("dtype")
                          if "dtype" in batch.column_names
-                         else pa.array(["<f8"] * nr, pa.string()))
-        return pa.table(cols)
-
-    both = (tiles_ds.map_batches(tag_tiles, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-            .union(points_ds.map_batches(tag_points,
-                                         batch_format="pyarrow",
-                                         zero_copy_batch=True)))
+                         else pa.array(["<f8"] * nr, pa.string()))})
 
     def sample_groups(batch: pa.Table) -> pa.Table:
-        from .agg import group_runs
-
-        empty = pa.table(
-            {c: pa.nulls(0, keep_types[c]) for c in keep_cols}
-            | {x_col: pa.nulls(0, pa.float64()),
-               y_col: pa.nulls(0, pa.float64()),
-               out_col: pa.nulls(0, pa.float64())})
-        if batch.num_rows == 0:
-            return empty
         starts, ends = group_runs(batch, ["tkey"])
-        side = batch.column("side").to_numpy(zero_copy_only=False)
-        outs = [empty]
+        side = batch.column(SIDE).to_numpy(zero_copy_only=False)
+        outs = [batch.select(pt_cols).slice(0, 0).append_column(
+            out_col, pa.array([], pa.float64()))]
         for s, e in zip(starts, ends):
             rs = side[s:e]
             ti = np.flatnonzero(rs == 0)
@@ -489,9 +478,8 @@ def tile_sample_stage(points_ds, tiles_ds, *, transform, shape,
                 out_col, pa.array(v.astype(np.float64), pa.float64())))
         return pa.concat_tables(outs)
 
-    return sorted_map_groups(
-        both, ["tkey"], sample_groups, sort_keys=["tkey", "side"],
-        residue_sharder=side_residue_sharder(["tkey"]))
+    return cogroup(points_ds, tiles_ds, prep=(route_points, key_tiles),
+                   keys=["tkey"], block_fn=sample_groups, spread_left=True)
 
 
 def regrid_tiles_stage(tiles_ds, *, transform, shape, new_dx, new_dy,

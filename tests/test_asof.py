@@ -100,7 +100,8 @@ class TestAsofJoin:
 
         def split(batch):
             k = batch.column("kind").to_numpy()
-            return k != 0, k == 0
+            return (batch.filter(pa.array(k != 0)),
+                    batch.filter(pa.array(k == 0)))
 
         got = asof_join(
             ray.data.from_arrow(src).repartition(11), None,

@@ -90,3 +90,72 @@ def test_duplicate_keys_raise(ray_session):
         keyed = pa.table({"k": pa.array(keys), "v": pa.array([1, 2, 3])})
         with pytest.raises(ValueError, match="duplicate keys"):
             lookup(ds, keyed, on="id", key="k", columns=["v"])
+
+
+def test_pair_lookup_equals_two_single_calls(lookup):
+    """Parallel ``on``/``suffix`` lists attach both sides of a pair in
+    one call, with the rows and columns of one call per side."""
+    import ray.data
+
+    pairs = ray.data.from_arrow(pa.table({
+        "a": pa.array([1, 3, 5, 3, 8], pa.int64()),
+        "b": pa.array([3, 5, 1, 9, 1], pa.int64())})).repartition(2)
+    keyed = pa.table({"k": pa.array([5, 1, 3, 8], pa.int64()),
+                      "v": pa.array([b"e", b"a", b"c", b"h"]),
+                      "w": pa.array([50, 10, 30, 80], pa.int64())})
+    both = lookup(pairs, keyed, on=["a", "b"], key="k", columns=["v", "w"],
+                  suffix=["_a", "_b"])
+    one = lookup(lookup(pairs, keyed, on="a", key="k", columns=["v", "w"],
+                        suffix="_a"),
+                 keyed, on="b", key="k", columns=["v", "w"], suffix="_b")
+    assert _rows(both) == _rows(one) == [
+        (1, 3, b"a", 10, b"c", 30), (3, 5, b"c", 30, b"e", 50),
+        (5, 1, b"e", 50, b"a", 10), (8, 1, b"h", 80, b"a", 10)]
+    assert both.schema().names == ["a", "b", "v_a", "w_a", "v_b", "w_b"]
+
+
+def test_pair_lookup_first_side_matches_nothing(lookup):
+    """No row survives the first side: the second attaches from an
+    empty probe (the hash-join path cannot join an empty side)."""
+    import ray.data
+
+    pairs = ray.data.from_arrow(pa.table({
+        "a": pa.array([100, 200], pa.int64()),
+        "b": pa.array([1, 2], pa.int64())}))
+    keyed = pa.table({"k": pa.array([1, 2], pa.int64()),
+                      "v": pa.array([10, 20], pa.int64())})
+    out = lookup(pairs, keyed, on=["a", "b"], key="k", columns=["v"],
+                 suffix=["_a", "_b"])
+    assert out.count() == 0
+
+
+def test_pair_lookup_puts_keyed_side_once(ray_session, monkeypatch):
+    """The broadcast path puts the keyed table in the object store once
+    for both sides of a pair, where one call per side puts it twice."""
+    import ray
+    import ray.data
+
+    from karta_ray.stages.lookup import lookup
+
+    pairs = ray.data.from_arrow(pa.table({
+        "a": pa.array([1, 2], pa.int64()), "b": pa.array([2, 1], pa.int64())}))
+    keyed = pa.table({"k": pa.array([1, 2], pa.int64()),
+                      "v": pa.array([10, 20], pa.int64())})
+    puts = []
+    real_put = ray.put
+
+    def counting_put(value, **kw):
+        puts.append(value)
+        return real_put(value, **kw)
+
+    # the broadcast put happens when lookup builds the plan, so count
+    # there and execute after
+    monkeypatch.setattr(ray, "put", counting_put)
+    out = lookup(pairs, keyed, on=["a", "b"], key="k", columns=["v"],
+                 suffix=["_a", "_b"])
+    assert len(puts) == 1
+    lookup(lookup(pairs, keyed, on="a", key="k", columns=["v"], suffix="_a"),
+           keyed, on="b", key="k", columns=["v"], suffix="_b")
+    assert len(puts) == 3
+    monkeypatch.undo()
+    assert _rows(out) == [(1, 2, 10, 20), (2, 1, 20, 10)]

@@ -185,34 +185,36 @@ class TestBandAgg:
 
 class TestResidueSkew:
     def test_sharder_bounds_lefts_and_replicates_rights(self):
-        # unit check of the residue bound: lefts round-robin across
+        # unit check of the residue bound band_join/band_agg get from
+        # the co-group's spread_left: lefts round-robin across
         # RESIDUE_SHARDS sub-residues (each assigned once), rights
         # present in EVERY sub-residue of their group
-        from karta_ray.stages.rangejoin import (RESIDUE_SHARDS,
-                                                _band_residue_sharder)
+        from karta_ray.stages.agg import side_residue_sharder
+        from karta_ray.stages.cogroup import RESIDUE_SHARDS, SIDE
 
         nl, nr = 100, 50
         hot = pa.table({
             "user_id": np.full(nl + nr, 7, dtype=np.int64),
             "bucket": np.full(nl + nr, 3, dtype=np.int64),
-            "side": np.concatenate([np.zeros(nr, np.int8),
-                                    np.ones(nl, np.int8)]),
+            SIDE: np.concatenate([np.zeros(nr, np.int8),
+                                  np.ones(nl, np.int8)]),
             "ts": np.arange(nl + nr, dtype=np.int64),
             "event_id": np.arange(nl + nr, dtype=np.int64),
         })
         small = pa.table({
             "user_id": np.full(3, 9, dtype=np.int64),
             "bucket": np.full(3, 1, dtype=np.int64),
-            "side": np.array([0, 1, 1], np.int8),
+            SIDE: np.array([0, 1, 1], np.int8),
             "ts": np.arange(3, dtype=np.int64),
             "event_id": np.arange(3, dtype=np.int64),
         })
-        out = _band_residue_sharder("user_id")(
+        out = side_residue_sharder(["user_id", "bucket"],
+                                   shards=RESIDUE_SHARDS, side_col=SIDE)(
             pa.concat_tables([hot, small]))
         df = out.to_pandas()
         hotdf = df[df.user_id == 7]
-        lefts = hotdf[hotdf.side == 1]
-        rights = hotdf[hotdf.side == 0]
+        lefts = hotdf[hotdf[SIDE] == 1]
+        rights = hotdf[hotdf[SIDE] == 0]
         # every left exported exactly once, spread over all shards
         assert len(lefts) == nl
         per_shard = lefts.groupby("_rshard").size()

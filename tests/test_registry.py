@@ -71,6 +71,21 @@ def test_empty_dataset_result_keeps_schema(ray_session, tmp_path):
     assert list(out.to_pandas().columns) == ["doc_a", "doc_b", "n_shared"]
 
 
+def test_schema_less_empty_result_raises(ray_session):
+    # a map over an all-empty input leaves Ray without a schema; the
+    # registry names the query instead of failing on the missing schema
+    import ray.data
+
+    typed_empty = pa.table({"a": pa.array([], pa.int64())})
+
+    def q_schema_less(sf_dir):
+        return ray.data.from_blocks([typed_empty]).map_batches(
+            lambda b: b)
+
+    with pytest.raises(ValueError, match="q_schema_less"):
+        registry._keep_schema_when_empty(q_schema_less)("unused")
+
+
 @pytest.mark.skipif(not os.path.isdir(SF), reason=f"testdata not present at {SF}")
 def test_every_oracle_binds_in_duckdb():
     import duckdb
