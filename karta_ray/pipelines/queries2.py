@@ -1567,8 +1567,7 @@ def q_bloom_semi_join(sf_dir: str):
                                     "1-URGENT")).select(["o_orderkey"])
                    .rename_columns(["l_orderkey"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    return bloom_semi_join(left, urgent, key="l_orderkey",
-                           right_distinct=True)
+    return bloom_semi_join(left, urgent, key="l_orderkey")
 
 
 BLOOM_SEMI_JOIN_SQL = """

@@ -111,63 +111,6 @@ def _truncate_runs(table: pa.Table, keys: list, cap: int) -> pa.Table:
     return pa.concat_tables(keep)
 
 
-def side_residue_sharder(keys: list, *, shards: int = 8,
-                         side_col: str = "side", shard_side: int = 1):
-    """Build a ``residue_sharder`` (see :func:`sorted_map_groups`) for
-    two-sided group bodies that are replication-safe on one side: rows
-    with ``side_col == shard_side`` ("per-row output" side, e.g. band
-    lefts or sample points) are round-robin split across ``shards``
-    sub-residues, every other row (the "shared state" side, e.g. band
-    rights or a raster tile) is REPLICATED to all of them. Each
-    sub-residue then produces exactly its share of the final rows with
-    no cross-shard combine; a hot group costs ``|shared| + |rows| /
-    shards`` per residue task instead of O(group) on one node.
-
-    Shard bases derive from a 64-bit blake2b digest of the group's KEY
-    VALUES, so fragments of one group exported from different blocks
-    land in consistent sub-residues, and distinct groups share a base
-    only on a digest collision.
-    """
-    import numpy as np
-
-    from ..functions.text import hash_bytes_u64
-
-    # keep base * shards + (shards - 1) below 2^63
-    shift = np.uint64(shards.bit_length() + 1)
-
-    def sharder(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("_rshard",
-                                       pa.array([], type=pa.int64()))
-        starts, ends = group_runs(batch, keys)
-        side = batch.column(side_col).to_numpy(zero_copy_only=False)
-        kreprs = [batch.column(k).take(pa.array(starts)).to_pylist()
-                  for k in keys]
-        digests = hash_bytes_u64([repr(t).encode() for t in zip(*kreprs)])
-        bases = (digests >> shift).astype(np.int64) * shards
-        idx_parts, shard_parts = [], []
-        for run, (s, e) in enumerate(zip(starts, ends)):
-            base = bases[run]
-            rs = side[s:e]
-            li = np.flatnonzero(rs == shard_side).astype(np.int64) + s
-            ri = np.flatnonzero(rs != shard_side).astype(np.int64) + s
-            if len(li):
-                idx_parts.append(li)
-                shard_parts.append(
-                    base + np.arange(len(li), dtype=np.int64) % shards)
-            if len(ri):
-                idx_parts.append(np.repeat(ri, shards))
-                shard_parts.append(
-                    base + np.tile(np.arange(shards, dtype=np.int64),
-                                   len(ri)))
-        idx = np.concatenate(idx_parts)
-        sh = np.concatenate(shard_parts).astype(np.int64)
-        return (batch.take(pa.array(idx))
-                .append_column("_rshard", pa.array(sh)))
-
-    return sharder
-
-
 def sorted_map_groups(ds, keys: list, block_fn, *, pre_reduce=None,
                       max_group_rows=None, sort_keys=None,
                       sort_desc=None, residue_sharder=None):

@@ -83,15 +83,12 @@ def build_bloom(right, *, key: str, m_bits: int, n_hashes: int):
 
 def bloom_semi_join(left, right, *, key: str,
                     m_bits: int = 1 << 23, n_hashes: int = 4,
-                    right_distinct: bool = True, exact: bool = True,
-                    anti: bool = False):
+                    exact: bool = True, anti: bool = False):
     """Exact semi-join ``left`` ⋉ ``right`` on int64 ``key``, or the
     anti-join (left rows whose key is NOT in right) with ``anti=True``.
 
-    ``right_distinct=True`` asserts right keys are already unique
-    (e.g. a primary key); otherwise each right block drops its own
-    duplicate keys before the verify join, which is exact under
-    duplicates either way. ``exact=False`` skips the
+    Right keys need not be unique: each right block drops its own
+    duplicates before the verify join. ``exact=False`` skips the
     verify join: for the semi-join it returns the bloom survivors
     (SUPERSET of the true result, FP-rate documented above); for the
     anti-join it returns the bloom misses (SUBSET — blooms have no
@@ -102,15 +99,21 @@ def bloom_semi_join(left, right, *, key: str,
     """
     if exact:
         # build and verify both read the right key set: keep only the
-        # key column, in the left key's type, and read right once
+        # distinct keys of each block, in the left key's type, and read
+        # right once
+        import ray.data
+
         ktype = left.schema().base_schema.field(key).type
 
         def key_only(b: pa.Table) -> pa.Table:
-            k = b.column(key).cast(ktype)
-            return pa.table({key: k if right_distinct else pc.unique(k)})
+            return pa.table({key: pc.unique(b.column(key).cast(ktype))})
 
         right = right.map_batches(key_only, batch_format="pyarrow",
                                   zero_copy_batch=True).materialize()
+        if right.schema() is None:
+            # every right row was filtered out: a map over no rows
+            # keeps no schema, and the verify join reads it
+            right = ray.data.from_arrow(pa.table({key: pa.array([], ktype)}))
     bm_ref = build_bloom(right, key=key, m_bits=m_bits, n_hashes=n_hashes)
 
     def make_probe(keep_hits: bool):

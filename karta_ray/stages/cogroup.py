@@ -18,7 +18,7 @@ of them runs as ONE range shuffle of both sides instead:
 
 Under skew (``spread_left``) a key group straddling sorted blocks
 splits across sub-residues: its right rows REPLICATE to each and its
-left rows spread round-robin (:func:`~.agg.side_residue_sharder`), so
+left rows spread round-robin (:func:`_residue_sharder`), so
 a hot key costs |right| + |left|/shards rows per residue task. That is
 the boundary replication of adaptive-replication spatial joins plus
 the skew split of FP-Hadoop; it is exact for any ``block_fn`` whose
@@ -108,6 +108,60 @@ def _zero_rows(ds) -> pa.Table:
     return ds.schema().base_schema.empty_table()
 
 
+def _residue_sharder(keys: list):
+    """The ``residue_sharder`` (see :func:`~.agg.sorted_map_groups`) of
+    ``spread_left``: each exported key group's left rows (``__side`` 1)
+    split round-robin across ``RESIDUE_SHARDS`` sub-residues, and its
+    right rows REPLICATE to all of them. Each sub-residue then produces
+    exactly its share of the final rows with no cross-shard combine; a
+    hot group costs ``|right| + |left| / RESIDUE_SHARDS`` per residue
+    task instead of O(group) on one node.
+
+    Shard bases derive from a 64-bit blake2b digest of the group's KEY
+    VALUES, so fragments of one group exported from different blocks
+    land in consistent sub-residues, and distinct groups share a base
+    only on a digest collision.
+    """
+    from ..functions.text import hash_bytes_u64
+    from .agg import group_runs
+
+    shards = RESIDUE_SHARDS
+    # keep base * shards + (shards - 1) below 2^63
+    shift = np.uint64(shards.bit_length() + 1)
+
+    def sharder(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return batch.append_column("_rshard",
+                                       pa.array([], type=pa.int64()))
+        starts, ends = group_runs(batch, keys)
+        side = batch.column(SIDE).to_numpy(zero_copy_only=False)
+        kreprs = [batch.column(k).take(pa.array(starts)).to_pylist()
+                  for k in keys]
+        digests = hash_bytes_u64([repr(t).encode() for t in zip(*kreprs)])
+        bases = (digests >> shift).astype(np.int64) * shards
+        idx_parts, shard_parts = [], []
+        for run, (s, e) in enumerate(zip(starts, ends)):
+            base = bases[run]
+            rs = side[s:e]
+            li = np.flatnonzero(rs == 1).astype(np.int64) + s
+            ri = np.flatnonzero(rs != 1).astype(np.int64) + s
+            if len(li):
+                idx_parts.append(li)
+                shard_parts.append(
+                    base + np.arange(len(li), dtype=np.int64) % shards)
+            if len(ri):
+                idx_parts.append(np.repeat(ri, shards))
+                shard_parts.append(
+                    base + np.tile(np.arange(shards, dtype=np.int64),
+                                   len(ri)))
+        idx = np.concatenate(idx_parts)
+        sh = np.concatenate(shard_parts).astype(np.int64)
+        return (batch.take(pa.array(idx))
+                .append_column("_rshard", pa.array(sh)))
+
+    return sharder
+
+
 def cogroup(left, right, *, prep, keys: list, block_fn, sort_keys=None,
             spread_left: bool = False):
     """Co-group two sides by ``keys``: :func:`tagged` sides through one
@@ -117,11 +171,9 @@ def cogroup(left, right, *, prep, keys: list, block_fn, sort_keys=None,
     ``spread_left=True`` shards a straddling group's left rows across
     sub-residues and replicates its right rows to each; ``block_fn``
     must then answer each left row from its group's right rows alone."""
-    from .agg import side_residue_sharder, sorted_map_groups
+    from .agg import sorted_map_groups
 
-    sharder = (side_residue_sharder(keys, shards=RESIDUE_SHARDS,
-                                    side_col=SIDE)
-               if spread_left else None)
     return sorted_map_groups(tagged(left, right, prep), keys, block_fn,
                              sort_keys=sort_keys or keys + [SIDE],
-                             residue_sharder=sharder)
+                             residue_sharder=(_residue_sharder(keys)
+                                              if spread_left else None))

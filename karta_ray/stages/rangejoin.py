@@ -73,6 +73,12 @@ def _windows(batch: pa.Table, key: str, on: str, band: int):
     rights with ``l.on - band <= r.on <= l.on``."""
     from .agg import group_runs
 
+    side = batch.column(SIDE).to_numpy(zero_copy_only=False)
+    ri = np.flatnonzero(side == 0)
+    li = np.flatnonzero(side == 1)
+    if not len(ri) or not len(li):  # one side only: every window empty
+        z = np.zeros(len(li), np.int64)
+        return ri, li, z, z
     shift = np.int64(1 << int(2 * band + 1).bit_length())  # > 2 band + 1
     starts, _ = group_runs(batch, [key, "bucket"])
     run_id = np.zeros(batch.num_rows, dtype=np.int64)
@@ -81,9 +87,6 @@ def _windows(batch: pa.Table, key: str, on: str, band: int):
     on_i = batch.column(on).to_numpy(zero_copy_only=False)
     bucket = batch.column("bucket").to_numpy(zero_copy_only=False)
     aug = run_id * shift + (on_i - bucket * band + band)  # rel in [0, 2 band)
-    side = batch.column(SIDE).to_numpy(zero_copy_only=False)
-    ri = np.flatnonzero(side == 0)
-    li = np.flatnonzero(side == 1)
     r_aug = aug[ri]                                 # sorted: rights first
     lo = np.searchsorted(r_aug, aug[li] - band, side="left")
     hi = np.searchsorted(r_aug, aug[li], side="right")

@@ -1,6 +1,7 @@
 """Bloom semi-join (stages/bloomjoin.py): exact parity with a direct
 membership filter, false-positive pressure with a tiny bitmap, the
-approximate (exact=False) superset mode, non-distinct right keys."""
+approximate (exact=False) superset mode, non-distinct right keys, a
+right side filtered down to no rows."""
 
 import numpy as np
 import pyarrow as pa
@@ -63,8 +64,7 @@ class TestBloomSemiJoin:
         lk = np.arange(100)
         rk = np.array([5, 5, 5, 17, 17, 99])
         left, right = _mk(lk, rk, 3, 2)
-        got = bloom_semi_join(left, right, key="l_orderkey",
-                              right_distinct=False).to_pandas()
+        got = bloom_semi_join(left, right, key="l_orderkey").to_pandas()
         assert sorted(got["l_orderkey"].tolist()) == [5, 17, 99]
 
 
@@ -129,6 +129,34 @@ class TestBloomAntiJoin:
                                ray.data.from_arrow(right), key="k",
                                anti=True, m_bits=1 << 12)
         assert anti.count() == 59
+
+
+class TestEmptyRight:
+    # every right row filtered out: a map over no rows keeps no schema,
+    # and the exact join must still run (semi: no rows, anti: all left)
+    @staticmethod
+    def _sides():
+        import ray
+
+        left = ray.data.from_arrow(pa.table({
+            "k": np.arange(50, dtype=np.int64),
+            "x": np.arange(50, dtype=np.int64)})).repartition(3)
+        right = ray.data.from_arrow(pa.table({
+            "k": np.arange(10, dtype=np.int64)})).filter(lambda r: False)
+        return left, right
+
+    def test_semi(self, ray_session):
+        from karta_ray.stages.bloomjoin import bloom_semi_join
+
+        left, right = self._sides()
+        assert bloom_semi_join(left, right, key="k").count() == 0
+
+    def test_anti(self, ray_session):
+        from karta_ray.stages.bloomjoin import bloom_semi_join
+
+        left, right = self._sides()
+        out = bloom_semi_join(left, right, key="k", anti=True).to_pandas()
+        assert sorted(out["x"].tolist()) == list(range(50))
 
 
 class TestBuildBloom:

@@ -5,16 +5,26 @@ invariants the distributed plans rest on:
   time-contiguous fragments (collapse(collapse(A) + collapse(B)) ==
   collapse(A + B)) — this is exactly what makes exporting pre-collapsed
   per-block partials to the residue sound.
-- agg.side_residue_sharder: every shard-side row lands in exactly one
-  sub-residue, every shared-side row in all of them, a group's shard
+- cogroup._residue_sharder: every left row lands in exactly one
+  sub-residue, every right row in all of them, a group's shard
   base is consistent across separately-sharded batches, and distinct
   groups of the tested key domain never share a base.
 """
+
+from unittest import mock
 
 import numpy as np
 import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+
+def _sharder(keys, shards):
+    # the co-group's residue sharder with RESIDUE_SHARDS set to `shards`
+    from karta_ray.stages import cogroup
+
+    with mock.patch.object(cogroup, "RESIDUE_SHARDS", shards):
+        return cogroup._residue_sharder(keys)
 
 
 def _intervals_table(keys, starts, lens, ns):
@@ -93,24 +103,23 @@ class TestSharderProperties:
            st.integers(2, 8))
     @settings(max_examples=150, deadline=None)
     def test_exactly_once_and_replication(self, rows, shards):
-        from karta_ray.stages.agg import side_residue_sharder
+        from karta_ray.stages.cogroup import SIDE
 
         rows = sorted(rows)
         tbl = pa.table({
             "k": pa.array([r[0] for r in rows], pa.int64()),
             "bucket": pa.array([r[1] for r in rows], pa.int64()),
-            "side": pa.array([1 if r[2] else 0 for r in rows], pa.int8()),
+            SIDE: pa.array([1 if r[2] else 0 for r in rows], pa.int8()),
             "rid": pa.array(np.arange(len(rows), dtype=np.int64)),
         })
         # sort side-major within group like the callers do
         tbl = tbl.sort_by([("k", "ascending"), ("bucket", "ascending"),
-                           ("side", "ascending")])
-        out = side_residue_sharder(["k", "bucket"], shards=shards)(
-            tbl).to_pandas()
+                           (SIDE, "ascending")])
+        out = _sharder(["k", "bucket"], shards)(tbl).to_pandas()
         src = tbl.to_pandas()
         for _, r in src.iterrows():
             mine = out[out.rid == r.rid]
-            if r.side == 1:
+            if r[SIDE] == 1:
                 assert len(mine) == 1                  # exactly once
             else:
                 assert len(mine) == shards             # replicated
@@ -126,15 +135,15 @@ class TestSharderProperties:
     def test_base_consistent_across_batches(self, key, bucket, shards):
         # fragments of one group sharded in SEPARATE batches (different
         # blocks) must map to the same sub-residue base
-        from karta_ray.stages.agg import side_residue_sharder
+        from karta_ray.stages.cogroup import SIDE
 
-        sh = side_residue_sharder(["k", "bucket"], shards=shards)
+        sh = _sharder(["k", "bucket"], shards)
 
         def base(n_rows):
             t = pa.table({
                 "k": pa.array([key] * n_rows, pa.int64()),
                 "bucket": pa.array([bucket] * n_rows, pa.int64()),
-                "side": pa.array([0] * n_rows, pa.int8()),
+                SIDE: pa.array([0] * n_rows, pa.int8()),
             })
             out = sh(t)
             return set(out.column("_rshard").to_numpy() // shards)
@@ -146,13 +155,13 @@ class TestSharderProperties:
     def test_bases_distinct_over_key_domain(self, shards):
         # every (k, bucket) group the tests above draw from gets its own
         # base, so their shard ids cannot collide
-        from karta_ray.stages.agg import side_residue_sharder
+        from karta_ray.stages.cogroup import SIDE
 
         k, bucket = np.meshgrid(np.arange(101), np.arange(6), indexing="ij")
         t = pa.table({"k": pa.array(k.ravel(), pa.int64()),
                       "bucket": pa.array(bucket.ravel(), pa.int64()),
-                      "side": pa.array(np.zeros(k.size, np.int8))})
-        out = side_residue_sharder(["k", "bucket"], shards=shards)(t)
+                      SIDE: pa.array(np.zeros(k.size, np.int8))})
+        out = _sharder(["k", "bucket"], shards)(t)
         sh = out.column("_rshard").to_numpy()
         assert sh.min() >= 0
         assert len(np.unique(sh // shards)) == k.size

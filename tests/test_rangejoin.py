@@ -189,8 +189,8 @@ class TestResidueSkew:
         # the co-group's spread_left: lefts round-robin across
         # RESIDUE_SHARDS sub-residues (each assigned once), rights
         # present in EVERY sub-residue of their group
-        from karta_ray.stages.agg import side_residue_sharder
-        from karta_ray.stages.cogroup import RESIDUE_SHARDS, SIDE
+        from karta_ray.stages.cogroup import (RESIDUE_SHARDS, SIDE,
+                                              _residue_sharder)
 
         nl, nr = 100, 50
         hot = pa.table({
@@ -208,8 +208,7 @@ class TestResidueSkew:
             "ts": np.arange(3, dtype=np.int64),
             "event_id": np.arange(3, dtype=np.int64),
         })
-        out = side_residue_sharder(["user_id", "bucket"],
-                                   shards=RESIDUE_SHARDS, side_col=SIDE)(
+        out = _residue_sharder(["user_id", "bucket"])(
             pa.concat_tables([hot, small]))
         df = out.to_pandas()
         hotdf = df[df.user_id == 7]
