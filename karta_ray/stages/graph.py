@@ -6,8 +6,8 @@ Algorithm: every vertex starts labeled with its own id; each round,
 every vertex takes the min of its label and its neighbors' labels;
 fixpoint = components labeled by their min vertex id. Rounds needed =
 component diameter (near-dup components are small cliques/chains, so
-single digits in practice; pass ``max_iters`` to bound adversarial
-graphs).
+single digits in practice; a graph that has not converged after
+``MAX_ROUNDS`` rounds raises instead of returning partial labels).
 
 Every round is three range shuffles built on
 :func:`~karta_ray.stages.agg.sorted_map_groups` — no driver-side
@@ -43,6 +43,11 @@ from ..state.worker import cached, resolve
 from .agg import group_runs, sorted_map_groups, sorted_sum
 
 _INF = np.int64(1 << 62)
+
+# propagation rounds before an unconverged graph raises
+MAX_ROUNDS = 50
+# deduplicated adjacency rows (~8 MB) up to which one task labels all
+SMALL_INPUT_ROWS = 500_000
 
 
 def _rebase(ds):
@@ -128,22 +133,20 @@ def _labeled_ids(*refs) -> np.ndarray:
 
 
 def connected_components(edges, *, src: str = "a", dst: str = "b",
-                         vertices=None, v_col: str = "v",
-                         max_iters: int = 50,
-                         small_input_rows: int = 500_000):
+                         vertices=None, v_col: str = "v"):
     """(v, cluster_id) for every vertex; cluster_id = min vertex id of
     its component. ``edges`` is a Dataset of undirected (src, dst)
     pairs; ``vertices`` optionally adds isolated vertices (Dataset
     with column ``v_col``) which come out as their own singletons.
 
     Data-driven plan choice: when the deduplicated adjacency fits one
-    block (``<= small_input_rows`` rows, i.e. <= ~8 MB), the whole
+    block (``<= SMALL_INPUT_ROWS`` rows, i.e. <= ~8 MB), the whole
     propagation runs in ONE task (:func:`_local_cc_block`) and labels
     broadcast to the vertex map — near-dup graphs are tiny relative to
     their corpus, and the multi-round distributed loop costs ~0.5 s of
     fixed overhead per execution. Above the bound, the O(log diameter)
-    distributed rounds run as before; pass ``small_input_rows=0`` to
-    force them."""
+    distributed rounds run, at most ``MAX_ROUNDS`` of them (more
+    raise ``RuntimeError``)."""
     import pyarrow.compute as pc
     import ray.data
 
@@ -164,7 +167,7 @@ def connected_components(edges, *, src: str = "a", dst: str = "b",
                      ["v", "nbr"], ["n"]).drop_columns(["n"])
     adj = _rebase(adj)
 
-    if adj.count() <= small_input_rows:
+    if adj.count() <= SMALL_INPUT_ROWS:
         labels_blk = (adj.repartition(1)
                       .map_batches(_local_cc_block, batch_size=None,
                                    batch_format="pyarrow").materialize())
@@ -284,8 +287,7 @@ def connected_components(edges, *, src: str = "a", dst: str = "b",
         return sorted_map_groups(msgs, ["v"], _gather_block,
                                  pre_reduce=_gather_reduce)
 
-    labels = None
-    for it in range(max_iters):
+    for it in range(MAX_ROUNDS):
         both = both0 if it == 0 else adj_tagged.union(
             labels.map_batches(tag_lbl, batch_format="pyarrow"))
         msgs = sorted_map_groups(both, ["v"], _scatter_block,
@@ -312,6 +314,9 @@ def connected_components(edges, *, src: str = "a", dst: str = "b",
             # from round 1 on
             labels = _rebase(compress(labels).drop_columns(["changed"])
                              .repartition(n_blocks))
+    else:
+        raise RuntimeError(f"connected_components: labels still changing "
+                           f"after {MAX_ROUNDS} rounds")
 
     return labels.map_batches(
         lambda b: b.rename_columns(["v", "cluster_id"]),

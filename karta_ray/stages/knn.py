@@ -10,17 +10,23 @@ k-th nearest distance is provably smaller than the distance to any
 unexplored tile — the exactness bound uses the spherical distance from
 the query tile to the explored bbox boundary (meridian arc for the
 north/south edges, exact point-to-meridian distance for east/west).
+
+Every path — the broadcast ring expansion, the co-shuffle cell probe
+and its residue rounds — ranks candidates with one scorer,
+:func:`_nearest`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 
 from ..kernels import geodesy, tiles
 from ..state.worker import cached, resolve
+from .agg import group_runs, sorted_map_groups
 
 D2R = np.pi / 180.0
 
@@ -121,50 +127,65 @@ def _explored_bound_m(z, x, y, ring, qlon, qlat):
     return np.minimum(d_we, np.minimum(d_n, d_s))
 
 
+# max query rows per dense-distance tile in _nearest: caps the
+# (tile x ncand) float64 matrix at ~8 MB per 1k candidates
+_Q_TILE = 1024
+
+# left rows per KnnJoiner batch
+_BATCH_ROWS = 8192
+
+
+def _nearest(qlon, qlat, cand_id, cand_lon, cand_lat, k):
+    """The ``min(k, ncand)`` nearest candidates of every query, ordered
+    by (distance, id): ``(ids, dist)``, both ``(nq, min(k, ncand))``.
+    Queries are scored ``_Q_TILE`` rows at a time, so the dense
+    distance matrix stays ``_Q_TILE x ncand`` however many queries
+    share a cell (dense-city skew guard)."""
+    nq, kk = len(qlon), min(k, len(cand_id))
+    ids = np.empty((nq, kk), dtype=np.int64)
+    dist = np.empty((nq, kk), dtype=np.float64)
+    if kk == 0:
+        return ids, dist
+    for s in range(0, nq, _Q_TILE):
+        e = min(s + _Q_TILE, nq)
+        d = _dist_sphere(qlon[s:e, None], qlat[s:e, None],
+                         cand_lon[None, :], cand_lat[None, :])
+        order = np.lexsort((np.broadcast_to(cand_id, d.shape), d),
+                           axis=1)[:, :kk]
+        ids[s:e] = cand_id[order]
+        dist[s:e] = np.take_along_axis(d, order, axis=1)
+    return ids, dist
+
+
 class KnnJoiner:
     """map_batches stage: for each left row (lon/lat/cell_id), emit k
-    rows (left cols + neighbor_id + rank), exact by ring expansion."""
+    rows (left cols + neighbor_id + rank + dist_m), exact by ring
+    expansion."""
 
-    def __init__(self, index_ref, k: int, max_ring: int | None = None):
+    def __init__(self, index_ref, k: int):
         self.index: RightIndex = resolve(index_ref)
         self.k = k
-        self.max_ring = max_ring or (1 << self.index.zoom)
 
     def _knn_group(self, qlon, qlat, z, x, y):
-        """Exact kNN for query points sharing one tile."""
+        """Exact kNN for query points sharing one tile: widen the ring
+        until every query's k-th distance is within the bound to the
+        unexplored tiles, or the ring spans the whole grid."""
         idx = self.index
-        cand = []
-        ring = 0
-        while True:
-            cells = _tile_ring_cells(z, x, y, ring)
-            new = idx.candidates_in_cells(cells)
-            if len(new):
-                cand.append(new)
-            ncand = sum(len(c) for c in cand)
-            if ncand >= self.k or ring >= self.max_ring:
-                bound = _explored_bound_m(z, x, y, ring, qlon, qlat)
-                if ncand >= self.k:
-                    call = np.concatenate(cand)
-                    d = _dist_sphere(qlon[:, None], qlat[:, None],
-                                     idx.lon[call][None, :], idx.lat[call][None, :])
-                    kth = np.partition(d, self.k - 1, axis=1)[:, self.k - 1]
-                    if (kth <= bound).all() or ring >= self.max_ring:
-                        break
-                elif ring >= self.max_ring:
-                    break
-            ring += 1
-        call = np.concatenate(cand) if cand else np.empty(0, dtype=np.int64)
-        if len(call) == 0:
-            e = np.empty((len(qlon), 0), dtype=np.int64)
-            return e, np.empty((len(qlon), 0))
-        d = _dist_sphere(qlon[:, None], qlat[:, None],
-                         idx.lon[call][None, :], idx.lat[call][None, :])
-        kk = min(self.k, len(call))
-        # deterministic order: distance, then right id
-        order = np.lexsort((idx.ids[call][None, :].repeat(len(qlon), 0), d), axis=1)[:, :kk]
-        picked = call[order]
-        dist = np.take_along_axis(d, order, axis=1)
-        return idx.ids[picked], dist
+        last = 1 << idx.zoom
+        seen = []
+        for ring in range(last + 1):
+            seen.append(idx.candidates_in_cells(
+                _tile_ring_cells(z, x, y, ring)))
+            # a ring wider than half the grid wraps (x) onto cells an
+            # inner ring already visited: score each candidate once
+            call = np.unique(np.concatenate(seen))
+            if len(call) < self.k and ring < last:
+                continue
+            ids, dist = _nearest(qlon, qlat, idx.ids[call], idx.lon[call],
+                                 idx.lat[call], self.k)
+            if ring == last or (dist[:, -1] <= _explored_bound_m(
+                    z, x, y, ring, qlon, qlat)).all():
+                return ids, dist
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         lon = batch.column("lon").to_numpy(zero_copy_only=False)
@@ -205,8 +226,7 @@ class KnnJoiner:
         return out.append_column("dist_m", pa.array(np.concatenate(nbr_dist), pa.float64()))
 
 
-def knn_join(left_ds, right_index: RightIndex, k: int, *,
-             batch_size: int = 8192):
+def knn_join(left_ds, right_index: RightIndex, k: int):
     """left Dataset (lon/lat/cell_id) x broadcast RightIndex -> k rows
     per left row with (neighbor_id, rank, dist_m).
 
@@ -219,16 +239,102 @@ def knn_join(left_ds, right_index: RightIndex, k: int, *,
         return cached(KnnJoiner, ref, k)(batch)
 
     return left_ds.map_batches(fn, batch_format="pyarrow",
-                               batch_size=batch_size, zero_copy_batch=True)
+                               batch_size=_BATCH_ROWS, zero_copy_batch=True)
 
 
-# max left rows per dense-distance tile inside a cell probe: caps the
-# (tile x ncand) float64 matrix at ~8 MB per 1k candidates
-_Q_TILE = 1024
+# a co-shuffle output row, and what an unresolved left row carries into
+# the next residue round (its home cell is the cell its probe ran in)
+_OUT = ["left_id", "neighbor_id", "rank", "dist_m"]
+_CARRY = ["left_id", "lon", "lat", "cell_id"]
+_SCORED = pa.schema([("left_id", pa.int64()), ("neighbor_id", pa.int64()),
+                     ("rank", pa.int64()), ("dist_m", pa.float64()),
+                     ("resolved", pa.bool_()), ("lon", pa.float64()),
+                     ("lat", pa.float64()), ("cell_id", pa.int64())])
+
+
+def _scored(lid, lon, lat, cell, ids, dist, resolved):
+    """Scored rows of ``nq`` left rows: ranks ``1..kk`` per row (``ids``
+    and ``dist`` are ``(nq, kk)``), or one rank -1 marker per row when
+    it has no candidate (``kk == 0``; such a row is never resolved).
+    Every row carries its left row's ``_CARRY`` columns, so the one
+    row of rank <= 1 of an unresolved left row is its next-round
+    input."""
+    nq, kk = ids.shape
+    ranks = np.arange(1, kk + 1, dtype=np.int64)
+    if kk == 0:
+        kk, ranks = 1, np.array([-1], dtype=np.int64)
+        ids = np.full((nq, 1), -1, dtype=np.int64)
+        dist = np.full((nq, 1), np.inf)
+    return pa.table({
+        "left_id": np.repeat(lid, kk), "neighbor_id": ids.ravel(),
+        "rank": np.tile(ranks, nq), "dist_m": dist.ravel(),
+        "resolved": np.repeat(resolved, kk), "lon": np.repeat(lon, kk),
+        "lat": np.repeat(lat, kk), "cell_id": np.repeat(cell, kk),
+    }, schema=_SCORED)
+
+
+def _cell_rows(cell, rid, lon, lat, role: int) -> pa.Table:
+    """Co-shuffle rows: role 0 for a right row, 1 for a left row."""
+    return pa.table({
+        "cell_id": pa.array(cell, pa.int64()),
+        "id": pa.array(rid, pa.int64()),
+        "lon": pa.array(lon, pa.float64()),
+        "lat": pa.array(lat, pa.float64()),
+        "role": pa.array(np.full(len(cell), role, dtype=np.int8)),
+    })
+
+
+def _right_rows(batch: pa.Table, *, zoom: int, ring: int) -> pa.Table:
+    """Right rows (right_id/lon/lat) replicated to every cell within
+    ``ring`` of their own (ring 0: their own cell only)."""
+    lon = batch.column("lon").to_numpy(zero_copy_only=False)
+    lat = batch.column("lat").to_numpy(zero_copy_only=False)
+    rid = batch.column("right_id").to_numpy(zero_copy_only=False)
+    cells = tiles.cell_id(lon, lat, zoom)
+    # rows without coordinates (cell sentinel -1) cannot be joined;
+    # drop them before neighbor expansion (mirrors KnnJoiner's guard)
+    ok = cells >= 0
+    nb = tiles.neighbor_cells(cells[ok], ring=ring)  # (n, (2r+1)^2)
+    reps = nb.shape[1]
+    return _cell_rows(nb.ravel(), np.repeat(rid[ok], reps),
+                      np.repeat(lon[ok], reps), np.repeat(lat[ok], reps), 0)
+
+
+def _score_cell(group: pa.Table, k: int):
+    """Score a cell group's left rows against its distinct right rows:
+    ``(left ids, lon, lat, ids, dist)``."""
+    left = group.column("role").to_numpy() == 1
+    gid, glon, glat = (group.column(c).to_numpy()
+                       for c in ("id", "lon", "lat"))
+    # a right row replicated from several wrapped neighbor offsets
+    # reaches the same cell more than once
+    cand, first = np.unique(gid[~left], return_index=True)
+    ids, dist = _nearest(glon[left], glat[left], cand,
+                         glon[~left][first], glat[~left][first], k)
+    return gid[left], glon[left], glat[left], ids, dist
+
+
+def _split(scored):
+    """A materialized Dataset of scored rows -> (its resolved rows as
+    output rows, the ``_CARRY`` rows of its unresolved left rows
+    (materialized), their count). An unresolved left row has exactly
+    one row of rank <= 1: its rank 1 row or its rank -1 marker."""
+    def resolved(batch: pa.Table) -> pa.Table:
+        return batch.filter(batch.column("resolved")).select(_OUT)
+
+    def unresolved(batch: pa.Table) -> pa.Table:
+        keep = pc.and_(pc.invert(batch.column("resolved")),
+                       pc.less_equal(batch.column("rank"), 1))
+        return batch.filter(keep).select(_CARRY)
+
+    carry = scored.map_batches(unresolved,
+                               batch_format="pyarrow").materialize()
+    return (scored.map_batches(resolved, batch_format="pyarrow"), carry,
+            carry.count())
 
 
 def knn_join_coshuffle(left_ds, right_ds, k: int, *, zoom: int,
-                       right_id_col: str = "right_id", ring: int = 1):
+                       ring: int = 1):
     """Big-big kNN join with NO broadcast side: right rows are
     replicated to their cell plus the ``ring`` of neighbor cells
     (boundary-cell replication), both sides co-shuffle on cell_id, and
@@ -237,374 +343,147 @@ def knn_join_coshuffle(left_ds, right_ds, k: int, *, zoom: int,
     Exactness: a left row is resolved in-cell iff its k-th candidate
     distance is within the proven bound to unexplored tiles
     (_explored_bound_m). The unresolved residue (points near cell
-    corners with sparse neighbors) is finished by a second, exact pass;
+    corners with sparse neighbors) is finished by exact residue rounds;
     choose ``zoom`` so cells are much wider than typical kNN radii and
     the residue is a vanishing fraction.
 
-    left_ds columns: lon/lat/cell_id (+ payload). right_ds columns:
-    right_id_col/lon/lat. Returns left payload + (neighbor_id, rank,
-    dist_m).
+    left_ds columns: left_id/lon/lat/cell_id (others are ignored).
+    right_ds columns: right_id/lon/lat. Returns one row per left row
+    and rank: left_id, neighbor_id, rank, dist_m.
     """
-    import ray.data
-
-    def replicate_right(batch: pa.Table) -> pa.Table:
-        lon = batch.column("lon").to_numpy(zero_copy_only=False)
-        lat = batch.column("lat").to_numpy(zero_copy_only=False)
-        rid = batch.column(right_id_col).to_numpy(zero_copy_only=False)
-        cells = tiles.cell_id(lon, lat, zoom)
-        # rows without coordinates (cell sentinel -1) cannot be joined;
-        # drop them before neighbor expansion (mirrors KnnJoiner's guard)
-        ok = cells >= 0
-        if not ok.all():
-            lon, lat, rid, cells = lon[ok], lat[ok], rid[ok], cells[ok]
-        nb = tiles.neighbor_cells(cells, ring=ring)  # (n, (2r+1)^2)
-        reps = nb.shape[1]
-        return pa.table({
-            "cell_id": pa.array(nb.ravel(), pa.int64()),
-            "rid": pa.array(np.repeat(rid, reps), pa.int64()),
-            "rlon": pa.array(np.repeat(lon, reps), pa.float64()),
-            "rlat": pa.array(np.repeat(lat, reps), pa.float64()),
-            "role": pa.array(np.zeros(len(rid) * reps, dtype=np.int8)),
-        })
-
-    right_rows = right_ds.map_batches(replicate_right, batch_format="pyarrow")
-
-    def left_rows_of(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "cell_id": batch.column("cell_id"),
-            "rid": batch.column("left_id"),
-            "rlon": batch.column("lon"),
-            "rlat": batch.column("lat"),
-            "role": pa.array(np.ones(n, dtype=np.int8)),
-        })
-
-    left_rows = left_ds.map_batches(left_rows_of, batch_format="pyarrow")
-    both = right_rows.union(left_rows)
+    def left_rows(batch: pa.Table) -> pa.Table:
+        return _cell_rows(*(batch.column(c).to_numpy(zero_copy_only=False)
+                            for c in ("cell_id", "left_id", "lon", "lat")),
+                          1)
 
     def probe(group: pa.Table) -> pa.Table:
-        empty = pa.table({"left_id": pa.array([], pa.int64()),
-                          "neighbor_id": pa.array([], pa.int64()),
-                          "rank": pa.array([], pa.int64()),
-                          "dist_m": pa.array([], pa.float64()),
-                          "resolved": pa.array([], pa.bool_())})
+        cell = int(group.column("cell_id")[0].as_py())
         # left rows without coordinates group under cell -1; they cannot
         # be joined (dropped, like KnnJoiner's cell<0 guard) — and
         # unpack_cell(-1) must never reach _explored_bound_m
-        if int(group.column("cell_id")[0].as_py()) < 0:
-            return empty
-        role = group.column("role").to_numpy()
-        lmask = role == 1
-        if not lmask.any():
-            return empty
-        rid = group.column("rid").to_numpy()
-        lon = group.column("rlon").to_numpy()
-        lat = group.column("rlat").to_numpy()
-        qid = rid[lmask]
-        qlon = lon[lmask]
-        qlat = lat[lmask]
-        # candidates: replicated right rows in this cell, deduplicated
-        cand_id = rid[~lmask]
-        cand_lon = lon[~lmask]
-        cand_lat = lat[~lmask]
-        uniq, ui = np.unique(cand_id, return_index=True)
-        cand_id, cand_lon, cand_lat = uniq, cand_lon[ui], cand_lat[ui]
+        if cell < 0 or not (group.column("role").to_numpy() == 1).any():
+            return _SCORED.empty_table()
+        qid, qlon, qlat, ids, dist = _score_cell(group, k)
+        resolved = np.zeros(len(qid), dtype=bool)
+        if ids.shape[1] == k:
+            z, x, y = (int(v) for v in tiles.unpack_cell(np.int64(cell)))
+            resolved = dist[:, -1] <= _explored_bound_m(z, x, y, ring,
+                                                        qlon, qlat)
+        return _scored(qid, qlon, qlat, np.full(len(qid), cell), ids, dist,
+                       resolved)
 
-        cell = int(group.column("cell_id")[0].as_py())
-        z, x, y = (int(v) for v in tiles.unpack_cell(np.int64(cell)))
-        bound = _explored_bound_m(z, x, y, ring, qlon, qlat)
-
-        nq = len(qid)
-        if len(cand_id) == 0:
-            return pa.table({
-                "left_id": pa.array(qid, pa.int64()),
-                "neighbor_id": pa.array(np.full(nq, -1, dtype=np.int64)),
-                "rank": pa.array(np.full(nq, -1, dtype=np.int64)),
-                "dist_m": pa.array(np.full(nq, np.nan)),
-                "resolved": pa.array(np.zeros(nq, dtype=bool)),
-            })
-        # query-tiled scoring: the dense distance matrix is bounded to
-        # _Q_TILE x ncand regardless of how many LEFT rows land in a
-        # hot cell (dense-city skew guard); ncand stays bounded by the
-        # (2r+1)^2 replication of one cell's right population
-        kk = min(k, len(cand_id))
-        picked = np.empty((nq, kk), dtype=np.int64)
-        dist = np.empty((nq, kk), dtype=np.float64)
-        for s in range(0, nq, _Q_TILE):
-            e = min(s + _Q_TILE, nq)
-            d = _dist_sphere(qlon[s:e, None], qlat[s:e, None],
-                             cand_lon[None, :], cand_lat[None, :])
-            order = np.lexsort(
-                (np.broadcast_to(cand_id, d.shape), d), axis=1)[:, :kk]
-            picked[s:e] = cand_id[order]
-            dist[s:e] = np.take_along_axis(d, order, axis=1)
-        resolved = (len(cand_id) >= k) & (dist[:, kk - 1] <= bound)
-        return pa.table({
-            "left_id": pa.array(np.repeat(qid, kk), pa.int64()),
-            "neighbor_id": pa.array(picked.ravel(), pa.int64()),
-            "rank": pa.array(np.tile(np.arange(1, kk + 1, dtype=np.int64), nq)),
-            "dist_m": pa.array(dist.ravel(), pa.float64()),
-            "resolved": pa.array(np.repeat(resolved, kk)),
-        })
-
+    both = right_ds.map_batches(
+        _right_rows, fn_kwargs={"zoom": zoom, "ring": ring},
+        batch_format="pyarrow").union(
+        left_ds.map_batches(left_rows, batch_format="pyarrow"))
     probed = both.groupby("cell_id").map_groups(
         probe, batch_format="pyarrow").materialize()
-
-    def keep_resolved(batch: pa.Table) -> pa.Table:
-        mask = batch.column("resolved").to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(mask)).drop_columns(["resolved"])
-
-    def keep_unresolved_ids(batch: pa.Table) -> pa.Table:
-        mask = ~batch.column("resolved").to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(mask)).select(["left_id"])
-
-    resolved = probed.map_batches(keep_resolved, batch_format="pyarrow")
-    # cheap early exit on the COMMON case (every query resolved in its
-    # home ring): one map+reduce over the materialized probe blocks,
-    # instead of paying a distinct-ids hash shuffle to learn "empty"
-    n_unres = probed.map_batches(
-        lambda b: pa.table({"nu": pa.array(
-            [int((~b.column("resolved").to_numpy(
-                zero_copy_only=False)).sum())], pa.int64())}),
-        batch_format="pyarrow").sum("nu") or 0
-    if n_unres == 0:
-        return resolved
-    unresolved = probed.map_batches(keep_unresolved_ids,
-                                    batch_format="pyarrow")
-    # distinct unresolved left ids (a left row appears once per rank)
-    ids_ds = (unresolved.groupby("left_id").count()
-              .select_columns(["left_id"]).materialize())
+    out, carry, n_unres = _split(probed)
 
     # residue rounds: the unresolved rows are few by construction, so
-    # invert the replication — the residue LEFT side fans out to an
+    # invert the replication — the residue LEFT rows fan out to an
     # expanding ring of cells while every right row stays in its own
-    # cell (scanned once per round, never replicated). Distributed end
-    # to end: the residue is selected with a hash semi-join, never
-    # collected on the driver.
-    # materialize: keeps at most ONE hash join per executed plan (chained
-    # lazy joins can starve each other's aggregator actors for CPUs)
-    # num_partitions=1: the residue is small by construction, and Ray's
-    # hash join fails on empty (schema-less) partitions of tiny sides
-    residue_left = left_ds.join(ids_ds, "inner", num_partitions=1,
-                                on=("left_id",)).materialize()
-    fixed = _knn_residue_rounds(residue_left, right_ds, k, zoom=zoom,
-                                right_id_col=right_id_col,
-                                start_ring=2 * ring + 1)
-    return resolved.union(fixed)
-
-
-def _knn_residue_rounds(residue_left, right_ds, k: int, *, zoom: int,
-                        right_id_col: str, start_ring: int):
-    """Exact kNN for a (small) residue left Dataset vs a big right
-    Dataset, no broadcast: per round, each residue row visits the
-    (2r+1)^2 cells around its home cell, right rows are grouped by their
-    own cell, per-cell local top-k partials are merged per left row, and
-    rows whose k-th distance beats the ring-r bound resolve. Unresolved
-    rows go to the next round with r doubled; once r covers the whole
-    grid every candidate has been seen and the result is exact by
-    completeness."""
-    import ray.data  # noqa: F401  (Dataset ops)
-
-    n = 1 << zoom
-
-    def right_rows_fn(batch: pa.Table) -> pa.Table:
-        lon = batch.column("lon").to_numpy(zero_copy_only=False)
-        lat = batch.column("lat").to_numpy(zero_copy_only=False)
-        rid = batch.column(right_id_col).to_numpy(zero_copy_only=False)
-        cells = tiles.cell_id(lon, lat, zoom)
-        ok = cells >= 0
-        return pa.table({
-            "cell_id": pa.array(cells[ok], pa.int64()),
-            "rid": pa.array(rid[ok], pa.int64()),
-            "rlon": pa.array(lon[ok], pa.float64()),
-            "rlat": pa.array(lat[ok], pa.float64()),
-            "role": pa.array(np.zeros(int(ok.sum()), dtype=np.int8)),
-        })
-
-    right_rows = right_ds.map_batches(right_rows_fn, batch_format="pyarrow")
-
-    out_parts = []
-    cur = residue_left
-    r = start_ring
-    while True:
-        # x wraps (needs 2r+1 >= n) and y clamps (needs r >= n-1 from an
-        # edge row): r >= n-1 guarantees every cell is visited
-        full_cover = r >= n - 1
-        rr = r
-
-        def visit_left(batch: pa.Table, *, rr=rr) -> pa.Table:
-            lon = batch.column("lon").to_numpy(zero_copy_only=False)
-            lat = batch.column("lat").to_numpy(zero_copy_only=False)
-            lid = batch.column("left_id").to_numpy(zero_copy_only=False)
-            home = batch.column("cell_id").to_numpy(zero_copy_only=False)
-            ok = home >= 0
-            lon, lat, lid, home = lon[ok], lat[ok], lid[ok], home[ok]
-            # rings beyond n-1 add no new cells (x wraps, y clamps) but
-            # would allocate (2r+1)^2 per row before dedup — clamp
-            nb = tiles.neighbor_cells(home, ring=min(rr, n - 1))
-            # visited cells can repeat after x-wrap / y-clamp; dedup per
-            # row so a candidate is never scored twice
-            flat_cells = []
-            flat_idx = []
-            for i in range(len(home)):
-                u = np.unique(nb[i])
-                flat_cells.append(u)
-                flat_idx.append(np.full(len(u), i, dtype=np.int64))
-            cells = (np.concatenate(flat_cells) if flat_cells
-                     else np.empty(0, dtype=np.int64))
-            idx = (np.concatenate(flat_idx) if flat_idx
-                   else np.empty(0, dtype=np.int64))
-            return pa.table({
-                "cell_id": pa.array(cells, pa.int64()),
-                "rid": pa.array(lid[idx], pa.int64()),
-                "rlon": pa.array(lon[idx], pa.float64()),
-                "rlat": pa.array(lat[idx], pa.float64()),
-                "role": pa.array(np.ones(len(cells), dtype=np.int8)),
-                "home": pa.array(home[idx], pa.int64()),
-            })
-
-        lrep = cur.map_batches(visit_left, batch_format="pyarrow")
-
-        def add_home(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "home", pa.array(np.full(batch.num_rows, -1, np.int64)))
-
-        both = right_rows.map_batches(add_home,
-                                      batch_format="pyarrow").union(lrep)
-
-        def cell_partials(group: pa.Table) -> pa.Table:
-            empty = pa.table({"left_id": pa.array([], pa.int64()),
-                              "home": pa.array([], pa.int64()),
-                              "qlon": pa.array([], pa.float64()),
-                              "qlat": pa.array([], pa.float64()),
-                              "neighbor_id": pa.array([], pa.int64()),
-                              "dist_m": pa.array([], pa.float64())})
-            role = group.column("role").to_numpy()
-            lmask = role == 1
-            if not lmask.any() or lmask.all():
-                return empty
-            rid = group.column("rid").to_numpy()
-            lon = group.column("rlon").to_numpy()
-            lat = group.column("rlat").to_numpy()
-            home = group.column("home").to_numpy()
-            qid, qlon, qlat, qhome = (rid[lmask], lon[lmask], lat[lmask],
-                                      home[lmask])
-            cid, clon, clat = rid[~lmask], lon[~lmask], lat[~lmask]
-            d = _dist_sphere(qlon[:, None], qlat[:, None],
-                             clon[None, :], clat[None, :])
-            kk = min(k, len(cid))
-            order = np.lexsort((np.broadcast_to(cid, d.shape), d),
-                               axis=1)[:, :kk]
-            picked = cid[order]
-            dist = np.take_along_axis(d, order, axis=1)
-            nq = len(qid)
-            return pa.table({
-                "left_id": pa.array(np.repeat(qid, kk), pa.int64()),
-                "home": pa.array(np.repeat(qhome, kk), pa.int64()),
-                "qlon": pa.array(np.repeat(qlon, kk), pa.float64()),
-                "qlat": pa.array(np.repeat(qlat, kk), pa.float64()),
-                "neighbor_id": pa.array(picked.ravel(), pa.int64()),
-                "dist_m": pa.array(dist.ravel(), pa.float64()),
-            })
-
-        # a sentinel partial per residue row guarantees every left row
-        # reaches merge_left even when no visited cell held a candidate
-        def sentinel(batch: pa.Table) -> pa.Table:
-            home = batch.column("cell_id").to_numpy(zero_copy_only=False)
-            ok = home >= 0
-            m = int(ok.sum())
-            return pa.table({
-                "left_id": pa.array(
-                    batch.column("left_id").to_numpy(
-                        zero_copy_only=False)[ok], pa.int64()),
-                "home": pa.array(home[ok], pa.int64()),
-                "qlon": pa.array(batch.column("lon").to_numpy(
-                    zero_copy_only=False)[ok], pa.float64()),
-                "qlat": pa.array(batch.column("lat").to_numpy(
-                    zero_copy_only=False)[ok], pa.float64()),
-                "neighbor_id": pa.array(np.full(m, -1, np.int64)),
-                "dist_m": pa.array(np.full(m, np.inf), pa.float64()),
-            })
-
-        partials = both.groupby("cell_id").map_groups(
-            cell_partials, batch_format="pyarrow").union(
-            cur.map_batches(sentinel, batch_format="pyarrow"))
-
-        def merge_left(group: pa.Table, *, rr=rr,
-                       full_cover=full_cover) -> pa.Table:
-            nid_all = group.column("neighbor_id").to_numpy()
-            dist_all = group.column("dist_m").to_numpy()
-            valid = nid_all >= 0
-            nid = nid_all[valid]
-            dist = dist_all[valid]
-            order = np.lexsort((nid, dist))[:k]
-            m = len(order)
-            lid = int(group.column("left_id")[0].as_py())
-            if full_cover:
-                ok = True
-            elif m >= k:
-                home = int(group.column("home")[0].as_py())
-                qlon = np.asarray([group.column("qlon")[0].as_py()])
-                qlat = np.asarray([group.column("qlat")[0].as_py()])
-                z, x, y = (int(v) for v in
-                           tiles.unpack_cell(np.int64(home)))
-                bound = float(_explored_bound_m(z, x, y, rr, qlon, qlat)[0])
-                ok = bool(dist[order[-1]] <= bound)
-            else:
-                ok = False
-            if m == 0 and not ok:
-                # no candidates yet: emit an unresolved marker so the
-                # row is carried into the next (wider) round
-                return pa.table({
-                    "left_id": pa.array([lid], pa.int64()),
-                    "neighbor_id": pa.array([-1], pa.int64()),
-                    "rank": pa.array([-1], pa.int64()),
-                    "dist_m": pa.array([np.inf], pa.float64()),
-                    "resolved": pa.array([False]),
-                })
-            return pa.table({
-                "left_id": pa.array(np.full(m, lid, np.int64)),
-                "neighbor_id": pa.array(nid[order], pa.int64()),
-                "rank": pa.array(np.arange(1, m + 1, dtype=np.int64)),
-                "dist_m": pa.array(dist[order], pa.float64()),
-                "resolved": pa.array(np.full(m, ok)),
-            })
-
-        merged = partials.groupby("left_id").map_groups(
-            merge_left, batch_format="pyarrow").materialize()
-
-        def keep_res(batch: pa.Table) -> pa.Table:
-            mask = batch.column("resolved").to_numpy(zero_copy_only=False)
-            return batch.filter(pa.array(mask)).drop_columns(["resolved"])
-
-        out_parts.append(merged.map_batches(keep_res,
-                                            batch_format="pyarrow"))
-        if full_cover:
-            break
-
-        n_unres = merged.map_batches(
-            lambda b: pa.table({"nu": pa.array(
-                [int((~b.column("resolved").to_numpy(
-                    zero_copy_only=False)).sum())], pa.int64())}),
-            batch_format="pyarrow").sum("nu") or 0
-        if n_unres == 0:
-            break
-
-        def keep_unres(batch: pa.Table) -> pa.Table:
-            mask = ~batch.column("resolved").to_numpy(zero_copy_only=False)
-            return batch.filter(pa.array(mask)).select(["left_id"])
-
-        ids_ds = (merged.map_batches(keep_unres, batch_format="pyarrow")
-                  .groupby("left_id").count()
-                  .select_columns(["left_id"]).materialize())
-        cur = cur.join(ids_ds, "inner", num_partitions=1,
-                       on=("left_id",)).materialize()
+    # cell (scanned once per round, never replicated). Each unresolved
+    # row carries its own coordinates and home cell forward, so a
+    # round's input is a filter of the last round's output, and no
+    # row is collected on the driver.
+    right_home = right_ds.map_batches(
+        _right_rows, fn_kwargs={"zoom": zoom, "ring": 0},
+        batch_format="pyarrow")
+    r = 2 * ring + 1
+    while n_unres:
+        done, carry, n_unres = _split(
+            _residue_round(carry, right_home, k, zoom=zoom, ring=r))
+        out = out.union(done)
         # quadruple the ring each round: every round costs a fixed
         # number of shuffles, so converge in few rounds; the visit fan-
-        # out above clamps at n-1 regardless of how far r overshoots
+        # out clamps at n-1 however far r overshoots
         r = 4 * r + 1
-
-    out = out_parts[0]
-    for p in out_parts[1:]:
-        out = out.union(p)
     return out
+
+
+def _residue_round(carry, right_home, k: int, *, zoom: int, ring: int):
+    """One exact residue round for the ``_CARRY`` rows of unresolved
+    left rows: each visits the cells within ``ring`` of its home cell,
+    the right rows sit in their own cell, per-cell top-k partials are
+    merged per left row, and a row resolves when its k-th distance
+    beats the ring bound. Once the ring covers the whole grid every
+    candidate has been seen, so every row resolves by completeness.
+    Returns the scored rows, materialized."""
+    n = 1 << zoom
+    # x wraps (needs 2r+1 >= n) and y clamps (needs r >= n-1 from an
+    # edge row): r >= n-1 guarantees every cell is visited
+    full_cover = ring >= n - 1
+
+    def visit(batch: pa.Table) -> pa.Table:
+        lid, lon, lat, home = (batch.column(c).to_numpy(zero_copy_only=False)
+                               for c in _CARRY)
+        # rings beyond n-1 add no new cells (x wraps, y clamps) but
+        # would allocate (2r+1)^2 per row — clamp
+        nb = np.sort(tiles.neighbor_cells(home, ring=min(ring, n - 1)),
+                     axis=1)
+        # visited cells repeat after x-wrap / y-clamp; keep each once
+        # per row so a candidate is never scored twice
+        new = np.ones(nb.shape, dtype=bool)
+        new[:, 1:] = nb[:, 1:] != nb[:, :-1]
+        row = np.nonzero(new)[0]
+        return _cell_rows(nb[new], lid[row], lon[row], lat[row], 1)
+
+    def partials(group: pa.Table) -> pa.Table:
+        left = group.column("role").to_numpy() == 1
+        if not left.any() or left.all():
+            return _SCORED.empty_table()
+        qid, qlon, qlat, ids, dist = _score_cell(group, k)
+        # the visited cell is not a home cell: merge reads the home
+        # cell from the sentinel row
+        return _scored(qid, qlon, qlat, np.full(len(qid), -1), ids, dist,
+                       np.zeros(len(qid), dtype=bool))
+
+    # one rank -1 sentinel per carried row: every left row reaches merge
+    # even when no visited cell held a candidate
+    def sentinel(batch: pa.Table) -> pa.Table:
+        m = batch.num_rows
+        return _scored(*(batch.column(c).to_numpy(zero_copy_only=False)
+                         for c in _CARRY), np.empty((m, 0)),
+                       np.empty((m, 0)), np.zeros(m, dtype=bool))
+
+    def merge(batch: pa.Table) -> pa.Table:
+        """Every left row of a block at once: its k nearest partials,
+        and whether they are final."""
+        # rows sort by (left_id, dist_m, neighbor_id): a left row's run
+        # holds its partials nearest first, then its sentinel (dist inf)
+        rank = batch.column("rank").to_numpy()
+        dist = batch.column("dist_m").to_numpy()
+        starts, ends = group_runs(batch, ["left_id"])
+        run = np.repeat(np.arange(len(starts)), ends - starts)
+        pos = np.arange(batch.num_rows) - starts[run]
+        lid, lon, lat, home = (batch.column(c).to_numpy()[rank < 0]
+                               for c in _CARRY)
+        m = np.minimum(ends - starts - 1, k)
+        ok = np.full(len(starts), full_cover)
+        if not full_cover:
+            for cell in np.unique(home[m == k]):
+                sel = np.flatnonzero((home == cell) & (m == k))
+                z, x, y = (int(v) for v in tiles.unpack_cell(np.int64(cell)))
+                ok[sel] = dist[starts[sel] + k - 1] <= _explored_bound_m(
+                    z, x, y, ring, lon[sel], lat[sel])
+        # a row with no candidate yet is carried on by its sentinel,
+        # which is its rank -1 marker
+        rows = np.flatnonzero(((rank > 0) & (pos < k))
+                              | ((rank < 0) & ((m == 0) & ~ok)[run]))
+        r = run[rows]
+        return pa.table({
+            "left_id": lid[r],
+            "neighbor_id": batch.column("neighbor_id").to_numpy()[rows],
+            "rank": np.where(rank[rows] > 0, pos[rows] + 1, -1),
+            "dist_m": dist[rows], "resolved": ok[r], "lon": lon[r],
+            "lat": lat[r], "cell_id": home[r],
+        }, schema=_SCORED)
+
+    visits = carry.map_batches(visit, batch_format="pyarrow")
+    partial = right_home.union(visits).groupby("cell_id").map_groups(
+        partials, batch_format="pyarrow").union(
+        carry.map_batches(sentinel, batch_format="pyarrow"))
+    return sorted_map_groups(
+        partial, ["left_id"], merge,
+        sort_keys=["left_id", "dist_m", "neighbor_id"]).materialize()

@@ -1,9 +1,16 @@
-"""kNN join: exactness vs brute force, including cross-cell neighbors."""
+"""kNN join: exactness vs brute force, including cross-cell neighbors.
+
+The co-shuffle tests run on one-block and four-block inputs, and the
+scorer's query tiling is exercised with ``_Q_TILE`` patched to 2."""
+
+import contextlib
+import itertools
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
+import karta_ray.stages.knn as knnmod
 from karta_ray.kernels import tiles
 from karta_ray.stages.knn import KnnJoiner, RightIndex, _dist_sphere
 
@@ -16,6 +23,55 @@ def brute_knn(qlon, qlat, ids, rlon, rlat, k):
 
 def make_joiner(index, k):
     return KnnJoiner(index, k=k)
+
+
+@contextlib.contextmanager
+def q_tile(rows):
+    """``_Q_TILE`` set to ``rows`` (None: unchanged), here and in the Ray
+    workers: while it is set the module's functions are pickled by
+    value, so the stages take the patched constant with them."""
+    if rows is None:
+        yield
+        return
+    from ray import cloudpickle
+
+    old = knnmod._Q_TILE
+    knnmod._Q_TILE = rows
+    cloudpickle.register_pickle_by_value(knnmod)
+    try:
+        yield
+    finally:
+        cloudpickle.unregister_pickle_by_value(knnmod)
+        knnmod._Q_TILE = old
+
+
+# input blocks per side for the co-shuffle runs
+BLOCKS = (1, 4)
+
+
+def coshuffle(llon, llat, rids, rlon, rlat, k, zoom, blocks):
+    """Run knn_join_coshuffle on ``blocks``-block inputs; check its
+    columns and that each (left row, rank) appears once; return
+    {left_id: [neighbor ids by rank]}."""
+    import ray.data
+
+    from karta_ray.stages.knn import knn_join_coshuffle
+
+    left = pa.table({"left_id": pa.array(np.arange(len(llon))),
+                     "lon": pa.array(llon), "lat": pa.array(llat),
+                     "cell_id": pa.array(tiles.cell_id(llon, llat, zoom))})
+    right = pa.table({"right_id": pa.array(rids),
+                      "lon": pa.array(rlon), "lat": pa.array(rlat)})
+    out = knn_join_coshuffle(
+        ray.data.from_arrow(left).repartition(blocks),
+        ray.data.from_arrow(right).repartition(blocks),
+        k, zoom=zoom).to_pandas()
+    assert list(out.columns) == ["left_id", "neighbor_id", "rank", "dist_m"]
+    assert not out.duplicated(["left_id", "rank"]).any()
+    got = {}
+    for lid, nid, rank in zip(out.left_id, out.neighbor_id, out["rank"]):
+        got.setdefault(int(lid), {})[int(rank)] = int(nid)
+    return {q: [r[i] for i in sorted(r)] for q, r in got.items()}
 
 
 class TestKnnExact:
@@ -35,15 +91,18 @@ class TestKnnExact:
                           "lon": pa.array(qlon), "lat": pa.array(qlat),
                           "cell_id": pa.array(cells)})
         k = 5
-        out = make_joiner(index, k)(batch)
-        got = {}
-        for qid, nid, rank in zip(out.column("qid").to_pylist(),
-                                  out.column("neighbor_id").to_pylist(),
-                                  out.column("rank").to_pylist()):
-            got.setdefault(qid, {})[rank] = nid
         want = brute_knn(qlon, qlat, ids, rlon, rlat, k)
-        for q in range(n_q):
-            assert [got[q][r] for r in range(1, k + 1)] == want[q].tolist(), q
+        for tile in (None, 2):
+            with q_tile(tile):
+                out = make_joiner(index, k)(batch)
+            got = {}
+            for qid, nid, rank in zip(out.column("qid").to_pylist(),
+                                      out.column("neighbor_id").to_pylist(),
+                                      out.column("rank").to_pylist()):
+                got.setdefault(qid, {})[rank] = nid
+            for q in range(n_q):
+                assert [got[q][r] for r in range(1, k + 1)] == \
+                    want[q].tolist(), (tile, q)
 
     def test_sparse_right_side(self):
         # fewer right points than k in any nearby cell -> ring expansion
@@ -56,9 +115,11 @@ class TestKnnExact:
         qlat = np.array([5.0])
         batch = pa.table({"lon": pa.array(qlon), "lat": pa.array(qlat),
                           "cell_id": pa.array(tiles.cell_id(qlon, qlat, 6))})
-        out = make_joiner(index, 2)(batch)
         want = brute_knn(qlon, qlat, ids, rlon, rlat, 2)
-        assert out.column("neighbor_id").to_pylist() == want[0].tolist()
+        for tile in (None, 2):
+            with q_tile(tile):
+                out = make_joiner(index, 2)(batch)
+            assert out.column("neighbor_id").to_pylist() == want[0].tolist()
 
     def test_dateline_neighbors(self):
         # nearest neighbor across the dateline must be found
@@ -70,17 +131,40 @@ class TestKnnExact:
         qlat = np.array([10.0])
         batch = pa.table({"lon": pa.array(qlon), "lat": pa.array(qlat),
                           "cell_id": pa.array(tiles.cell_id(qlon, qlat, 6))})
-        out = make_joiner(index, 1)(batch)
-        assert out.column("neighbor_id").to_pylist() == [11]
+        for tile in (None, 2):
+            with q_tile(tile):
+                out = make_joiner(index, 1)(batch)
+            assert out.column("neighbor_id").to_pylist() == [11]
+
+    def test_wrapped_ring_scores_each_candidate_once(self):
+        # on a 2x2 to 8x8 grid a ring wider than half the grid wraps
+        # onto cells an inner ring already visited; with k = every right
+        # point, each must still come back once, in brute-force order
+        rng = np.random.RandomState(1)
+        rlon = rng.uniform(-170, 170, 12)
+        rlat = rng.uniform(-70, 70, 12)
+        ids = np.arange(12)
+        qlon = np.array([10.0, 10.0, -100.0])
+        qlat = np.array([80.0, 81.0, 60.0])
+        want = brute_knn(qlon, qlat, ids, rlon, rlat, 12)
+        for zoom in (1, 2, 3):
+            index = RightIndex(ids, rlon, rlat, zoom=zoom)
+            batch = pa.table({
+                "qid": pa.array(np.arange(3)),
+                "lon": pa.array(qlon), "lat": pa.array(qlat),
+                "cell_id": pa.array(tiles.cell_id(qlon, qlat, zoom))})
+            for tile in (None, 2):
+                with q_tile(tile):
+                    out = make_joiner(index, 12)(batch)
+                for q in range(3):
+                    rows = out.filter(pa.compute.equal(out.column("qid"), q))
+                    assert rows.column("neighbor_id").to_pylist() == \
+                        want[q].tolist(), (zoom, tile, q)
 
 
 @pytest.mark.usefixtures("ray_session")
 class TestKnnCoshuffle:
     def test_matches_brute_force(self):
-        import ray.data
-
-        from karta_ray.stages.knn import knn_join_coshuffle
-
         rng = np.random.RandomState(11)
         n_r, n_l, k = 400, 150, 3
         rlon = rng.uniform(-60, 60, n_r)
@@ -88,36 +172,21 @@ class TestKnnCoshuffle:
         rids = np.arange(5000, 5000 + n_r)
         llon = rng.uniform(-55, 55, n_l)
         llat = rng.uniform(-45, 45, n_l)
-        lids = np.arange(n_l)
         zoom = 3  # large cells -> candidates dense, residue small
-
-        left = pa.table({"left_id": pa.array(lids),
-                         "lon": pa.array(llon), "lat": pa.array(llat),
-                         "cell_id": pa.array(tiles.cell_id(llon, llat, zoom))})
-        right = pa.table({"right_id": pa.array(rids),
-                          "lon": pa.array(rlon), "lat": pa.array(rlat)})
-        out = knn_join_coshuffle(ray.data.from_arrow(left),
-                                 ray.data.from_arrow(right),
-                                 k, zoom=zoom).to_pandas()
         want = brute_knn(llon, llat, rids, rlon, rlat, k)
-        got = {}
-        for _, row in out.iterrows():
-            got.setdefault(int(row.left_id), {})[int(row["rank"])] = int(row.neighbor_id)
-        for q in range(n_l):
-            assert [got[q][r] for r in range(1, k + 1)] == want[q].tolist(), q
+        for blocks in BLOCKS:
+            got = coshuffle(llon, llat, rids, rlon, rlat, k, zoom, blocks)
+            for q in range(n_l):
+                assert got[q] == want[q].tolist(), (blocks, q)
 
 
+@pytest.mark.usefixtures("ray_session")
 class TestKnnCoshuffleHotCell:
     def test_hot_cell_query_tiling_exact(self):
         # dense-city skew: thousands of left rows + hundreds of right
         # rows in ONE cell, forcing multiple _Q_TILE query tiles through
         # the probe (memory stays tile x ncand, not nq x ncand); the
         # tiled path must stay exact vs brute force
-        import ray.data
-
-        import karta_ray.stages.knn as knnmod
-        from karta_ray.stages.knn import knn_join_coshuffle
-
         rng = np.random.RandomState(17)
         n_l, n_r, k = 3000, 300, 3
         assert n_l > 2 * knnmod._Q_TILE  # ensure >= 3 tiles
@@ -126,35 +195,20 @@ class TestKnnCoshuffleHotCell:
         llat = rng.uniform(10, 30, n_l)
         rlon = rng.uniform(10, 40, n_r)
         rlat = rng.uniform(10, 30, n_r)
-        lids = np.arange(n_l)
         rids = np.arange(7000, 7000 + n_r)
-        zoom = 2
-        left = pa.table({"left_id": pa.array(lids),
-                         "lon": pa.array(llon), "lat": pa.array(llat),
-                         "cell_id": pa.array(tiles.cell_id(llon, llat, zoom))})
-        right = pa.table({"right_id": pa.array(rids),
-                          "lon": pa.array(rlon), "lat": pa.array(rlat)})
-        out = knn_join_coshuffle(ray.data.from_arrow(left),
-                                 ray.data.from_arrow(right),
-                                 k, zoom=zoom).to_pandas()
         want = brute_knn(llon, llat, rids, rlon, rlat, k)
-        got = {}
-        for _, row in out.iterrows():
-            got.setdefault(int(row.left_id), {})[int(row["rank"])] = \
-                int(row.neighbor_id)
-        for q in range(n_l):
-            assert [got[q][r] for r in range(1, k + 1)] == want[q].tolist(), q
+        for blocks in BLOCKS:
+            got = coshuffle(llon, llat, rids, rlon, rlat, k, 2, blocks)
+            for q in range(n_l):
+                assert got[q] == want[q].tolist(), (blocks, q)
 
 
+@pytest.mark.usefixtures("ray_session")
 class TestKnnCoshuffleEdgeCases:
     def test_nan_coordinates_do_not_crash(self):
         # ADVICE r01: rows without coordinates (cell_id == -1) used to
         # reach unpack_cell(-1)/_explored_bound_m and raise; they must
         # simply be dropped on both sides (KnnJoiner semantics)
-        import ray.data
-
-        from karta_ray.stages.knn import knn_join_coshuffle
-
         rng = np.random.RandomState(3)
         n_r, n_l, k = 60, 25, 2
         rlon = rng.uniform(-40, 40, n_r)
@@ -165,35 +219,20 @@ class TestKnnCoshuffleEdgeCases:
         llat = rng.uniform(-25, 25, n_l)
         llon[::5] = np.nan  # some left rows without coords
         lids = np.arange(n_l)
-        zoom = 2
-        left = pa.table({"left_id": pa.array(lids),
-                         "lon": pa.array(llon), "lat": pa.array(llat),
-                         "cell_id": pa.array(tiles.cell_id(llon, llat, zoom))})
-        right = pa.table({"right_id": pa.array(rids),
-                          "lon": pa.array(rlon), "lat": pa.array(rlat)})
-        out = knn_join_coshuffle(ray.data.from_arrow(left),
-                                 ray.data.from_arrow(right),
-                                 k, zoom=zoom).to_pandas()
         lok = ~np.isnan(llon)
         rok = ~np.isnan(rlon)
         want = brute_knn(llon[lok], llat[lok], rids[rok],
                          rlon[rok], rlat[rok], k)
-        got = {}
-        for _, row in out.iterrows():
-            got.setdefault(int(row.left_id), {})[int(row["rank"])] = \
-                int(row.neighbor_id)
-        assert set(got) == set(lids[lok].tolist())
-        for qi, q in enumerate(lids[lok]):
-            assert [got[q][r] for r in range(1, k + 1)] == want[qi].tolist()
+        for blocks in BLOCKS:
+            got = coshuffle(llon, llat, rids, rlon, rlat, k, 2, blocks)
+            assert set(got) == set(lids[lok].tolist())
+            for qi, q in enumerate(lids[lok]):
+                assert got[q] == want[qi].tolist(), (blocks, q)
 
     def test_sparse_right_forces_residue_rounds(self):
         # right side so sparse that most cells fail the in-cell bound:
         # the distributed residue rounds (left-fanout, ring doubling up
         # to full cover) must still produce exact results
-        import ray.data
-
-        from karta_ray.stages.knn import knn_join_coshuffle
-
         rng = np.random.RandomState(23)
         n_r, n_l, k = 8, 40, 3
         rlon = rng.uniform(-150, 150, n_r)
@@ -201,21 +240,12 @@ class TestKnnCoshuffleEdgeCases:
         rids = np.arange(100, 100 + n_r)
         llon = rng.uniform(-170, 170, n_l)
         llat = rng.uniform(-75, 75, n_l)
-        lids = np.arange(n_l)
         zoom = 4  # 16x16 grid, 8 right points -> almost all cells empty
-        left = pa.table({"left_id": pa.array(lids),
-                         "lon": pa.array(llon), "lat": pa.array(llat),
-                         "cell_id": pa.array(tiles.cell_id(llon, llat, zoom))})
-        right = pa.table({"right_id": pa.array(rids),
-                          "lon": pa.array(rlon), "lat": pa.array(rlat)})
-        out = knn_join_coshuffle(ray.data.from_arrow(left),
-                                 ray.data.from_arrow(right),
-                                 k, zoom=zoom).to_pandas()
         want = brute_knn(llon, llat, rids, rlon, rlat, k)
-        got = {}
-        for _, row in out.iterrows():
-            got.setdefault(int(row.left_id), {})[int(row["rank"])] = \
-                int(row.neighbor_id)
-        assert set(got) == set(lids.tolist())
-        for q in range(n_l):
-            assert [got[q][r] for r in range(1, k + 1)] == want[q].tolist(), q
+        for blocks, tile in itertools.product(BLOCKS, (None, 2)):
+            with q_tile(tile):
+                got = coshuffle(llon, llat, rids, rlon, rlat, k, zoom,
+                                blocks)
+            assert set(got) == set(range(n_l))
+            for q in range(n_l):
+                assert got[q] == want[q].tolist(), (blocks, tile, q)
