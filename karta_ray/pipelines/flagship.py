@@ -8,7 +8,10 @@ Arrow; the only stateful stage is the join, whose polygon state is
 broadcast once and built once per worker process. Nothing shuffles:
 the (poly_id, cell_id) aggregate is partial counts inside map_batches,
 folded on the driver as they stream in (``stages.agg.tree_sum``), in
-the same executor run.
+the same executor run. Read through ``flagship_aggregate``, the plan is
+one operator, read -> extract -> cells -> join -> partial -> combine,
+one task per read task, where there are at least 2 x cluster CPUs
+files (``state.executor.READ_MIN_BLOCKS``).
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ def flagship_pipeline(pages_ds, *, zoom: int = 7, polyset=None,
     ``slim=True`` is the aggregate-sink flavor: when the consumer only
     needs (poly_id, cell_id) counts, url / tile_x/y/z / poly_name are
     dead weight, so they are pruned right after extract: the stages
-    fused after it (the parquet read is its own operator; extract ->
-    cells -> join -> partial are one operator, one task per 8192-row
-    bundle) carry 24 B/doc instead of ~100. A sink that DOES need url
+    fused after it (read -> extract -> cells -> join -> partial are one
+    operator, one task per read task, so html never leaves the task)
+    carry 24 B/doc instead of ~100. A sink that DOES need url
     should carry it inline instead (the flagship has no shuffle between
     extract and sink, so a row-id + join-url-back-at-the-sink plan would
     cost a real hash shuffle to save a 43-byte column that fused stages

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from ..state.executor import start_run
+
 
 def _make_combine(keys: list, col_aggs: list):
     def combine(batch: pa.Table) -> pa.Table:
@@ -37,11 +39,13 @@ def stream_fold(parts, combine, *, flush_rows: int = FLUSH_ROWS):
     they stream in, re-combining with the running result whenever the
     new rows reach max(``flush_rows``, groups so far): O(partial rows)
     driver work, memory bounded by groups plus one buffer. ``combine``
-    must be associative and idempotent. ``None`` if every block is empty."""
+    must be associative and idempotent. ``None`` if every block is empty.
+    The run is planned under ``parts``'s own context
+    (``state.executor.start_run``)."""
     import ray
 
     buf, groups, buffered = [], 0, 0
-    for bundle in parts.iter_internal_ref_bundles():
+    for bundle in start_run(parts):
         # skip empty blocks: Ray's are schema-less and break the concat
         for block in ray.get([r for r, meta in bundle.blocks
                               if meta.num_rows != 0]):
@@ -59,10 +63,11 @@ def tree_agg(ds, keys: list, col_aggs: list):
     ONE Ray Data execution: each block is combined in a fused
     ``map_batches`` (<= groups rows out) and :func:`stream_fold` folds
     those partials on the driver. The result wraps the folded table as
-    one block (``ray.data.from_blocks``: no remote metadata task, unlike
-    ``from_arrow``), so it knows its schema and
-    ``to_arrow_refs()``/``take_all()``/``to_pandas()`` never re-run the
-    aggregate; an empty input keeps the dtype-strict schema."""
+    one materialized block (``ray.data.from_blocks``: no remote metadata
+    task, unlike ``from_arrow``; materializing a source-only plan starts
+    no executor run), so it knows its schema and
+    ``to_arrow_refs()``/``take_all()``/``to_pandas()`` start no executor
+    run at all; an empty input keeps the dtype-strict schema."""
     import ray.data
 
     combine = _make_combine(keys, col_aggs)
@@ -71,7 +76,7 @@ def tree_agg(ds, keys: list, col_aggs: list):
     if out is None:  # map_batches drops an empty block's schema
         schema = ds.schema()
         out = combine(schema.base_schema.empty_table()) if schema else pa.table({})
-    return ray.data.from_blocks([out])
+    return ray.data.from_blocks([out]).materialize()
 
 
 def tree_sum(ds, keys: list, sum_cols: list):

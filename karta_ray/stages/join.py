@@ -11,8 +11,10 @@ distributed shape:
    :func:`prep_polygons_strtree`) and the per-ring exact-test table
    (``geoms.RingTable``), put in the object store with ``ray.put`` and
    read by every task from the same copy;
-3. the join is a task-based ``map_batches`` over :func:`_join_batch`,
-   which builds one ``PolyJoiner`` per worker process
+3. the join is a task-based ``map_batches`` over whole blocks
+   (:func:`_join_batch`, fused with the maps and the read before it:
+   one task per read task), which builds one ``PolyJoiner`` per worker
+   process
    (``state.worker.cached``). The joiner takes (point, polygon)
    candidate pairs from the prefilter, then runs the exact
    winding-number / polar-azimuth test on all of them at once: pairs
@@ -39,23 +41,15 @@ from ..state.worker import cached, resolve
 
 DEFAULT_ZOOM = 7
 
-# Rows per _join_batch call. A split read (ReadParquet->SplitBlocks,
-# which Ray plans when there are fewer read tasks than its detected
-# parallelism, as perfbench's 8 files on 4 CPUs get) never fuses with a
-# map, whatever the batch size (ray/data/_internal/logical/rules/
-# operator_fusion.py:168). With one read task per file (files >> CPUs,
-# the design scale) there is no split, and Ray will not fuse a
-# row-changing Read into an operator with min_rows_per_bundle: 8192
-# leaves ReadParquet its own operator, so html crosses the object store
-# once, while batch_size=None fuses the read into extract -> ... (4 CPUs,
-# override_num_blocks=8, 8 interleaved jobs each: 0.730 s vs 0.494 s per
-# job). Kept because on the split read whole blocks cut pip_dense
-# norm_rows_per_s 7% and raised flagship_pages setup_s 13% and
-# peak_pss_mb 5% (interleaved perfbench A/B, 5 pairs per workload),
-# though they lifted its scaling_eff from 0.28 to 0.41. With a 16-block
-# generator buffer (see state.executor) a flagship_pages job at all 4
-# CPUs took 0.505 s at 4096, 0.506 s at 8192, 0.578 s at 16384 and
-# 0.571 s at None, and the one-CPU leg got slower at the other sizes.
+# Rows per PolyJoiner call, an in-task chunk size: _join_batch cuts a
+# larger block into BATCH_SIZE-row slices so the candidate-pair arrays
+# stay bounded at design-scale block sizes (128 MB blocks). It is not a
+# bundle size: _map_join passes no batch_size, because Ray will not fuse
+# a row-changing Read into an operator with min_rows_per_bundle
+# (ray/data/_internal/logical/rules/operator_fusion.py), and the fused
+# read -> extract -> cells -> join -> partial operator is what keeps
+# html inside the read task (the read fuses only when it is not split:
+# see state.executor.READ_MIN_BLOCKS).
 BATCH_SIZE = 8192
 
 _EMPTY_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -205,15 +199,19 @@ class PolyJoiner:
 
 def _join_batch(batch: pa.Table, *, prep_ref, mode: str,
                 with_name: bool) -> pa.Table:
-    return cached(PolyJoiner, prep_ref, mode, with_name)(batch)
+    joiner = cached(PolyJoiner, prep_ref, mode, with_name)
+    if batch.num_rows <= BATCH_SIZE:
+        return joiner(batch)
+    return pa.concat_tables([joiner(batch.slice(i, BATCH_SIZE))
+                             for i in range(0, batch.num_rows, BATCH_SIZE)])
 
 
 def _map_join(points_ds, prep_ref, mode: str = "inner",
               with_name: bool = True):
-    # the whole plan, its read included, shares this context
+    # the whole plan, its read included, shares this context; no
+    # batch_size, so the join fuses with the read (see BATCH_SIZE)
     return buffer_ahead(points_ds).map_batches(
-        _join_batch, batch_format="pyarrow", batch_size=BATCH_SIZE,
-        zero_copy_batch=True,
+        _join_batch, batch_format="pyarrow", zero_copy_batch=True,
         fn_kwargs={"prep_ref": prep_ref, "mode": mode,
                    "with_name": with_name})
 

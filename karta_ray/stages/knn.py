@@ -379,6 +379,9 @@ def knn_join_coshuffle(left_ds, right_ds, k: int, *, zoom: int,
     probed = both.groupby("cell_id").map_groups(
         probe, batch_format="pyarrow").materialize()
     out, carry, n_unres = _split(probed)
+    # every left row resolved in-cell has k rows, so only a run with no
+    # scored rows or with a residue can end empty
+    maybe_empty = n_unres > 0 or probed.count() == 0
 
     # residue rounds: the unresolved rows are few by construction, so
     # invert the replication — the residue LEFT rows fan out to an
@@ -399,6 +402,17 @@ def knn_join_coshuffle(left_ds, right_ds, k: int, *, zoom: int,
         # number of shuffles, so converge in few rounds; the visit fan-
         # out clamps at n-1 however far r overshoots
         r = 4 * r + 1
+    if not maybe_empty:
+        return out
+    # Ray's shuffles hand empty partitions on as schema-less blocks, and
+    # map_batches passes an empty block through without calling its fn;
+    # an empty result (no left or no right row has coordinates) is
+    # returned as one typed empty block instead
+    out = out.materialize()
+    if out.count() == 0:
+        import ray.data
+
+        return ray.data.from_blocks([_SCORED.empty_table().select(_OUT)])
     return out
 
 

@@ -249,3 +249,32 @@ class TestKnnCoshuffleEdgeCases:
             assert set(got) == set(range(n_l))
             for q in range(n_l):
                 assert got[q] == want[q].tolist(), (blocks, tile, q)
+
+    def test_no_coordinates_typed_empty(self):
+        # no right (then no left) row has coordinates: the result is
+        # empty, but typed; Ray's to_pandas() drops the columns of any
+        # empty Dataset, so read the blocks
+        import ray
+        import ray.data
+
+        from karta_ray.stages.knn import knn_join_coshuffle
+
+        llon, llat = np.array([1.0, 20.0, -40.0]), np.array([2.0, 10.0, 30.0])
+        rlon, rlat = np.array([5.0, -30.0]), np.array([1.0, 2.0])
+        nan = np.full(3, np.nan)
+        want = pa.schema([("left_id", pa.int64()), ("neighbor_id", pa.int64()),
+                          ("rank", pa.int64()), ("dist_m", pa.float64())])
+        for (llon, rlon), blocks in itertools.product(
+                [(llon, nan[:2]), (nan, rlon)], BLOCKS):
+            left = pa.table({"left_id": pa.array(np.arange(3)),
+                             "lon": pa.array(llon), "lat": pa.array(llat),
+                             "cell_id": pa.array(tiles.cell_id(llon, llat, 4))})
+            right = pa.table({"right_id": pa.array([7, 8]),
+                              "lon": pa.array(rlon), "lat": pa.array(rlat)})
+            out = knn_join_coshuffle(
+                ray.data.from_arrow(left).repartition(blocks),
+                ray.data.from_arrow(right).repartition(blocks), 2, zoom=4)
+            assert out.schema().base_schema == want
+            tables = ray.get(out.to_arrow_refs())
+            assert all(t.schema == want for t in tables), blocks
+            assert pa.concat_tables(tables).num_rows == 0

@@ -133,15 +133,61 @@ class TestJoinModes:
         for pid, grp in inner.groupby("pid"):
             assert tagged.loc[pid] == grp["poly_id"].min()
 
+    def test_join_batch_chunks_large_blocks(self):
+        # a block above BATCH_SIZE (and not a multiple of it) is joined
+        # in BATCH_SIZE-row slices: the same rows as the slices joined
+        # one by one, and as a brute-force PolygonSet.contains
+        from karta_ray.kernels import tiles as T
+        from karta_ray.stages.join import BATCH_SIZE, _join_batch, prep_polygons
+
+        ps = synth.admin_polygons()
+        n = 20_000
+        assert n > BATCH_SIZE and n % BATCH_SIZE
+        rng = np.random.RandomState(4)
+        lon, lat = rng.uniform(-180, 180, n), rng.uniform(-85, 85, n)
+        batch = pa.table({"pid": pa.array(np.arange(n)), "lon": pa.array(lon),
+                          "lat": pa.array(lat),
+                          "cell_id": pa.array(T.cell_id(lon, lat, 7))})
+        inside = np.stack([ps.contains(lon, lat, ip) for ip in range(len(ps))])
+        pts, pls = np.nonzero(inside.T)  # point-major, polygon order
+        first = np.full(n, -1)
+        first[np.unique(pts)] = ps.poly_id[pls[np.unique(pts, return_index=True)[1]]]
+        want = {"inner": sorted(zip(pts.tolist(), ps.poly_id[pls].tolist())),
+                "semi": np.unique(pts).tolist(), "tag": first.tolist()}
+        prep = prep_polygons(ps, 7)
+        for mode in ("inner", "semi", "tag"):
+            kw = {"prep_ref": prep, "mode": mode, "with_name": True}
+            got = _join_batch(batch, **kw)
+            chunks = pa.concat_tables([
+                _join_batch(batch.slice(i, BATCH_SIZE), **kw)
+                for i in range(0, n, BATCH_SIZE)])
+            assert got.equals(chunks), mode
+            if mode == "inner":
+                rows = sorted(zip(got.column("pid").to_pylist(),
+                                  got.column("poly_id").to_pylist()))
+            elif mode == "semi":
+                rows = sorted(got.column("pid").to_pylist())
+            else:
+                assert got.column("pid").to_pylist() == list(range(n))
+                rows = got.column("poly_id").to_pylist()
+            assert rows == want[mode], mode
+            empty = _join_batch(batch.slice(0, 0), **kw)
+            assert empty.num_rows == 0 and empty.schema == got.schema, mode
+        assert len(want["inner"]) > 1000  # non-trivial join
+
 
 @pytest.fixture(scope="module")
 def pages_dir(tmp_path_factory):
-    """Synthetic pages as 8 parquet files, read back like perfbench's."""
+    """Synthetic pages as 8 parquet files, read back like perfbench's.
+    ~13 MiB in Ray's size estimate, so that under Ray's default read
+    floor (200 blocks, at most one per MiB of data) 8 files on 4 CPUs
+    split, as perfbench's do; at 2000 pages a file (8.9 MiB) they would
+    not split even so."""
     import pyarrow.parquet as pq
 
     d = tmp_path_factory.mktemp("pages")
     for i in range(8):
-        pq.write_table(synth.pages_table(2000, start=2000 * i),
+        pq.write_table(synth.pages_table(3000, start=3000 * i),
                        str(d / f"part-{i}.parquet"))
     return str(d)
 
@@ -216,15 +262,59 @@ class TestExecutorScope:
             capped.sort_by(order))
         assert max(n for n, _ in steps) > 1
 
-    def test_global_context_unchanged(self, pages_dir):
+    def test_global_context_unchanged(self, monkeypatch, pages_dir):
+        # the same object with the same fields after a run, and after a
+        # run whose UDF raises (the run is planned under the plan's own
+        # context: state.executor.start_run)
         import copy
 
         from ray.data import DataContext
 
-        before = copy.deepcopy(DataContext.get_current())
+        from karta_ray.pipelines import flagship
+
+        ctx = DataContext.get_current()
+        before = copy.deepcopy(ctx)
         assert _flagship_job(pages_dir).num_rows > 0
-        assert _context_fields(DataContext.get_current()) == \
-            _context_fields(before)
+        assert DataContext.get_current() is ctx
+        assert _context_fields(ctx) == _context_fields(before)
+
+        def raising(batch):
+            raise RuntimeError("partial failed")
+
+        monkeypatch.setattr(flagship, "_partial_counts", raising)
+        with pytest.raises(Exception, match="partial failed"):
+            _flagship_job(pages_dir)
+        assert DataContext.get_current() is ctx
+        assert _context_fields(ctx) == _context_fields(before)
+
+    def test_flagship_is_one_operator(self, monkeypatch, pages_dir):
+        # 8 files on 4 CPUs: the read is not split, so read -> extract ->
+        # cells -> join -> partial -> combine fuse into one map operator,
+        # one task per file; reading the result back runs nothing
+        from ray.data._internal.execution.operators.map_operator import \
+            MapOperator
+        from ray.data._internal.execution.streaming_executor import \
+            StreamingExecutor
+
+        dags = []
+        execute = StreamingExecutor.execute
+
+        def recording(self, dag, *args, **kwargs):
+            dags.append(dag)
+            return execute(self, dag, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingExecutor, "execute", recording)
+        assert _flagship_job(pages_dir).num_rows > 0
+        assert len(dags) == 1
+        ops, todo = [], [dags[0]]
+        while todo:
+            ops.append(todo.pop())
+            todo += ops[-1].input_dependencies
+        maps = [op for op in ops if isinstance(op, MapOperator)]
+        assert len(maps) == 1, [op.name for op in ops]
+        assert maps[0].name.startswith(
+            "ReadParquet->MapBatches(extract_geotag_stage)"), maps[0].name
+        assert not any("SplitBlocks" in op.name for op in ops)
 
     def test_join_plans_carry_buffer_depth(self, monkeypatch, tmp_path,
                                           pages_dir):
@@ -312,8 +402,8 @@ class TestTreeAggProperty:
 
     def test_one_execution_partial_once_per_block(self, monkeypatch):
         # flagship_aggregate(...) then to_arrow_refs(): one executor run,
-        # the partial once per input block, and no re-execution to fetch
-        # the result's schema
+        # the partial once per input block, and no further run to fetch
+        # the result or its schema
         import ray
         import ray.data
         from ray.data._internal.execution.streaming_executor import \
@@ -356,7 +446,8 @@ class TestTreeAggProperty:
         assert len(runs) == 1
         got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
         assert ray.get(counter.get.remote()) == len(blocks)
-        assert all("MapBatches" not in r for r in runs[1:])
+        # the read-back starts no executor run
+        assert len(runs) == 1
         want = partial(pa.concat_tables(blocks))
         assert got.sort_by([("poly_id", "ascending"), ("cell_id", "ascending")]) \
             .equals(want.sort_by([("poly_id", "ascending"),
