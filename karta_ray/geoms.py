@@ -126,22 +126,11 @@ class PolygonSet:
         azimuth-sum test uses the ring's own CRS inverse azimuth
         (contains_proj calls crs.inverse, contains.pyx:57-63): spherical
         formula for "spherical", Karney for "lonlat_wgs84"."""
-        rings = self.rings_of(ip)
-        if self.crs[ip] == "lonlat_wgs84":
-            from .kernels import karney
-
-            def az_fn(x1, y1, x2, y2):
-                az, _, _ = karney.inverse_vec(
-                    karney.WGS84_A, karney.WGS84_B,
-                    *np.broadcast_arrays(x1, y1, x2, y2))
-                return az
-            azimuth_fn = az_fn
-        else:
-            from .kernels import geodesy
-
-            azimuth_fn = geodesy.sphere_azimuth
+        azimuth_fn = (_wgs84_azimuth if self.crs[ip] == "lonlat_wgs84"
+                      else geodesy.sphere_azimuth)
         return predicates.points_in_polygon(
-            px, py, rings, geographical=(self.crs[ip] != "cartesian"),
+            px, py, self.rings_of(ip),
+            geographical=(self.crs[ip] != "cartesian"),
             azimuth_fn=azimuth_fn)
 
     def cover_boxes(self):

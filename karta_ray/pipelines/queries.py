@@ -480,8 +480,10 @@ KNN_K = 25
 
 @query(oracle=lambda: KNN_SQL)
 def q_knn(sf_dir: str):
-    """k-nearest derived points to RADIUS_CENTER: distributed top-k via
-    per-batch pruning then a global sort + limit."""
+    """k-nearest derived points to RADIUS_CENTER: the global top-k by
+    (dist, l_orderkey, l_linenumber)."""
+    from ..stages.topn import global_topk
+
     ds = points_ds(sf_dir)
 
     def with_dist(batch: pa.Table) -> pa.Table:
@@ -489,15 +491,10 @@ def q_knn(sf_dir: str):
         lat = batch.column("lat").to_numpy()
         d = _sphere_dist_locos(lon, lat, *RADIUS_CENTER)
         out = batch.select(["l_orderkey", "l_linenumber"])
-        out = out.append_column("dist", pa.array(d, pa.float64()))
-        # per-batch prune to local top-k before the global sort
-        if len(out) > KNN_K:
-            idx = np.argsort(d, kind="stable")[:KNN_K]
-            out = out.take(pa.array(np.sort(idx), pa.int64()))
-        return out
+        return out.append_column("dist", pa.array(d, pa.float64()))
 
-    pruned = ds.map_batches(with_dist, batch_format="pyarrow")
-    top = pruned.sort(["dist", "l_orderkey", "l_linenumber"]).limit(KNN_K)
+    top = global_topk(ds.map_batches(with_dist, batch_format="pyarrow"),
+                      ["dist", "l_orderkey", "l_linenumber"], KNN_K)
     return top.select_columns(["l_orderkey", "l_linenumber"])
 
 
@@ -1141,11 +1138,12 @@ TOPK_USERS = 20
 
 @query(oracle=lambda: TOPK_USERS_SQL)
 def q_topk_users(sf_dir: str):
-    """Top-k users by event count (count aggregate -> global sort ->
-    limit; deterministic tiebreak by user_id)."""
+    """Top-k users by event count (count aggregate -> global top-k;
+    deterministic tiebreak by user_id)."""
     import ray.data
 
     from ..stages.agg import tree_sum
+    from ..stages.topn import global_topk
 
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id"])
@@ -1156,8 +1154,8 @@ def q_topk_users(sf_dir: str):
 
     counts = tree_sum(ds.map_batches(partial, batch_format="pyarrow"),
                       ["user_id"], ["n"])
-    top = counts.sort(["n", "user_id"], descending=[True, False])
-    return top.limit(TOPK_USERS)
+    return global_topk(counts, ["n", "user_id"], TOPK_USERS,
+                       descending=[True, False])
 
 
 TOPK_USERS_SQL = f"""
@@ -1309,9 +1307,8 @@ SESSION_GAP_US = 1800 * 1_000_000
 @query(oracle=lambda: SESSIONIZE_SQL)
 def q_sessionize(sf_dir: str):
     """Per-user sessionization of the events stream (30-min idle gap):
-    (user_id, n_events, n_sessions) — sort by (user, ts) + vectorized
-    segment partials + one vectorized stitch (no per-user Python; see
-    stages/session.py)."""
+    (user_id, n_events, n_sessions) — the per-user rollup of the
+    session windows, in one (user, ts) sort (stages/session.py)."""
     import ray.data
 
     from ..stages.session import sessionize

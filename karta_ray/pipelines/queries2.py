@@ -1558,8 +1558,6 @@ def q_bloom_semi_join(sf_dir: str):
                          "l_linenumber": b.column("l_linenumber"),
                          "qty_x100": pa.array(q)})
 
-    left = li.map_batches(fixed, batch_format="pyarrow",
-                          zero_copy_batch=True)
     urgent = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderpriority"]).map_batches(
@@ -1567,7 +1565,11 @@ def q_bloom_semi_join(sf_dir: str):
                                     "1-URGENT")).select(["o_orderkey"])
                    .rename_columns(["l_orderkey"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    return bloom_semi_join(left, urgent, key="l_orderkey")
+    # the bare read as left: its schema is known without an executor
+    # run, which a mapped left would cost (the key cast, the co-group's
+    # zero-row table)
+    return bloom_semi_join(li, urgent, key="l_orderkey").map_batches(
+        fixed, batch_format="pyarrow", zero_copy_batch=True)
 
 
 BLOOM_SEMI_JOIN_SQL = """

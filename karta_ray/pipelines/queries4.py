@@ -786,7 +786,7 @@ FROM range({ny}) t1(gi) CROSS JOIN range({nx}) t2(gj)
 # event-time windows over the time-ordered events feed — the
 # PER-WINDOW rows whose rollup is the existing sessionize oracle.
 # Bounded residue: blocks export pre-collapsed session partials, so a
-# bursting hot user costs one residue row per block (stages/stream.py).
+# bursting hot user costs one residue row per block (stages/session.py).
 # ---------------------------------------------------------------------------
 
 
@@ -794,7 +794,7 @@ FROM range({ny}) t1(gi) CROSS JOIN range({nx}) t2(gj)
 def q_session_windows(sf_dir: str):
     import ray.data
 
-    from ..stages.stream import session_windows
+    from ..stages.session import session_windows
     from .queries import SESSION_GAP_US
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",

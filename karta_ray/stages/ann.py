@@ -35,34 +35,61 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 class _TopkScorer:
     """map_batches stage: per-batch cosine scores vs all queries, pruned
-    to local top-k rows per query."""
+    to local top-k rows per query. Each query scores only the rows whose
+    label is in its probe set (``probe`` None: every row)."""
 
-    def __init__(self, queries_ref, k: int, exclude_self: bool):
-        q = resolve(queries_ref)
-        self.qids = q["qids"]
-        self.qmat = q["qmat"]  # normalized (nq, d)
+    def __init__(self, ref, k: int, exclude_self: bool, label_col):
+        state = resolve(ref)
+        self.qids = state["qids"]
+        self.qmat = state["qmat"]  # normalized (nq, d)
         self.k = k
         self.exclude_self = exclude_self
+        self.label_col = label_col
+        # Queries are grouped by their probed label SET, so the
+        # row-membership mask is built once per distinct set (not once
+        # per query), and the cosine scores come from ONE matmul of all
+        # queries vs the batch — per-batch cost is O(nq*nb +
+        # distinct_sets*nb), flat in query count for query workloads
+        # that share probe sets.
+        probe = state["probe"] or [None] * len(self.qids)
+        groups: dict = {}
+        for qi, ls in enumerate(probe):
+            groups.setdefault(None if ls is None else frozenset(ls),
+                              []).append(qi)
+        self.groups = [(None if ls is None else
+                        np.fromiter(ls, dtype=np.int64, count=len(ls)), qis)
+                       for ls, qis in groups.items()]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         vid = batch.column("vec_id").to_numpy()
         emb = _normalize(_to_matrix(batch.column("embedding")))
-        sims = self.qmat @ emb.T  # (nq, nb)
-        out_q = []
-        out_v = []
-        out_s = []
-        for qi in range(len(self.qids)):
-            s = sims[qi]
-            mask = np.ones(len(vid), dtype=bool)
-            if self.exclude_self:
-                mask &= vid != self.qids[qi]
-            idx = np.nonzero(mask)[0]
-            if len(idx) == 0:
+        lab = (None if self.label_col is None
+               else batch.column(self.label_col).to_numpy())
+        sims = None
+        out_q, out_v, out_s = [], [], []
+        for labels, qis in self.groups:
+            if labels is None:
+                idx = np.arange(len(vid))
+            else:
+                idx = np.nonzero(np.isin(lab, labels))[0]
+            if not len(idx):
                 continue
-            top = idx[np.argsort(-s[idx], kind="stable")[:self.k]]
-            out_q.append(np.full(len(top), self.qids[qi], dtype=np.int64))
-            out_v.append(vid[top].astype(np.int64))
-            out_s.append(s[top])
+            if sims is None:
+                sims = self.qmat @ emb.T  # (nq, nb)
+            svid = vid[idx]
+            for qi in qis:
+                s = sims[qi, idx]
+                if self.exclude_self:
+                    keep = np.nonzero(svid != self.qids[qi])[0]
+                else:
+                    keep = np.arange(len(svid))
+                if len(keep) == 0:
+                    continue
+                # stable sort: ties keep batch order
+                top = keep[np.argsort(-s[keep], kind="stable")[:self.k]]
+                out_q.append(np.full(len(top), self.qids[qi], dtype=np.int64))
+                out_v.append(svid[top].astype(np.int64))
+                out_s.append(s[top])
         if not out_q:
             return pa.table({"query_id": pa.array([], pa.int64()),
                              "vec_id": pa.array([], pa.int64()),
@@ -93,6 +120,21 @@ def _final_topk(k: int):
     return fn
 
 
+def _scored_topk(emb_ds, qids, qmat, probe, k: int, exclude_self: bool,
+                 label_col):
+    """The scorer over every batch, then one block's exact top-k."""
+    ref = ray.put({"qids": np.asarray(qids, dtype=np.int64), "qmat": qmat,
+                   "probe": probe})
+
+    def score(batch: pa.Table) -> pa.Table:
+        return cached(_TopkScorer, ref, k, exclude_self, label_col)(batch)
+
+    part = emb_ds.map_batches(score, batch_format="pyarrow",
+                              zero_copy_batch=True)
+    return part.repartition(1).map_batches(_final_topk(k),
+                                           batch_format="pyarrow")
+
+
 def ann_topk(emb_ds, query_ids, query_mat, k: int = 10, *,
              exclude_self: bool = True):
     """Exact cosine top-k of every query vs the embedding Dataset.
@@ -100,17 +142,9 @@ def ann_topk(emb_ds, query_ids, query_mat, k: int = 10, *,
     Returns (query_id, vec_id, sim, rank). Scale: batches stream through
     the scorer; only nq*k rows per batch survive to the final combine.
     """
-    q = {"qids": np.asarray(query_ids, dtype=np.int64),
-         "qmat": _normalize(np.asarray(query_mat, dtype=np.float64))}
-    ref = ray.put(q)
-
-    def score(batch: pa.Table) -> pa.Table:
-        return cached(_TopkScorer, ref, k, exclude_self)(batch)
-
-    part = emb_ds.map_batches(score, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return part.repartition(1).map_batches(_final_topk(k),
-                                           batch_format="pyarrow")
+    qmat = _normalize(np.asarray(query_mat, dtype=np.float64))
+    return _scored_topk(emb_ds, query_ids, qmat, None, k, exclude_self,
+                        None)
 
 
 def ann_ivf_topk(emb_ds, query_ids, query_mat, k: int = 10, *,
@@ -137,74 +171,8 @@ def ann_ivf_topk(emb_ds, query_ids, query_mat, k: int = 10, *,
     qmat = _normalize(np.asarray(query_mat, dtype=np.float64))
     probe = np.argsort(-(qmat @ cent.T), axis=1)[:, :nprobe]
     probe_labels = [{labels[j] for j in row} for row in probe]
-
-    q = {"qids": np.asarray(query_ids, dtype=np.int64), "qmat": qmat}
-    ref = ray.put({"q": q, "probe": probe_labels})
-
-    class Scorer(_TopkScorer):
-        def __init__(self, ref, k, exclude_self):
-            data = resolve(ref)
-            super().__init__(data["q"], k, exclude_self)
-            self.probe = data["probe"]
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            # Queries are grouped by their probed label SET, so the
-            # row-membership mask is built once per distinct set (not
-            # once per query), and the cosine scores come from ONE
-            # matmul of all queries vs the batch — per-batch cost is
-            # O(nq*nb + distinct_sets*nb), flat in query count for
-            # query workloads that share probe sets.
-            lab = batch.column(label_col).to_numpy()
-            vid = batch.column("vec_id").to_numpy()
-            emb = _normalize(_to_matrix(batch.column("embedding")))
-            groups: dict = {}
-            for qi, ls in enumerate(self.probe):
-                groups.setdefault(frozenset(ls), []).append(qi)
-            sims = None
-            out_q, out_v, out_s = [], [], []
-            for ls, qis in groups.items():
-                mask = np.isin(lab, np.fromiter(ls, dtype=np.int64,
-                                                count=len(ls)))
-                if not mask.any():
-                    continue
-                if sims is None:
-                    sims = self.qmat @ emb.T
-                idx = np.nonzero(mask)[0]
-                svid = vid[idx]
-                for qi in qis:
-                    s = sims[qi, idx]
-                    if self.exclude_self:
-                        keep = np.nonzero(svid != self.qids[qi])[0]
-                    else:
-                        keep = np.arange(len(svid))
-                    if len(keep) == 0:
-                        continue
-                    # same selection rule as _TopkScorer (stable sort in
-                    # batch order) so results are bit-identical to the
-                    # per-query formulation
-                    top = keep[np.argsort(-s[keep],
-                                          kind="stable")[:self.k]]
-                    out_q.append(np.full(len(top), self.qids[qi],
-                                         dtype=np.int64))
-                    out_v.append(svid[top].astype(np.int64))
-                    out_s.append(s[top])
-            if not out_q:
-                return pa.table({"query_id": pa.array([], pa.int64()),
-                                 "vec_id": pa.array([], pa.int64()),
-                                 "sim": pa.array([], pa.float64())})
-            return pa.table({
-                "query_id": pa.array(np.concatenate(out_q)),
-                "vec_id": pa.array(np.concatenate(out_v)),
-                "sim": pa.array(np.concatenate(out_s)),
-            })
-
-    def score(batch: pa.Table) -> pa.Table:
-        return cached(Scorer, ref, k, exclude_self)(batch)
-
-    part = emb_ds.map_batches(score, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return part.repartition(1).map_batches(_final_topk(k),
-                                           batch_format="pyarrow")
+    return _scored_topk(emb_ds, query_ids, qmat, probe_labels, k,
+                        exclude_self, label_col)
 
 
 def _hyperplanes(dim: int, bits: int) -> np.ndarray:

@@ -11,8 +11,8 @@ vocabulary grows ~O(corpus^0.5) by Heaps' law):
    corpus tokens;
 2. :func:`~karta_ray.stages.agg.sorted_sum` over token — range
    shuffle with bounded boundary residue, no single-block combine;
-3. top-k: per-block candidate prune to k rows, then one tiny global
-   sort/limit with a deterministic (count desc, token asc) tiebreak.
+3. top-k: :func:`~karta_ray.stages.topn.global_topk` with a
+   deterministic (count desc, token asc) tiebreak.
 
 The Count-Min path (:mod:`karta_ray.functions.sketch`) never shuffles
 tokens at all: fixed ``depth x width`` uint64 partials tree-combine
@@ -29,6 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .agg import sorted_sum
+from .topn import global_topk
 
 
 def tokens_of(col) -> pa.Array:
@@ -55,18 +56,6 @@ def token_counts(ds, *, text_col: str = "text"):
 
 
 def top_tokens(ds, k: int, *, text_col: str = "text"):
-    """Exact top-k tokens by count, ties broken by token ascending.
-
-    The global sort runs on <= k candidate rows per count block (each
-    block can only contribute k winners), so the final stage is tiny
-    regardless of vocabulary size.
-    """
-    counts = token_counts(ds, text_col=text_col)
-
-    def prune(batch: pa.Table) -> pa.Table:
-        return batch.sort_by([("n", "descending"),
-                              ("token", "ascending")]).slice(0, k)
-
-    cand = counts.map_batches(prune, batch_size=None,
-                              batch_format="pyarrow")
-    return cand.sort(["n", "token"], descending=[True, False]).limit(k)
+    """Exact top-k tokens by count, ties broken by token ascending."""
+    return global_topk(token_counts(ds, text_col=text_col), ["n", "token"],
+                       k, descending=[True, False])

@@ -1,9 +1,9 @@
 """Distributed global ranking: row_number / percent_rank / ntile over a
 total order — the window-function family Ray Data has no primitive for.
 
-Plan: ``sort(keys)`` (range shuffle) -> per-block row counts (one tiny
-task per block returning an int; the driver never sees row data) ->
-exclusive prefix offsets -> per-block rank stamping (``offset +
+Plan: ``sort(keys)`` (range shuffle) -> per-block row counts (read
+from the materialized blocks' metadata; the driver never sees row data)
+-> exclusive prefix offsets -> per-block rank stamping (``offset +
 arange``), rebuilt into a Dataset from the stamped block refs.
 
 This is one of the few places the Dataset API genuinely can't express
@@ -28,23 +28,24 @@ def global_rank(ds, keys: list, *, descending=None,
     Returns (ranked_dataset, total_rows)."""
     import ray
     import ray.data
+    from ray.data.block import BlockAccessor
 
     if descending is None:
         descending = [False] * len(keys)
     blocks = ds.sort(keys, descending=list(descending)).materialize()
 
     @ray.remote
-    def count_rows(blk: pa.Table) -> int:
-        return blk.num_rows
-
-    @ray.remote
-    def stamp(blk: pa.Table, off: int) -> pa.Table:
+    def stamp(blk, off: int) -> pa.Table:
+        blk = BlockAccessor.for_block(blk).to_arrow()
         return blk.append_column(
             rank_col,
             pa.array(off + 1 + np.arange(blk.num_rows, dtype=np.int64)))
 
-    refs = blocks.to_arrow_refs()
-    counts = ray.get([count_rows.remote(r) for r in refs])
+    refs, counts = [], []
+    for bundle in blocks.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            refs.append(ref)
+            counts.append(meta.num_rows)
     offs = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
     total = int(sum(counts))
     out = ray.data.from_arrow_refs(

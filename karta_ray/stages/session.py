@@ -1,22 +1,30 @@
-"""Sessionization as sort + vectorized segment partials.
+"""Event streams: session windows, per-user sessions and ordered funnels.
 
-The r01 implementation used ``groupby(user).map_groups`` with one Python
-call and a 1-row Arrow table per user — correct, but at 10^9 users the
-per-group overhead dominates. This shape is fully vectorized:
+Sessions are watermark-free event-time windows: consecutive events of
+one key belong to one session while the gap between them is <= ``gap``
+(strict ``>`` opens a new one, the SQL ``lag() > gap`` rule). Event
+time only, no processing-time reordering buffer: the sort IS the
+reordering.
 
-1. global sort by (user, ts) — one all-to-all shuffle;
-2. per sorted block, a vectorized partial per (user, block): n_events,
-   inner session bounds (gap > gap_us), first/last ts — all numpy
-   segment reductions, no per-user work;
-3. a DISTRIBUTED merge of the partials on sorted_map_groups (range
-   shuffle by (user, first_ts) + per-block stitch): adjacent same-user
-   partials are stitched with a junction-gap check, vectorized per
-   block; users straddling a partial-block boundary are pre-reduced to
-   one partial row per (user, block) before the bounded residue pass.
+Execution shape: one range shuffle orders per-event intervals by (key,
+time); each block closes every window it fully contains (vectorized
+interval collapse, no per-event Python); windows straddling block
+boundaries are resolved in a residue whose input is PRE-COLLAPSED —
+each block exports its edge runs as merged (key, start, end, n)
+interval partials, so a hot key bursting inside the session gap costs
+ONE residue row per block, not its event count. The merge rule
+(adjacent disjoint intervals join when ``start - prev_end <= gap``) is
+associative over time-contiguous fragments, which is what makes the
+partial export sound. Residue volume is bounded by the hot key's true
+SESSION count per block — output-sized, the floor any correct engine
+pays. :func:`session_windows` emits the windows; :func:`sessionize`
+rolls them up per user in the same block function (every user reaches
+it whole).
 
-No stage ever holds more than one block of partials: with 10^9 users
-the merge input (~n_users rows) stays spread across the range shuffle's
-blocks instead of collapsing onto a single O(users) block.
+A real unbounded deployment would feed this from periodic parquet
+snapshots of the tail (the checkpoint/manifest machinery in
+pipelines/manifest.py); the operator itself never needs the full
+history because closed sessions are emitted per block.
 """
 
 from __future__ import annotations
@@ -24,115 +32,95 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .agg import group_runs, sorted_map_groups
 
-def _segments(u: np.ndarray):
-    """Start/end indices of equal-value runs in a sorted key array."""
-    if len(u) == 0:
-        return (np.empty(0, dtype=np.int64),) * 2
-    new = np.nonzero(u[1:] != u[:-1])[0] + 1
-    starts = np.concatenate([[0], new])
-    ends = np.concatenate([new, [len(u)]])
-    return starts, ends
+
+def _collapse(tbl: pa.Table, key: str, gap: int) -> pa.Table:
+    """Merge sorted disjoint (key, start, end, n) intervals whose gap
+    to the previous interval of the same key is <= ``gap``."""
+    nr = tbl.num_rows
+    if nr == 0:
+        return tbl
+    starts, _ends = group_runs(tbl, [key])
+    s = tbl.column("start_us").to_numpy(zero_copy_only=False)
+    e = tbl.column("end_us").to_numpy(zero_copy_only=False)
+    n = tbl.column("n").to_numpy(zero_copy_only=False)
+    brk = np.ones(nr, dtype=bool)
+    brk[1:] = s[1:] - e[:-1] > gap
+    brk[starts] = True
+    seg = np.flatnonzero(brk)
+    seg_end = np.append(seg[1:], nr) - 1
+    return pa.table({
+        key: tbl.column(key).take(pa.array(seg)),
+        "start_us": pa.array(s[seg]),
+        "end_us": pa.array(e[seg_end]),
+        "n": pa.array(np.add.reduceat(n, seg)),
+    })
+
+
+def _sessions(ds, key: str, on: str, gap: int, rows):
+    """One (key, start_us) range shuffle of per-event intervals;
+    ``rows`` turns each block's collapsed windows — every key whole,
+    in time order — into output rows."""
+    def to_intervals(batch: pa.Table) -> pa.Table:
+        ts = batch.column(on).to_numpy(zero_copy_only=False)
+        if ts.dtype.kind == "M":
+            ts = ts.astype("datetime64[us]")
+        ts = ts.astype(np.int64)
+        return pa.table({key: batch.column(key),
+                         "start_us": pa.array(ts),
+                         "end_us": pa.array(ts),
+                         "n": pa.array(np.ones(len(ts), np.int64))})
+
+    intervals = ds.map_batches(to_intervals, batch_format="pyarrow",
+                               zero_copy_batch=True)
+    return sorted_map_groups(
+        intervals, [key], lambda t: rows(_collapse(t, key, gap)),
+        sort_keys=[key, "start_us"],
+        pre_reduce=lambda t: _collapse(t, key, gap))
+
+
+def session_windows(ds, *, key: str = "user_id", on: str = "ts",
+                    gap: int):
+    """Event-time session windows, ``gap`` in microseconds.
+
+    Returns (key, session_id, start_us, end_us, n_events) with
+    session_id 0-based in time order per key.
+    """
+    def window_rows(merged: pa.Table) -> pa.Table:
+        nr = merged.num_rows
+        kstarts, _ = group_runs(merged, [key])
+        # 0-based index within each key run
+        base = np.zeros(nr, dtype=np.int64)
+        base[kstarts] = kstarts
+        base = np.maximum.accumulate(base)
+        return pa.table({
+            key: merged.column(key),
+            "session_id": pa.array(np.arange(nr, dtype=np.int64) - base),
+            "start_us": merged.column("start_us"),
+            "end_us": merged.column("end_us"),
+            "n_events": merged.column("n"),
+        })
+
+    return _sessions(ds, key, on, gap, window_rows)
 
 
 def sessionize(ds, *, user_col: str = "user_id", ts_col: str = "ts",
                gap_us: int):
     """(user_id, n_events, n_sessions) with a new session whenever the
-    idle gap between consecutive events exceeds ``gap_us``."""
-
-    def partials(batch: pa.Table) -> pa.Table:
-        u = batch.column(user_col).to_numpy(zero_copy_only=False)
-        ts = batch.column(ts_col).to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").astype(np.int64)
-        starts, ends = _segments(u)
-        if len(starts) == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64()),
-                             "n_bounds": pa.array([], pa.int64()),
-                             "first_ts": pa.array([], pa.int64()),
-                             "last_ts": pa.array([], pa.int64())})
-        # bound[i] — a session break between rows i and i+1 of one user
-        same = u[1:] == u[:-1]
-        bound = same & ((ts[1:] - ts[:-1]) > gap_us)
-        cb = np.concatenate([[0], np.cumsum(bound)])
-        n_bounds = cb[ends - 1] - cb[starts]
+    idle gap between consecutive events exceeds ``gap_us``: the
+    per-user rollup of :func:`session_windows`."""
+    def user_rows(merged: pa.Table) -> pa.Table:
+        starts, ends = group_runs(merged, [user_col])
+        cn = np.concatenate([[0], np.cumsum(merged.column("n").to_numpy())])
         return pa.table({
-            "user_id": pa.array(u[starts].astype(np.int64)),
-            "n_events": pa.array(ends - starts),
-            "n_bounds": pa.array(n_bounds.astype(np.int64)),
-            "first_ts": pa.array(ts[starts]),
-            "last_ts": pa.array(ts[ends - 1]),
+            "user_id": merged.column(user_col).take(pa.array(starts))
+            .cast(pa.int64()),
+            "n_events": pa.array(cn[ends] - cn[starts], pa.int64()),
+            "n_sessions": pa.array(ends - starts, pa.int64()),
         })
 
-    parts = (ds.sort([user_col, ts_col])
-             .map_batches(partials, batch_format="pyarrow"))
-
-    def stitch_partials(batch: pa.Table) -> pa.Table:
-        """pre_reduce: collapse a (user, first_ts)-sorted run of
-        partial rows to ONE partial row per user — same stitch rule as
-        the final merge (sum events, sum bounds + junction breaks),
-        but keeping the partial schema so the residue pass can re-feed
-        it through the merge."""
-        u = batch.column("user_id").to_numpy()
-        ne = batch.column("n_events").to_numpy()
-        nb = batch.column("n_bounds").to_numpy()
-        ft = batch.column("first_ts").to_numpy()
-        lt = batch.column("last_ts").to_numpy()
-        order = np.lexsort((ft, u))
-        u, ne, nb, ft, lt = (u[order], ne[order], nb[order], ft[order],
-                             lt[order])
-        starts, ends = _segments(u)
-        if len(starts) == 0:
-            return batch
-        same = u[1:] == u[:-1]
-        junction = same & ((ft[1:] - lt[:-1]) > gap_us)
-        ce = np.concatenate([[0], np.cumsum(ne)])
-        cb = np.concatenate([[0], np.cumsum(nb)])
-        cj = np.concatenate([[0], np.cumsum(junction)])
-        return pa.table({
-            "user_id": pa.array(u[starts].astype(np.int64)),
-            "n_events": pa.array((ce[ends] - ce[starts]).astype(np.int64)),
-            "n_bounds": pa.array(((cb[ends] - cb[starts])
-                                  + (cj[ends - 1] - cj[starts]))
-                                 .astype(np.int64)),
-            "first_ts": pa.array(ft[starts]),
-            "last_ts": pa.array(lt[ends - 1]),
-        })
-
-    def merge(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy()
-        ne = batch.column("n_events").to_numpy()
-        nb = batch.column("n_bounds").to_numpy()
-        ft = batch.column("first_ts").to_numpy()
-        lt = batch.column("last_ts").to_numpy()
-        order = np.lexsort((ft, u))
-        u, ne, nb, ft, lt = u[order], ne[order], nb[order], ft[order], lt[order]
-        starts, ends = _segments(u)
-        if len(starts) == 0:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64()),
-                             "n_sessions": pa.array([], pa.int64())})
-        same = u[1:] == u[:-1]
-        junction = same & ((ft[1:] - lt[:-1]) > gap_us)
-        ce = np.concatenate([[0], np.cumsum(ne)])
-        cb = np.concatenate([[0], np.cumsum(nb)])
-        cj = np.concatenate([[0], np.cumsum(junction)])
-        n_events = ce[ends] - ce[starts]
-        n_bounds = (cb[ends] - cb[starts]) + (cj[ends - 1] - cj[starts])
-        return pa.table({
-            "user_id": pa.array(u[starts].astype(np.int64)),
-            "n_events": pa.array(n_events.astype(np.int64)),
-            "n_sessions": pa.array((n_bounds + 1).astype(np.int64)),
-        })
-
-    from .agg import sorted_map_groups
-
-    # distributed stitch: no single O(n_users) merge block. pre_reduce
-    # bounds the residue to <= 2 rows per (user, partial-block) even for
-    # users whose partials span many blocks.
-    return sorted_map_groups(parts, ["user_id"], merge,
-                             pre_reduce=stitch_partials,
-                             sort_keys=["user_id", "first_ts"])
+    return _sessions(ds, user_col, ts_col, gap_us, user_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +140,6 @@ def funnel_block(tbl: pa.Table, steps, *, user_col: str = "user_id",
     vectorized passes over the whole block — segmented mins via
     ``np.minimum.reduceat`` — no per-user Python."""
     import pyarrow.compute as pc
-
-    from .agg import group_runs
 
     if tbl.num_rows == 0:
         return pa.table({user_col: pa.array([], pa.int64()),
@@ -184,8 +170,6 @@ def funnel_steps(ds, steps, *, user_col: str = "user_id",
     per-user matching-event counts (no finite mergeable summary exists
     for progressive matching, so shipping the straddling user's rows IS
     the standard distributed-funnel plan)."""
-    from .agg import sorted_map_groups
-
     def block_fn(tbl: pa.Table) -> pa.Table:
         return funnel_block(tbl, steps, user_col=user_col,
                             ts_col=ts_col, type_col=type_col)

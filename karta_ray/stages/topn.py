@@ -1,4 +1,5 @@
-"""Distributed grouped top-N: the N best rows per key by an order
+"""Distributed top-N: :func:`global_topk`, the first k rows of a total
+order, and :func:`grouped_topn`, the N best rows per key by an order
 column (e.g. "top 3 highest-quality documents per language", "3 most
 recent orders per customer").
 
@@ -30,6 +31,30 @@ import pyarrow as pa
 from .agg import group_runs, sorted_map_groups
 
 
+def _sort_tuples(keys: list, descending: list) -> list:
+    return [(k, "descending" if d else "ascending")
+            for k, d in zip(keys, descending)]
+
+
+def global_topk(ds, keys: list, k: int, *, descending=None):
+    """The first ``k`` rows of ``ds`` in the order of ``keys``
+    (``descending``: one bool per key, default all ascending). Each
+    block is pruned to its own first ``k`` rows by the full key — a
+    block can contribute at most ``k`` winners — so the global sort
+    runs on <= k rows per block. Make ``keys`` a total order (append a
+    unique id) for a deterministic row set: ties at the k-th row are
+    then broken by the trailing keys, whatever the partitioning."""
+    if descending is None:
+        descending = [False] * len(keys)
+    order = _sort_tuples(keys, descending)
+
+    def prune(batch: pa.Table) -> pa.Table:
+        return batch.sort_by(order).slice(0, k)
+
+    cand = ds.map_batches(prune, batch_size=None, batch_format="pyarrow")
+    return cand.sort(list(keys), descending=list(descending)).limit(k)
+
+
 def _keep_first_per_run(batch: pa.Table, keys: list, n: int) -> pa.Table:
     """Keep the first ``n`` rows of every key run of an already-sorted
     table — one vectorized mask, no per-group slicing."""
@@ -54,8 +79,7 @@ def grouped_topn(ds, keys: list, order_col: str, n: int, *,
         tie_cols = []
     sort_keys = list(keys) + [order_col] + list(tie_cols)
     sort_desc = [False] * len(keys) + [descending] + [False] * len(tie_cols)
-    sort_tuples = [(k, "descending" if d else "ascending")
-                   for k, d in zip(sort_keys, sort_desc)]
+    sort_tuples = _sort_tuples(sort_keys, sort_desc)
 
     def block_prune(batch: pa.Table) -> pa.Table:
         return _keep_first_per_run(batch.sort_by(sort_tuples), keys, n)

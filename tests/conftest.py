@@ -32,3 +32,27 @@ def reference_data():
     if not os.path.isdir(REFERENCE_DATA):
         pytest.skip(f"reference test data not present at {REFERENCE_DATA}")
     return REFERENCE_DATA
+
+
+@pytest.fixture
+def executed_ops(monkeypatch):
+    """The physical operators of every streaming-executor run the test
+    starts: one list per run, each operator once."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def recording(self, dag, *args, **kwargs):
+        ops, todo = {}, [dag]
+        while todo:
+            op = todo.pop()
+            if id(op) not in ops:
+                ops[id(op)] = op
+                todo += op.input_dependencies
+        runs.append(list(ops.values()))
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", recording)
+    return runs

@@ -182,3 +182,21 @@ class TestBuildBloom:
         empty = ray.get(build_bloom(ray.data.from_arrow(blocks[1]), key="k",
                                     m_bits=m_bits, n_hashes=n_hashes))
         assert np.array_equal(empty, np.zeros(m_bits // 8, dtype=np.uint8))
+
+
+class TestBloomSemiJoinQuery:
+    def test_no_schema_probe_run(self, ray_session, executed_ops):
+        # the query hands bloom_semi_join its bare read, whose schema is
+        # known without running it: neither the key cast nor the
+        # co-group's zero-row table starts a limit(1) executor run
+        from ray.data._internal.execution.operators.limit_operator import \
+            LimitOperator
+
+        import __ray_entry__ as entry
+
+        out = entry.queries()["bloom_semi_join"]("/root/testdata/sf0.001")
+        assert out.count() > 0
+        assert executed_ops
+        assert not any(isinstance(op, LimitOperator)
+                       for run in executed_ops for op in run), \
+            [[op.name for op in run] for run in executed_ops]

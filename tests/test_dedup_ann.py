@@ -535,16 +535,25 @@ class TestIVFGroupedScorer:
         from karta_ray.stages.ann import ann_ivf_topk, ann_topk
 
         ds, mat = self._mk()
-        nq = 25  # all queries share ONE probe set in exact mode
+        nq, k = 25, 7  # all queries share ONE probe set in exact mode
         qids = np.arange(nq, dtype=np.int64)
-        exact = ann_topk(ds, qids, mat[:nq], k=7).to_pandas()
-        ivf = ann_ivf_topk(ds, qids, mat[:nq], k=7,
-                           nprobe=None).to_pandas()
+        # driver-side cosine top-k: sim desc, vec_id asc, self excluded
+        norm = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+        sims = norm[:nq] @ norm.T
+        vid = np.arange(len(mat), dtype=np.int64)
+        want, want_sim = [], []
+        for qi in range(nq):
+            cand = vid[vid != qi]
+            top = cand[np.lexsort((cand, -sims[qi, cand]))][:k]
+            want += [(qi, v, r + 1) for r, v in enumerate(top)]
+            want_sim += list(sims[qi, top])
         cols = ["query_id", "vec_id", "rank"]
-        pd_exact = exact.sort_values(cols).reset_index(drop=True)
-        pd_ivf = ivf.sort_values(cols).reset_index(drop=True)
-        assert pd_exact[cols].equals(pd_ivf[cols])
-        assert np.allclose(pd_exact.sim, pd_ivf.sim)
+        for out in (ann_topk(ds, qids, mat[:nq], k=k),
+                    ann_ivf_topk(ds, qids, mat[:nq], k=k, nprobe=None)):
+            got = (out.to_pandas().sort_values(["query_id", "rank"])
+                   .reset_index(drop=True))
+            assert list(map(tuple, got[cols].to_numpy())) == want
+            assert np.allclose(got.sim, want_sim)
 
     def test_shared_probe_sets_nprobe1(self):
         # many queries collapse onto few distinct single-label probe

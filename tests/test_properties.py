@@ -212,10 +212,12 @@ def test_ppm_wav_round_trip(w, h, base):
                 min_size=0, max_size=200),
        st.integers(min_value=1, max_value=10))
 def test_sessionize_segments_match_brute(ts_raw, n_users):
-    from karta_ray.stages.session import _segments
+    import pyarrow as pa
+
+    from karta_ray.stages.agg import group_runs
 
     u = np.sort(np.array([t % n_users for t in ts_raw], dtype=np.int64))
-    starts, ends = _segments(u)
+    starts, ends = group_runs(pa.table({"u": u}), ["u"])
     # segments tile the array and are maximal runs
     assert (ends - starts > 0).all() if len(starts) else True
     rebuilt = np.concatenate([np.full(e - s, u[s]) for s, e in

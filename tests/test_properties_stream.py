@@ -1,7 +1,7 @@
 """Property tests (hypothesis) for the round-5 pure helpers whose
 invariants the distributed plans rest on:
 
-- stream._collapse: the session-interval merge must be ASSOCIATIVE over
+- session._collapse: the session-interval merge must be ASSOCIATIVE over
   time-contiguous fragments (collapse(collapse(A) + collapse(B)) ==
   collapse(A + B)) — this is exactly what makes exporting pre-collapsed
   per-block partials to the residue sound.
@@ -63,7 +63,7 @@ class TestCollapseProperties:
     @given(events, st.integers(0, 30), st.integers(1, 39))
     @settings(max_examples=200, deadline=None)
     def test_fragment_associativity(self, rows, gap, cut):
-        from karta_ray.stages.stream import _collapse
+        from karta_ray.stages.session import _collapse
 
         keys, starts, lens, ns = zip(*rows)
         tbl = _intervals_table(keys, starts, lens, ns)
@@ -80,7 +80,7 @@ class TestCollapseProperties:
     @given(events, st.integers(0, 30))
     @settings(max_examples=100, deadline=None)
     def test_counts_and_coverage_preserved(self, rows, gap):
-        from karta_ray.stages.stream import _collapse
+        from karta_ray.stages.session import _collapse
 
         keys, starts, lens, ns = zip(*rows)
         tbl = _intervals_table(keys, starts, lens, ns)

@@ -1,9 +1,12 @@
-"""Event-time session windows (stages/stream.py): brute-force
-equivalence, tie handling, gap boundary semantics (strict >), hot-user
-block straddles with the pre-collapsed residue."""
+"""Event-time session windows and sessionize (stages/session.py):
+brute-force equivalence, tie handling, gap boundary semantics (strict
+>), hot-user block straddles with the pre-collapsed residue,
+sessionize as the per-user rollup of the windows in one sort."""
 
 import numpy as np
 import pyarrow as pa
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def _brute(users, ts, gap):
@@ -28,7 +31,7 @@ def _brute(users, ts, gap):
 def _run(users, ts, gap, nblocks=9):
     import ray
 
-    from karta_ray.stages.stream import session_windows
+    from karta_ray.stages.session import session_windows
 
     t = pa.table({"user_id": pa.array(users.astype(np.int64)),
                   "ts": pa.array(ts.astype(np.int64))})
@@ -91,3 +94,63 @@ class TestSessionWindows:
         win = win.sort_index()
         assert (win.n_events == sess.n_events).all()
         assert (win.n_sessions == sess.n_sessions).all()
+
+
+def _sessionize_brute(users, ts, gap):
+    """(user_id, n_events, n_sessions) by the SQL rule: a new session
+    where ``ts - lag(ts) > gap`` within one user."""
+    order = np.lexsort((ts, users))
+    u, t = users[order], ts[order]
+    new = np.ones(len(u), dtype=bool)
+    new[1:] = (u[1:] != u[:-1]) | (t[1:] - t[:-1] > gap)
+    ids, first = np.unique(u, return_index=True)
+    n_events = np.diff(np.append(first, len(u)))
+    n_sessions = np.add.reduceat(new.astype(np.int64), first)
+    return sorted(zip(ids.tolist(), n_events.tolist(), n_sessions.tolist()))
+
+
+class TestSessionize:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60),
+           st.integers(0, 50))
+    @settings(max_examples=8, deadline=None)
+    def test_is_rollup_of_session_windows(self, ray_session, seed, step,
+                                          gap):
+        # tied timestamps throughout, and one hot user (7) with enough
+        # rows that the sorted 8-block layout is kept, so its events
+        # straddle every block boundary
+        import ray
+
+        from karta_ray.stages.session import session_windows, sessionize
+
+        rng = np.random.RandomState(seed)
+        n_hot, n_cold = 60_000, 3_000
+        users = np.concatenate([np.full(n_hot, 7),
+                                rng.randint(0, 40, n_cold)]).astype(np.int64)
+        ts = np.concatenate([rng.randint(0, n_hot * step, n_hot),
+                             rng.randint(0, 300, n_cold)]).astype(np.int64)
+        perm = rng.permutation(len(users))
+        ds = ray.data.from_arrow(pa.table({
+            "user_id": users[perm], "ts": ts[perm]})).repartition(8)
+        got = sessionize(ds, gap_us=gap).to_pandas()
+        win = (session_windows(ds, gap=gap).to_pandas().groupby("user_id")
+               .agg(n_events=("n_events", "sum"),
+                    n_sessions=("session_id", "count")).reset_index())
+        rows = sorted(map(tuple, got[["user_id", "n_events",
+                                      "n_sessions"]].to_numpy().tolist()))
+        assert rows == sorted(map(tuple, win.to_numpy().tolist()))
+        assert rows == _sessionize_brute(users, ts, gap)
+
+    def test_one_sort(self, ray_session, executed_ops):
+        import ray
+
+        from karta_ray.stages.session import sessionize
+
+        rng = np.random.RandomState(3)
+        ds = ray.data.from_arrow(pa.table({
+            "user_id": rng.randint(0, 30, 5000),
+            "ts": rng.randint(0, 10**6, 5000)})).repartition(6)
+        assert sessionize(ds, gap_us=1000).count() == 30
+        sorts = [op.name for run in executed_ops for op in run
+                 if op.name == "Sort"]
+        assert sorts == ["Sort"], [[op.name for op in run]
+                                   for run in executed_ops]

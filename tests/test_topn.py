@@ -67,3 +67,27 @@ class TestGroupedTopN:
         out = _run(t, 10, 5)
         assert out.equals(_brute(t, 10))
         assert len(out) == 50  # every row survives
+
+
+class TestGlobalTopk:
+    def test_ties_at_kth_row_broken_by_tie_cols(self, ray_session):
+        # ~1500 rows share each value, spread over every block, so the
+        # k-th row ties with hundreds of others: which of them survive
+        # is decided by the trailing id key alone
+        import ray
+
+        from karta_ray.stages.topn import global_topk
+
+        rng = np.random.RandomState(5)
+        n, k = 6000, 50
+        t = pa.table({"v": pa.array(rng.randint(0, 4, n).astype("float64")),
+                      "id": pa.array(rng.permutation(n).astype(np.int64))})
+        want = (t.to_pandas().sort_values(["v", "id"], ascending=[False, True])
+                .head(k).reset_index(drop=True))
+        for n_blocks in (1, 7, 16):
+            got = global_topk(ray.data.from_arrow(t).repartition(n_blocks),
+                              ["v", "id"], k, descending=[True, False])
+            got = (got.to_pandas().sort_values(["v", "id"],
+                                               ascending=[False, True])
+                   .reset_index(drop=True))
+            assert got.equals(want), n_blocks
