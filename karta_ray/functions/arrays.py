@@ -35,10 +35,11 @@ def list_column_to_matrix(col, dtype=np.float64) -> np.ndarray:
     return out.astype(dtype, copy=False).reshape(n, d)
 
 
-def matrix_to_list_column(mat: np.ndarray, value_type=pa.float64()):
-    """Inverse: (n, d) ndarray -> FixedSizeListArray without tolist()."""
+def matrix_to_list_column(mat: np.ndarray):
+    """Inverse: (n, d) ndarray -> float64 FixedSizeListArray without
+    tolist()."""
     mat = np.ascontiguousarray(mat)
-    values = pa.array(mat.ravel(), type=value_type)
+    values = pa.array(mat.ravel(), type=pa.float64())
     return pa.FixedSizeListArray.from_arrays(values, mat.shape[1])
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-_P_DEFAULT = 12  # 4096 registers, ~1.6% standard error
+HLL_P = 12  # 4096 registers, ~1.6% standard error
 
 
-def hll_create(p: int = _P_DEFAULT) -> np.ndarray:
-    return np.zeros(1 << p, dtype=np.uint8)
+def hll_create() -> np.ndarray:
+    return np.zeros(1 << HLL_P, dtype=np.uint8)
 
 
 def hll_bucket_rank(hashes: np.ndarray, p: int):
@@ -60,8 +60,7 @@ def hll_count(registers: np.ndarray) -> float:
     return float(est)
 
 
-def hll_register_rows(ds, col: str, p: int = _P_DEFAULT, *,
-                      hash_fn: str = "md5"):
+def hll_register_rows(ds, col: str, *, hash_fn: str = "md5"):
     """The HLL sketch itself as a Dataset of (bucket, register) rows —
     per-batch register partials tree-combined with max (registers are
     mergeable by elementwise max, so the combine is associative).
@@ -71,7 +70,7 @@ def hll_register_rows(ds, col: str, p: int = _P_DEFAULT, *,
     sketch — bucket index, rank, register max — reproducible in SQL bit
     for bit; any other value uses the vectorized engine-internal hash
     (functions.text.hash_column_u64 — no per-row Python).
-    Only nonzero registers are emitted (bounded: <= 2^p rows).
+    Only nonzero registers are emitted (bounded: <= 2^HLL_P rows).
 
     The md5 path batch-dedups values first (Arrow ``unique`` — the
     register set is invariant under duplicates), so the unavoidable
@@ -91,7 +90,7 @@ def hll_register_rows(ds, col: str, p: int = _P_DEFAULT, *,
             h = md5_u64([("" if v is None else v).encode() for v in vals])
         else:
             h = hash_column_u64(batch.column(col))
-        regs = hll_add_hashes(hll_create(p), h)
+        regs = hll_add_hashes(hll_create(), h)
         nz = np.nonzero(regs)[0]
         return pa.table({
             "bucket": pa.array(nz.astype(np.int64)),
@@ -102,29 +101,30 @@ def hll_register_rows(ds, col: str, p: int = _P_DEFAULT, *,
     return tree_agg(parts, ["bucket"], [("register", "max")])
 
 
-def hll_count_from_rows(rows, p: int = _P_DEFAULT) -> float:
-    """Estimate from a (bucket, register) table (the hll_register_rows
-    output) — reconstructs the register array and applies hll_count."""
-    regs = hll_create(p)
+def hll_count_from_rows(rows) -> float:
+    """Estimate from the (bucket, register) table of an ``HLL_P`` sketch
+    (the hll_register_rows output) — reconstructs the register array
+    and applies hll_count."""
+    regs = hll_create()
     b = np.asarray(rows["bucket"], dtype=np.int64)
     r = np.asarray(rows["register"], dtype=np.int64)
     regs[b] = r.astype(np.uint8)
     return hll_count(regs)
 
 
-def approx_distinct(ds, col: str, p: int = _P_DEFAULT) -> float:
+def approx_distinct(ds, col: str) -> float:
     """Approximate distinct count of a column over a Dataset.
 
     Per-batch register partials (vectorized hash — no per-row Python)
     are folded as (bucket, register-max) rows by ``tree_agg``; the
-    driver holds only the <= 2^p final register rows plus one flush
+    driver holds only the <= 2^12 final register rows plus one flush
     buffer (at 10^6 blocks the former per-block 2^p-byte blob collect
     held GBs on the driver)."""
-    rows = hll_register_rows(ds, col, p, hash_fn="fast")
+    rows = hll_register_rows(ds, col, hash_fn="fast")
     tbl = rows.take_all()
     return hll_count_from_rows(
         {"bucket": [r["bucket"] for r in tbl],
-         "register": [r["register"] for r in tbl]}, p)
+         "register": [r["register"] for r in tbl]})
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +156,13 @@ def cm_bucket_indices(hashes: np.ndarray, width: int,
     return out
 
 
-def cm_sketch_rows(ds, *, width: int = 4096, depth: int = 4,
-                   text_col: str = "text", token_mode: bool = True):
-    """The Count-Min sketch as a Dataset of nonzero (d, j, n) cells.
+def cm_sketch_rows(ds, *, width: int = 4096, depth: int = 4):
+    """The Count-Min sketch of the ``text`` column's space-split tokens
+    as a Dataset of nonzero (d, j, n) cells.
 
     Per-batch partials count token occurrences into a local
     depth x width matrix (np.bincount — vectorized, duplicates keep
-    their multiplicity); cells tree-combine by sum. ``token_mode``
-    counts space-split tokens of ``text_col``; otherwise each row's
-    value counts once."""
+    their multiplicity); cells tree-combine by sum."""
     import pyarrow as pa
 
     from ..stages.agg import tree_sum
@@ -172,9 +170,7 @@ def cm_sketch_rows(ds, *, width: int = 4096, depth: int = 4,
     from .text import hash_column_u64
 
     def partial(batch: pa.Table) -> pa.Table:
-        col = (tokens_of(batch.column(text_col)) if token_mode
-               else batch.column(text_col))
-        h = hash_column_u64(col)
+        h = hash_column_u64(tokens_of(batch.column("text")))
         idx = cm_bucket_indices(h, width, depth)
         ds_, js, ns = [], [], []
         for d in range(depth):
@@ -191,17 +187,18 @@ def cm_sketch_rows(ds, *, width: int = 4096, depth: int = 4,
     return tree_sum(parts, ["d", "j"], ["n"])
 
 
-def cm_estimate(rows, queries, *, width: int = 4096,
-                depth: int = 4) -> np.ndarray:
+def cm_estimate(rows, queries, *, width: int = 4096) -> np.ndarray:
     """Point frequency estimates for ``queries`` (list of strings)
     from a collected (d, j, n) cell table: min over depths of the
-    queried cells."""
+    queried cells. The depth is the sketch's own (every depth row of a
+    non-empty sketch holds a cell)."""
     import pyarrow as pa
 
     from .text import hash_column_u64
 
-    mat = np.zeros((depth, width), dtype=np.int64)
     d = np.asarray(rows["d"], dtype=np.int64)
+    depth = int(d.max(initial=0)) + 1
+    mat = np.zeros((depth, width), dtype=np.int64)
     j = np.asarray(rows["j"], dtype=np.int64)
     n = np.asarray(rows["n"], dtype=np.int64)
     mat[d, j] = n
@@ -211,7 +208,7 @@ def cm_estimate(rows, queries, *, width: int = 4096,
 
 
 def hll_grouped_register_rows(ds, col: str, keys: list,
-                              p: int = _P_DEFAULT, *,
+                              p: int = HLL_P, *,
                               hash_fn: str = "md5"):
     """GROUPED HLL: one sketch per distinct ``keys`` value, as rows
     (keys..., bucket, register) — "approx distinct users per event

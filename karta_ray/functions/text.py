@@ -116,12 +116,17 @@ def md5_u64(parts: list[bytes]) -> np.ndarray:
     return out
 
 
-def char_shingles(text: str, n: int = 3) -> np.ndarray:
-    """Distinct hashed character n-grams of one document (uint64).
+SHINGLE_N = 3  # character n-gram size of the shingle-based dedups
+
+
+def char_shingles(text: str) -> np.ndarray:
+    """Distinct hashed character ``SHINGLE_N``-grams of one document
+    (uint64).
 
     Uses a polynomial rolling hash mod 2^61-1 over UTF-8 code points —
     one pass, vectorized via cumulative powers.
     """
+    n = SHINGLE_N
     if len(text) < n:
         return np.unique(hash_bytes_u64([text.encode()])) if text else \
             np.empty(0, dtype=np.uint64)
@@ -134,16 +139,18 @@ def char_shingles(text: str, n: int = 3) -> np.ndarray:
     return np.unique(h)
 
 
-def char_shingles_batch(texts: list[str], n: int = 3) -> list[np.ndarray]:
-    """Distinct hashed n-grams for MANY documents in one vectorized
-    pass. Bit-identical to per-doc :func:`char_shingles` (same rolling
+def char_shingles_batch(texts: list[str]) -> list[np.ndarray]:
+    """Distinct hashed ``SHINGLE_N``-grams for MANY documents in one
+    vectorized pass. Bit-identical to per-doc :func:`char_shingles` (same rolling
     hash, same sorted-unique output), but the window hashing runs once
     over the batch's concatenated code points and per-doc dedup is one
     lexsort — no per-doc numpy call overhead.
 
-    Documents shorter than ``n`` keep the scalar fallback (whole-text
-    md5, char_shingles:44-46); they are rare and constant-cost.
+    Documents shorter than ``SHINGLE_N`` keep the scalar fallback
+    (whole-text md5, char_shingles:44-46); they are rare and
+    constant-cost.
     """
+    n = SHINGLE_N
     nd = len(texts)
     out: list = [None] * nd
     enc = []
@@ -187,16 +194,17 @@ def _minhash_params(k: int):
     return a, b
 
 
-_MH_A, _MH_B = _minhash_params(128)
+MINHASH_K = 128  # MinHash permutations per signature
+_MH_A, _MH_B = _minhash_params(MINHASH_K)
 
 
-def minhash_signature(shingles: np.ndarray, k: int = 128) -> np.ndarray:
-    """k-permutation MinHash signature of a shingle set
-    (uint64[k]; empty set -> all max)."""
+def minhash_signature(shingles: np.ndarray) -> np.ndarray:
+    """``MINHASH_K``-permutation MinHash signature of a shingle set
+    (uint64[MINHASH_K]; empty set -> all max)."""
     if len(shingles) == 0:
-        return np.full(k, np.iinfo(np.uint64).max, dtype=np.uint64)
-    a = _MH_A[:k][:, None]
-    b = _MH_B[:k][:, None]
+        return np.full(MINHASH_K, np.iinfo(np.uint64).max, dtype=np.uint64)
+    a = _MH_A[:, None]
+    b = _MH_B[:, None]
     with np.errstate(over="ignore"):
         vals = (a * shingles[None, :] + b) % _MERSENNE
     return vals.min(axis=1)
@@ -205,10 +213,9 @@ def minhash_signature(shingles: np.ndarray, k: int = 128) -> np.ndarray:
 _MH_PCHUNK = 16
 
 
-def minhash_signatures_batch(shingle_arrays: list[np.ndarray],
-                             k: int = 128) -> np.ndarray:
+def minhash_signatures_batch(shingle_arrays: list[np.ndarray]) -> np.ndarray:
     """MinHash signatures for MANY documents in one vectorized pass:
-    (n_docs, k) uint64.  Equivalent to per-doc :func:`minhash_signature`
+    (n_docs, MINHASH_K) uint64.  Equivalent to per-doc :func:`minhash_signature`
     but the (perm x shingle) kernel runs over the whole batch's flattened
     shingle arrays with ``np.minimum.reduceat`` — no per-doc Python loop.
 
@@ -216,7 +223,7 @@ def minhash_signatures_batch(shingle_arrays: list[np.ndarray],
     buffer so the temporary stays small (first-touch page faults on big
     fresh arrays dominate wall time on this host)."""
     n = len(shingle_arrays)
-    out = np.full((n, k), np.iinfo(np.uint64).max, dtype=np.uint64)
+    out = np.full((n, MINHASH_K), np.iinfo(np.uint64).max, dtype=np.uint64)
     lens = np.fromiter((len(s) for s in shingle_arrays), dtype=np.int64,
                        count=n)
     nonempty = lens > 0
@@ -230,8 +237,8 @@ def minhash_signatures_batch(shingle_arrays: list[np.ndarray],
     buf = np.empty((_MH_PCHUNK, S), dtype=np.uint64)
     ne_idx = np.nonzero(nonempty)[0]
     with np.errstate(over="ignore"):
-        for p0 in range(0, k, _MH_PCHUNK):
-            p1 = min(p0 + _MH_PCHUNK, k)
+        for p0 in range(0, MINHASH_K, _MH_PCHUNK):
+            p1 = min(p0 + _MH_PCHUNK, MINHASH_K)
             m = p1 - p0
             # (a * x + b) % M, identical op order to minhash_signature
             np.multiply(_MH_A[p0:p1][:, None], flat[None, :], out=buf[:m])

@@ -25,7 +25,7 @@ from ..stages.tiles import assign_cells
 
 
 def flagship_pipeline(pages_ds, *, zoom: int = 7, polyset=None,
-                      mode: str = "inner", slim: bool = False):
+                      slim: bool = False):
     """pages Dataset (url, warc_ts, html, ...) -> joined Dataset
     (url, lon, lat, cell_id, poly_id, poly_name).
 
@@ -48,10 +48,10 @@ def flagship_pipeline(pages_ds, *, zoom: int = 7, polyset=None,
     ds = ds.map_batches(assign_cells, batch_format="pyarrow",
                         fn_kwargs={"zoom": zoom, "with_xyz": not slim},
                         zero_copy_batch=True)
-    return pip_join(ds, polyset, zoom=zoom, mode=mode, with_name=not slim)
+    return pip_join(ds, polyset, zoom=zoom, with_name=not slim)
 
 
-def flagship_from_documents(sf_dir: str, *, zoom: int = 7):
+def flagship_from_documents(sf_dir: str):
     """Driver entry flavor: testdata documents -> pages -> flagship join.
 
     Returns the joined Dataset (url, lon, lat, cell_id, poly_id,
@@ -65,7 +65,7 @@ def flagship_from_documents(sf_dir: str, *, zoom: int = 7):
                                   columns=["doc_id", "text", "lang"])
     pages = pages.map_batches(synth.pages_from_documents,
                               batch_format="pyarrow", zero_copy_batch=True)
-    return flagship_pipeline(pages, zoom=zoom)
+    return flagship_pipeline(pages)
 
 
 def flagship_checkpointed(pages_dir: str, ckpt_root: str, *, zoom: int = 7,

@@ -106,8 +106,9 @@ FROM agree WHERE CAST(n_eq AS DOUBLE) / {k} >= {threshold!r}
 """
 
 
-def simhash_sql(max_hamming: int) -> str:
+def simhash_sql() -> str:
     from ..stages.dedup import SIMHASH_MAX_BUCKET as cap
+    from ..stages.dedup import SIMHASH_MAX_HAMMING as max_hamming
 
     pow2 = ", ".join(f"({b}, {1 << b}::HUGEINT)" for b in range(64))
     i64max = 1 << 63

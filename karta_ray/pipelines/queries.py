@@ -19,8 +19,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..kernels import geodesy, predicates
+from ..functions.sketch import HLL_P
 from ..geoms import PolygonSet
+from ..kernels import geodesy, predicates
 from . import oracles_hard as OH
 from .registry import query
 
@@ -699,7 +700,7 @@ def q_convex_hull(sf_dir: str):
     from ..stages.hullagg import convex_hull
 
     ds = points_ds(sf_dir)
-    return convex_hull(ds, x_col="lon", y_col="lat", geographical=False)
+    return convex_hull(ds)
 
 
 @query(oracle=lambda: SALTED_CELL_COUNT_SQL)
@@ -765,7 +766,6 @@ FROM pts
 """
 
 
-NGRAM_TAU = 0.7
 NGRAM_MAX_DF = 50
 NGRAM_DF_DENOM = 200  # df cap = min(1000, max(NGRAM_MAX_DF, n//200))
 NGRAM_DF_CEIL = 1000
@@ -789,9 +789,9 @@ def ngram_df_cap(n_docs: int) -> int:
     return min(NGRAM_DF_CEIL, max(NGRAM_MAX_DF, n_docs // NGRAM_DF_DENOM))
 
 
-@query(oracle=lambda: NGRAM_JACCARD_SQL)
+@query(oracle=lambda: _ngram_jaccard_sql())
 def q_ngram_jaccard(sf_dir: str):
-    """Exact character-3-gram Jaccard near-dup pairs >= NGRAM_TAU over
+    """Exact character-3-gram Jaccard near-dup pairs >= dedup.NGRAM_TAU over
     documents (shingle-bucket shuffle + pair counting)."""
     import ray.data
 
@@ -801,10 +801,13 @@ def q_ngram_jaccard(sf_dir: str):
                                columns=["doc_id", "text"],
                                override_num_blocks=32)
     max_df = ngram_df_cap(ds.count())  # parquet metadata — cheap
-    return ngram_jaccard_pairs(ds, threshold=NGRAM_TAU, max_df=max_df)
+    return ngram_jaccard_pairs(ds, max_df=max_df)
 
 
-NGRAM_JACCARD_SQL = f"""
+def _ngram_jaccard_sql() -> str:
+    from ..stages.dedup import NGRAM_TAU
+
+    return f"""
 WITH g0 AS (
   -- shingle set per doc; docs shorter than the 3-gram window contribute
   -- their whole text as one shingle (mirrors char_shingles' fallback;
@@ -851,7 +854,7 @@ def q_minhash_lsh(sf_dir: str):
     return minhash_lsh_pairs(ds, threshold=0.5)
 
 
-@query(oracle=lambda: OH.simhash_sql(3))
+@query(oracle=lambda: OH.simhash_sql())
 def q_simhash(sf_dir: str):
     """SimHash near-dup pairs (Hamming <= 3); oracle-checked bit for
     bit via md5-parity token hashes (pipelines/oracles_hard.py)."""
@@ -862,7 +865,7 @@ def q_simhash(sf_dir: str):
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"],
                                override_num_blocks=32)
-    return simhash_pairs(ds, max_hamming=3)
+    return simhash_pairs(ds)
 
 
 def _load_queries_driver_side(sf_dir: str, n: int):
@@ -1114,9 +1117,6 @@ FROM events GROUP BY event_type
 """
 
 
-HLL_P = 12
-
-
 @query(oracle=lambda: OH.hll_sql(HLL_P))
 def q_approx_distinct(sf_dir: str):
     """HyperLogLog sketch of distinct users over events, emitted as its
@@ -1130,7 +1130,7 @@ def q_approx_distinct(sf_dir: str):
 
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id"])
-    return hll_register_rows(ds, "user_id", HLL_P)
+    return hll_register_rows(ds, "user_id")
 
 
 TOPK_USERS = 20

@@ -442,7 +442,7 @@ def q_inverted_index(sf_dir: str):
     """(term, df, postings) for bigram terms with df <= POSTINGS_CAP."""
     import ray.data
 
-    from ..stages.agg import group_runs, sorted_map_groups
+    from ..stages.agg import group_runs, sorted_map_groups, truncate_runs
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
@@ -496,7 +496,8 @@ def q_inverted_index(sf_dir: str):
                                             batch_format="pyarrow"),
                              ["term"], postings_block,
                              sort_keys=["term", "doc_id"],
-                             max_group_rows=POSTINGS_CAP)
+                             pre_reduce=truncate_runs(["term"],
+                                                      POSTINGS_CAP))
 
 
 INVERTED_INDEX_SQL = f"""

@@ -799,8 +799,7 @@ def q_session_windows(sf_dir: str):
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts"])
-    return session_windows(ev, key="user_id", on="ts",
-                           gap=SESSION_GAP_US)
+    return session_windows(ev, gap=SESSION_GAP_US)
 
 
 def _session_windows_sql() -> str:

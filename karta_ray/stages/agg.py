@@ -102,23 +102,28 @@ def group_runs(batch: pa.Table, keys: list):
     return starts, ends
 
 
-def _truncate_runs(table: pa.Table, keys: list, cap: int) -> pa.Table:
-    """Truncate each key run to ``cap + 1`` rows. An over-cap edge run
-    proves its global group exceeds the cap, but it must be exported as
-    a still-over-cap TOMBSTONE (cap+1 rows) rather than dropped:
-    dropping it would let the group's small fragments from neighboring
-    blocks re-assemble into an under-cap impostor in the residue."""
-    if table.num_rows == 0:
-        return table
-    starts, ends = group_runs(table, keys)
-    keep = [table.slice(s, min(e - s, cap + 1))
-            for s, e in zip(starts, ends)]
-    return pa.concat_tables(keep)
+def truncate_runs(keys: list, cap: int):
+    """``pre_reduce`` for :func:`sorted_map_groups` users whose
+    ``block_fn`` drops every group of more than ``cap`` rows (e.g. LSH
+    buckets above a size cap): truncates each key run of a keys-sorted
+    table to ``cap + 1`` rows. An over-cap edge run proves its global
+    group exceeds the cap, so it is exported as a still-over-cap
+    TOMBSTONE (cap+1 rows) rather than dropped: dropping it would let
+    the group's small fragments from neighboring blocks re-assemble
+    into an under-cap impostor in the residue, which then drops the
+    whole group. Residue <= 2 x (cap+1) x blocks rows."""
+    def truncate(table: pa.Table) -> pa.Table:
+        if table.num_rows == 0:
+            return table
+        starts, ends = group_runs(table, keys)
+        return pa.concat_tables([table.slice(s, min(e - s, cap + 1))
+                                 for s, e in zip(starts, ends)])
+    return truncate
 
 
 def sorted_map_groups(ds, keys: list, block_fn, *, pre_reduce=None,
-                      max_group_rows=None, sort_keys=None,
-                      sort_desc=None, residue_sharder=None):
+                      sort_keys=None, sort_desc=None,
+                      residue_sharder=None):
     """Distributed groupby().map_groups() without Ray's per-group
     dispatch cost (which dominates for many tiny groups: 30-100 us of
     slicing/format conversion per group vs sub-us of useful work).
@@ -134,21 +139,12 @@ def sorted_map_groups(ds, keys: list, block_fn, *, pre_reduce=None,
     The residue is only bounded if hot keys cannot export whole blocks
     into it; callers must say which escape applies:
 
-    - ``pre_reduce`` (associative aggregates): applied to each block's
-      edge runs BEFORE export, collapsing them to one row per (key,
-      block) — residue <= 2 rows x blocks regardless of skew. Must be
-      idempotent with ``block_fn`` (sum-of-sums, min-of-mins).
-    - ``max_group_rows`` (capped bucket consumers, e.g. LSH buckets
-      that drop groups above a size cap): an edge run with MORE than
-      this many rows implies its global group exceeds the cap, so it is
-      TRUNCATED to ``max_group_rows + 1`` rows before export — still
-      over the cap, so the residue's ``block_fn`` drops the whole
-      group including any small fragments from neighboring blocks
-      (dropping the big fragment outright would let an under-cap
-      remnant masquerade as a complete group). Residue <= 2 x (cap+1)
-      x blocks rows. ``block_fn`` must treat any group with more than
-      ``max_group_rows`` rows as over-cap.
-
+    - ``pre_reduce`` (associative aggregates, capped buckets): applied
+      to each block's edge runs BEFORE export, collapsing them to one
+      row per (key, block) — residue <= 2 rows x blocks regardless of
+      skew — or truncating them (:func:`truncate_runs`). Must be
+      idempotent with ``block_fn`` (sum-of-sums, min-of-mins, a cap
+      that drops over-cap groups).
     - ``residue_sharder`` (replication-safe group bodies, e.g. band
       joins): a callable ``(exported_edge_table) -> table + int64
       "_rshard" column``, free to REPLICATE rows, that splits each hot
@@ -164,6 +160,10 @@ def sorted_map_groups(ds, keys: list, block_fn, *, pre_reduce=None,
     the single residue block (O(data) worst case) — fine for bounded key
     domains, wrong for corpus-scale skew.
 
+    An all-empty input returns ``block_fn`` of the input's zero-row
+    table, so the result keeps its schema where the input's is known
+    (Ray's sort drops the schema of empty blocks).
+
     ``sort_keys`` (default ``keys``) lets callers demand a finer
     WITHIN-group row order (e.g. sort by ``[gid, ord]`` while grouping
     by ``[gid]``) so ``block_fn`` sees each group's rows already
@@ -176,7 +176,16 @@ def sorted_map_groups(ds, keys: list, block_fn, *, pre_reduce=None,
         sort_keys = keys
     if sort_desc is None:
         sort_desc = [False] * len(sort_keys)
+    import ray.data
+
     blocks = ds.sort(sort_keys, descending=list(sort_desc)).materialize()
+    n_rows = blocks.count()
+    if n_rows == 0:
+        schema = ds.schema()
+        if schema is not None:
+            return ray.data.from_blocks(
+                [block_fn(schema.base_schema.empty_table())])
+        return blocks
     # Compact near-empty sorted blocks: Ray's sort emits one output
     # block per input block, and fixed per-block scheduling cost makes
     # every DOWNSTREAM sort/stage pay ~5-10 ms per block (measured:
@@ -187,7 +196,7 @@ def sorted_map_groups(ds, keys: list, block_fn, *, pre_reduce=None,
     # is unchanged; at real data volumes rows/16k exceeds the block
     # count and this never triggers.
     nb = blocks.num_blocks()
-    target = int(min(256, blocks.count() // 16384 + 1))
+    target = int(min(256, n_rows // 16384 + 1))
     if nb > 2 * target:
         blocks = blocks.repartition(target).materialize()
 
@@ -210,8 +219,6 @@ def sorted_map_groups(ds, keys: list, block_fn, *, pre_reduce=None,
             out = pa.concat_tables([
                 batch.slice(0, ends[0]),
                 batch.slice(starts[-1], batch.num_rows - starts[-1])])
-        if max_group_rows is not None:
-            out = _truncate_runs(out, keys, max_group_rows)
         if pre_reduce is not None:
             out = pre_reduce(out)
         return out

@@ -35,16 +35,16 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 class _TopkScorer:
     """map_batches stage: per-batch cosine scores vs all queries, pruned
-    to local top-k rows per query. Each query scores only the rows whose
-    label is in its probe set (``probe`` None: every row)."""
+    to local top-k rows per query, a query's own vec_id excluded. Each
+    query scores only the rows whose ``label`` is in its probe set
+    (``probe`` None: every row)."""
 
-    def __init__(self, ref, k: int, exclude_self: bool, label_col):
+    def __init__(self, ref, k: int):
         state = resolve(ref)
         self.qids = state["qids"]
         self.qmat = state["qmat"]  # normalized (nq, d)
         self.k = k
-        self.exclude_self = exclude_self
-        self.label_col = label_col
+        self.probed = state["probe"] is not None
         # Queries are grouped by their probed label SET, so the
         # row-membership mask is built once per distinct set (not once
         # per query), and the cosine scores come from ONE matmul of all
@@ -63,8 +63,7 @@ class _TopkScorer:
     def __call__(self, batch: pa.Table) -> pa.Table:
         vid = batch.column("vec_id").to_numpy()
         emb = _normalize(_to_matrix(batch.column("embedding")))
-        lab = (None if self.label_col is None
-               else batch.column(self.label_col).to_numpy())
+        lab = batch.column("label").to_numpy() if self.probed else None
         sims = None
         out_q, out_v, out_s = [], [], []
         for labels, qis in self.groups:
@@ -79,10 +78,7 @@ class _TopkScorer:
             svid = vid[idx]
             for qi in qis:
                 s = sims[qi, idx]
-                if self.exclude_self:
-                    keep = np.nonzero(svid != self.qids[qi])[0]
-                else:
-                    keep = np.arange(len(svid))
+                keep = np.nonzero(svid != self.qids[qi])[0]
                 if len(keep) == 0:
                     continue
                 # stable sort: ties keep batch order
@@ -120,14 +116,13 @@ def _final_topk(k: int):
     return fn
 
 
-def _scored_topk(emb_ds, qids, qmat, probe, k: int, exclude_self: bool,
-                 label_col):
+def _scored_topk(emb_ds, qids, qmat, probe, k: int):
     """The scorer over every batch, then one block's exact top-k."""
     ref = ray.put({"qids": np.asarray(qids, dtype=np.int64), "qmat": qmat,
                    "probe": probe})
 
     def score(batch: pa.Table) -> pa.Table:
-        return cached(_TopkScorer, ref, k, exclude_self, label_col)(batch)
+        return cached(_TopkScorer, ref, k)(batch)
 
     part = emb_ds.map_batches(score, batch_format="pyarrow",
                               zero_copy_batch=True)
@@ -135,31 +130,29 @@ def _scored_topk(emb_ds, qids, qmat, probe, k: int, exclude_self: bool,
                                            batch_format="pyarrow")
 
 
-def ann_topk(emb_ds, query_ids, query_mat, k: int = 10, *,
-             exclude_self: bool = True):
-    """Exact cosine top-k of every query vs the embedding Dataset.
+def ann_topk(emb_ds, query_ids, query_mat, k: int = 10):
+    """Exact cosine top-k of every query vs the embedding Dataset, a
+    query's own vec_id excluded.
 
     Returns (query_id, vec_id, sim, rank). Scale: batches stream through
     the scorer; only nq*k rows per batch survive to the final combine.
     """
     qmat = _normalize(np.asarray(query_mat, dtype=np.float64))
-    return _scored_topk(emb_ds, query_ids, qmat, None, k, exclude_self,
-                        None)
+    return _scored_topk(emb_ds, query_ids, qmat, None, k)
 
 
 def ann_ivf_topk(emb_ds, query_ids, query_mat, k: int = 10, *,
-                 label_col: str = "label", nprobe: int | None = 3,
-                 exclude_self: bool = True):
-    """IVF variant (``nprobe=None`` probes every cluster — the
-    exact-mode twin, result identical to brute-force top-k):
-    compute per-cluster centroids (one small pass, partials folded by
-    ``tree_sum`` so the driver holds only the k x d result plus one
-    flush buffer), then score each query only against its ``nprobe``
-    nearest clusters."""
+                 nprobe: int | None = 3):
+    """IVF variant over the ``label`` column's clusters (``nprobe=None``
+    probes every cluster — the exact-mode twin, result identical to
+    brute-force top-k): compute per-cluster centroids (one small pass,
+    partials folded by ``tree_sum`` so the driver holds only the k x d
+    result plus one flush buffer), then score each query only against
+    its ``nprobe`` nearest clusters."""
     from .kmeans import _label_sum_rows, collect_centroid_sums
 
     def partial_centroids(batch: pa.Table) -> pa.Table:
-        lab = batch.column(label_col).to_numpy().astype(np.int64)
+        lab = batch.column("label").to_numpy().astype(np.int64)
         emb = _to_matrix(batch.column("embedding"))
         return _label_sum_rows(emb, lab)
 
@@ -171,8 +164,7 @@ def ann_ivf_topk(emb_ds, query_ids, query_mat, k: int = 10, *,
     qmat = _normalize(np.asarray(query_mat, dtype=np.float64))
     probe = np.argsort(-(qmat @ cent.T), axis=1)[:, :nprobe]
     probe_labels = [{labels[j] for j in row} for row in probe]
-    return _scored_topk(emb_ds, query_ids, qmat, probe_labels, k,
-                        exclude_self, label_col)
+    return _scored_topk(emb_ds, query_ids, qmat, probe_labels, k)
 
 
 def _hyperplanes(dim: int, bits: int) -> np.ndarray:
@@ -213,8 +205,10 @@ def lsh_band_rows(bits: int, bands: int):
     return sig_rows
 
 
-def cosine_neardup_lsh(emb_ds, threshold: float, *, bits: int = 32,
-                       bands: int = 4, max_bucket: int = 512):
+COS_LSH_MAX_BUCKET = 512
+
+
+def cosine_neardup_lsh(emb_ds, threshold: float):
     """Near-duplicate pairs via random-hyperplane LSH — the no-broadcast
     scale path.
 
@@ -233,16 +227,17 @@ def cosine_neardup_lsh(emb_ds, threshold: float, *, bits: int = 32,
     """
     from ..functions.arrays import (binary_column_to_matrix,
                                     matrix_to_binary_column)
-    from .agg import sorted_map_groups, sorted_sum
+    from .agg import sorted_map_groups, sorted_sum, truncate_runs
     from .dedup import bucket_pairs_block
 
     emb_ds = emb_ds.materialize()
-    rows = emb_ds.map_batches(lsh_band_rows(bits, bands),
-                              batch_format="pyarrow")
+    # 32 hyperplane bits in 4 bands of 8
+    rows = emb_ds.map_batches(lsh_band_rows(32, 4), batch_format="pyarrow")
     cand = sorted_map_groups(
         rows, ["band", "key"],
-        bucket_pairs_block("vec_id", ("vec_a", "vec_b"), max_bucket),
-        max_group_rows=max_bucket)
+        bucket_pairs_block("vec_id", ("vec_a", "vec_b"),
+                           COS_LSH_MAX_BUCKET),
+        pre_reduce=truncate_runs(["band", "key"], COS_LSH_MAX_BUCKET))
     pairs = sorted_sum(cand, ["vec_a", "vec_b"], ["n"])
 
     def to_binary(batch: pa.Table) -> pa.Table:

@@ -36,6 +36,8 @@ import pyarrow.compute as pc
 from ..functions.text import mix64
 from ..state.worker import cached, resolve
 
+N_HASHES = 4  # bit positions per key (the k of the FP-rate bound)
+
 
 def _positions(keys: np.ndarray, m_bits: int, n_hashes: int) -> np.ndarray:
     """(n, n_hashes) bit positions by double hashing."""
@@ -82,7 +84,7 @@ def build_bloom(right, *, key: str, m_bits: int, n_hashes: int):
 
 
 def bloom_semi_join(left, right, *, key: str,
-                    m_bits: int = 1 << 23, n_hashes: int = 4,
+                    m_bits: int = 1 << 23,
                     exact: bool = True, anti: bool = False):
     """Exact semi-join ``left`` ⋉ ``right`` on int64 ``key``, or the
     anti-join (left rows whose key is NOT in right) with ``anti=True``.
@@ -114,7 +116,7 @@ def bloom_semi_join(left, right, *, key: str,
             # every right row was filtered out: a map over no rows
             # keeps no schema, and the verify join reads it
             right = ray.data.from_arrow(pa.table({key: pa.array([], ktype)}))
-    bm_ref = build_bloom(right, key=key, m_bits=m_bits, n_hashes=n_hashes)
+    bm_ref = build_bloom(right, key=key, m_bits=m_bits, n_hashes=N_HASHES)
 
     def make_probe(keep_hits: bool):
         def probe(batch: pa.Table, *, ref=bm_ref) -> pa.Table:
@@ -122,7 +124,7 @@ def bloom_semi_join(left, right, *, key: str,
             if not len(k):
                 return batch
             bm = cached(resolve, ref)
-            pos = _positions(k, m_bits, n_hashes)
+            pos = _positions(k, m_bits, N_HASHES)
             hit = (bm[pos >> 3]
                    & (np.uint8(1) << (pos & 7).astype(np.uint8))
                    ).astype(bool).all(axis=1)

@@ -20,7 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import text as T
-from .agg import tree_sum
+from .agg import tree_sum, truncate_runs
 from .lookup import lookup
 
 
@@ -28,12 +28,11 @@ from .lookup import lookup
 # n-gram Jaccard (exact)
 # ---------------------------------------------------------------------------
 
-def shingle_rows(batch: pa.Table, *, id_col: str, text_col: str,
-                 n: int = 3) -> pa.Table:
+def shingle_rows(batch: pa.Table) -> pa.Table:
     """Per document: distinct hashed n-grams -> rows (sh, doc_id)."""
-    ids = batch.column(id_col).to_numpy()
-    texts = batch.column(text_col).to_pylist()
-    shingles = T.char_shingles_batch(texts, n)
+    ids = batch.column("doc_id").to_numpy()
+    texts = batch.column("text").to_pylist()
+    shingles = T.char_shingles_batch(texts)
     lens = np.fromiter((len(s) for s in shingles), dtype=np.int64,
                        count=len(shingles))
     return pa.table({
@@ -66,11 +65,13 @@ def _emit_pairs_and_sizes(max_df: int):
     return fn
 
 
-def ngram_jaccard_pairs(docs_ds, *, id_col: str = "doc_id",
-                        text_col: str = "text", n: int = 3,
-                        threshold: float = 0.7, max_df: int = 50):
-    """Doc pairs with exact n-gram Jaccard >= threshold, computed over
-    the *rare* shingles (document frequency <= max_df).
+NGRAM_TAU = 0.7  # n-gram Jaccard threshold of a near-duplicate pair
+
+
+def ngram_jaccard_pairs(docs_ds, *, max_df: int = 50):
+    """Doc pairs with exact ``T.SHINGLE_N``-gram Jaccard >= ``NGRAM_TAU`` over
+    the (doc_id, text) columns, computed over the *rare* shingles
+    (document frequency <= max_df).
 
     The DF cap is what keeps this op sub-quadratic: a shingle present in
     F docs emits F^2/2 candidate pairs, so ubiquitous shingles ("e t",
@@ -81,9 +82,7 @@ def ngram_jaccard_pairs(docs_ds, *, id_col: str = "doc_id",
 
     Returns Dataset (doc_a, doc_b, n_shared).
     """
-    rows = docs_ds.map_batches(shingle_rows, batch_format="pyarrow",
-                               fn_kwargs={"id_col": id_col,
-                                          "text_col": text_col, "n": n})
+    rows = docs_ds.map_batches(shingle_rows, batch_format="pyarrow")
     from .agg import group_runs, sorted_map_groups
 
     per_bucket = _emit_pairs_and_sizes(max_df)
@@ -100,7 +99,7 @@ def ngram_jaccard_pairs(docs_ds, *, id_col: str = "doc_id",
         return pa.concat_tables(outs)
 
     emitted = sorted_map_groups(rows, ["sh"], emit_block,
-                                max_group_rows=max_df)
+                                pre_reduce=truncate_runs(["sh"], max_df))
     counts = tree_sum(emitted, ["doc_a", "doc_b"], ["n"]).materialize()
 
     # post-filter shingle-set sizes: the sentinel rows (doc, -1) of the
@@ -138,7 +137,7 @@ def ngram_jaccard_pairs(docs_ds, *, id_col: str = "doc_id",
         nb = batch.column("sz_b").to_numpy().astype(np.float64)
         with np.errstate(invalid="ignore", divide="ignore"):
             j = c / (na + nb - c)
-        keep = np.nonzero(j >= threshold)[0]
+        keep = np.nonzero(j >= NGRAM_TAU)[0]
         out = batch.select(["doc_a", "doc_b", "n"]).take(
             pa.array(keep, pa.int64()))
         return out.rename_columns(["doc_a", "doc_b", "n_shared"])
@@ -150,16 +149,15 @@ def ngram_jaccard_pairs(docs_ds, *, id_col: str = "doc_id",
 # MinHash + LSH (approximate, the web-scale path)
 # ---------------------------------------------------------------------------
 
-def minhash_sig_rows(batch: pa.Table, *, id_col: str, text_col: str,
-                     k: int = 128, n: int = 3) -> pa.Table:
-    """Per doc: ONE row (doc_id, sig as a k*8-byte binary blob — binary
-    because Arrow's hash join rejects list payload columns)."""
+def minhash_sig_rows(batch: pa.Table) -> pa.Table:
+    """Per doc: ONE row (doc_id, sig as a MINHASH_K*8-byte binary blob —
+    binary because Arrow's hash join rejects list payload columns)."""
     from ..functions.arrays import matrix_to_binary_column
 
-    ids = batch.column(id_col).to_numpy()
-    texts = batch.column(text_col).to_pylist()
-    shingles = T.char_shingles_batch(texts, n)
-    sigs = T.minhash_signatures_batch(shingles, k).astype(np.int64)
+    ids = batch.column("doc_id").to_numpy()
+    texts = batch.column("text").to_pylist()
+    shingles = T.char_shingles_batch(texts)
+    sigs = T.minhash_signatures_batch(shingles).astype(np.int64)
     return pa.table({
         "doc_id": pa.array(ids.astype(np.int64)),
         "sig": matrix_to_binary_column(sigs),
@@ -188,6 +186,7 @@ def _band_rows(bands: int, rows: int):
 
 
 LSH_MAX_BUCKET = 200
+LSH_BANDS = 16
 
 
 def bucket_pairs_block(id_col: str, pair_cols: tuple, max_bucket: int):
@@ -225,10 +224,9 @@ def bucket_pairs_block(id_col: str, pair_cols: tuple, max_bucket: int):
 _EST_CHUNK = 8192
 
 
-def minhash_lsh_pairs(docs_ds, *, id_col: str = "doc_id",
-                      text_col: str = "text", k: int = 128,
-                      bands: int = 16, threshold: float = 0.6):
-    """Near-dup pairs via MinHash banding.
+def minhash_lsh_pairs(docs_ds, *, threshold: float = 0.6):
+    """Near-dup pairs of the (doc_id, text) columns via MinHash banding
+    (``MINHASH_K`` permutations in ``LSH_BANDS`` bands).
 
     Shape: per-doc signature (once) -> id-only band rows (24 B/row, no
     signature amplification through the bucket shuffle) -> bucket
@@ -242,16 +240,15 @@ def minhash_lsh_pairs(docs_ds, *, id_col: str = "doc_id",
     from ..functions.arrays import binary_column_to_matrix
     from .agg import sorted_map_groups, sorted_sum
 
-    sigs = docs_ds.map_batches(
-        minhash_sig_rows, batch_format="pyarrow",
-        fn_kwargs={"id_col": id_col, "text_col": text_col,
-                   "k": k}).materialize()
-    band_r = sigs.map_batches(_band_rows(bands, k // bands),
+    k = T.MINHASH_K
+    sigs = docs_ds.map_batches(minhash_sig_rows,
+                               batch_format="pyarrow").materialize()
+    band_r = sigs.map_batches(_band_rows(LSH_BANDS, k // LSH_BANDS),
                               batch_format="pyarrow")
     cand = sorted_map_groups(
         band_r, ["band", "key"],
         bucket_pairs_block("doc_id", ("doc_a", "doc_b"), LSH_MAX_BUCKET),
-        max_group_rows=LSH_MAX_BUCKET)
+        pre_reduce=truncate_runs(["band", "key"], LSH_MAX_BUCKET))
     pairs = sorted_sum(cand, ["doc_a", "doc_b"], ["n"])
     pairs = lookup(pairs, sigs, on=["doc_a", "doc_b"], key="doc_id",
                    columns=["sig"], suffix=["_a", "_b"])
@@ -282,13 +279,13 @@ def minhash_lsh_pairs(docs_ds, *, id_col: str = "doc_id",
 # SimHash
 # ---------------------------------------------------------------------------
 
-def simhash_rows(batch: pa.Table, *, id_col: str, text_col: str) -> pa.Table:
+def simhash_rows(batch: pa.Table) -> pa.Table:
     """Per doc: 64-bit SimHash over token hashes -> 4 x 16-bit block
     bucket rows.  Signatures come from the vectorized
     :func:`functions.text.simhash_batch` (md5 token hashes, so a DuckDB
     oracle can mirror every bit)."""
-    ids = batch.column(id_col).to_numpy()
-    texts = batch.column(text_col).to_pylist()
+    ids = batch.column("doc_id").to_numpy()
+    texts = batch.column("text").to_pylist()
     sigs = T.simhash_batch(texts)
     n = len(texts)
     sig_i64 = sigs.view(np.int64)
@@ -304,9 +301,10 @@ def simhash_rows(batch: pa.Table, *, id_col: str, text_col: str) -> pa.Table:
 
 
 SIMHASH_MAX_BUCKET = 500
+SIMHASH_MAX_HAMMING = 3  # largest Hamming distance of a near-dup pair
 
 
-def _simhash_pairs(max_hamming: int):
+def _simhash_pairs():
     def fn(group: pa.Table) -> pa.Table:
         if group.num_rows > SIMHASH_MAX_BUCKET:
             return pa.table({"doc_a": pa.array([], pa.int64()),
@@ -324,7 +322,7 @@ def _simhash_pairs(max_hamming: int):
                              "hamming": pa.array([], pa.int64())})
         ai, bi = np.triu_indices(m, 1)
         h = T.hamming64(sigs[ai], sigs[bi])
-        keep = (h <= max_hamming) & (ids[ai] != ids[bi])
+        keep = (h <= SIMHASH_MAX_HAMMING) & (ids[ai] != ids[bi])
         return pa.table({
             "doc_a": pa.array(ids[ai][keep], pa.int64()),
             "doc_b": pa.array(ids[bi][keep], pa.int64()),
@@ -333,17 +331,14 @@ def _simhash_pairs(max_hamming: int):
     return fn
 
 
-def simhash_pairs(docs_ds, *, id_col: str = "doc_id", text_col: str = "text",
-                  max_hamming: int = 3):
-    """Near-dup pairs with SimHash Hamming distance <= max_hamming;
-    16-bit block bucketing guarantees recall for max_hamming <= 3
-    (pigeonhole over 4 blocks)."""
-    rows = docs_ds.map_batches(simhash_rows, batch_format="pyarrow",
-                               fn_kwargs={"id_col": id_col,
-                                          "text_col": text_col})
+def simhash_pairs(docs_ds):
+    """Near-dup pairs of the (doc_id, text) columns with SimHash Hamming
+    distance <= ``SIMHASH_MAX_HAMMING``; 16-bit block bucketing
+    guarantees recall for distances <= 3 (pigeonhole over 4 blocks)."""
+    rows = docs_ds.map_batches(simhash_rows, batch_format="pyarrow")
     from .agg import group_runs, sorted_map_groups, tree_agg
 
-    per_group = _simhash_pairs(max_hamming)
+    per_group = _simhash_pairs()
 
     def pairs_block(batch: pa.Table) -> pa.Table:
         starts, ends = group_runs(batch, ["block", "key"])
@@ -356,6 +351,7 @@ def simhash_pairs(docs_ds, *, id_col: str = "doc_id", text_col: str = "text",
                              "hamming": pa.array([], pa.int64())})
         return pa.concat_tables(outs)
 
-    pairs = sorted_map_groups(rows, ["block", "key"], pairs_block,
-                              max_group_rows=SIMHASH_MAX_BUCKET)
+    pairs = sorted_map_groups(
+        rows, ["block", "key"], pairs_block,
+        pre_reduce=truncate_runs(["block", "key"], SIMHASH_MAX_BUCKET))
     return tree_agg(pairs, ["doc_a", "doc_b"], [("hamming", "min")])

@@ -28,14 +28,14 @@ from ..kernels import predicates as P
 from ..state.worker import cached, resolve
 
 
-def members_table(vertex_arrays, kind: str = "line",
-                  start_id: int = 0) -> pa.Table:
-    """Build a member-geometry Arrow table from (n_i, 2) vertex arrays."""
+def members_table(vertex_arrays, kind: str = "line") -> pa.Table:
+    """Build a member-geometry Arrow table from (n_i, 2) vertex arrays,
+    ``geom_id`` numbering them from 0."""
     ids = []
     verts = []
     for i, v in enumerate(vertex_arrays):
         v = np.asarray(v, dtype=np.float64).reshape(-1, 2)
-        ids.append(start_id + i)
+        ids.append(i)
         verts.append(v.tolist())
     return pa.table({
         "geom_id": pa.array(ids, pa.int64()),
@@ -188,13 +188,12 @@ class _IntersectionPoints:
     """map_batches stage: all intersection points of each member chain
     with a broadcast target (karta ``intersections``,
     geometry.py:698-723: brute-force segment pairs, half-open hit rule,
-    exact dedup on (x, y) unless keep_duplicates)."""
+    exact dedup on (x, y) per member)."""
 
-    def __init__(self, target_ref, keep_duplicates: bool = False):
+    def __init__(self, target_ref):
         t = resolve(target_ref)
         self.target = np.asarray(t["verts"], dtype=np.float64)
         self.ring_t = t["kind"] == "polygon"
-        self.keep_duplicates = keep_duplicates
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         members = _member_arrays(batch)
@@ -224,7 +223,7 @@ class _IntersectionPoints:
             oid = np.concatenate(oid_c) if oid_c else np.empty(0, np.int64)
             ox = np.concatenate(ox_c) if ox_c else np.empty(0)
             oy = np.concatenate(oy_c) if oy_c else np.empty(0)
-            if not self.keep_duplicates and len(oid):
+            if len(oid):
                 order = np.lexsort((oy, ox, oid))
                 oid, ox, oy = oid[order], ox[order], oy[order]
                 first = np.ones(len(oid), dtype=bool)
@@ -241,7 +240,7 @@ class _IntersectionPoints:
         for i, m in enumerate(members):
             pts = P.intersections_planar(self.target, m, ring_a=self.ring_t,
                                          ring_b=(kinds[i] == "polygon"))
-            if not self.keep_duplicates and len(pts):
+            if len(pts):
                 pts = np.unique(pts, axis=0)
             for x, y in pts:
                 out_id.append(int(ids[i]))
@@ -254,15 +253,14 @@ class _IntersectionPoints:
         })
 
 
-def intersection_points(members_ds, target_verts, target_kind: str = "line",
-                        keep_duplicates: bool = False):
-    """All member x target intersection points -> Dataset
+def intersection_points(members_ds, target_verts, target_kind: str = "line"):
+    """All distinct member x target intersection points -> Dataset
     (geom_id, x, y)."""
     ref = ray.put({"verts": np.asarray(target_verts, dtype=np.float64),
                    "kind": target_kind})
 
     def fn(batch: pa.Table) -> pa.Table:
-        return cached(_IntersectionPoints, ref, keep_duplicates)(batch)
+        return cached(_IntersectionPoints, ref)(batch)
 
     return members_ds.map_batches(fn, batch_format="pyarrow",
                                   zero_copy_batch=True)

@@ -38,24 +38,22 @@ def tokens_of(col) -> pa.Array:
     return toks.filter(pc.not_equal(toks, ""))
 
 
-def _block_counts(text_col: str):
-    def partial(batch: pa.Table) -> pa.Table:
-        toks = tokens_of(batch.column(text_col))
-        g = (pa.table({"token": toks}).group_by(["token"])
-             .aggregate([([], "count_all")]))
-        return g.rename_columns(["token", "n"])
-    return partial
+def _block_counts(batch: pa.Table) -> pa.Table:
+    toks = tokens_of(batch.column("text"))
+    g = (pa.table({"token": toks}).group_by(["token"])
+         .aggregate([([], "count_all")]))
+    return g.rename_columns(["token", "n"])
 
 
-def token_counts(ds, *, text_col: str = "text"):
-    """(token, n) exact global counts; shuffle bounded by per-block
-    distinct tokens."""
-    parts = ds.map_batches(_block_counts(text_col),
-                           batch_format="pyarrow", zero_copy_batch=True)
+def token_counts(ds):
+    """(token, n) exact global counts of the ``text`` column's tokens;
+    shuffle bounded by per-block distinct tokens."""
+    parts = ds.map_batches(_block_counts, batch_format="pyarrow",
+                           zero_copy_batch=True)
     return sorted_sum(parts, ["token"], ["n"])
 
 
-def top_tokens(ds, k: int, *, text_col: str = "text"):
+def top_tokens(ds, k: int):
     """Exact top-k tokens by count, ties broken by token ascending."""
-    return global_topk(token_counts(ds, text_col=text_col), ["n", "token"],
-                       k, descending=[True, False])
+    return global_topk(token_counts(ds), ["n", "token"], k,
+                       descending=[True, False])

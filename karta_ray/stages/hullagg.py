@@ -3,8 +3,7 @@
 A hull is an aggregate over a point set (karta ``convex_hull``,
 karta/vector/geometry.py:600-613): compute per-block partial hulls, then
 the hull of the union of hull vertices — associative, so the combine is
-a tree like any other aggregate. Spherical hulls use the spherical scan
-on the same plan.
+a tree like any other aggregate. Hulls are planar, over (lon, lat).
 """
 
 from __future__ import annotations
@@ -15,18 +14,16 @@ import pyarrow as pa
 from ..kernels import hull as HK
 
 
-def _hull_vertices(coords, geographical: bool):
+def _hull_vertices(coords):
     coords = np.asarray(coords, dtype=np.float64)
     if len(coords) < 3:
         return coords
-    idx = (HK.convex_hull_sph(coords) if geographical
-           else HK.convex_hull_planar(coords))
-    return coords[idx]
+    return coords[HK.convex_hull_planar(coords)]
 
 
-def convex_hull(points_ds, *, x_col="lon", y_col="lat",
-                geographical: bool = False):
-    """Global convex hull of a points Dataset.
+def convex_hull(points_ds):
+    """Global planar convex hull of the (lon, lat) columns of a points
+    Dataset.
 
     Per-block partial hulls shrink each block to its hull vertices; the
     final exact hull is computed over the (small) union. Returns an
@@ -35,10 +32,10 @@ def convex_hull(points_ds, *, x_col="lon", y_col="lat",
     """
     def partial(batch: pa.Table) -> pa.Table:
         coords = np.column_stack([
-            batch.column(x_col).to_numpy(zero_copy_only=False),
-            batch.column(y_col).to_numpy(zero_copy_only=False)])
+            batch.column("lon").to_numpy(zero_copy_only=False),
+            batch.column("lat").to_numpy(zero_copy_only=False)])
         coords = coords[~np.isnan(coords).any(axis=1)]
-        hv = _hull_vertices(coords, geographical)
+        hv = _hull_vertices(coords)
         return pa.table({"x": pa.array(hv[:, 0]), "y": pa.array(hv[:, 1])})
 
     part = points_ds.map_batches(partial, batch_format="pyarrow",
@@ -48,7 +45,7 @@ def convex_hull(points_ds, *, x_col="lon", y_col="lat",
     all_pts = part.to_pandas()
     coords = np.column_stack([all_pts["x"].to_numpy(),
                               all_pts["y"].to_numpy()])
-    hv = _hull_vertices(np.unique(coords, axis=0), geographical)
+    hv = _hull_vertices(np.unique(coords, axis=0))
     return pa.table({
         "order": pa.array(np.arange(len(hv), dtype=np.int64)),
         "x": pa.array(hv[:, 0]),
@@ -56,21 +53,21 @@ def convex_hull(points_ds, *, x_col="lon", y_col="lat",
     })
 
 
-def grouped_convex_hull(points_ds, group_col: str, *, x_col="lon",
-                        y_col="lat", geographical: bool = False):
-    """Per-group convex hulls via groupby().map_groups — one hull row
-    set per key (the reference's per-layer hull, distributed)."""
+def grouped_convex_hull(points_ds, group_col: str):
+    """Per-group planar convex hulls of (lon, lat) points via
+    groupby().map_groups — one hull row set per key (the reference's
+    per-layer hull, distributed)."""
     def hull_of_group(group: pa.Table) -> pa.Table:
         coords = np.column_stack([
-            group.column(x_col).to_numpy(zero_copy_only=False),
-            group.column(y_col).to_numpy(zero_copy_only=False)])
+            group.column("lon").to_numpy(zero_copy_only=False),
+            group.column("lat").to_numpy(zero_copy_only=False)])
         coords = coords[~np.isnan(coords).any(axis=1)]
         if len(coords) == 0:
             return pa.table({group_col: pa.array([], pa.int64()),
                              "order": pa.array([], pa.int64()),
                              "x": pa.array([], pa.float64()),
                              "y": pa.array([], pa.float64())})
-        hv = _hull_vertices(coords, geographical)
+        hv = _hull_vertices(coords)
         key = group.column(group_col)[0].as_py()
         n = len(hv)
         return pa.table({

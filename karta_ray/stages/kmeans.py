@@ -70,28 +70,27 @@ def collect_centroid_sums(parts_ds, d: int):
     return labels, sums, counts
 
 
-def kmeans_seeds(emb_ds, k: int, *, emb_col: str = "embedding",
-                 id_col: str = "vec_id") -> np.ndarray:
+def kmeans_seeds(emb_ds, k: int) -> np.ndarray:
     """Deterministic seed centroids: the k vectors with the smallest
     ids (sort -> limit, a distributed top-k, not a full collect)."""
     from ..functions.arrays import list_column_to_matrix
 
-    seeds = emb_ds.sort(id_col).limit(k).take_batch(k, batch_format="pyarrow")
-    return list_column_to_matrix(seeds[emb_col])
+    seeds = emb_ds.sort("vec_id").limit(k).take_batch(
+        k, batch_format="pyarrow")
+    return list_column_to_matrix(seeds["embedding"])
 
 
-def kmeans_fit(emb_ds, k: int, *, iters: int = 10,
-               emb_col: str = "embedding", id_col: str = "vec_id"):
+def kmeans_fit(emb_ds, k: int, *, iters: int = 10):
     """Lloyd's iterations over the Dataset; returns (k, d) centroids."""
     from ..functions.arrays import list_column_to_matrix
 
-    cent = kmeans_seeds(emb_ds, k, emb_col=emb_col, id_col=id_col)
+    cent = kmeans_seeds(emb_ds, k)
     for _ in range(iters):
         ref = ray.put(cent)
 
         def partial(batch: pa.Table, *, ref=ref) -> pa.Table:
             c = cached(resolve, ref)
-            emb = list_column_to_matrix(batch.column(emb_col))
+            emb = list_column_to_matrix(batch.column("embedding"))
             return _label_sum_rows(emb, _assign(emb, c))
 
         parts = emb_ds.map_batches(partial, batch_format="pyarrow")
@@ -112,8 +111,7 @@ def kmeans_fit(emb_ds, k: int, *, iters: int = 10,
     return cent
 
 
-def kmeans_predict(emb_ds, centroids: np.ndarray, *,
-                   emb_col: str = "embedding"):
+def kmeans_predict(emb_ds, centroids: np.ndarray):
     """Append a ``label`` column (nearest centroid) to every row."""
     from ..functions.arrays import list_column_to_matrix
 
@@ -121,7 +119,7 @@ def kmeans_predict(emb_ds, centroids: np.ndarray, *,
 
     def fn(batch: pa.Table, *, ref=ref) -> pa.Table:
         c = cached(resolve, ref)
-        emb = list_column_to_matrix(batch.column(emb_col))
+        emb = list_column_to_matrix(batch.column("embedding"))
         lab = _assign(emb, c)
         # replace any pre-existing label column
         if "label" in batch.column_names:

@@ -120,9 +120,10 @@ def resize_image(arr: np.ndarray, width: int, height: int) -> np.ndarray:
     return arr[ii][:, jj]
 
 
-def frame_sample(frames: list, every: int = 2) -> list:
-    """Video frame sampling shape (on decoded frame sequences)."""
-    return frames[::every]
+def frame_sample(frames: list) -> list:
+    """Video frame sampling shape (on decoded frame sequences): every
+    second frame."""
+    return frames[::2]
 
 
 def _decode_video_real(payload: bytes):
@@ -261,10 +262,10 @@ def media_decode_stats(batch: pa.Table) -> pa.Table:
     })
 
 
-def synth_media_table(n: int, seed: int = 0) -> pa.Table:
+def synth_media_table(n: int) -> pa.Table:
     """Deterministic media rows with REAL payloads: PPM images and
     PCM16 WAV clips (video rows carry opaque bytes for the stub)."""
-    rng = np.random.RandomState(seed)
+    rng = np.random.RandomState(0)
     rows = {"media_id": [], "media_type": [], "payload": [],
             "width": [], "height": [], "duration_ms": []}
     for i in range(n):

@@ -19,9 +19,8 @@ import numpy as np
 import pyarrow as pa
 
 
-def global_rank(ds, keys: list, *, descending=None,
-                rank_col: str = "rnk"):
-    """Append 1-based dense ``rank_col`` in the total order of ``keys``
+def global_rank(ds, keys: list, *, descending=None):
+    """Append 1-based dense ``rnk`` in the total order of ``keys``
     (callers wanting deterministic output must make ``keys`` a total
     order, e.g. by appending a unique id as tiebreak).
 
@@ -38,7 +37,7 @@ def global_rank(ds, keys: list, *, descending=None,
     def stamp(blk, off: int) -> pa.Table:
         blk = BlockAccessor.for_block(blk).to_arrow()
         return blk.append_column(
-            rank_col,
+            "rnk",
             pa.array(off + 1 + np.arange(blk.num_rows, dtype=np.int64)))
 
     refs, counts = [], []

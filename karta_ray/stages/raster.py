@@ -32,18 +32,16 @@ from .agg import tree_sum
 TILE = 256
 
 
-def tiles_from_grid(values, transform, *, grid_id=0, band=0,
-                    tile=TILE, overlap=0, dtype=None) -> pa.Table:
-    """Split a (ny, nx) array into tile records (optionally with halo).
+def tiles_from_grid(values, transform, *, tile=TILE, overlap=0) -> pa.Table:
+    """Split a (ny, nx) array into tile records (optionally with halo)
+    of grid 0, band 0.
 
     The pixel dtype is PRESERVED in the records (a ``dtype`` column) —
     uint8 imagery ships 1 byte/px through the object store, not the 8
     bytes/px a forced float64 copy would cost (reference multi-dtype
-    bands, karta/raster/_gdal.py:68-112). Pass ``dtype`` to re-encode.
+    bands, karta/raster/_gdal.py:68-112).
     """
     values = np.asarray(values)
-    if dtype is not None:
-        values = values.astype(dtype)
     if values.dtype == object:
         values = values.astype(np.float64)
     gny, gnx = values.shape
@@ -60,8 +58,8 @@ def tiles_from_grid(values, transform, *, grid_id=0, band=0,
             jlo = max(0, j0 - overlap)
             jhi = min(gnx, j0 + nx + overlap)
             block = np.ascontiguousarray(values[ilo:ihi, jlo:jhi])
-            cols["grid_id"].append(grid_id)
-            cols["band"].append(band)
+            cols["grid_id"].append(0)
+            cols["band"].append(0)
             cols["tile_i"].append(ti)
             cols["tile_j"].append(tj)
             cols["i0"].append(i0)
@@ -90,8 +88,7 @@ def tiles_dataset(values, transform, **kw):
     return ray.data.from_blocks([tiles_from_grid(values, transform, **kw)])
 
 
-def merge_grids_stage(tile_datasets, weights=None, grid_origins=None,
-                      nodata=np.nan):
+def merge_grids_stage(tile_datasets, weights=None, grid_origins=None):
     """Distributed raster mosaic (karta ``raster.merge`` semantics,
     grid.py:1141-1231) over tile-record Datasets of integer-translated
     grids: every non-nodata cell becomes a (I, J, w*v, w) row in GLOBAL
@@ -126,14 +123,11 @@ def merge_grids_stage(tile_datasets, weights=None, grid_origins=None,
                 pl = batch.column("pl")[r].as_py()
                 block = _block(batch, r)[pt:pt + ny, pl:pl + nx]
                 # mask BEFORE the float cast: integer tiles use their
-                # per-dtype NODATA sentinel (or an explicit ``nodata``)
+                # per-dtype NODATA sentinel
                 if block.dtype.kind == "f":
-                    ok = (~np.isnan(block) if np.isnan(nodata)
-                          else block != nodata)
+                    ok = ~np.isnan(block)
                 else:
-                    sentinel = (RK.get_nodata(block.dtype)
-                                if np.isnan(nodata) else nodata)
-                    ok = block != sentinel
+                    ok = block != RK.get_nodata(block.dtype)
                 vals = block.astype(np.float64, copy=False)
                 jj, ii = np.meshgrid(np.arange(nx) + j0 + dj,
                                      np.arange(ny) + i0 + di)
@@ -277,30 +271,23 @@ def apply_stage(tiles_ds, func):
 
 
 class GridSampler:
-    """map_batches stage sampling a broadcast grid at point rows."""
+    """map_batches stage sampling a broadcast grid at (lon, lat) point
+    rows into a float64 ``value`` column (NaN off the grid)."""
 
-    def __init__(self, grid_ref, mode: str = "bilinear",
-                 x_col: str = "lon", y_col: str = "lat",
-                 out_col: str = "value"):
+    def __init__(self, grid_ref, mode: str = "bilinear"):
         g = resolve(grid_ref)
         self.values = g["values"]
         self.transform = g["transform"]
-        self.nodata = g.get("nodata", np.nan)
         self.mode = mode
-        self.x_col = x_col
-        self.y_col = y_col
-        self.out_col = out_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        x = batch.column(self.x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(self.y_col).to_numpy(zero_copy_only=False)
+        x = batch.column("lon").to_numpy(zero_copy_only=False)
+        y = batch.column("lat").to_numpy(zero_copy_only=False)
         if self.mode == "nearest":
-            v = RK.sample_nearest(self.transform, self.values, x, y,
-                                  self.nodata)
+            v = RK.sample_nearest(self.transform, self.values, x, y)
         else:
-            v = RK.sample_bilinear(self.transform, self.values, x, y,
-                                   self.nodata)
-        return batch.append_column(self.out_col, pa.array(v, pa.float64()))
+            v = RK.sample_bilinear(self.transform, self.values, x, y)
+        return batch.append_column("value", pa.array(v, pa.float64()))
 
 
 def synthetic_tiles(shape, transform, value_fn, *, tile=TILE, overlap=0):
@@ -371,8 +358,7 @@ def synthetic_tiles(shape, transform, value_fn, *, tile=TILE, overlap=0):
 
 
 def tile_sample_stage(points_ds, tiles_ds, *, transform, shape,
-                      tile=TILE, mode="bilinear", x_col="x", y_col="y",
-                      keep_cols=(), out_col="value"):
+                      tile=TILE, mode="bilinear", keep_cols=()):
     """Raster<-vector sampling join for rasters held as TILE-RECORD
     Datasets — the scale path when the grid is too big for
     :func:`sample_points`' single ``ray.put`` broadcast.
@@ -398,20 +384,19 @@ def tile_sample_stage(points_ds, tiles_ds, *, transform, shape,
     call once per layer (the point side re-streams; the tile side is
     layer-sized anyway).
 
-    Returns ``keep_cols + [x_col, y_col, out_col]`` with ``out_col``
-    float64.
+    Returns ``keep_cols + [x, y, value]`` with ``value`` float64.
     """
     from .agg import group_runs
     from .cogroup import SIDE, cogroup
 
     m, n = shape
     ntj = -(-n // tile)
-    pt_cols = list(keep_cols) + [x_col, y_col]
+    pt_cols = list(keep_cols) + ["x", "y"]
     tile_int_cols = ("i0", "j0", "ny", "nx", "pt", "pl", "pny", "pnx")
 
     def route_points(batch: pa.Table) -> pa.Table:
-        x = batch.column(x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(y_col).to_numpy(zero_copy_only=False)
+        x = batch.column("x").to_numpy(zero_copy_only=False)
+        y = batch.column("y").to_numpy(zero_copy_only=False)
         I, J = RK.positions(transform, x, y)
         if mode == "nearest":
             i = np.round(I).astype(np.int64)
@@ -441,7 +426,7 @@ def tile_sample_stage(points_ds, tiles_ds, *, transform, shape,
         starts, ends = group_runs(batch, ["tkey"])
         side = batch.column(SIDE).to_numpy(zero_copy_only=False)
         outs = [batch.select(pt_cols).slice(0, 0).append_column(
-            out_col, pa.array([], pa.float64()))]
+            "value", pa.array([], pa.float64()))]
         for s, e in zip(starts, ends):
             rs = side[s:e]
             ti = np.flatnonzero(rs == 0)
@@ -456,8 +441,8 @@ def tile_sample_stage(points_ds, tiles_ds, *, transform, shape,
                   - batch.column("pl")[r].as_py())
             pts = batch.slice(s, e - s).filter(
                 pa.array(rs == 1)).select(pt_cols)
-            x = pts.column(x_col).to_numpy()
-            y = pts.column(y_col).to_numpy()
+            x = pts.column("x").to_numpy()
+            y = pts.column("y").to_numpy()
             I, J = RK.positions(transform, x, y)
             if mode == "nearest":
                 i = np.round(I).astype(np.int64)
@@ -475,7 +460,7 @@ def tile_sample_stage(points_ds, tiles_ds, *, transform, shape,
                      + z01 * (i1 - I) * (J - j0)
                      + z11 * (I - i0) * (J - j0))
             outs.append(pts.append_column(
-                out_col, pa.array(v.astype(np.float64), pa.float64())))
+                "value", pa.array(v.astype(np.float64), pa.float64())))
         return pa.concat_tables(outs)
 
     return cogroup(points_ds, tiles_ds, prep=(route_points, key_tiles),
@@ -584,44 +569,42 @@ def regrid_tiles_stage(tiles_ds, *, transform, shape, new_dx, new_dy,
                                 zero_copy_batch=True)
 
 
-def sample_points(points_ds, values, transform, *, mode="bilinear",
-                  nodata=np.nan, x_col="lon", y_col="lat"):
+def sample_points(points_ds, values, transform, *, mode="bilinear"):
     """Raster<-vector sampling join: broadcast the grid once, sample per
-    batch (karta ``Grid.sample``, grid.py:971-1033)."""
+    (lon, lat) batch into a ``value`` column (karta ``Grid.sample``,
+    grid.py:971-1033)."""
     ref = ray.put({"values": np.asarray(values, dtype=np.float64),
-                   "transform": tuple(transform), "nodata": nodata})
+                   "transform": tuple(transform)})
 
     # task-based; the sampler is built once per worker process
     # (state/worker.py)
     def fn(batch: pa.Table) -> pa.Table:
-        return cached(GridSampler, ref, mode, x_col, y_col)(batch)
+        return cached(GridSampler, ref, mode)(batch)
 
     return points_ds.map_batches(fn, batch_format="pyarrow",
                                  zero_copy_batch=True)
 
 
-def profile_stage(line_verts, dx, values, transform, crs, *, mode="bilinear"):
+def profile_stage(line_verts, dx, values, transform, crs):
     """karta ``Grid.profile`` (grid.py:1035-1064): resample the line at
-    spacing dx, then sample the grid at the points. Returns an Arrow
-    table (x, y, value)."""
+    spacing dx, then sample the grid bilinearly at the points. Returns
+    an Arrow table (x, y, value)."""
     from ..kernels.lines import to_points
 
     pts = to_points(line_verts, dx, crs)
-    v = (RK.sample_bilinear(transform, values, pts[:, 0], pts[:, 1])
-         if mode == "bilinear" else
-         RK.sample_nearest(transform, values, pts[:, 0], pts[:, 1]))
+    v = RK.sample_bilinear(transform, values, pts[:, 0], pts[:, 1])
     return pa.table({"x": pa.array(pts[:, 0]), "y": pa.array(pts[:, 1]),
                      "value": pa.array(v)})
 
 
-def grid_bin_stage(points_ds, transform, shape, *, x_col="lon",
-                   y_col="lat", z_col="value"):
-    """Distributed gridpoints: per-batch partial (sum, count) per cell ->
-    tree combine -> mean finalize. Returns Dataset (gi, gj, n, mean)."""
+def grid_bin_stage(points_ds, transform, shape):
+    """Distributed gridpoints over (lon, lat, value) rows: per-batch
+    partial (sum, count) per cell -> tree combine -> mean finalize.
+    Returns Dataset (gi, gj, n, mean)."""
     def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column(x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(y_col).to_numpy(zero_copy_only=False)
-        z = batch.column(z_col).to_numpy(zero_copy_only=False)
+        x = batch.column("lon").to_numpy(zero_copy_only=False)
+        y = batch.column("lat").to_numpy(zero_copy_only=False)
+        z = batch.column("value").to_numpy(zero_copy_only=False)
         I, J = RK.positions(transform, x, y)
         i = np.round(I).astype(np.int64)
         j = np.round(J).astype(np.int64)

@@ -58,8 +58,7 @@ def stratified_sample(ds, *, id_col: str, stratum_col: str,
                           zero_copy_batch=True)
 
 
-def grouped_hash_sample(ds, *, keys: list, id_col: str, k: int,
-                        hasher=None):
+def grouped_hash_sample(ds, *, keys: list, id_col: str, k: int):
     """EXACTLY ``k`` rows per key group (fewer if the group is
     smaller), chosen as the k smallest ``hash(id)`` — the
     deterministic analogue of per-stratum reservoir sampling, for
@@ -79,11 +78,8 @@ def grouped_hash_sample(ds, *, keys: list, id_col: str, k: int,
     from .topn import grouped_topn
 
     def add_rank(batch: pa.Table) -> pa.Table:
-        if hasher is None:
-            ids = batch.column(id_col).to_pylist()
-            h = md5_u64([str(i).encode() for i in ids])
-        else:
-            h = hasher(batch.column(id_col))
+        ids = batch.column(id_col).to_pylist()
+        h = md5_u64([str(i).encode() for i in ids])
         return batch.append_column("_rank", pa.array(h, pa.uint64()))
 
     ranked = ds.map_batches(add_rank, batch_format="pyarrow",

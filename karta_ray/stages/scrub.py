@@ -26,16 +26,15 @@ PII_RULES = [("email", EMAIL_RE, "<EMAIL>"),
              ("phone", PHONE_RE, "<PHONE>")]
 
 
-def scrub_text(ds, rules, *, text_col: str = "text",
-               out_col: str = "text_clean", counts: bool = True):
-    """Append ``out_col`` (text with every rule applied) and, when
+def scrub_text(ds, rules, *, counts: bool = True):
+    """Append ``text_clean`` (``text`` with every rule applied) and, when
     ``counts``, an int64 ``n_<name>`` match-count column per rule.
 
     Counts are measured against the text each rule actually sees
     (i.e. after the earlier rules ran), matching nested SQL
     ``regexp_replace``/``regexp_extract_all`` evaluation order."""
     def apply(batch: pa.Table) -> pa.Table:
-        cur = batch.column(text_col)
+        cur = batch.column("text")
         for name, pat, repl in rules:
             if counts:
                 batch = batch.append_column(
@@ -43,7 +42,7 @@ def scrub_text(ds, rules, *, text_col: str = "text",
                     pc.cast(pc.count_substring_regex(cur, pat),
                             pa.int64()))
             cur = pc.replace_substring_regex(cur, pat, repl)
-        return batch.append_column(out_col, cur)
+        return batch.append_column("text_clean", cur)
 
     return ds.map_batches(apply, batch_format="pyarrow",
                           zero_copy_batch=True)

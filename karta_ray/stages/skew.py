@@ -96,17 +96,16 @@ def detect_hot_keys(ds, key_col: str, *, sample_fraction: float = 0.05,
             dict(zip(survivors[key_col], survivors["n"])))
 
 
-def add_salt(ds, key_col: str, hot_keys, *, salts: int = 16,
-             salt_col: str = "salt"):
-    """Add a salt column: 0 for cold keys; hash(row) % salts for hot keys
-    (broadcast hot-key set; no shuffle)."""
+def add_salt(ds, key_col: str, hot_keys, *, salts: int = 16):
+    """Add a ``salt`` column: 0 for cold keys; hash(row) % salts for hot
+    keys (broadcast hot-key set; no shuffle)."""
     hot = np.sort(np.asarray(hot_keys, dtype=np.int64))
 
     def fn(batch: pa.Table) -> pa.Table:
         keys = batch.column(key_col).to_numpy()
         if len(hot) == 0:
             return batch.append_column(
-                salt_col, pa.array(np.zeros(len(keys), dtype=np.int64)))
+                "salt", pa.array(np.zeros(len(keys), dtype=np.int64)))
         pos = np.searchsorted(hot, keys)
         pos_c = np.minimum(pos, len(hot) - 1)
         is_hot = hot[pos_c] == keys
@@ -114,7 +113,7 @@ def add_salt(ds, key_col: str, hot_keys, *, salts: int = 16,
         h = mix64(mix64(keys.astype(np.uint64))
                   + np.arange(len(keys), dtype=np.uint64))
         salt = np.where(is_hot, (h % np.uint64(salts)).astype(np.int64), 0)
-        return batch.append_column(salt_col, pa.array(salt, pa.int64()))
+        return batch.append_column("salt", pa.array(salt, pa.int64()))
 
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 

@@ -27,12 +27,12 @@ import pyarrow as pa
 from .lookup import lookup
 
 
-def doc_term_freqs(ds, *, id_col: str = "doc_id",
-                   text_col: str = "text"):
-    """(doc_id, token, tf) — exact, computed entirely in-block."""
+def doc_term_freqs(ds):
+    """(doc_id, token, tf) of the (doc_id, text) rows — exact, computed
+    entirely in-block."""
     def partial(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col)
-        texts = batch.column(text_col)
+        ids = batch.column("doc_id")
+        texts = batch.column("text")
         import pyarrow.compute as pc
 
         lists = pc.split_pattern(texts, " ")
@@ -68,10 +68,10 @@ def _weight(tf: np.ndarray, df: np.ndarray, n_docs: int) -> np.ndarray:
     return np.round(tf * np.log(n_docs / df), 6)
 
 
-def tfidf_table(ds, *, id_col: str = "doc_id", text_col: str = "text"):
+def tfidf_table(ds):
     """(doc_id, token, tf, df, tfidf) for every (document, term)."""
     n_docs = ds.count()
-    tf = doc_term_freqs(ds, id_col=id_col, text_col=text_col)
+    tf = doc_term_freqs(ds)
     tf = tf.materialize()
     df = doc_freqs(tf)
 
@@ -85,10 +85,9 @@ def tfidf_table(ds, *, id_col: str = "doc_id", text_col: str = "text"):
         .map_batches(weigh, batch_format="pyarrow")
 
 
-def top_term_per_doc(ds, *, id_col: str = "doc_id",
-                     text_col: str = "text", n: int = 1):
-    """The ``n`` highest-tfidf terms per document (ties: token asc)."""
+def top_term_per_doc(ds):
+    """The highest-tfidf term per document (ties: token asc)."""
     from .topn import grouped_topn
 
-    w = tfidf_table(ds, id_col=id_col, text_col=text_col)
-    return grouped_topn(w, [id_col], "tfidf", n, tie_cols=["token"])
+    return grouped_topn(tfidf_table(ds), ["doc_id"], "tfidf", 1,
+                        tie_cols=["token"])

@@ -9,13 +9,12 @@ from ..kernels import tiles
 
 
 def assign_cells(batch: pa.Table, *, zoom: int,
-                 lon_col: str = "lon", lat_col: str = "lat",
                  with_xyz: bool = True) -> pa.Table:
-    """Add Web-Mercator tile columns at ``zoom``:
-    ``tile_z/tile_x/tile_y`` (int64; -1 when no geotag) and the packed
-    int64 ``cell_id`` groupby/join key."""
-    lon = batch.column(lon_col).to_numpy(zero_copy_only=False)
-    lat = batch.column(lat_col).to_numpy(zero_copy_only=False)
+    """Add Web-Mercator tile columns of the (lon, lat) point at
+    ``zoom``: ``tile_z/tile_x/tile_y`` (int64; -1 when no geotag) and
+    the packed int64 ``cell_id`` groupby/join key."""
+    lon = batch.column("lon").to_numpy(zero_copy_only=False)
+    lat = batch.column("lat").to_numpy(zero_copy_only=False)
     x, y = tiles.tile_xy(lon, lat, zoom)
     # the packed JOIN key wraps x at the antimeridian (tiles.cell_id) so
     # cell-cover prefilters stay supersets; tile_x stays reference-

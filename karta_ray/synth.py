@@ -76,13 +76,13 @@ def page_coords(ids):
     return lon, lat
 
 
-def make_pages(batch, id_col: str = "id"):
-    """map_batches fn: ids -> full pages rows
+def make_pages(batch):
+    """map_batches fn: ``id`` column -> full pages rows
     (url, warc_ts, html, text, lang). Deterministic per id."""
     if isinstance(batch, pa.Table):
-        ids = batch.column(id_col).to_numpy()
+        ids = batch.column("id").to_numpy()
     else:
-        ids = np.asarray(batch[id_col])
+        ids = np.asarray(batch["id"])
     ids = ids.astype(np.int64)
     n = len(ids)
     lon, lat = page_coords(ids)
@@ -191,20 +191,23 @@ def _hippie_star(cx=25.0, cy=25.0, scale=1.0):
     return np.column_stack([np.cos(theta) * r + cx, np.sin(theta) * r + cy])
 
 
-def admin_polygons(n_regions: int = 60, seed: int = 7) -> PolygonSet:
-    """Deterministic admin-boundary layer: jittered rectangular regions
-    tiling [-180, 180) x [-60, 75], plus the reference hard cases with
-    poly_id >= 9000."""
+ADMIN_REGIONS = 60
+
+
+def admin_polygons(seed: int = 7) -> PolygonSet:
+    """Deterministic admin-boundary layer: ``ADMIN_REGIONS`` jittered
+    rectangular regions tiling [-180, 180) x [-60, 75], plus the
+    reference hard cases with poly_id >= 9000."""
     rng = np.random.RandomState(seed)
     polys = []
     pid = 0
-    cols = int(np.ceil(np.sqrt(n_regions * 2)))
-    rows = max(1, n_regions // cols + 1)
+    cols = int(np.ceil(np.sqrt(ADMIN_REGIONS * 2)))
+    rows = max(1, ADMIN_REGIONS // cols + 1)
     dlon = 360.0 / cols
     dlat = 135.0 / rows
     for r in range(rows):
         for c in range(cols):
-            if pid >= n_regions:
+            if pid >= ADMIN_REGIONS:
                 break
             x0 = -180.0 + c * dlon + rng.uniform(0, 0.2 * dlon)
             y0 = -60.0 + r * dlat + rng.uniform(0, 0.2 * dlat)

@@ -33,7 +33,7 @@ def true_jaccard(a: str, b: str, n=3):
 class TestTextFunctions:
     def test_shingle_count_matches_distinct_substrings(self):
         s = "hello world, hello again"
-        sh = T.char_shingles(s, 3)
+        sh = T.char_shingles(s)
         want = {s[i:i + 3] for i in range(len(s) - 2)}
         assert len(sh) == len(want)
 
@@ -41,8 +41,8 @@ class TestTextFunctions:
         ids, docs = corpus()
         a, b = docs[0], docs[30]  # planted near-dup
         ja = true_jaccard(a, b)
-        siga = T.minhash_signature(T.char_shingles(a, 3))
-        sigb = T.minhash_signature(T.char_shingles(b, 3))
+        siga = T.minhash_signature(T.char_shingles(a))
+        sigb = T.minhash_signature(T.char_shingles(b))
         est = (siga == sigb).mean()
         assert abs(est - ja) < 0.15
 
@@ -74,9 +74,9 @@ class TestTextFunctions:
                          rng.randint(0, 26, size=rng.randint(0, 60)))
                  for _ in range(200)]
         texts += ["", "a", "ab", "日本語テキスト", "aaaaaaa"]
-        got = T.char_shingles_batch(texts, 3)
+        got = T.char_shingles_batch(texts)
         for t, g in zip(texts, got):
-            assert np.array_equal(g, T.char_shingles(t, 3))
+            assert np.array_equal(g, T.char_shingles(t))
 
     def test_lang_id_batch_parity(self):
         # the vectorized Arrow path must match the scalar golden on the
@@ -115,7 +115,7 @@ class TestDedupStages:
         from karta_ray.stages.dedup import ngram_jaccard_pairs
 
         ds, ids, docs = self._docs_ds()
-        got = ngram_jaccard_pairs(ds, threshold=0.7).to_pandas()
+        got = ngram_jaccard_pairs(ds).to_pandas()
         got_pairs = set(zip(got.doc_a, got.doc_b))
         want = set()
         for i in range(len(docs)):
@@ -139,7 +139,7 @@ class TestDedupStages:
         from karta_ray.stages.dedup import simhash_pairs
 
         ds, ids, docs = self._docs_ds()
-        got = simhash_pairs(ds, max_hamming=3).to_pandas()
+        got = simhash_pairs(ds).to_pandas()
         got_pairs = set(zip(got.doc_a, got.doc_b))
         assert (12, 32) in got_pairs  # identical copy -> hamming 0
         # verify every reported pair truly has hamming <= 3 (md5-parity
@@ -638,8 +638,8 @@ class TestPropsRegexParity:
 @pytest.mark.usefixtures("ray_session")
 class TestSortedMapGroupsSkew:
     """Hot keys must not flood the residue block: pre_reduce collapses
-    aggregate edge runs, max_group_rows early-drops over-cap buckets —
-    and neither may change semantics."""
+    aggregate edge runs or, as ``truncate_runs``, early-drops over-cap
+    buckets — and neither may change semantics."""
 
     def test_hot_key_aggregate_still_exact(self):
         import pandas as pd
@@ -665,7 +665,8 @@ class TestSortedMapGroupsSkew:
     def test_max_group_rows_drops_like_the_cap(self):
         import ray.data
 
-        from karta_ray.stages.agg import group_runs, sorted_map_groups
+        from karta_ray.stages.agg import (group_runs, sorted_map_groups,
+                                          truncate_runs)
 
         CAP = 100
         # key 0: 2500 rows (over cap, spans blocks); keys 1..20: small
@@ -688,8 +689,9 @@ class TestSortedMapGroupsSkew:
             return pa.table({"k": pa.array(ks, pa.int64()),
                              "cnt": pa.array(ns, pa.int64())})
 
-        got = sorted_map_groups(ds, ["k"], block_fn,
-                                max_group_rows=CAP).to_pandas()
+        got = sorted_map_groups(
+            ds, ["k"], block_fn,
+            pre_reduce=truncate_runs(["k"], CAP)).to_pandas()
         got = got.sort_values("k").reset_index(drop=True)
         # key 0 dropped (over cap); every other key counted exactly once
         assert got.k.tolist() == list(range(1, 21))
@@ -702,7 +704,8 @@ class TestSortedMapGroupsSkew:
         # under-cap groups must survive exactly
         import ray.data
 
-        from karta_ray.stages.agg import group_runs, sorted_map_groups
+        from karta_ray.stages.agg import (group_runs, sorted_map_groups,
+                                          truncate_runs)
 
         CAP = 50
         sizes = {}
@@ -732,8 +735,9 @@ class TestSortedMapGroupsSkew:
             return pa.table({"k": pa.array(ks_, pa.int64()),
                              "cnt": pa.array(ns_, pa.int64())})
 
-        got = sorted_map_groups(ds, ["k"], block_fn,
-                                max_group_rows=CAP).to_pandas()
+        got = sorted_map_groups(
+            ds, ["k"], block_fn,
+            pre_reduce=truncate_runs(["k"], CAP)).to_pandas()
         out = dict(zip(got.k, got.cnt))
         for kid_, sz in sizes.items():
             if sz > CAP:
@@ -749,11 +753,12 @@ class TestSortedMapGroupsSkew:
         # NEVER dropped — so a residue group re-assembled from a
         # truncated big fragment plus a small fragment stays over the
         # cap and is rejected by block_fn
-        from karta_ray.stages.agg import _truncate_runs, group_runs
+        from karta_ray.stages.agg import group_runs, truncate_runs
 
         CAP = 50
+        truncate = truncate_runs(["k"], CAP)
         big = pa.table({"k": pa.array(np.full(210, 7, dtype=np.int64))})
-        t = _truncate_runs(big, ["k"], CAP)
+        t = truncate(big)
         assert t.num_rows == CAP + 1  # tombstone, not dropped
         small = pa.table({"k": pa.array(np.full(20, 7, dtype=np.int64))})
         residue = pa.concat_tables([t, small])
@@ -764,7 +769,7 @@ class TestSortedMapGroupsSkew:
         mix = pa.table({"k": pa.array(np.concatenate(
             [np.full(30, 1), np.full(60, 2), np.full(10, 3)])
             .astype(np.int64))})
-        out = _truncate_runs(mix, ["k"], CAP)
+        out = truncate(mix)
         s2, e2 = group_runs(out, ["k"])
         assert [int(e - s) for s, e in zip(s2, e2)] == [30, CAP + 1, 10]
 

@@ -69,7 +69,7 @@ class TestCountMin:
         tbl = rows_ds.take_all()
         rows = {k: [r[k] for r in tbl] for k in ("d", "j", "n")}
         queries = sorted(exact)
-        est = cm_estimate(rows, queries, width=8192, depth=4)
+        est = cm_estimate(rows, queries, width=8192)
         true = np.array([exact[q] for q in queries])
         assert (est >= true).all()          # CM never underestimates
         total = int(true.sum())
@@ -77,7 +77,7 @@ class TestCountMin:
         assert (est - true <= np.e / 8192 * total + 1).all()
         # heavy tokens essentially exact in a wide sketch
         heavy = [q for q in queries if exact[q] > 50]
-        est_h = cm_estimate(rows, heavy, width=8192, depth=4)
+        est_h = cm_estimate(rows, heavy, width=8192)
         true_h = np.array([exact[q] for q in heavy])
         assert (est_h == true_h).mean() > 0.9
 
@@ -119,7 +119,7 @@ class TestGroupedHLL:
             sub = [r for r in rows if r["g"] == g]
             est = hll_count_from_rows(
                 {"bucket": [r["bucket"] for r in sub],
-                 "register": [r["register"] for r in sub]}, 12)
+                 "register": [r["register"] for r in sub]})
             exact = pdf[pdf.g == g].u.nunique()
             assert abs(est - exact) / exact < 0.05, (g, est, exact)
 

@@ -149,7 +149,7 @@ class TestMultimodal:
         got2, _ = decode_wav(encode_wav(stereo, 8000))
         assert got2.shape == stereo.shape and (got2 == stereo).all()
         frames = [img, img, img, img, img]
-        assert len(frame_sample(frames, 2)) == 3
+        assert len(frame_sample(frames)) == 3
 
     def test_image_features_reflect_content(self):
         from karta_ray.stages.multimodal import (_features_image,

@@ -48,15 +48,15 @@ def _synth_corpus(tmp_path):
 def test_scaled_branch_engine_vs_duckdb(ray_session, tmp_path):
     import ray.data
 
-    from karta_ray.pipelines.queries import (NGRAM_TAU, ngram_df_cap)
-    from karta_ray.stages.dedup import ngram_jaccard_pairs
+    from karta_ray.pipelines.queries import ngram_df_cap
+    from karta_ray.stages.dedup import NGRAM_TAU, ngram_jaccard_pairs
 
     path = _synth_corpus(tmp_path)
     cap = ngram_df_cap(12_000)
     assert cap == 60  # the scaled branch, not the floor
 
     ds = ray.data.read_parquet(path, override_num_blocks=8)
-    got = (ngram_jaccard_pairs(ds, threshold=NGRAM_TAU, max_df=cap)
+    got = (ngram_jaccard_pairs(ds, max_df=cap)
            .to_pandas().sort_values(["doc_a", "doc_b"])
            .reset_index(drop=True))
 
@@ -97,6 +97,6 @@ ORDER BY doc_a, doc_b
     # sanity: under the old fixed cap the pair disappears
     got50 = (ngram_jaccard_pairs(
         ray.data.read_parquet(path, override_num_blocks=8),
-        threshold=NGRAM_TAU, max_df=50).to_pandas())
+        max_df=50).to_pandas())
     if len(got50):
         assert not ((got50["doc_a"] == 0) & (got50["doc_b"] == 1)).any()

@@ -179,8 +179,8 @@ def test_strtree_query_box_matches_brute_force(boxes_raw, qraw):
 def test_minhash_estimates_jaccard_on_random_docs(texts):
     from karta_ray.functions import text as T
 
-    sigs = [T.minhash_signature(T.char_shingles(t, 3)) for t in texts]
-    sets = [set(T.char_shingles(t, 3).tolist()) for t in texts]
+    sigs = [T.minhash_signature(T.char_shingles(t)) for t in texts]
+    sets = [set(T.char_shingles(t).tolist()) for t in texts]
     for i in range(len(texts) - 1):
         a, b = sets[i], sets[i + 1]
         if not a and not b:
@@ -259,6 +259,6 @@ class TestShingleBatchProperties:
         import numpy as np
 
         from karta_ray.functions import text as T
-        got = T.char_shingles_batch(texts, 3)
+        got = T.char_shingles_batch(texts)
         for t, g in zip(texts, got):
-            assert np.array_equal(g, T.char_shingles(t, 3))
+            assert np.array_equal(g, T.char_shingles(t))

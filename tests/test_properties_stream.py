@@ -47,8 +47,8 @@ def _intervals_table(keys, starts, lens, ns):
                 out_s[i] = s[i] + shift
             out_e[i] = out_s[i] + ln[i]
             prev_end = out_e[i]
-    return pa.table({"user_id": pa.array(k), "start_us": pa.array(out_s),
-                     "end_us": pa.array(out_e), "n": pa.array(n)})
+    return pa.table({"user_id": pa.array(k), "ts": pa.array(out_s),
+                     "__end_us": pa.array(out_e), "__n": pa.array(n)})
 
 
 events = st.lists(
@@ -67,14 +67,14 @@ class TestCollapseProperties:
 
         keys, starts, lens, ns = zip(*rows)
         tbl = _intervals_table(keys, starts, lens, ns)
-        whole = _collapse(tbl, "user_id", gap)
+        whole = _collapse(tbl, gap)
         # any per-key time-contiguous split: take the first `cut` rows
         # (table is (key, start)-sorted, so a row index cut IS a
         # per-key time cut)
         cut = min(cut, tbl.num_rows)
-        a = _collapse(tbl.slice(0, cut), "user_id", gap)
-        b = _collapse(tbl.slice(cut), "user_id", gap)
-        again = _collapse(pa.concat_tables([a, b]), "user_id", gap)
+        a = _collapse(tbl.slice(0, cut), gap)
+        b = _collapse(tbl.slice(cut), gap)
+        again = _collapse(pa.concat_tables([a, b]), gap)
         assert again.equals(whole)
 
     @given(events, st.integers(0, 30))
@@ -84,13 +84,13 @@ class TestCollapseProperties:
 
         keys, starts, lens, ns = zip(*rows)
         tbl = _intervals_table(keys, starts, lens, ns)
-        out = _collapse(tbl, "user_id", gap)
-        assert (out.column("n").to_numpy().sum()
-                == tbl.column("n").to_numpy().sum())
+        out = _collapse(tbl, gap)
+        assert (out.column("__n").to_numpy().sum()
+                == tbl.column("__n").to_numpy().sum())
         # merged intervals of one key are separated by more than gap
         k = out.column("user_id").to_numpy()
-        s = out.column("start_us").to_numpy()
-        e = out.column("end_us").to_numpy()
+        s = out.column("ts").to_numpy()
+        e = out.column("__end_us").to_numpy()
         same = k[1:] == k[:-1]
         assert ((s[1:] - e[:-1])[same] > gap).all()
         assert (e >= s).all()

@@ -36,7 +36,7 @@ def _run(users, ts, gap, nblocks=9):
     t = pa.table({"user_id": pa.array(users.astype(np.int64)),
                   "ts": pa.array(ts.astype(np.int64))})
     ds = ray.data.from_arrow(t).repartition(nblocks)
-    got = session_windows(ds, key="user_id", on="ts", gap=gap).to_pandas()
+    got = session_windows(ds, gap=gap).to_pandas()
     return sorted(map(tuple, got[["user_id", "session_id", "start_us",
                                   "end_us", "n_events"]].to_numpy()))
 
@@ -63,6 +63,27 @@ class TestSessionWindows:
         got = _run(users, ts, gap=100, nblocks=2)
         assert got == [(0, 0, 0, 0, 1), (0, 1, 1000, 1000, 2),
                        (0, 2, 5000, 5000, 1)]
+
+    def test_other_columns_ignored(self, ray_session):
+        # an event stream may carry columns named like the operator's
+        # interval partials (session_windows output has end_us; a
+        # count column n): only (user_id, ts) are read
+        import ray
+
+        from karta_ray.stages.session import session_windows
+
+        rng = np.random.RandomState(3)
+        users = rng.randint(0, 20, 2000)
+        ts = rng.randint(0, 10**5, 2000)
+        t = pa.table({"user_id": pa.array(users.astype(np.int64)),
+                      "ts": pa.array(ts.astype(np.int64)),
+                      "end_us": pa.array(-ts.astype(np.int64)),
+                      "n": pa.array(np.full(2000, 7, np.int64))})
+        got = session_windows(ray.data.from_arrow(t).repartition(5),
+                              gap=500).to_pandas()
+        assert sorted(map(tuple, got[[
+            "user_id", "session_id", "start_us", "end_us",
+            "n_events"]].to_numpy())) == _brute(users, ts, 500)
 
     def test_hot_user_straddles_blocks(self, ray_session):
         # one user's burst spans every block: the residue sees
@@ -154,3 +175,70 @@ class TestSessionize:
                  if op.name == "Sort"]
         assert sorts == ["Sort"], [[op.name for op in run]
                                    for run in executed_ops]
+
+
+class TestEmptyInput:
+    """An all-empty input keeps the typed output schema: Ray's sort
+    drops the schema of empty blocks, so sorted_map_groups returns its
+    block fn of the input's zero-row table instead."""
+
+    EVENTS = pa.schema([("user_id", pa.int64()), ("ts", pa.int64()),
+                        ("event_type", pa.string())])
+
+    def _empty(self):
+        import ray
+
+        return ray.data.from_arrow(self.EVENTS.empty_table())
+
+    def test_sessionize(self, ray_session):
+        from karta_ray.stages.session import sessionize
+
+        out = sessionize(self._empty(), gap_us=10).materialize()
+        assert out.count() == 0
+        assert out.schema().base_schema == pa.schema(
+            [("user_id", pa.int64()), ("n_events", pa.int64()),
+             ("n_sessions", pa.int64())])
+
+    def test_session_windows_and_funnel(self, ray_session):
+        from karta_ray.stages.session import funnel_steps, session_windows
+
+        win = session_windows(self._empty(), gap=10).materialize()
+        assert win.schema().names == ["user_id", "session_id", "start_us",
+                                      "end_us", "n_events"]
+        fun = funnel_steps(self._empty(), ("view", "click")).materialize()
+        assert fun.schema().names == ["user_id", "steps_reached"]
+
+    def test_sorted_sum(self, ray_session):
+        import ray
+
+        from karta_ray.stages.agg import sorted_sum
+
+        t = pa.schema([("k", pa.int64()), ("v", pa.float64())]).empty_table()
+        out = sorted_sum(ray.data.from_arrow(t), ["k"], ["v"]).materialize()
+        assert out.schema().base_schema == t.schema
+
+    def test_grouped_topn(self, ray_session):
+        import ray
+
+        from karta_ray.stages.topn import grouped_topn
+
+        t = pa.schema([("k", pa.int64()), ("v", pa.float64())]).empty_table()
+        out = grouped_topn(ray.data.from_arrow(t), ["k"], "v",
+                           2).materialize()
+        assert out.count() == 0
+        assert out.schema().base_schema == t.schema
+
+    def test_non_empty_reads_no_schema(self, ray_session, executed_ops):
+        # the zero-row table is built only for an empty result: a
+        # non-empty run starts no limit(1) schema probe
+        import ray
+        from ray.data._internal.execution.operators.limit_operator import \
+            LimitOperator
+
+        from karta_ray.stages.session import sessionize
+
+        ds = ray.data.from_arrow(pa.table({
+            "user_id": np.arange(40) % 4, "ts": np.arange(40)}))
+        assert sessionize(ds, gap_us=5).count() == 4
+        assert not any(isinstance(op, LimitOperator)
+                       for run in executed_ops for op in run)
