@@ -7,8 +7,8 @@
 - ``ann_ivf_topk``: IVF-style variant — probe only the ``nprobe``
   clusters whose centroids are nearest each query (approximate; the
   100-TB path where scanning every vector is off the table).
-- ``cosine_neardup_pairs``: all pairs with cosine >= threshold, exact,
-  via blocked matmul of each batch against the broadcast full matrix.
+- ``cosine_neardup_blocked``: all pairs with cosine >= threshold,
+  exact, via a blocked "triangle join" with no broadcast side.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import pyarrow as pa
 import ray
 
 from ..state.worker import cached, resolve
-from .lookup import lookup
 
 
 def _to_matrix(col) -> np.ndarray:
@@ -167,105 +166,6 @@ def ann_ivf_topk(emb_ds, query_ids, query_mat, k: int = 10, *,
     return _scored_topk(emb_ds, query_ids, qmat, probe_labels, k)
 
 
-def _hyperplanes(dim: int, bits: int) -> np.ndarray:
-    rng = np.random.RandomState(7)
-    return rng.randn(bits, dim)
-
-
-def lsh_band_rows(bits: int, bands: int):
-    """map_batches fn: (band, key, vec_id) rows — IDS ONLY, 24 B/row.
-
-    The embedding is deliberately NOT carried through the bucket
-    shuffle (an embedding column here would amplify shuffle bytes by
-    bands x vector size — the mistake minhash r02 fixed); surviving
-    candidates recover their vectors afterwards through
-    :func:`~karta_ray.stages.lookup.lookup`."""
-    rows_per_band = bits // bands
-
-    def sig_rows(batch: pa.Table) -> pa.Table:
-        emb = _normalize(_to_matrix(batch.column("embedding")))
-        # sized to the embedding dim, built once per worker process
-        planes = cached(_hyperplanes, emb.shape[1], bits)
-        bitsm = (emb @ planes.T) > 0  # (n, bits)
-        vid = batch.column("vec_id").to_numpy().astype(np.int64)
-        out_band, out_key, out_id = [], [], []
-        for b in range(bands):
-            chunk = bitsm[:, b * rows_per_band:(b + 1) * rows_per_band]
-            key = (chunk.astype(np.int64)
-                   << np.arange(rows_per_band, dtype=np.int64)).sum(axis=1)
-            out_band.append(np.full(len(vid), b, dtype=np.int64))
-            out_key.append(key)
-            out_id.append(vid)
-        return pa.table({
-            "band": pa.array(np.concatenate(out_band)),
-            "key": pa.array(np.concatenate(out_key)),
-            "vec_id": pa.array(np.concatenate(out_id)),
-        })
-
-    return sig_rows
-
-
-COS_LSH_MAX_BUCKET = 512
-
-
-def cosine_neardup_lsh(emb_ds, threshold: float):
-    """Near-duplicate pairs via random-hyperplane LSH — the no-broadcast
-    scale path.
-
-    Shape (shuffle bytes O(rows x 24 B), no embedding amplification):
-    id-only band rows -> bucket candidate pairs via sorted_map_groups
-    (range shuffle + per-block run processing, over-cap buckets
-    tombstone-truncated) -> cross-band pair dedup (sorted_sum, unbounded
-    pair cardinality) -> exact cosine verification of surviving pairs
-    only, each pair's two normalized vectors attached by
-    :func:`~karta_ray.stages.lookup.lookup` (broadcast while they fit,
-    else hash-joined).
-
-    Approximate (recall < 1 for moderate thresholds; near-certain for
-    true near-dups with cos >~ 0.95); verification is exact, so emitted
-    sims equal the brute-force values.
-    """
-    from ..functions.arrays import (binary_column_to_matrix,
-                                    matrix_to_binary_column)
-    from .agg import sorted_map_groups, sorted_sum, truncate_runs
-    from .dedup import bucket_pairs_block
-
-    emb_ds = emb_ds.materialize()
-    # 32 hyperplane bits in 4 bands of 8
-    rows = emb_ds.map_batches(lsh_band_rows(32, 4), batch_format="pyarrow")
-    cand = sorted_map_groups(
-        rows, ["band", "key"],
-        bucket_pairs_block("vec_id", ("vec_a", "vec_b"),
-                           COS_LSH_MAX_BUCKET),
-        pre_reduce=truncate_runs(["band", "key"], COS_LSH_MAX_BUCKET))
-    pairs = sorted_sum(cand, ["vec_a", "vec_b"], ["n"])
-
-    def to_binary(batch: pa.Table) -> pa.Table:
-        # Acero's hash join rejects list<double> payload columns; carry
-        # the normalized vector as a same-bytes binary blob instead
-        m = _normalize(_to_matrix(batch.column("embedding")))
-        return pa.table({"vec_id": batch.column("vec_id"),
-                         "emb": matrix_to_binary_column(m)})
-
-    vecs = emb_ds.map_batches(to_binary, batch_format="pyarrow") \
-        .materialize()
-    pairs = lookup(pairs, vecs, on=["vec_a", "vec_b"], key="vec_id",
-                   columns=["emb"], suffix=["_a", "_b"])
-
-    def verify(batch: pa.Table) -> pa.Table:
-        ea, eb = batch.column("emb_a"), batch.column("emb_b")
-        d = len(ea[0].as_py()) // 8 if len(ea) else 0
-        sim = np.einsum("ij,ij->i",
-                        binary_column_to_matrix(ea, np.float64, d),
-                        binary_column_to_matrix(eb, np.float64, d))
-        keep = np.nonzero(sim >= threshold)[0]
-        out = batch.select(["vec_a", "vec_b"]).take(
-            pa.array(keep, pa.int64()))
-        return out.append_column("sim", pa.array(sim[keep], pa.float64()))
-
-    return pairs.map_batches(verify, batch_format="pyarrow")
-
-
 def cosine_neardup_blocked(emb_ds, threshold: float, *, nblocks: int = 8):
     """Exact all-pairs cosine >= threshold with NO broadcast side and no
     driver materialization — the distributed "triangle join":
@@ -278,10 +178,10 @@ def cosine_neardup_blocked(emb_ds, threshold: float, *, nblocks: int = 8):
     factor is ``nblocks`` (choose ~sqrt(cluster parallelism)); total
     compute remains the inherent O(N^2/2) of an exact all-pairs scan.
 
-    Results are identical to the broadcast variant: same normalized
-    float64 dot products, same threshold rule, (vec_a < vec_b) pairs.
+    Emits (vec_a < vec_b) pairs whose normalized float64 dot product is
+    >= threshold; the result is materialized, and an empty one is a
+    typed zero-row block.
     """
-    from ..functions.arrays import matrix_to_list_column
 
     def expand(batch: pa.Table) -> pa.Table:
         vid = batch.column("vec_id").to_numpy().astype(np.int64)
@@ -356,34 +256,18 @@ def cosine_neardup_blocked(emb_ds, threshold: float, *, nblocks: int = 8):
                          "vec_b": pa.array(b, pa.int64())})
 
     # groupby().map_groups is the RIGHT primitive here (unlike the
-    # many-tiny-bucket LSH paths): the key domain is exactly
+    # many-tiny-bucket dedup paths): the key domain is exactly
     # nblocks*(nblocks+1)/2 buckets — per-group dispatch cost is
     # O(nblocks^2), not O(pairs) — and the triangle join's documented
     # partitioning assumption is that one bucket (~2N/nblocks vectors)
     # fits in a worker; choose nblocks ~ sqrt(cluster parallelism).
-    return rows.groupby("bucket").map_groups(bucket_pairs,
-                                             batch_format="pyarrow")
+    out = rows.groupby("bucket").map_groups(
+        bucket_pairs, batch_format="pyarrow").materialize()
+    if out.count():
+        return out
+    # an empty input never reaches bucket_pairs, so nothing carries the
+    # schema: return one typed zero-row block
+    import ray.data
 
-
-def cosine_neardup_pairs(emb_ds, full_ids, full_mat, threshold: float):
-    """Exact all-pairs cosine >= threshold: each batch multiplies against
-    the broadcast full (normalized) matrix; emit (a < b) pairs."""
-    ref = ray.put({"ids": np.asarray(full_ids, dtype=np.int64),
-                   "mat": _normalize(np.asarray(full_mat, dtype=np.float64))})
-
-    def score(batch: pa.Table, *, ref=ref, threshold=threshold) -> pa.Table:
-        data = cached(resolve, ref)
-        vid = batch.column("vec_id").to_numpy().astype(np.int64)
-        emb = _normalize(_to_matrix(batch.column("embedding")))
-        sims = emb @ data["mat"].T  # (nb, N)
-        bi, fj = np.nonzero(sims >= threshold)
-        a = vid[bi]
-        b = data["ids"][fj]
-        keep = a < b
-        return pa.table({
-            "vec_a": pa.array(a[keep], pa.int64()),
-            "vec_b": pa.array(b[keep], pa.int64()),
-        })
-
-    return emb_ds.map_batches(score, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    return ray.data.from_blocks([pa.schema(
+        [("vec_a", pa.int64()), ("vec_b", pa.int64())]).empty_table()])

@@ -2,9 +2,9 @@
 Dataset whose key matches, with inner-join semantics.
 
 One policy for every "broadcast the small side, else hash-join" attach
-(tf-idf document frequencies, MinHash signatures, LSH vectors, n-gram
-set sizes, the star join's customer and order nations, per-language
-thresholds):
+(tf-idf document frequencies, the near-dup verify step's MinHash and
+SimHash signatures and n-gram set sizes, the star join's customer and
+order nations, per-language thresholds):
 
 - **broadcast**, when the keyed side holds at most
   :data:`BROADCAST_MAX_BYTES`: its keys are sorted and put in the object

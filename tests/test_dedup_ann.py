@@ -3,6 +3,8 @@
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from karta_ray.functions import text as T
 
@@ -22,6 +24,13 @@ def corpus():
     docs.append(docs[12])
     ids = np.arange(len(docs), dtype=np.int64)
     return ids, docs
+
+
+def cosine_pairs(mat, tau):
+    """All (a < b) row pairs of ``mat`` with cosine >= tau, brute force."""
+    norm = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+    a, b = np.nonzero(np.triu(norm @ norm.T, 1) >= tau)
+    return set(zip(a.tolist(), b.tolist()))
 
 
 def true_jaccard(a: str, b: str, n=3):
@@ -195,77 +204,13 @@ class TestAnn:
         assert np.mean(recalls) >= 0.5
 
     def test_cosine_neardup(self):
-        from karta_ray.stages.ann import cosine_neardup_pairs
+        from karta_ray.stages.ann import cosine_neardup_blocked
 
         ds, ids, mat, _ = self._emb_ds()
-        got = cosine_neardup_pairs(ds, ids, mat, 0.95).to_pandas()
+        got = cosine_neardup_blocked(ds, 0.95).to_pandas()
         pairs = set(zip(got.vec_a, got.vec_b))
+        assert pairs == cosine_pairs(mat, 0.95)
         assert (3, 50) in pairs
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestAnnLsh:
-    def test_lsh_finds_planted_neardups(self):
-        import ray.data
-
-        from karta_ray.stages.ann import cosine_neardup_lsh
-
-        rng = np.random.RandomState(21)
-        mat = rng.randn(300, 32)
-        # planted near-identical pairs
-        mat[100] = mat[7] + 0.02 * rng.randn(32)
-        mat[200] = mat[45] + 0.02 * rng.randn(32)
-        ids = np.arange(300, dtype=np.int64)
-        ds = ray.data.from_arrow(pa.table({
-            "vec_id": pa.array(ids), "embedding": pa.array(mat.tolist())}))
-        got = cosine_neardup_lsh(ds, 0.95).to_pandas()
-        pairs = set(zip(got.vec_a, got.vec_b))
-        assert (7, 100) in pairs and (45, 200) in pairs
-        # every reported pair truly exceeds the threshold
-        norm = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-        for a, b in pairs:
-            assert norm[a] @ norm[b] >= 0.95
-
-    def test_band_rows_carry_ids_only(self):
-        # the bucket shuffle must ship (band, key, vec_id) — shipping
-        # the embedding per band would amplify shuffle bytes by
-        # bands x vector size (the r03 judge finding)
-        import ray.data
-
-        from karta_ray.stages.ann import lsh_band_rows
-
-        rng = np.random.RandomState(3)
-        mat = rng.randn(50, 32)
-        tbl = pa.table({
-            "vec_id": pa.array(np.arange(50, dtype=np.int64)),
-            "embedding": pa.array(mat.tolist())})
-        rows = ray.data.from_arrow(tbl).map_batches(
-            lsh_band_rows(32, 4), batch_format="pyarrow")
-        schema = rows.schema()
-        assert set(schema.names) == {"band", "key", "vec_id"}
-        assert rows.count() == 50 * 4
-
-    def test_lsh_join_path_matches_broadcast(self, monkeypatch):
-        # force the distributed-join verification path and check it
-        # emits the same pairs as the broadcast path
-        import ray.data
-
-        import karta_ray.stages.lookup as lk
-        from karta_ray.stages.ann import cosine_neardup_lsh
-
-        rng = np.random.RandomState(21)
-        mat = rng.randn(120, 32)
-        mat[100] = mat[7] + 0.02 * rng.randn(32)
-        ids = np.arange(120, dtype=np.int64)
-        ds = ray.data.from_arrow(pa.table({
-            "vec_id": pa.array(ids),
-            "embedding": pa.array(mat.tolist())})).repartition(4)
-        bcast = cosine_neardup_lsh(ds, 0.95).to_pandas()
-        monkeypatch.setattr(lk, "BROADCAST_MAX_BYTES", 0)
-        joined = cosine_neardup_lsh(ds, 0.95).to_pandas()
-        assert (set(zip(bcast.vec_a, bcast.vec_b))
-                == set(zip(joined.vec_a, joined.vec_b)))
-        assert (7, 100) in set(zip(joined.vec_a, joined.vec_b))
 
 
 class TestHashColumn:
@@ -403,8 +348,7 @@ class TestSessionize:
         import ray.data
 
         from karta_ray.functions.arrays import matrix_to_list_column
-        from karta_ray.stages.ann import (cosine_neardup_blocked,
-                                          cosine_neardup_pairs)
+        from karta_ray.stages.ann import cosine_neardup_blocked
 
         rng = np.random.RandomState(13)
         n, d = 200, 16
@@ -416,10 +360,8 @@ class TestSessionize:
         ds = ray.data.from_arrow(tbl).repartition(5)
         tau = 0.8
         got = cosine_neardup_blocked(ds, tau, nblocks=3).to_pandas()
-        want = cosine_neardup_pairs(ds, ids, mat, tau).to_pandas()
         gset = set(zip(got.vec_a, got.vec_b))
-        wset = set(zip(want.vec_a, want.vec_b))
-        assert gset == wset and len(gset) > 50
+        assert gset == cosine_pairs(mat, tau) and len(gset) > 50
 
 
 class TestKMeans:
@@ -511,6 +453,164 @@ class TestMinhashLookupPaths:
         assert list(a.dtypes) == list(b.dtypes)
         assert (a.sort_values(key).reset_index(drop=True).equals(
             b.sort_values(key).reset_index(drop=True)))
+
+    @pytest.mark.parametrize("fn", ["simhash_pairs", "ngram_jaccard_pairs"])
+    def test_other_pairs_join_path_matches_broadcast(self, ray_session,
+                                                     monkeypatch, fn):
+        # the same check for the per-doc tables of the other two pair
+        # functions: SimHash signatures and n-gram set sizes
+        import ray.data
+
+        import karta_ray.stages.lookup as lk
+        from karta_ray.stages import dedup
+
+        ids, docs = corpus()
+        ds = ray.data.from_arrow(pa.table({
+            "doc_id": pa.array(ids), "text": pa.array(docs)})).repartition(4)
+        key = ["doc_a", "doc_b"]
+        a = getattr(dedup, fn)(ds).to_pandas()
+        monkeypatch.setattr(lk, "BROADCAST_MAX_BYTES", 0)
+        b = getattr(dedup, fn)(ds).to_pandas()
+        assert len(a) > 0
+        assert list(a.dtypes) == list(b.dtypes)
+        assert (a.sort_values(key).reset_index(drop=True).equals(
+            b.sort_values(key).reset_index(drop=True)))
+
+
+NEAR_DUP_QUERIES = ["ngram_jaccard", "minhash_lsh", "simhash",
+                    "embed_neardup"]
+
+
+@pytest.fixture(scope="module")
+def zero_row_sf(tmp_path_factory):
+    """Zero-row copies of the sf0.001 documents and embeddings tables."""
+    import pyarrow.parquet as pq
+
+    d = tmp_path_factory.mktemp("sf_zero_rows")
+    for t in ("documents", "embeddings"):
+        tbl = pq.read_table(f"/root/testdata/sf0.001/{t}.parquet")
+        pq.write_table(tbl.slice(0, 0), str(d / f"{t}.parquet"))
+    return str(d)
+
+
+class TestNearDupEmpty:
+    """No candidate pairs give a typed zero-row result (Ray never calls
+    a map on an empty block, so no map output carries the schema)."""
+
+    @pytest.mark.parametrize("name", NEAR_DUP_QUERIES)
+    def test_zero_row_tables_equal_oracle(self, ray_session, zero_row_sf,
+                                          name):
+        import __ray_entry__ as entry
+        from perfbench.check import frames_equal, oracle_frames, result_frame
+
+        want = oracle_frames(zero_row_sf, ["documents", "embeddings"],
+                             {name: entry.oracle_sql()[name]})[name]
+        got = result_frame(entry.queries()[name](zero_row_sf))
+        assert len(want) == 0
+        assert frames_equal(got, want), (got.dtypes, want.dtypes)
+
+    def test_no_candidates_typed_empty(self, ray_session):
+        import ray.data
+
+        from karta_ray.stages.dedup import minhash_lsh_pairs, simhash_pairs
+
+        ds = ray.data.from_arrow(pa.table({
+            "doc_id": pa.array([0, 1, 2], pa.int64()),
+            "text": ["the quick brown fox jumps over the lazy dog",
+                     "lorem ipsum dolor sit amet consectetur",
+                     "pack my box with five dozen liquor jugs"]}))
+        for out, col in ((minhash_lsh_pairs(ds), ("est_sim", pa.float64())),
+                         (simhash_pairs(ds), ("hamming", pa.int64()))):
+            assert out.count() == 0
+            assert out.schema().base_schema == pa.schema(
+                [("doc_a", pa.int64()), ("doc_b", pa.int64()), col])
+
+    def test_non_empty_runs_read_no_schema(self, ray_session, executed_ops):
+        # the typed empty block is built only for an empty result: a
+        # non-empty run starts no limit(1) schema probe
+        import ray.data
+        from ray.data._internal.execution.operators.limit_operator import \
+            LimitOperator
+
+        from karta_ray.functions.arrays import matrix_to_list_column
+        from karta_ray.stages import dedup
+        from karta_ray.stages.ann import cosine_neardup_blocked
+
+        ids, docs = corpus()
+        ds = ray.data.from_arrow(pa.table({
+            "doc_id": pa.array(ids), "text": pa.array(docs)})).repartition(3)
+        for fn in (dedup.ngram_jaccard_pairs, dedup.minhash_lsh_pairs,
+                   dedup.simhash_pairs):
+            assert fn(ds).count() > 0, fn.__name__
+        mat = np.repeat(np.random.RandomState(2).randn(10, 8), 2, axis=0)
+        emb = ray.data.from_arrow(pa.table({
+            "vec_id": pa.array(np.arange(20, dtype=np.int64)),
+            "embedding": matrix_to_list_column(mat)}))
+        assert cosine_neardup_blocked(emb, 0.99, nblocks=3).count() == 10
+        assert executed_ops
+        assert not any(isinstance(op, LimitOperator)
+                       for run in executed_ops for op in run), \
+            [[op.name for op in run] for run in executed_ops]
+
+
+def brute_force_pairs(rows, cap, diagonal):
+    """{(a, b): n} over buckets of at most ``cap`` distinct ids: n is the
+    number of such buckets holding both (a < b), and with ``diagonal``
+    (a, a) counts the buckets holding a."""
+    from collections import Counter, defaultdict
+
+    buckets = defaultdict(set)
+    for key, doc in rows:
+        buckets[key].add(doc)
+    out = Counter()
+    for members in buckets.values():
+        if len(members) > cap:
+            continue
+        members = sorted(members)
+        for i, a in enumerate(members):
+            for b in members[i if diagonal else i + 1:]:
+                out[(a, b)] += 1
+    return dict(out)
+
+
+small_rows = st.lists(st.tuples(st.integers(0, 19).map(lambda k: 2 * k + 1),
+                                st.integers(0, 30)),
+                      unique=True, max_size=80)
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestCandidatePairsProperty:
+    """dedup.candidate_pairs equals the brute force over buckets of at
+    most CAP distinct ids. The small odd-keyed buckets include size-1
+    ones, and the input can be empty. With ``hot``, even-keyed buckets
+    of CAP+1 .. 3*CAP rows, 17k rows in all, make the sort's blocks
+    compact into two whose boundary splits one of them, most often into
+    fragments on both sides of the cap."""
+
+    CAP = 3
+
+    @given(small_rows, st.booleans(), st.booleans(),
+           st.integers(0, 2**31 - 1), st.integers(5, 9))
+    @example([], False, True, 0, 5)
+    @example([], False, False, 0, 5)
+    @settings(max_examples=12, deadline=None)
+    def test_matches_brute_force(self, small, hot, diagonal, seed, blocks):
+        import ray.data
+
+        from karta_ray.stages.dedup import candidate_pairs
+
+        rows = list(small)
+        if hot:
+            sizes = np.random.RandomState(seed).randint(
+                self.CAP + 1, 3 * self.CAP + 1, size=17_000 // self.CAP)
+            for j, size in enumerate(sizes[np.cumsum(sizes) <= 17_000]):
+                rows += [(2 * j, 100 + d) for d in range(size)]
+        tbl = pa.table({"key": pa.array([k for k, _ in rows], pa.int64()),
+                        "doc_id": pa.array([d for _, d in rows], pa.int64())})
+        ds = ray.data.from_arrow(tbl).repartition(blocks)
+        got = candidate_pairs(ds, ["key"], self.CAP, diagonal).take_all()
+        got = {(r["doc_a"], r["doc_b"]): r["n"] for r in got}
+        assert got == brute_force_pairs(rows, self.CAP, diagonal)
 
 
 class TestIVFGroupedScorer:
