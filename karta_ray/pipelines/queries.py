@@ -357,8 +357,9 @@ def q_geotiff_grid(sf_dir: str):
                    ["gi", "gj"], ["n"])
     # the aggregate is bounded (360 x 160 cells) — assembling the grid
     # driver-side is O(cells), not O(rows)
-    cells = pa.concat_tables(agg.iter_batches(batch_format="pyarrow",
-                                              batch_size=None))
+    import ray
+
+    cells = pa.concat_tables(ray.get(agg.to_arrow_refs()))
     grid = np.zeros((160, 360), dtype=np.int32)
     grid[cells.column("gj").to_numpy(),
          cells.column("gi").to_numpy()] = cells.column("n").to_numpy()

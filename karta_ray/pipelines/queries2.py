@@ -1565,9 +1565,6 @@ def q_bloom_semi_join(sf_dir: str):
                                     "1-URGENT")).select(["o_orderkey"])
                    .rename_columns(["l_orderkey"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    # the bare read as left: its schema is known without an executor
-    # run, which a mapped left would cost (the key cast, the co-group's
-    # zero-row table)
     return bloom_semi_join(li, urgent, key="l_orderkey").map_batches(
         fixed, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -1975,6 +1972,7 @@ FROM r GROUP BY event_type, bucket
 def q_jsonl_roundtrip(sf_dir: str):
     """(lang, n_docs, sum_chars) aggregated AFTER a jsonl round-trip —
     equality with the direct aggregate proves the codec lossless."""
+    import os
     import shutil
     import tempfile
 
@@ -1990,7 +1988,8 @@ def q_jsonl_roundtrip(sf_dir: str):
     out = tempfile.mkdtemp(prefix="karta_jsonl_")
     try:
         ds.write_json(out)
-        back = ray.data.read_json(out)
+        # an empty write leaves no file to read back
+        back = ray.data.read_json(out) if os.listdir(out) else ds
 
         def partial(batch: pa.Table) -> pa.Table:
             t = pa.table({

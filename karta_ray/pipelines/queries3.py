@@ -54,7 +54,7 @@ def q_profile_table(sf_dir: str):
             out["col"].append(c)
             out["n_rows"].append(batch.num_rows)
             out["n_null"].append(arr.null_count)
-            out["sum_len"].append(pc.sum(pc.binary_length(s)).as_py() or 0)
+            out["sum_len"].append(pc.sum(pc.binary_length(s)).as_py())
             out["min_v"].append(mm["min"].as_py())
             out["max_v"].append(mm["max"].as_py())
         return pa.table({
@@ -126,7 +126,8 @@ def q_profile_table(sf_dir: str):
         "n_rows": pa.array([r["n_rows"] for r in st], pa.int64()),
         "n_null": pa.array([r["n_null"] for r in st], pa.int64()),
         "n_distinct": pa.array(
-            [nd_rows[PROFILE_COLS.index(r["col"])] for r in st], pa.int64()),
+            [nd_rows.get(PROFILE_COLS.index(r["col"]), 0) for r in st],
+            pa.int64()),
         "sum_len": pa.array([r["sum_len"] for r in st], pa.int64()),
         "min_v": pa.array([r["min_v"] for r in st], pa.string()),
         "max_v": pa.array([r["max_v"] for r in st], pa.string()),
@@ -768,17 +769,19 @@ def q_table_checksum(sf_dir: str):
               for c in PROFILE_COLS], "|")
         h = md5_u64([s.encode() for s in joined.to_pylist()])
         lo = np.int64(h.sum())  # wraps: ≡ mod 2^64
+        # SQL's sum over no rows is NULL
         return pa.table({"k": pa.array([0], pa.int64()),
-                         "cs": pa.array([lo], pa.int64()),
+                         "cs": pa.array([lo if len(h) else None], pa.int64()),
                          "n_rows": pa.array([batch.num_rows], pa.int64())})
 
     rows = tree_sum(ds.map_batches(partial, batch_format="pyarrow"),
                     ["k"], ["cs", "n_rows"])
 
     def finish(batch: pa.Table) -> pa.Table:
-        cs = batch.column("cs").to_numpy().view(np.uint64)
+        cs = batch.column("cs").to_pylist()
         return pa.table({
-            "checksum": pa.array([str(int(v)) for v in cs], pa.string()),
+            "checksum": pa.array([None if v is None else str(v % 2**64)
+                                  for v in cs], pa.string()),
             "n_rows": batch.column("n_rows"),
         })
 

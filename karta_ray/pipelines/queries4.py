@@ -359,6 +359,7 @@ GROUP BY n_name
 
 @query(oracle=lambda: _CSV_ROUNDTRIP_SQL)
 def q_csv_roundtrip(sf_dir: str):
+    import os
     import shutil
     import tempfile
 
@@ -375,7 +376,8 @@ def q_csv_roundtrip(sf_dir: str):
     out = tempfile.mkdtemp(prefix="karta_csv_")
     try:
         ds.write_csv(out)
-        back = ray.data.read_csv(out)
+        # an empty write leaves no file to read back
+        back = ray.data.read_csv(out) if os.listdir(out) else ds
 
         def partial(batch: pa.Table) -> pa.Table:
             t = pa.table({

@@ -15,6 +15,8 @@ import importlib
 from collections.abc import Callable
 from typing import Any
 
+from ..state.empty import empty_result
+
 _MODULES = ("queries", "queries2", "queries3", "queries4")
 
 _QUERIES: dict[str, Callable[[str], Any]] = {}
@@ -39,26 +41,25 @@ def query(oracle: Callable[[], str]):
 def _keep_schema_when_empty(fn: Callable[[str], Any]) -> Callable[[str], Any]:
     """Ray's ``to_pandas()`` on an all-empty Dataset drops the columns,
     which a downstream schema compare misreads as a mismatch even when
-    both engines legitimately return 0 rows; hand back a TYPED empty
-    Arrow table instead. Non-Dataset results pass through. An empty
-    result whose schema Ray dropped (a map over empty blocks) raises
-    ``ValueError``: the query must return a typed empty Dataset."""
+    both engines legitimately return 0 rows; hand back the result's
+    typed :func:`~karta_ray.state.empty.empty_result` instead.
+    Non-Dataset results pass through. A plan ``empty_result`` cannot
+    read raises ``ValueError`` naming the query."""
 
     @functools.wraps(fn)
     def run(sf_dir: str) -> Any:
         res = fn(sf_dir)
         import ray.data
 
-        if isinstance(res, ray.data.Dataset):
-            res = res.materialize()
-            if res.count() == 0:
-                schema = res.schema()
-                if schema is None:
-                    raise ValueError(
-                        f"{fn.__name__} returned an empty Dataset without "
-                        f"a schema; return a typed empty Dataset instead")
-                return schema.base_schema.empty_table()
-        return res
+        if not isinstance(res, ray.data.Dataset):
+            return res
+        out = res.materialize()
+        if out.count():
+            return out
+        try:
+            return empty_result(res)
+        except ValueError as exc:
+            raise ValueError(f"{fn.__name__}: {exc}") from exc
 
     return run
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from ..state.empty import empty_result
 from ..state.executor import start_run
 
 
@@ -39,7 +40,8 @@ def stream_fold(parts, combine, *, flush_rows: int = FLUSH_ROWS):
     they stream in, re-combining with the running result whenever the
     new rows reach max(``flush_rows``, groups so far): O(partial rows)
     driver work, memory bounded by groups plus one buffer. ``combine``
-    must be associative and idempotent. ``None`` if every block is empty.
+    must be associative and idempotent. With no rows it folds the
+    ``empty_result`` of ``parts``: a global aggregate keeps its SQL row.
     The run is planned under ``parts``'s own context
     (``state.executor.start_run``)."""
     import ray
@@ -54,7 +56,7 @@ def stream_fold(parts, combine, *, flush_rows: int = FLUSH_ROWS):
             if buffered >= max(flush_rows, groups):
                 buf = [combine(pa.concat_tables(buf))]
                 groups, buffered = buf[0].num_rows, 0
-    return combine(pa.concat_tables(buf)) if buf else None
+    return combine(pa.concat_tables(buf) if buf else empty_result(parts))
 
 
 def tree_agg(ds, keys: list, col_aggs: list):
@@ -67,15 +69,12 @@ def tree_agg(ds, keys: list, col_aggs: list):
     task, unlike ``from_arrow``; materializing a source-only plan starts
     no executor run), so it knows its schema and
     ``to_arrow_refs()``/``take_all()``/``to_pandas()`` start no executor
-    run at all; an empty input keeps the dtype-strict schema."""
+    run at all."""
     import ray.data
 
     combine = _make_combine(keys, col_aggs)
     out = stream_fold(ds.map_batches(combine, batch_format="pyarrow",
                                      zero_copy_batch=True), combine)
-    if out is None:  # map_batches drops an empty block's schema
-        schema = ds.schema()
-        out = combine(schema.base_schema.empty_table()) if schema else pa.table({})
     return ray.data.from_blocks([out]).materialize()
 
 
@@ -160,9 +159,8 @@ def sorted_map_groups(ds, keys: list, block_fn, *, pre_reduce=None,
     the single residue block (O(data) worst case) — fine for bounded key
     domains, wrong for corpus-scale skew.
 
-    An all-empty input returns ``block_fn`` of the input's zero-row
-    table, so the result keeps its schema where the input's is known
-    (Ray's sort drops the schema of empty blocks).
+    An all-empty input returns ``block_fn`` of the input's
+    ``empty_result``.
 
     ``sort_keys`` (default ``keys``) lets callers demand a finer
     WITHIN-group row order (e.g. sort by ``[gid, ord]`` while grouping
@@ -181,11 +179,7 @@ def sorted_map_groups(ds, keys: list, block_fn, *, pre_reduce=None,
     blocks = ds.sort(sort_keys, descending=list(sort_desc)).materialize()
     n_rows = blocks.count()
     if n_rows == 0:
-        schema = ds.schema()
-        if schema is not None:
-            return ray.data.from_blocks(
-                [block_fn(schema.base_schema.empty_table())])
-        return blocks
+        return ray.data.from_blocks([block_fn(empty_result(ds))])
     # Compact near-empty sorted blocks: Ray's sort emits one output
     # block per input block, and fixed per-block scheduling cost makes
     # every DOWNSTREAM sort/stage pay ~5-10 ms per block (measured:

@@ -18,6 +18,7 @@ import pyarrow as pa
 
 import ray
 
+from ..state.empty import materialize_typed
 from ..state.worker import cached, resolve
 
 
@@ -98,6 +99,8 @@ class _TopkScorer:
 
 def _final_topk(k: int):
     def fn(batch: pa.Table) -> pa.Table:
+        if not batch.num_rows:
+            return batch.append_column("rank", pa.array([], pa.int64()))
         q = batch.column("query_id").to_numpy()
         v = batch.column("vec_id").to_numpy()
         s = batch.column("sim").to_numpy()
@@ -179,8 +182,7 @@ def cosine_neardup_blocked(emb_ds, threshold: float, *, nblocks: int = 8):
     compute remains the inherent O(N^2/2) of an exact all-pairs scan.
 
     Emits (vec_a < vec_b) pairs whose normalized float64 dot product is
-    >= threshold; the result is materialized, and an empty one is a
-    typed zero-row block.
+    >= threshold; the result is materialized.
     """
 
     def expand(batch: pa.Table) -> pa.Table:
@@ -261,13 +263,5 @@ def cosine_neardup_blocked(emb_ds, threshold: float, *, nblocks: int = 8):
     # O(nblocks^2), not O(pairs) — and the triangle join's documented
     # partitioning assumption is that one bucket (~2N/nblocks vectors)
     # fits in a worker; choose nblocks ~ sqrt(cluster parallelism).
-    out = rows.groupby("bucket").map_groups(
-        bucket_pairs, batch_format="pyarrow").materialize()
-    if out.count():
-        return out
-    # an empty input never reaches bucket_pairs, so nothing carries the
-    # schema: return one typed zero-row block
-    import ray.data
-
-    return ray.data.from_blocks([pa.schema(
-        [("vec_a", pa.int64()), ("vec_b", pa.int64())]).empty_table()])
+    return materialize_typed(rows.groupby("bucket").map_groups(
+        bucket_pairs, batch_format="pyarrow"))

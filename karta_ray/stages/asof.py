@@ -39,6 +39,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.empty import materialize_typed
 from .cogroup import SIDE, int64_values, split_prep, tagged
 
 def _match_block(u: np.ndarray, side: np.ndarray):
@@ -141,9 +142,9 @@ def asof_join(left, right, *, key: str, on: str,
     # one execution: stage1 maps per-block over the sort's output plan
     # (batch_size=None = whole sorted block); materialized because both
     # the matched and leftover branches read it
-    s1 = (both.sort([key, on, SIDE])
-          .map_batches(stage1, batch_size=None, batch_format="pyarrow")
-          .materialize())
+    s1 = materialize_typed(
+        both.sort([key, on, SIDE])
+        .map_batches(stage1, batch_size=None, batch_format="pyarrow"))
 
     def keep_matched(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.equal(batch.column(SIDE), 2)) \

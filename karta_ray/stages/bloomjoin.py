@@ -34,6 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.text import mix64
+from ..state.empty import empty_like, materialize_typed
 from ..state.worker import cached, resolve
 
 N_HASHES = 4  # bit positions per key (the k of the FP-rate bound)
@@ -78,8 +79,6 @@ def build_bloom(right, *, key: str, m_bits: int, n_hashes: int):
     merged = stream_fold(right.map_batches(partial, batch_format="pyarrow",
                                            zero_copy_batch=True),
                          combine, flush_rows=1)
-    if merged is None:
-        return ray.put(np.zeros(nbytes, dtype=np.uint8))
     return ray.put(np.frombuffer(merged.column("bm")[0].as_py(), dtype=np.uint8))
 
 
@@ -103,19 +102,13 @@ def bloom_semi_join(left, right, *, key: str,
         # build and verify both read the right key set: keep only the
         # distinct keys of each block, in the left key's type, and read
         # right once
-        import ray.data
-
-        ktype = left.schema().base_schema.field(key).type
+        ktype = empty_like(left).schema.field(key).type
 
         def key_only(b: pa.Table) -> pa.Table:
             return pa.table({key: pc.unique(b.column(key).cast(ktype))})
 
-        right = right.map_batches(key_only, batch_format="pyarrow",
-                                  zero_copy_batch=True).materialize()
-        if right.schema() is None:
-            # every right row was filtered out: a map over no rows
-            # keeps no schema, and the verify join reads it
-            right = ray.data.from_arrow(pa.table({key: pa.array([], ktype)}))
+        right = materialize_typed(right.map_batches(
+            key_only, batch_format="pyarrow", zero_copy_batch=True))
     bm_ref = build_bloom(right, key=key, m_bits=m_bits, n_hashes=N_HASHES)
 
     def make_probe(keep_hits: bool):

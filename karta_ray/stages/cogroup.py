@@ -11,7 +11,7 @@ of them runs as ONE range shuffle of both sides instead:
 2. **tagging** — every row gets ``__side`` (int8: 0 = right, 1 =
    left) and typed nulls for the other side's columns, so the union
    has one schema. The two side schemas are read once on the driver
-   by applying ``prep`` to the source's zero-row table;
+   by applying ``prep`` to the source's empty result;
 3. **grouping** — :func:`~.agg.sorted_map_groups` sorts by ``keys``
    then ``__side`` (right rows first within a key) and runs
    ``block_fn`` once per sorted block of complete key groups.
@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from ..state.empty import empty_like
 
 SIDE = "__side"
 RESIDUE_SHARDS = 8
@@ -67,13 +69,11 @@ def tagged(left, right, prep):
     sources; with ``right=None``, ``prep=split`` maps each batch of the
     one source to ``(left_batch, right_batch)``. A column both sides
     carry must have one type on both. The side schemas come from
-    ``prep`` applied to each source's zero-row table: ``schema()`` is
-    free on a read or an in-memory Dataset but runs a mapped one, so
-    pass unmapped sources and map in ``prep``."""
+    ``prep`` applied to each source's ``state.empty.empty_result``."""
     if right is None:
-        lz, rz = prep(_zero_rows(left))
+        lz, rz = prep(empty_like(left))
     else:
-        lz, rz = prep[0](_zero_rows(left)), prep[1](_zero_rows(right))
+        lz, rz = prep[0](empty_like(left)), prep[1](empty_like(right))
     types = {f.name: f.type for f in rz.schema}
     for f in lz.schema:
         if types.setdefault(f.name, f.type) != f.type:
@@ -102,10 +102,6 @@ def tagged(left, right, prep):
             .union(right.map_batches(lambda b: tag(prep[1](b), 0),
                                      batch_format="pyarrow",
                                      zero_copy_batch=True)))
-
-
-def _zero_rows(ds) -> pa.Table:
-    return ds.schema().base_schema.empty_table()
 
 
 def _residue_sharder(keys: list):

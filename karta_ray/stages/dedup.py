@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions import text as T
+from ..state.empty import materialize_typed
 from .agg import group_runs, sorted_map_groups, sorted_sum, truncate_runs
 from .lookup import lookup
 
@@ -67,9 +68,7 @@ def candidate_pairs(rows, keys: list, cap: int, diagonal: bool):
     cand = sorted_map_groups(rows, keys,
                              bucket_pairs_block(keys, cap, diagonal),
                              pre_reduce=truncate_runs(keys, cap))
-    # materialized, so that with no candidates sorted_sum reads their
-    # schema without running the bucket pass again
-    return sorted_sum(cand.materialize(), ["doc_a", "doc_b"], ["n"])
+    return sorted_sum(cand, ["doc_a", "doc_b"], ["n"])
 
 
 def _verify(pairs, docs, score, out: pa.Field):
@@ -77,10 +76,7 @@ def _verify(pairs, docs, score, out: pa.Field):
     (doc_a, doc_b, ``out``). ``docs`` is the per-doc (doc_id, sig)
     table; both sides' ``sig`` are attached by ``lookup`` and
     ``score(n, sig_a, sig_b)`` returns the (keep mask, ``out`` value)
-    arrays of a batch. The result is materialized; an empty one is a
-    typed zero-row block."""
-    import ray.data
-
+    arrays of a batch. The result is materialized."""
     pairs = lookup(pairs, docs, on=["doc_a", "doc_b"], key="doc_id",
                    columns=["sig"], suffix=["_a", "_b"])
 
@@ -94,13 +90,7 @@ def _verify(pairs, docs, score, out: pa.Field):
                          "doc_b": pa.array(b[keep], pa.int64()),
                          out.name: pa.array(value[keep], out.type)})
 
-    res = pairs.map_batches(verify, batch_format="pyarrow").materialize()
-    if res.count():
-        return res
-    # Ray never calls a map on an empty block, so no verify output
-    # carries the schema when there are no candidates
-    return ray.data.from_blocks([pa.schema(
-        [("doc_a", pa.int64()), ("doc_b", pa.int64()), out]).empty_table()])
+    return materialize_typed(pairs.map_batches(verify, batch_format="pyarrow"))
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +140,8 @@ def ngram_jaccard_pairs(docs_ds, *, max_df: int = 50):
     """
     rows = docs_ds.map_batches(shingle_rows, batch_format="pyarrow")
     # read twice: the pairs and, from the diagonal, the set sizes
-    counts = candidate_pairs(rows, ["sh"], max_df, diagonal=True) \
-        .materialize()
+    counts = materialize_typed(
+        candidate_pairs(rows, ["sh"], max_df, diagonal=True))
     sizes = (counts.filter(expr="doc_a == doc_b")
              .select_columns(["doc_a", "n"])
              .rename_columns({"doc_a": "doc_id", "n": "sig"}))
@@ -236,8 +226,8 @@ def minhash_lsh_pairs(docs_ds, *, threshold: float = 0.6):
     attached afterwards (traffic bounded by the candidate count).
 
     Returns Dataset (doc_a, doc_b, est_sim)."""
-    sigs = docs_ds.map_batches(minhash_sig_rows,
-                               batch_format="pyarrow").materialize()
+    sigs = materialize_typed(docs_ds.map_batches(minhash_sig_rows,
+                                                 batch_format="pyarrow"))
     rows = sigs.map_batches(_minhash_band_rows, batch_format="pyarrow")
     pairs = candidate_pairs(rows, BAND_KEYS, LSH_MAX_BUCKET, diagonal=False)
     return _verify(pairs, sigs, _agreement(threshold),
@@ -283,8 +273,8 @@ def simhash_pairs(docs_ds):
     in buckets of at most ``SIMHASH_MAX_BUCKET`` docs.
 
     Returns Dataset (doc_a, doc_b, hamming)."""
-    sigs = docs_ds.map_batches(simhash_sig_rows,
-                               batch_format="pyarrow").materialize()
+    sigs = materialize_typed(docs_ds.map_batches(simhash_sig_rows,
+                                                 batch_format="pyarrow"))
     rows = sigs.map_batches(_simhash_block_rows, batch_format="pyarrow")
     pairs = candidate_pairs(rows, BAND_KEYS, SIMHASH_MAX_BUCKET,
                             diagonal=False)

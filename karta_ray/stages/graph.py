@@ -39,6 +39,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..state.empty import materialize_typed
 from ..state.worker import cached, resolve
 from .agg import group_runs, sorted_map_groups, sorted_sum
 
@@ -168,9 +169,9 @@ def connected_components(edges, *, src: str = "a", dst: str = "b",
     adj = _rebase(adj)
 
     if adj.count() <= SMALL_INPUT_ROWS:
-        labels_blk = (adj.repartition(1)
-                      .map_batches(_local_cc_block, batch_size=None,
-                                   batch_format="pyarrow").materialize())
+        labels_blk = materialize_typed(
+            adj.repartition(1).map_batches(_local_cc_block, batch_size=None,
+                                           batch_format="pyarrow"))
         endpoints = labels_blk.map_batches(
             lambda b: b.rename_columns(["v", "cluster_id"]),
             batch_format="pyarrow")

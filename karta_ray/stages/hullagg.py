@@ -42,9 +42,8 @@ def convex_hull(points_ds):
                                  zero_copy_batch=True)
     # partial hulls are tiny (tens of vertices per block) — collect
     # directly, no repartition stage needed
-    all_pts = part.to_pandas()
-    coords = np.column_stack([all_pts["x"].to_numpy(),
-                              all_pts["y"].to_numpy()])
+    # to_pandas() drops the columns of a Dataset with no rows
+    coords = part.to_pandas().reindex(columns=["x", "y"]).to_numpy(np.float64)
     hv = _hull_vertices(np.unique(coords, axis=0))
     return pa.table({
         "order": pa.array(np.arange(len(hv), dtype=np.int64)),

@@ -29,6 +29,8 @@ from ..state.worker import cached, resolve
 
 def _assign(emb: np.ndarray, cent: np.ndarray) -> np.ndarray:
     # squared L2 via the expansion; cent is (k, d)
+    if not len(emb):
+        return np.zeros(0, np.int64)
     d2 = (np.sum(emb * emb, axis=1)[:, None]
           - 2.0 * emb @ cent.T + np.sum(cent * cent, axis=1)[None, :])
     return np.argmin(d2, axis=1)
@@ -73,11 +75,8 @@ def collect_centroid_sums(parts_ds, d: int):
 def kmeans_seeds(emb_ds, k: int) -> np.ndarray:
     """Deterministic seed centroids: the k vectors with the smallest
     ids (sort -> limit, a distributed top-k, not a full collect)."""
-    from ..functions.arrays import list_column_to_matrix
-
-    seeds = emb_ds.sort("vec_id").limit(k).take_batch(
-        k, batch_format="pyarrow")
-    return list_column_to_matrix(seeds["embedding"])
+    rows = emb_ds.sort("vec_id").limit(k).take(k)
+    return np.array([r["embedding"] for r in rows], dtype=np.float64)
 
 
 def kmeans_fit(emb_ds, k: int, *, iters: int = 10):

@@ -25,6 +25,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..kernels import geodesy, tiles
+from ..state.empty import materialize_typed
 from ..state.worker import cached, resolve
 from .agg import group_runs, sorted_map_groups
 
@@ -357,7 +358,7 @@ def knn_join_coshuffle(left_ds, right_ds, k: int, *, zoom: int,
                           1)
 
     def probe(group: pa.Table) -> pa.Table:
-        cell = int(group.column("cell_id")[0].as_py())
+        cell = int(group.column("cell_id")[0].as_py()) if group.num_rows else -1
         # left rows without coordinates group under cell -1; they cannot
         # be joined (dropped, like KnnJoiner's cell<0 guard) — and
         # unpack_cell(-1) must never reach _explored_bound_m
@@ -376,11 +377,12 @@ def knn_join_coshuffle(left_ds, right_ds, k: int, *, zoom: int,
         _right_rows, fn_kwargs={"zoom": zoom, "ring": ring},
         batch_format="pyarrow").union(
         left_ds.map_batches(left_rows, batch_format="pyarrow"))
-    probed = both.groupby("cell_id").map_groups(
-        probe, batch_format="pyarrow").materialize()
+    probed = materialize_typed(both.groupby("cell_id").map_groups(
+        probe, batch_format="pyarrow"))
     out, carry, n_unres = _split(probed)
     # every left row resolved in-cell has k rows, so only a run with no
-    # scored rows or with a residue can end empty
+    # scored rows or with a residue can end empty: only such a result
+    # is materialized here
     maybe_empty = n_unres > 0 or probed.count() == 0
 
     # residue rounds: the unresolved rows are few by construction, so
@@ -402,18 +404,7 @@ def knn_join_coshuffle(left_ds, right_ds, k: int, *, zoom: int,
         # number of shuffles, so converge in few rounds; the visit fan-
         # out clamps at n-1 however far r overshoots
         r = 4 * r + 1
-    if not maybe_empty:
-        return out
-    # Ray's shuffles hand empty partitions on as schema-less blocks, and
-    # map_batches passes an empty block through without calling its fn;
-    # an empty result (no left or no right row has coordinates) is
-    # returned as one typed empty block instead
-    out = out.materialize()
-    if out.count() == 0:
-        import ray.data
-
-        return ray.data.from_blocks([_SCORED.empty_table().select(_OUT)])
-    return out
+    return materialize_typed(out) if maybe_empty else out
 
 
 def _residue_round(carry, right_home, k: int, *, zoom: int, ring: int):

@@ -26,6 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.empty import empty_result, materialize_typed
 from ..state.worker import cached, resolve
 
 BROADCAST_MAX_BYTES = 1 << 30
@@ -53,24 +54,22 @@ def lookup(ds, keyed, *, on, key: str, columns: list, suffix=""):
     if isinstance(keyed, pa.Table):
         nbytes = keyed.nbytes
     else:
-        keyed = keyed.materialize()
+        keyed = materialize_typed(keyed)
         nbytes = keyed.size_bytes()
     if nbytes > BROADCAST_MAX_BYTES:
         if isinstance(keyed, pa.Table):
             keyed = ray.data.from_blocks([keyed])
-        while ons:
-            ds = ds.materialize()
-            if not ds.count():
-                break  # Dataset.join cannot take an empty side
+        for o, s in zip(ons, suffixes):
+            ds = materialize_typed(ds)
             right = keyed.select_columns(cols).rename_columns(
-                {c: c + suffixes[0] for c in columns})
+                {c: c + s for c in columns})
             parts = -(-(ds.size_bytes() + nbytes) // JOIN_PARTITION_BYTES)
-            ds = ds.join(right, "inner", num_partitions=parts,
-                         on=(ons[0],), right_on=(key,))
-            ons, suffixes = ons[1:], suffixes[1:]
-        else:
-            return ds
-        keyed = None  # no probe rows left: attach the rest from nothing
+            joined = ds.join(right, "inner", num_partitions=parts,
+                             on=(o,), right_on=(key,))
+            # Dataset.join raises on an empty side
+            ds = joined if ds.count() else \
+                ray.data.from_blocks([empty_result(joined)])
+        return ds
 
     table = _table(keyed, cols)
     table = table.filter(pc.is_valid(table.column(key)))
@@ -87,20 +86,15 @@ def lookup(ds, keyed, *, on, key: str, columns: list, suffix=""):
 
 
 def _table(keyed, cols: list) -> pa.Table:
-    """``keyed``'s ``cols`` as one driver-side table; ``None`` has no
-    rows."""
+    """``keyed``'s ``cols`` as one driver-side table."""
     import ray
 
     if isinstance(keyed, pa.Table):
         return keyed.select(cols)
-    blocks = [] if keyed is None else [
-        b.select(cols) for b in ray.get(keyed.to_arrow_refs())
-        if b.num_rows]
-    if blocks:
-        return pa.concat_tables(blocks)
-    # no keyed rows: no probe row matches, so no payload value (or
-    # type) reaches the output
-    return pa.table({c: pa.nulls(0) for c in cols})
+    blocks = [b.select(cols) for b in ray.get(keyed.to_arrow_refs())
+              if b.num_rows]
+    return pa.concat_tables(blocks) if blocks else \
+        empty_result(keyed).select(cols)
 
 
 def _attach(batch: pa.Table, *, ref, on: list, suffix: list) -> pa.Table:

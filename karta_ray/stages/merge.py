@@ -10,6 +10,8 @@ intersection is projected first.
 
 from __future__ import annotations
 
+from ..state.empty import empty_like
+
 
 def union_layers(*datasets):
     """Union Datasets keeping only the columns common to all of them
@@ -17,7 +19,7 @@ def union_layers(*datasets):
     first dataset."""
     if not datasets:
         raise ValueError("need at least one dataset")
-    schemas = [ds.schema().names for ds in datasets]
+    schemas = [empty_like(ds).column_names for ds in datasets]
     common = [c for c in schemas[0] if all(c in s for s in schemas)]
     if not common:
         raise ValueError("no common columns to merge on")

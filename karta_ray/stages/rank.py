@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..state.empty import materialize_typed
+
 
 def global_rank(ds, keys: list, *, descending=None):
     """Append 1-based dense ``rnk`` in the total order of ``keys``
@@ -31,7 +33,7 @@ def global_rank(ds, keys: list, *, descending=None):
 
     if descending is None:
         descending = [False] * len(keys)
-    blocks = ds.sort(keys, descending=list(descending)).materialize()
+    blocks = materialize_typed(ds.sort(keys, descending=list(descending)))
 
     @ray.remote
     def stamp(blk, off: int) -> pa.Table:

@@ -79,8 +79,7 @@ def _collapse(tbl: pa.Table, gap: int) -> pa.Table:
 def _sessions(ds, gap: int, rows):
     """One (user_id, ts) range shuffle of the events themselves;
     ``rows`` turns each block's collapsed windows — every user whole,
-    in time order — into output rows. Sorting the input, not a map of
-    it, keeps its schema in sight for an all-empty input."""
+    in time order — into output rows."""
     return sorted_map_groups(
         ds, ["user_id"], lambda t: rows(_collapse(t, gap)),
         sort_keys=["user_id", "ts"],

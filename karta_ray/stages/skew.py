@@ -57,7 +57,8 @@ def detect_hot_keys(ds, key_col: str, *, sample_fraction: float = 0.05,
         from .agg import tree_sum
 
         counts = tree_sum(part, [key_col], ["n"]).to_pandas()
-        total = counts["n"].sum()
+        # to_pandas() drops the columns of a Dataset with no rows
+        total = counts["n"].sum() if len(counts) else 0
         if total == 0:
             return np.empty(0, dtype=np.int64), {}
         hot = counts[(counts["n"] >= hot_fraction * total)
@@ -92,6 +93,8 @@ def detect_hot_keys(ds, key_col: str, *, sample_fraction: float = 0.05,
 
     survivors = counts.map_batches(over_threshold,
                                    batch_format="pyarrow").to_pandas()
+    if survivors.empty:  # and without columns, as above
+        return np.empty(0, dtype=np.int64), {}
     return (survivors[key_col].to_numpy(),
             dict(zip(survivors[key_col], survivors["n"])))
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..state.empty import materialize_typed
 from .lookup import lookup
 
 
@@ -72,7 +73,7 @@ def tfidf_table(ds):
     """(doc_id, token, tf, df, tfidf) for every (document, term)."""
     n_docs = ds.count()
     tf = doc_term_freqs(ds)
-    tf = tf.materialize()
+    tf = materialize_typed(tf)
     df = doc_freqs(tf)
 
     def weigh(batch: pa.Table) -> pa.Table:

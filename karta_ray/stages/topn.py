@@ -90,9 +90,6 @@ def grouped_topn(ds, keys: list, order_col: str, n: int, *,
         return _keep_first_per_run(batch, keys, n)
 
     pruned = ds.map_batches(block_prune, batch_format="pyarrow",
-                            zero_copy_batch=True).materialize()
-    # Ray's map drops the schema of an all-empty input: sort the input
-    # itself then, so the empty result keeps its columns
-    return sorted_map_groups(pruned if pruned.count() else ds, keys,
-                             block_fn, pre_reduce=block_fn,
+                            zero_copy_batch=True)
+    return sorted_map_groups(pruned, keys, block_fn, pre_reduce=block_fn,
                              sort_keys=sort_keys, sort_desc=sort_desc)

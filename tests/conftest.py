@@ -56,3 +56,24 @@ def executed_ops(monkeypatch):
 
     monkeypatch.setattr(StreamingExecutor, "execute", recording)
     return runs
+
+
+# the sf0.001 scale of the generated test data (TESTDATA.md), expected
+# next to this repo
+SF0001 = os.path.join(os.path.dirname(REPO), "testdata", "sf0.001")
+
+
+@pytest.fixture(scope="session")
+def zero_row_sf(tmp_path_factory):
+    """A directory of zero-row copies of the ten sf0.001 tables (same
+    schemas); a test that requests it is skipped without the data."""
+    import pyarrow.parquet as pq
+
+    if not os.path.isdir(SF0001):
+        pytest.skip(f"testdata not present at {SF0001}")
+    d = tmp_path_factory.mktemp("sf_zero_rows")
+    for f in sorted(os.listdir(SF0001)):
+        if f.endswith(".parquet"):
+            tbl = pq.read_table(os.path.join(SF0001, f))
+            pq.write_table(tbl.slice(0, 0), str(d / f))
+    return str(d)

@@ -454,6 +454,25 @@ class TestMinhashLookupPaths:
         assert (a.sort_values(key).reset_index(drop=True).equals(
             b.sort_values(key).reset_index(drop=True)))
 
+    def test_join_path_none_pass_typed_empty(self, ray_session, monkeypatch):
+        # candidates exist, so the hash join has rows, but none passes
+        # the threshold: the verify's empty answer is read through the
+        # join
+        import ray.data
+
+        import karta_ray.stages.lookup as lk
+        from karta_ray.stages.dedup import minhash_lsh_pairs
+
+        ids, docs = corpus()
+        ds = ray.data.from_arrow(pa.table({
+            "doc_id": pa.array(ids), "text": pa.array(docs)})).repartition(4)
+        monkeypatch.setattr(lk, "BROADCAST_MAX_BYTES", 0)
+        out = minhash_lsh_pairs(ds, threshold=1.01)
+        assert out.count() == 0
+        assert out.schema().base_schema == pa.schema(
+            [("doc_a", pa.int64()), ("doc_b", pa.int64()),
+             ("est_sim", pa.float64())])
+
     @pytest.mark.parametrize("fn", ["simhash_pairs", "ngram_jaccard_pairs"])
     def test_other_pairs_join_path_matches_broadcast(self, ray_session,
                                                      monkeypatch, fn):
@@ -477,37 +496,29 @@ class TestMinhashLookupPaths:
             b.sort_values(key).reset_index(drop=True)))
 
 
-NEAR_DUP_QUERIES = ["ngram_jaccard", "minhash_lsh", "simhash",
-                    "embed_neardup"]
+def _registered_queries():
+    from karta_ray.pipelines import registry
 
-
-@pytest.fixture(scope="module")
-def zero_row_sf(tmp_path_factory):
-    """Zero-row copies of the sf0.001 documents and embeddings tables."""
-    import pyarrow.parquet as pq
-
-    d = tmp_path_factory.mktemp("sf_zero_rows")
-    for t in ("documents", "embeddings"):
-        tbl = pq.read_table(f"/root/testdata/sf0.001/{t}.parquet")
-        pq.write_table(tbl.slice(0, 0), str(d / f"{t}.parquet"))
-    return str(d)
+    return sorted(registry.queries())
 
 
 class TestNearDupEmpty:
-    """No candidate pairs give a typed zero-row result (Ray never calls
-    a map on an empty block, so no map output carries the schema)."""
+    """Zero-row inputs give every query its oracle's typed answer
+    (``state.empty``)."""
 
-    @pytest.mark.parametrize("name", NEAR_DUP_QUERIES)
+    @pytest.mark.parametrize("name", _registered_queries())
     def test_zero_row_tables_equal_oracle(self, ray_session, zero_row_sf,
                                           name):
+        import os
+
         import __ray_entry__ as entry
         from perfbench.check import frames_equal, oracle_frames, result_frame
 
-        want = oracle_frames(zero_row_sf, ["documents", "embeddings"],
+        tables = [f[:-len(".parquet")] for f in os.listdir(zero_row_sf)]
+        want = oracle_frames(zero_row_sf, tables,
                              {name: entry.oracle_sql()[name]})[name]
         got = result_frame(entry.queries()[name](zero_row_sf))
-        assert len(want) == 0
-        assert frames_equal(got, want), (got.dtypes, want.dtypes)
+        assert frames_equal(got, want), (got.dtypes, want.dtypes, len(want))
 
     def test_no_candidates_typed_empty(self, ray_session):
         import ray.data

@@ -6,6 +6,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from karta_ray.state.empty import materialize_typed
+
 
 @pytest.fixture(params=["broadcast", "join"])
 def lookup(request, monkeypatch, ray_session):
@@ -127,6 +129,8 @@ def test_pair_lookup_first_side_matches_nothing(lookup):
     out = lookup(pairs, keyed, on=["a", "b"], key="k", columns=["v"],
                  suffix=["_a", "_b"])
     assert out.count() == 0
+    assert materialize_typed(out).schema().base_schema == pa.schema(
+        [(c, pa.int64()) for c in ("a", "b", "v_a", "v_b")])
 
 
 def test_pair_lookup_puts_keyed_side_once(ray_session, monkeypatch):

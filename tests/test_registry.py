@@ -72,15 +72,15 @@ def test_empty_dataset_result_keeps_schema(ray_session, tmp_path):
 
 
 def test_schema_less_empty_result_raises(ray_session):
-    # a map over an all-empty input leaves Ray without a schema; the
-    # registry names the query instead of failing on the missing schema
+    # a row map over an all-empty input leaves Ray without a schema, and
+    # state.empty cannot read one off a row map; the registry names the
+    # query instead of failing on the missing schema
     import ray.data
 
     typed_empty = pa.table({"a": pa.array([], pa.int64())})
 
     def q_schema_less(sf_dir):
-        return ray.data.from_blocks([typed_empty]).map_batches(
-            lambda b: b)
+        return ray.data.from_blocks([typed_empty]).map(lambda r: r)
 
     with pytest.raises(ValueError, match="q_schema_less"):
         registry._keep_schema_when_empty(q_schema_less)("unused")

@@ -49,6 +49,18 @@ class TestSaltedGroupby:
         # distinct sampled key (the r02 driver-OOM shape)
         assert len(counts) <= 1 + int(1 / 0.05)
 
+    def test_detect_hot_keys_none_hot(self):
+        # no key passes the threshold: no survivor rows reach the driver
+        import ray.data
+
+        from karta_ray.stages.skew import detect_hot_keys
+
+        keys = np.arange(20_000, dtype=np.int64) % 5_000
+        ds = ray.data.from_arrow(pa.table({"k": pa.array(keys)}))
+        hot, counts = detect_hot_keys(ds, "k", sample_fraction=0.5,
+                                      min_rows=10)
+        assert hot.tolist() == [] and counts == {}
+
     def test_detect_hot_keys_bounded_fast_path(self):
         import ray.data
 
