@@ -132,17 +132,15 @@ def neighbor_cells(cell, ring: int = 1):
 
     Returns a 2-D array of shape (len(cell), (2*ring+1)**2).
     """
-    cell = np.atleast_1d(np.asarray(cell, dtype=np.int64))
-    z, x, y = unpack_cell(cell)
-    n = np.int64(1) << z.astype(np.int64)
+    cell = np.atleast_1d(np.asarray(cell, dtype=np.int64))[:, None, None]
+    z = cell >> 58
+    n = np.int64(1) << z
+    # (cell, dx, dy): x offsets outer, y offsets inner
     offs = np.arange(-ring, ring + 1, dtype=np.int64)
-    dx, dy = np.meshgrid(offs, offs, indexing="ij")
-    dx = dx.ravel()[None, :]
-    dy = dy.ravel()[None, :]
-    nx = (x[:, None] + dx) % n[:, None]
-    ny = np.clip(y[:, None] + dy, 0, (n - 1)[:, None])
-    zz = np.broadcast_to(z[:, None], nx.shape)
-    return pack_cell(zz, nx, ny)
+    nx = (((cell >> 29) & _MASK29) + offs[:, None]) % n
+    ny = np.clip((cell & _MASK29) + offs, 0, n - 1)
+    return ((z << 58) | (nx << 29) | ny).reshape(len(cell),
+                                                 (2 * ring + 1) ** 2)
 
 
 def cells_covering_bbox(xmin, ymin, xmax, ymax, zoom: int):

@@ -519,36 +519,45 @@ def _derive(key, mults):
     return lon, lat
 
 
-@query(oracle=lambda: KNN_JOIN_SQL)
-def q_knn_join(sf_dir: str):
-    """kNN join: for each supplier-derived point, the KNN_JOIN_K nearest
-    customer-derived points — per-cell probes with exact ring expansion
-    (boundary-cell replication), the scalable kNN primitive."""
+def _knn_join_query(sf_dir: str, join):
+    """``join(left, right)`` of the supplier-derived points (``left_id``
+    = ``s_suppkey``, as a Dataset) and the customer-derived points
+    (``right_id`` = ``c_custkey``, a table read on the driver), as
+    (s_suppkey, neighbor_id, rank) rows."""
     import pyarrow.parquet as pq
     import ray.data
 
-    from ..stages.knn import RightIndex, knn_join
-    from ..stages.tiles import assign_cells
-
-    # broadcast (small) side: customers
     cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
     ckey = cust.column("c_custkey").to_numpy().astype(np.int64)
     clon, clat = _derive(ckey, CUST_MULTS)
-    index = RightIndex(ckey, clon, clat, zoom=6)
+    right = pa.table({"right_id": ckey, "lon": clon, "lat": clat})
 
-    ds = ray.data.read_parquet(f"{sf_dir}/supplier.parquet",
-                               columns=["s_suppkey"])
+    def left(batch: pa.Table) -> pa.Table:
+        key = batch.column("s_suppkey").to_numpy().astype(np.int64)
+        lon, lat = _derive(key, SUPP_MULTS)
+        return pa.table({"left_id": key, "lon": lon, "lat": lat})
 
-    def coords(batch: pa.Table) -> pa.Table:
-        lon, lat = _derive(batch.column("s_suppkey").to_numpy(), SUPP_MULTS)
-        batch = batch.append_column("lon", pa.array(lon))
-        return batch.append_column("lat", pa.array(lat))
+    def shape(batch: pa.Table) -> pa.Table:
+        return pa.table({"s_suppkey": batch.column("left_id"),
+                         "neighbor_id": batch.column("neighbor_id"),
+                         "rank": batch.column("rank")})
 
-    ds = ds.map_batches(coords, batch_format="pyarrow")
-    ds = ds.map_batches(assign_cells, batch_format="pyarrow",
-                        fn_kwargs={"zoom": 6, "with_xyz": False})
-    out = knn_join(ds, index, k=KNN_JOIN_K)
-    return out.select_columns(["s_suppkey", "neighbor_id", "rank"])
+    sup = ray.data.read_parquet(f"{sf_dir}/supplier.parquet",
+                                columns=["s_suppkey"])
+    out = join(sup.map_batches(left, batch_format="pyarrow"), right)
+    return out.map_batches(shape, batch_format="pyarrow")
+
+
+@query(oracle=lambda: KNN_JOIN_SQL)
+def q_knn_join(sf_dir: str):
+    """kNN join: for each supplier-derived point, the KNN_JOIN_K nearest
+    customer-derived points — per-cell probes with exact ring expansion,
+    the customer side broadcast by the keyed-lookup budget."""
+    from ..stages.knn import knn_join
+
+    return _knn_join_query(
+        sf_dir, lambda left, right: knn_join(left, right, KNN_JOIN_K,
+                                             zoom=6))
 
 
 KNN_JOIN_SQL = f"""

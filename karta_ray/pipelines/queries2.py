@@ -810,51 +810,19 @@ WHERE i0f >= 0 AND i1f < 160 AND j0f >= 0 AND j1f < 360
 
 @query(oracle=lambda: KNN_JOIN_SQL)
 def q_knn_join_coshuffle(sf_dir: str):
-    """The big-big kNN join (co-shuffle with boundary-cell replication
-    and distributed residue rounds) on the same supplier x customer
-    derivation as q_knn_join — certified hash-exact against the same
-    SQL oracle as the broadcast variant."""
+    """q_knn_join through the kNN join's co-shuffle shape (boundary-cell
+    replication and distributed residue rounds), which the join takes
+    for a right side above the broadcast budget — certified hash-exact
+    against the same SQL oracle as the broadcast shape."""
     import ray.data
 
-    from ..stages.knn import knn_join_coshuffle
-    from ..stages.tiles import assign_cells
-    from .queries import CUST_MULTS, KNN_JOIN_K, SUPP_MULTS, _derive
+    from ..stages.knn import _coshuffle
+    from .queries import KNN_JOIN_K, _knn_join_query
 
-    sup = ray.data.read_parquet(f"{sf_dir}/supplier.parquet",
-                                columns=["s_suppkey"])
-
-    def left(batch: pa.Table) -> pa.Table:
-        k = batch.column("s_suppkey").to_numpy().astype(np.int64)
-        lon, lat = _derive(k, SUPP_MULTS)
-        return pa.table({"left_id": pa.array(k),
-                         "lon": pa.array(lon), "lat": pa.array(lat)})
-
-    lds = sup.map_batches(left, batch_format="pyarrow")
-    lds = lds.map_batches(assign_cells, batch_format="pyarrow",
-                          fn_kwargs={"zoom": 4, "with_xyz": False})
-
-    cus = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                columns=["c_custkey"])
-
-    def right(batch: pa.Table) -> pa.Table:
-        k = batch.column("c_custkey").to_numpy().astype(np.int64)
-        lon, lat = _derive(k, CUST_MULTS)
-        return pa.table({"right_id": pa.array(k),
-                         "lon": pa.array(lon), "lat": pa.array(lat)})
-
-    rds = cus.map_batches(right, batch_format="pyarrow")
     # ring=2 replication: candidate counts high enough that the
     # in-cell bound resolves everything in one round at bench scale
-    out = knn_join_coshuffle(lds, rds, KNN_JOIN_K, zoom=4, ring=2)
-
-    def shape(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "s_suppkey": batch.column("left_id"),
-            "neighbor_id": batch.column("neighbor_id"),
-            "rank": batch.column("rank"),
-        })
-
-    return out.map_batches(shape, batch_format="pyarrow")
+    return _knn_join_query(sf_dir, lambda left, right: _coshuffle(
+        left, ray.data.from_blocks([right]), KNN_JOIN_K, zoom=4, ring=2))
 
 
 @query(oracle=lambda: pip_join_sql())

@@ -2,18 +2,22 @@
 ring expansion.
 
 Distributed analogue of the reference's quadtree nearest queries
-(karta/vector/geometry.py:1349-1377, 576-591): the right-hand point set
-is indexed by Web-Mercator cell (sorted arrays, broadcast once via
-ray.put); each left batch groups its points by cell and expands a ring
-of neighbor tiles until (a) at least k candidates are found and (b) the
-k-th nearest distance is provably smaller than the distance to any
-unexplored tile — the exactness bound uses the spherical distance from
-the query tile to the explored bbox boundary (meridian arc for the
-north/south edges, exact point-to-meridian distance for east/west).
+(karta/vector/geometry.py:1349-1377, 576-591): both sides are keyed by
+Web-Mercator cell, and the queries of one cell probe the right rows of
+the cells within a ring of it (:func:`_expand`). A query is resolved
+once its k-th nearest distance is provably smaller than the distance
+to any unexplored tile — the exactness bound uses the spherical
+distance from the query tile to the explored bbox boundary (meridian
+arc for the north/south edges, exact point-to-meridian distance for
+east/west).
 
-Every path — the broadcast ring expansion, the co-shuffle cell probe
-and its residue rounds — ranks candidates with one scorer,
-:func:`_nearest`.
+:func:`knn_join` takes one of two shapes by :mod:`.lookup`'s broadcast
+budget. A right side within it is sorted by cell and put in the object
+store once, and each left batch widens its rings until every query
+resolves: broadcast is the one-partition case. A larger right side is
+co-shuffled with the left by cell (:func:`_coshuffle`), and the few
+rows a cell cannot resolve finish in residue rounds. Every path ranks
+candidates with one scorer, :func:`_nearest`.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import ray
 from ..kernels import geodesy, tiles
 from ..state.empty import materialize_typed
 from ..state.worker import cached, resolve
+from . import lookup
 from .agg import group_runs, sorted_map_groups
 
 D2R = np.pi / 180.0
@@ -40,73 +45,17 @@ def _dist_sphere(lon0, lat0, lon1, lat1):
     return geodesy.SPHERE_RADIUS * np.arccos(np.clip(c, -1.0, 1.0))
 
 
-class RightIndex:
-    """Cell-sorted point index for the broadcast (small) join side."""
-
-    def __init__(self, ids, lon, lat, zoom: int):
-        ids = np.asarray(ids, dtype=np.int64)
-        lon = np.asarray(lon, dtype=np.float64)
-        lat = np.asarray(lat, dtype=np.float64)
-        cell = tiles.cell_id(lon, lat, zoom)
-        order = np.argsort(cell, kind="stable")
-        self.zoom = zoom
-        self.cell = cell[order]
-        self.ids = ids[order]
-        self.lon = lon[order]
-        self.lat = lat[order]
-        self.uniq_cells, self.starts = np.unique(self.cell, return_index=True)
-        self.bounds = np.append(self.starts, len(self.cell))
-
-    def candidates_in_cells(self, cells: np.ndarray) -> np.ndarray:
-        """Indices of right points in any of the given cells."""
-        pos = np.searchsorted(self.uniq_cells, cells)
-        pos_c = np.minimum(pos, len(self.uniq_cells) - 1)
-        ok = (len(self.uniq_cells) > 0) & (self.uniq_cells[pos_c] == cells)
-        out = []
-        for p in pos_c[ok]:
-            out.append(np.arange(self.bounds[p], self.bounds[p + 1]))
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(out)
-
-
-def _tile_ring_cells(z, x, y, ring):
-    """Cells exactly at ring distance `ring` (the new frontier)."""
-    n = np.int64(1) << np.int64(z)
-    cells = []
-    if ring == 0:
-        return np.asarray([tiles.pack_cell(np.int64(z), np.int64(x), np.int64(y))])
-    for dx in range(-ring, ring + 1):
-        for dy in (-ring, ring):
-            yy = y + dy
-            if 0 <= yy < n:
-                cells.append((int((x + dx) % n), int(yy)))
-    for dy in range(-ring + 1, ring):
-        for dx in (-ring, ring):
-            yy = y + dy
-            if 0 <= yy < n:
-                cells.append((int((x + dx) % n), int(yy)))
-    if not cells:
-        return np.empty(0, dtype=np.int64)
-    cells = sorted(set(cells))
-    xs = np.asarray([c[0] for c in cells], dtype=np.int64)
-    ys = np.asarray([c[1] for c in cells], dtype=np.int64)
-    return tiles.pack_cell(np.full(len(xs), z, dtype=np.int64), xs, ys)
-
-
 def _explored_bound_m(z, x, y, ring, qlon, qlat):
     """Lower bound (meters) on the distance from query points inside tile
     (z, x, y) to anything OUTSIDE the (2*ring+1)^2 explored tile block."""
-    n = 1 << int(z)
-    xmin, ymin, xmax, ymax = tiles.tile_bbox(
-        np.int64(z), np.int64(x), np.int64(y))
-    # explored lon span and lat span (clamped at poles)
-    lon_w = float(xmin) - ring * 360.0 / n
-    lon_e = float(xmax) + ring * 360.0 / n
-    y_top = max(int(y) - ring, 0)
-    y_bot = min(int(y) + ring, n - 1)
-    _, lat_n = tiles.tile_nw_corner(np.int64(z), np.int64(x), np.int64(y_top))
-    _, lat_s = tiles.tile_nw_corner(np.int64(z), np.int64(x), np.int64(y_bot + 1))
+    n = 1 << z
+    # explored lon span (tile_bbox's edges, in float math) and lat span
+    # (clamped at poles)
+    lon_w = x / n * 360.0 - 180.0 - ring * 360.0 / n
+    lon_e = (x + 1) / n * 360.0 - 180.0 + ring * 360.0 / n
+    y_top = max(y - ring, 0)
+    y_bot = min(y + ring, n - 1)
+    _, (lat_n, lat_s) = tiles.tile_nw_corner(z, x, np.array([y_top, y_bot + 1]))
     R = geodesy.SPHERE_RADIUS
 
     if lon_e - lon_w >= 360.0:
@@ -132,7 +81,7 @@ def _explored_bound_m(z, x, y, ring, qlon, qlat):
 # (tile x ncand) float64 matrix at ~8 MB per 1k candidates
 _Q_TILE = 1024
 
-# left rows per KnnJoiner batch
+# left rows per broadcast probe batch
 _BATCH_ROWS = 8192
 
 
@@ -158,99 +107,96 @@ def _nearest(qlon, qlat, cand_id, cand_lon, cand_lat, k):
     return ids, dist
 
 
-class KnnJoiner:
-    """map_batches stage: for each left row (lon/lat/cell_id), emit k
-    rows (left cols + neighbor_id + rank + dist_m), exact by ring
-    expansion."""
-
-    def __init__(self, index_ref, k: int):
-        self.index: RightIndex = resolve(index_ref)
-        self.k = k
-
-    def _knn_group(self, qlon, qlat, z, x, y):
-        """Exact kNN for query points sharing one tile: widen the ring
-        until every query's k-th distance is within the bound to the
-        unexplored tiles, or the ring spans the whole grid."""
-        idx = self.index
-        last = 1 << idx.zoom
-        seen = []
-        for ring in range(last + 1):
-            seen.append(idx.candidates_in_cells(
-                _tile_ring_cells(z, x, y, ring)))
-            # a ring wider than half the grid wraps (x) onto cells an
-            # inner ring already visited: score each candidate once
-            call = np.unique(np.concatenate(seen))
-            if len(call) < self.k and ring < last:
-                continue
-            ids, dist = _nearest(qlon, qlat, idx.ids[call], idx.lon[call],
-                                 idx.lat[call], self.k)
-            if ring == last or (dist[:, -1] <= _explored_bound_m(
-                    z, x, y, ring, qlon, qlat)).all():
-                return ids, dist
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch.column("lon").to_numpy(zero_copy_only=False)
-        lat = batch.column("lat").to_numpy(zero_copy_only=False)
-        cells = batch.column("cell_id").to_numpy(zero_copy_only=False)
-
-        order = np.argsort(cells, kind="stable")
-        uniq, starts = np.unique(cells[order], return_index=True)
-        bnds = np.append(starts, len(cells))
-
-        row_idx = []
-        nbr_ids = []
-        nbr_rank = []
-        nbr_dist = []
-        for i, cell in enumerate(uniq):
-            rows = order[bnds[i]:bnds[i + 1]]
-            if cell < 0:
-                continue
-            z, x, y = (int(v) for v in tiles.unpack_cell(np.int64(cell)))
-            ids, dist = self._knn_group(lon[rows], lat[rows], z, x, y)
-            kk = ids.shape[1]
-            if kk == 0:
-                continue
-            row_idx.append(np.repeat(rows, kk))
-            nbr_ids.append(ids.ravel())
-            nbr_rank.append(np.tile(np.arange(1, kk + 1, dtype=np.int64), len(rows)))
-            nbr_dist.append(dist.ravel())
-
-        if not row_idx:
-            out = batch.slice(0, 0)
-            out = out.append_column("neighbor_id", pa.array([], pa.int64()))
-            out = out.append_column("rank", pa.array([], pa.int64()))
-            return out.append_column("dist_m", pa.array([], pa.float64()))
-        ri = np.concatenate(row_idx)
-        out = batch.take(pa.array(ri, pa.int64()))
-        out = out.append_column("neighbor_id", pa.array(np.concatenate(nbr_ids), pa.int64()))
-        out = out.append_column("rank", pa.array(np.concatenate(nbr_rank), pa.int64()))
-        return out.append_column("dist_m", pa.array(np.concatenate(nbr_dist), pa.float64()))
+def _expand(qlon, qlat, cell, index, rings, k):
+    """The queries of ``cell`` against the right rows of ``index``
+    (``(cell, id, lon, lat)`` arrays sorted by cell) in the cells within
+    each ring of ``rings`` in turn, until every query resolves:
+    ``(ids, dist, resolved)`` of the last ring probed, as
+    :func:`_nearest` gives them. A query resolves when its k-th
+    distance is within the ring's bound, or when the ring covers the
+    whole grid."""
+    rcell, rid, rlon, rlat = index
+    z, x, y = (int(v) for v in tiles.unpack_cell(cell))
+    n = 1 << z
+    for ring in rings:
+        # x wraps and y clamps: a ring past n - 1 adds no cell, and a
+        # ring wider than half the grid reaches a cell twice
+        nb = np.unique(tiles.neighbor_cells(cell, ring=min(ring, n - 1)))
+        lo = np.searchsorted(rcell, nb)
+        m = np.searchsorted(rcell, nb, side="right") - lo
+        sel = np.arange(m.sum()) + np.repeat(lo - np.cumsum(m) + m, m)
+        ids, dist = _nearest(qlon, qlat, rid[sel], rlon[sel], rlat[sel], k)
+        resolved = np.full(len(qlon), ring >= n - 1)
+        if ids.shape[1] == k and not resolved.all():
+            resolved = dist[:, -1] <= _explored_bound_m(z, x, y, ring,
+                                                        qlon, qlat)
+        if resolved.all():
+            break
+    return ids, dist, resolved
 
 
-def knn_join(left_ds, right_index: RightIndex, k: int):
-    """left Dataset (lon/lat/cell_id) x broadcast RightIndex -> k rows
-    per left row with (neighbor_id, rank, dist_m).
+def knn_join(left_ds, right, k: int, *, zoom: int):
+    """The ``k`` nearest right rows of every left row, ranked by
+    (distance, id): one row per left row and rank, with columns
+    ``left_id``, ``neighbor_id``, ``rank``, ``dist_m``.
 
-    Broadcast shape: right side must fit the object store. For big-big
-    joins use :func:`knn_join_coshuffle`.
-    """
-    ref = ray.put(right_index)
+    ``left_ds`` has ``left_id``/``lon``/``lat``; ``right`` is a Dataset
+    or a driver-side ``pa.Table`` with ``right_id``/``lon``/``lat``
+    (others are ignored). Both sides are keyed by cell at ``zoom``;
+    rows without coordinates join nothing. A right side within
+    ``lookup.BROADCAST_MAX_BYTES`` is broadcast, a larger one
+    co-shuffled (:func:`_coshuffle`)."""
+    import ray.data
 
-    def fn(batch: pa.Table) -> pa.Table:
-        return cached(KnnJoiner, ref, k)(batch)
+    right, nbytes = lookup._sized(right)
+    if nbytes > lookup.BROADCAST_MAX_BYTES:
+        if isinstance(right, pa.Table):
+            right = ray.data.from_blocks([right])
+        return _coshuffle(left_ds, right, k, zoom=zoom, ring=1)
+    table = lookup._table(right, ["right_id", "lon", "lat"])
+    rid, lon, lat = (table.column(c).to_numpy(zero_copy_only=False)
+                     for c in ("right_id", "lon", "lat"))
+    cell = tiles.cell_id(lon, lat, zoom)
+    order = np.argsort(cell, kind="stable")
+    order = order[cell[order] >= 0]
+    ref = ray.put((cell[order], rid[order].astype(np.int64),
+                   lon[order].astype(np.float64),
+                   lat[order].astype(np.float64)))
+    return left_ds.map_batches(
+        _probe_batch, batch_format="pyarrow", batch_size=_BATCH_ROWS,
+        zero_copy_batch=True, fn_kwargs={"ref": ref, "k": k, "zoom": zoom})
 
-    return left_ds.map_batches(fn, batch_format="pyarrow",
-                               batch_size=_BATCH_ROWS, zero_copy_batch=True)
 
-
-# a co-shuffle output row, and what an unresolved left row carries into
-# the next residue round (its home cell is the cell its probe ran in)
-_OUT = ["left_id", "neighbor_id", "rank", "dist_m"]
+# a kNN output row, and what an unresolved left row carries into the
+# next residue round (its home cell is the cell its probe ran in)
+_OUT = pa.schema([("left_id", pa.int64()), ("neighbor_id", pa.int64()),
+                  ("rank", pa.int64()), ("dist_m", pa.float64())])
 _CARRY = ["left_id", "lon", "lat", "cell_id"]
-_SCORED = pa.schema([("left_id", pa.int64()), ("neighbor_id", pa.int64()),
-                     ("rank", pa.int64()), ("dist_m", pa.float64()),
-                     ("resolved", pa.bool_()), ("lon", pa.float64()),
+_SCORED = pa.schema([*_OUT, ("resolved", pa.bool_()), ("lon", pa.float64()),
                      ("lat", pa.float64()), ("cell_id", pa.int64())])
+
+
+def _probe_batch(batch: pa.Table, *, ref, k: int, zoom: int) -> pa.Table:
+    """The broadcast shape's map: each cell's left rows widen their
+    rings up to full cover, so every row with coordinates resolves."""
+    index = cached(resolve, ref)
+    lid, lon, lat = (batch.column(c).to_numpy(zero_copy_only=False)
+                     for c in ("left_id", "lon", "lat"))
+    cells = tiles.cell_id(lon, lat, zoom)
+    # a query resolves with k candidates or at full cover, where it has
+    # all of them: every row with coordinates gets min(k, right rows)
+    kk = min(k, len(index[0]))
+    rows = np.flatnonzero(cells >= 0) if kk else np.empty(0, np.int64)
+    rows = rows[np.argsort(cells[rows], kind="stable")]
+    uniq, starts = np.unique(cells[rows], return_index=True)
+    ids = np.empty((len(rows), kk), dtype=np.int64)
+    dist = np.empty((len(rows), kk), dtype=np.float64)
+    for cell, s, e in zip(uniq, starts, np.append(starts[1:], len(rows))):
+        q = rows[s:e]
+        ids[s:e], dist[s:e], _ = _expand(lon[q], lat[q], cell, index,
+                                         range(1 << zoom), k)
+    return _scored(lid[rows], lon[rows], lat[rows], cells[rows], ids, dist,
+                   np.ones(len(rows), dtype=bool)).select(_OUT.names)
 
 
 def _scored(lid, lon, lat, cell, ids, dist, resolved):
@@ -266,6 +212,7 @@ def _scored(lid, lon, lat, cell, ids, dist, resolved):
         kk, ranks = 1, np.array([-1], dtype=np.int64)
         ids = np.full((nq, 1), -1, dtype=np.int64)
         dist = np.full((nq, 1), np.inf)
+        resolved = np.zeros(nq, dtype=bool)
     return pa.table({
         "left_id": np.repeat(lid, kk), "neighbor_id": ids.ravel(),
         "rank": np.tile(ranks, nq), "dist_m": dist.ravel(),
@@ -285,6 +232,19 @@ def _cell_rows(cell, rid, lon, lat, role: int) -> pa.Table:
     })
 
 
+def _fan_out(cells, ring: int, zoom: int):
+    """``(cell, row)``: every distinct cell within ``ring`` of each row's
+    cell ``cells[row]``. x wraps and y clamps, so a ring past the grid
+    reaches a cell more than once: keep it once per row."""
+    # rings beyond n-1 add no new cells but would allocate (2r+1)^2 per
+    # row — clamp
+    nb = np.sort(tiles.neighbor_cells(cells, ring=min(ring, (1 << zoom) - 1)),
+                 axis=1)
+    new = np.ones(nb.shape, dtype=bool)
+    new[:, 1:] = nb[:, 1:] != nb[:, :-1]
+    return nb[new], np.nonzero(new)[0]
+
+
 def _right_rows(batch: pa.Table, *, zoom: int, ring: int) -> pa.Table:
     """Right rows (right_id/lon/lat) replicated to every cell within
     ``ring`` of their own (ring 0: their own cell only)."""
@@ -293,26 +253,11 @@ def _right_rows(batch: pa.Table, *, zoom: int, ring: int) -> pa.Table:
     rid = batch.column("right_id").to_numpy(zero_copy_only=False)
     cells = tiles.cell_id(lon, lat, zoom)
     # rows without coordinates (cell sentinel -1) cannot be joined;
-    # drop them before neighbor expansion (mirrors KnnJoiner's guard)
-    ok = cells >= 0
-    nb = tiles.neighbor_cells(cells[ok], ring=ring)  # (n, (2r+1)^2)
-    reps = nb.shape[1]
-    return _cell_rows(nb.ravel(), np.repeat(rid[ok], reps),
-                      np.repeat(lon[ok], reps), np.repeat(lat[ok], reps), 0)
-
-
-def _score_cell(group: pa.Table, k: int):
-    """Score a cell group's left rows against its distinct right rows:
-    ``(left ids, lon, lat, ids, dist)``."""
-    left = group.column("role").to_numpy() == 1
-    gid, glon, glat = (group.column(c).to_numpy()
-                       for c in ("id", "lon", "lat"))
-    # a right row replicated from several wrapped neighbor offsets
-    # reaches the same cell more than once
-    cand, first = np.unique(gid[~left], return_index=True)
-    ids, dist = _nearest(glon[left], glat[left], cand,
-                         glon[~left][first], glat[~left][first], k)
-    return gid[left], glon[left], glat[left], ids, dist
+    # drop them before neighbor expansion
+    ok = np.flatnonzero(cells >= 0)
+    cell, row = _fan_out(cells[ok], ring, zoom)
+    row = ok[row]
+    return _cell_rows(cell, rid[row], lon[row], lat[row], 0)
 
 
 def _split(scored):
@@ -321,7 +266,7 @@ def _split(scored):
     (materialized), their count). An unresolved left row has exactly
     one row of rank <= 1: its rank 1 row or its rank -1 marker."""
     def resolved(batch: pa.Table) -> pa.Table:
-        return batch.filter(batch.column("resolved")).select(_OUT)
+        return batch.filter(batch.column("resolved")).select(_OUT.names)
 
     def unresolved(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.invert(batch.column("resolved")),
@@ -334,10 +279,10 @@ def _split(scored):
             carry.count())
 
 
-def knn_join_coshuffle(left_ds, right_ds, k: int, *, zoom: int,
-                       ring: int = 1):
-    """Big-big kNN join with NO broadcast side: right rows are
-    replicated to their cell plus the ``ring`` of neighbor cells
+def _coshuffle(left_ds, right_ds, k: int, *, zoom: int, ring: int):
+    """:func:`knn_join`'s shape for a right side too big to broadcast
+    (its inputs and output, with ``right_ds`` a Dataset): right rows
+    are replicated to their cell plus the ``ring`` of neighbor cells
     (boundary-cell replication), both sides co-shuffle on cell_id, and
     each cell group probes its local candidates.
 
@@ -346,32 +291,28 @@ def knn_join_coshuffle(left_ds, right_ds, k: int, *, zoom: int,
     (_explored_bound_m). The unresolved residue (points near cell
     corners with sparse neighbors) is finished by exact residue rounds;
     choose ``zoom`` so cells are much wider than typical kNN radii and
-    the residue is a vanishing fraction.
-
-    left_ds columns: left_id/lon/lat/cell_id (others are ignored).
-    right_ds columns: right_id/lon/lat. Returns one row per left row
-    and rank: left_id, neighbor_id, rank, dist_m.
-    """
+    the residue is a vanishing fraction."""
     def left_rows(batch: pa.Table) -> pa.Table:
-        return _cell_rows(*(batch.column(c).to_numpy(zero_copy_only=False)
-                            for c in ("cell_id", "left_id", "lon", "lat")),
-                          1)
+        lid, lon, lat = (batch.column(c).to_numpy(zero_copy_only=False)
+                         for c in ("left_id", "lon", "lat"))
+        return _cell_rows(tiles.cell_id(lon, lat, zoom), lid, lon, lat, 1)
 
     def probe(group: pa.Table) -> pa.Table:
         cell = int(group.column("cell_id")[0].as_py()) if group.num_rows else -1
+        left = group.column("role").to_numpy() == 1
         # left rows without coordinates group under cell -1; they cannot
-        # be joined (dropped, like KnnJoiner's cell<0 guard) — and
-        # unpack_cell(-1) must never reach _explored_bound_m
-        if cell < 0 or not (group.column("role").to_numpy() == 1).any():
+        # be joined — and unpack_cell(-1) must never reach _expand
+        if cell < 0 or not left.any():
             return _SCORED.empty_table()
-        qid, qlon, qlat, ids, dist = _score_cell(group, k)
-        resolved = np.zeros(len(qid), dtype=bool)
-        if ids.shape[1] == k:
-            z, x, y = (int(v) for v in tiles.unpack_cell(np.int64(cell)))
-            resolved = dist[:, -1] <= _explored_bound_m(z, x, y, ring,
-                                                        qlon, qlat)
-        return _scored(qid, qlon, qlat, np.full(len(qid), cell), ids, dist,
-                       resolved)
+        gid, glon, glat = (group.column(c).to_numpy()
+                           for c in ("id", "lon", "lat"))
+        home = tiles.cell_id(glon[~left], glat[~left], zoom)
+        o = np.argsort(home, kind="stable")
+        index = (home[o], gid[~left][o], glon[~left][o], glat[~left][o])
+        ids, dist, resolved = _expand(glon[left], glat[left], cell, index,
+                                      [ring], k)
+        return _scored(gid[left], glon[left], glat[left],
+                       np.full(left.sum(), cell), ids, dist, resolved)
 
     both = right_ds.map_batches(
         _right_rows, fn_kwargs={"zoom": zoom, "ring": ring},
@@ -415,34 +356,29 @@ def _residue_round(carry, right_home, k: int, *, zoom: int, ring: int):
     beats the ring bound. Once the ring covers the whole grid every
     candidate has been seen, so every row resolves by completeness.
     Returns the scored rows, materialized."""
-    n = 1 << zoom
     # x wraps (needs 2r+1 >= n) and y clamps (needs r >= n-1 from an
     # edge row): r >= n-1 guarantees every cell is visited
-    full_cover = ring >= n - 1
+    full_cover = ring >= (1 << zoom) - 1
 
     def visit(batch: pa.Table) -> pa.Table:
         lid, lon, lat, home = (batch.column(c).to_numpy(zero_copy_only=False)
                                for c in _CARRY)
-        # rings beyond n-1 add no new cells (x wraps, y clamps) but
-        # would allocate (2r+1)^2 per row — clamp
-        nb = np.sort(tiles.neighbor_cells(home, ring=min(ring, n - 1)),
-                     axis=1)
-        # visited cells repeat after x-wrap / y-clamp; keep each once
-        # per row so a candidate is never scored twice
-        new = np.ones(nb.shape, dtype=bool)
-        new[:, 1:] = nb[:, 1:] != nb[:, :-1]
-        row = np.nonzero(new)[0]
-        return _cell_rows(nb[new], lid[row], lon[row], lat[row], 1)
+        cell, row = _fan_out(home, ring, zoom)
+        return _cell_rows(cell, lid[row], lon[row], lat[row], 1)
 
     def partials(group: pa.Table) -> pa.Table:
         left = group.column("role").to_numpy() == 1
         if not left.any() or left.all():
             return _SCORED.empty_table()
-        qid, qlon, qlat, ids, dist = _score_cell(group, k)
+        gid, glon, glat = (group.column(c).to_numpy()
+                           for c in ("id", "lon", "lat"))
+        ids, dist = _nearest(glon[left], glat[left], gid[~left],
+                             glon[~left], glat[~left], k)
         # the visited cell is not a home cell: merge reads the home
         # cell from the sentinel row
-        return _scored(qid, qlon, qlat, np.full(len(qid), -1), ids, dist,
-                       np.zeros(len(qid), dtype=bool))
+        return _scored(gid[left], glon[left], glat[left],
+                       np.full(left.sum(), -1), ids, dist,
+                       np.zeros(left.sum(), dtype=bool))
 
     # one rank -1 sentinel per carried row: every left row reaches merge
     # even when no visited cell held a candidate

@@ -51,11 +51,7 @@ def lookup(ds, keyed, *, on, key: str, columns: list, suffix=""):
     if len(ons) != len(suffixes):
         raise ValueError("lookup: on and suffix must pair up")
     cols = [key, *columns]
-    if isinstance(keyed, pa.Table):
-        nbytes = keyed.nbytes
-    else:
-        keyed = materialize_typed(keyed)
-        nbytes = keyed.size_bytes()
+    keyed, nbytes = _sized(keyed)
     if nbytes > BROADCAST_MAX_BYTES:
         if isinstance(keyed, pa.Table):
             keyed = ray.data.from_blocks([keyed])
@@ -83,6 +79,15 @@ def lookup(ds, keyed, *, on, key: str, columns: list, suffix=""):
                           zero_copy_batch=True,
                           fn_kwargs={"ref": ref, "on": ons,
                                      "suffix": suffixes})
+
+
+def _sized(keyed):
+    """``(keyed, its bytes)``, the size the broadcast budget is checked
+    against; a Dataset comes back materialized."""
+    if isinstance(keyed, pa.Table):
+        return keyed, keyed.nbytes
+    keyed = materialize_typed(keyed)
+    return keyed, keyed.size_bytes()
 
 
 def _table(keyed, cols: list) -> pa.Table:

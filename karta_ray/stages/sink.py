@@ -4,7 +4,7 @@ The stage-level checkpoint layer (pipelines/manifest.py) resumes at
 stage granularity; this sink closes the gap INSIDE a stage: output is
 written as one directory per hash shard of a key column, each shard
 carries its own ``_SHARD.json`` manifest (rows, bytes, files, key
-column, wall time) written only after the shard's data is durable, and
+column, routing hash, wall time) written only after the shard's data is durable, and
 a re-run prunes rows of already-complete shards at the FILTER stage —
 before any downstream compute — so a job killed at shard 37/64 redoes
 only the missing 27 shards.
@@ -25,19 +25,23 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..functions.text import hash_column_u64
+
 SHARD_MANIFEST = "_SHARD.json"
+# the routing hash, named in every shard manifest: rows of a root
+# routed by another hash must not be resumed
+SHARD_HASH = "hash_column_u64"
 
 
 def _shard_dir(root: str, shard: int) -> str:
     return os.path.join(root, f"shard={shard:05d}")
 
 
-def _knuth_hash(keys: np.ndarray, shards: int) -> np.ndarray:
-    """Deterministic int64 -> shard id (multiplicative hash; stable
-    across runs/processes, unlike Python's salted hash())."""
-    with np.errstate(over="ignore"):
-        h = keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    return ((h >> np.uint64(33)) % np.uint64(shards)).astype(np.int64)
+def _shard_ids(col, shards: int) -> np.ndarray:
+    """Shard id of each value of an Arrow key column: its
+    :data:`SHARD_HASH` modulo ``shards`` (stable across runs and
+    processes, unlike Python's salted hash())."""
+    return (hash_column_u64(col) % np.uint64(shards)).astype(np.int64)
 
 
 def completed_shards(root: str) -> set[int]:
@@ -81,22 +85,23 @@ def resumable_parquet_sink(ds, root: str, *, by: str, shards: int = 64):
     os.makedirs(root, exist_ok=True)
     done = completed_shards(root)
     # Resume safety: rows already written were routed with THIS call's
-    # (key, shards) modulus. A re-run with different parameters would
+    # (key, shards, hash). A re-run with different parameters would
     # silently skip shards whose data was hashed differently —
     # refuse instead of misrouting rows.
     for s in sorted(done):
         man = json.load(open(os.path.join(_shard_dir(root, s),
                                           SHARD_MANIFEST)))
-        if man.get("key") != by or man.get("shards", shards) != shards:
+        if (man.get("key") != by or man.get("shards", shards) != shards
+                or man.get("hash") != SHARD_HASH):
             raise ValueError(
                 f"sink at {root!r} was partially written with "
-                f"key={man.get('key')!r}, shards={man.get('shards')} "
-                f"but this call uses key={by!r}, shards={shards}; "
-                "resume with the original parameters or use a new root")
+                f"key={man.get('key')!r}, shards={man.get('shards')}, "
+                f"hash={man.get('hash')!r} but this call uses key={by!r}, "
+                f"shards={shards}, hash={SHARD_HASH!r}; resume with the "
+                "original parameters or use a new root")
 
     def route(batch: pa.Table) -> pa.Table:
-        keys = batch.column(by).to_numpy()
-        sid = _knuth_hash(keys, shards)
+        sid = _shard_ids(batch.column(by), shards)
         batch = batch.append_column("__shard", pa.array(sid))
         if done:
             keep = ~np.isin(sid, np.fromiter(done, dtype=np.int64,
@@ -117,7 +122,7 @@ def resumable_parquet_sink(ds, root: str, *, by: str, shards: int = 64):
         man = {"shard": sid, "rows": data.num_rows,
                "bytes": os.path.getsize(fpath),
                "files": ["part-0.parquet"], "key": by, "shards": shards,
-               "wall_s": round(time.perf_counter() - t0, 3)}
+               "hash": SHARD_HASH, "wall_s": round(time.perf_counter() - t0, 3)}
         mtmp = os.path.join(out_dir, SHARD_MANIFEST + ".tmp")
         with open(mtmp, "w") as f:
             json.dump(man, f)

@@ -1,7 +1,11 @@
 """kNN join: exactness vs brute force, including cross-cell neighbors.
 
-The co-shuffle tests run on one-block and four-block inputs, and the
-scorer's query tiling is exercised with ``_Q_TILE`` patched to 2."""
+Every case runs through the public ``knn_join`` in both of its shapes:
+a table right side within the broadcast budget takes the broadcast
+shape, and with ``lookup.BROADCAST_MAX_BYTES`` patched below any size
+a Dataset right side takes the co-shuffle. Inputs are one-block and
+four-block, and the scorer's query tiling is exercised with
+``_Q_TILE`` patched to 2."""
 
 import contextlib
 import itertools
@@ -12,17 +16,14 @@ import pytest
 
 import karta_ray.stages.knn as knnmod
 from karta_ray.kernels import tiles
-from karta_ray.stages.knn import KnnJoiner, RightIndex, _dist_sphere
+from karta_ray.stages import lookup
+from karta_ray.stages.knn import _dist_sphere, _explored_bound_m, knn_join
 
 
 def brute_knn(qlon, qlat, ids, rlon, rlat, k):
     d = _dist_sphere(qlon[:, None], qlat[:, None], rlon[None, :], rlat[None, :])
     order = np.lexsort((np.broadcast_to(ids, d.shape), d), axis=1)[:, :k]
     return ids[order]
-
-
-def make_joiner(index, k):
-    return KnnJoiner(index, k=k)
 
 
 @contextlib.contextmanager
@@ -45,28 +46,48 @@ def q_tile(rows):
         knnmod._Q_TILE = old
 
 
-# input blocks per side for the co-shuffle runs
+# the two shapes of knn_join, and input blocks per side
+SHAPES = ("broadcast", "coshuffle")
 BLOCKS = (1, 4)
 
+OUT = pa.schema([("left_id", pa.int64()), ("neighbor_id", pa.int64()),
+                 ("rank", pa.int64()), ("dist_m", pa.float64())])
 
-def coshuffle(llon, llat, rids, rlon, rlat, k, zoom, blocks):
-    """Run knn_join_coshuffle on ``blocks``-block inputs; check its
-    columns and that each (left row, rank) appears once; return
-    {left_id: [neighbor ids by rank]}."""
+
+def run_knn(llon, llat, rids, rlon, rlat, k, zoom, shape, blocks=1):
+    """``knn_join`` of left rows ``0..n-1`` and the right rows in
+    ``shape`` on ``blocks``-block inputs; check that it took that shape
+    and its schema: its blocks as tables."""
+    import ray
     import ray.data
 
-    from karta_ray.stages.knn import knn_join_coshuffle
-
     left = pa.table({"left_id": pa.array(np.arange(len(llon))),
-                     "lon": pa.array(llon), "lat": pa.array(llat),
-                     "cell_id": pa.array(tiles.cell_id(llon, llat, zoom))})
-    right = pa.table({"right_id": pa.array(rids),
+                     "lon": pa.array(llon), "lat": pa.array(llat)})
+    right = pa.table({"right_id": pa.array(rids, pa.int64()),
                       "lon": pa.array(rlon), "lat": pa.array(rlat)})
-    out = knn_join_coshuffle(
-        ray.data.from_arrow(left).repartition(blocks),
-        ray.data.from_arrow(right).repartition(blocks),
-        k, zoom=zoom).to_pandas()
-    assert list(out.columns) == ["left_id", "neighbor_id", "rank", "dist_m"]
+    calls = []
+    coshuffle = knnmod._coshuffle
+    with pytest.MonkeyPatch.context() as mp:
+        if shape == "coshuffle":
+            # below any size, an empty right side's included
+            mp.setattr(lookup, "BROADCAST_MAX_BYTES", -1)
+            right = ray.data.from_arrow(right).repartition(blocks)
+        mp.setattr(knnmod, "_coshuffle",
+                   lambda *a, **kw: calls.append(1) or coshuffle(*a, **kw))
+        out = knn_join(ray.data.from_arrow(left).repartition(blocks), right,
+                       k, zoom=zoom)
+    assert len(calls) == (shape == "coshuffle")
+    assert out.schema().base_schema == OUT, (shape, blocks)
+    tables = ray.get(out.to_arrow_refs())
+    assert all(t.schema == OUT for t in tables if t.num_rows), (shape, blocks)
+    return tables
+
+
+def neighbors(*args, **kwargs):
+    """:func:`run_knn`'s rows as {left_id: [neighbor ids by rank]}, after
+    checking that each (left row, rank) appears once."""
+    out = pa.concat_tables([t for t in run_knn(*args, **kwargs)
+                           if t.num_rows]).to_pandas()
     assert not out.duplicated(["left_id", "rank"]).any()
     got = {}
     for lid, nid, rank in zip(out.left_id, out.neighbor_id, out["rank"]):
@@ -74,6 +95,34 @@ def coshuffle(llon, llat, rids, rlon, rlat, k, zoom, blocks):
     return {q: [r[i] for i in sorted(r)] for q, r in got.items()}
 
 
+def _explored_bound_tile_bbox(z, x, y, ring, qlon, qlat):
+    """Reference for ``_explored_bound_m``: its edges from the tile
+    kernels' scalar calls."""
+    n = 1 << int(z)
+    xmin, ymin, xmax, ymax = tiles.tile_bbox(
+        np.int64(z), np.int64(x), np.int64(y))
+    lon_w = float(xmin) - ring * 360.0 / n
+    lon_e = float(xmax) + ring * 360.0 / n
+    y_top = max(int(y) - ring, 0)
+    y_bot = min(int(y) + ring, n - 1)
+    _, lat_n = tiles.tile_nw_corner(np.int64(z), np.int64(x), np.int64(y_top))
+    _, lat_s = tiles.tile_nw_corner(np.int64(z), np.int64(x), np.int64(y_bot + 1))
+    R = knnmod.geodesy.SPHERE_RADIUS
+    D2R = knnmod.D2R
+    if lon_e - lon_w >= 360.0:
+        d_we = np.full_like(qlon, np.inf)
+    else:
+        dlon_w = np.abs(qlon - lon_w) * D2R
+        dlon_e = np.abs(lon_e - qlon) * D2R
+        d_w = R * np.arcsin(np.clip(np.cos(qlat * D2R) * np.sin(np.minimum(dlon_w, np.pi / 2)), -1, 1))
+        d_e = R * np.arcsin(np.clip(np.cos(qlat * D2R) * np.sin(np.minimum(dlon_e, np.pi / 2)), -1, 1))
+        d_we = np.minimum(d_w, d_e)
+    d_n = (np.inf if y_top == 0 else R * np.abs(float(lat_n) - qlat) * D2R)
+    d_s = (np.inf if y_bot == n - 1 else R * np.abs(qlat - float(lat_s)) * D2R)
+    return np.minimum(d_we, np.minimum(d_n, d_s))
+
+
+@pytest.mark.usefixtures("ray_session")
 class TestKnnExact:
     def test_matches_brute_force(self):
         rng = np.random.RandomState(7)
@@ -81,28 +130,16 @@ class TestKnnExact:
         rlon = rng.uniform(-170, 170, n_r)
         rlat = rng.uniform(-75, 75, n_r)
         ids = np.arange(1000, 1000 + n_r)
-        index = RightIndex(ids, rlon, rlat, zoom=5)
-
         n_q = 200
         qlon = rng.uniform(-179, 179, n_q)
         qlat = rng.uniform(-80, 80, n_q)
-        cells = tiles.cell_id(qlon, qlat, 5)
-        batch = pa.table({"qid": pa.array(np.arange(n_q)),
-                          "lon": pa.array(qlon), "lat": pa.array(qlat),
-                          "cell_id": pa.array(cells)})
         k = 5
         want = brute_knn(qlon, qlat, ids, rlon, rlat, k)
-        for tile in (None, 2):
+        for shape, tile in itertools.product(SHAPES, (None, 2)):
             with q_tile(tile):
-                out = make_joiner(index, k)(batch)
-            got = {}
-            for qid, nid, rank in zip(out.column("qid").to_pylist(),
-                                      out.column("neighbor_id").to_pylist(),
-                                      out.column("rank").to_pylist()):
-                got.setdefault(qid, {})[rank] = nid
+                got = neighbors(qlon, qlat, ids, rlon, rlat, k, 5, shape)
             for q in range(n_q):
-                assert [got[q][r] for r in range(1, k + 1)] == \
-                    want[q].tolist(), (tile, q)
+                assert got[q] == want[q].tolist(), (shape, tile, q)
 
     def test_sparse_right_side(self):
         # fewer right points than k in any nearby cell -> ring expansion
@@ -110,31 +147,25 @@ class TestKnnExact:
         rlon = np.array([0.0, 90.0, -90.0, 179.0])
         rlat = np.array([0.0, 40.0, -40.0, -70.0])
         ids = np.array([1, 2, 3, 4])
-        index = RightIndex(ids, rlon, rlat, zoom=6)
         qlon = np.array([10.0])
         qlat = np.array([5.0])
-        batch = pa.table({"lon": pa.array(qlon), "lat": pa.array(qlat),
-                          "cell_id": pa.array(tiles.cell_id(qlon, qlat, 6))})
         want = brute_knn(qlon, qlat, ids, rlon, rlat, 2)
-        for tile in (None, 2):
+        for shape, tile in itertools.product(SHAPES, (None, 2)):
             with q_tile(tile):
-                out = make_joiner(index, 2)(batch)
-            assert out.column("neighbor_id").to_pylist() == want[0].tolist()
+                got = neighbors(qlon, qlat, ids, rlon, rlat, 2, 6, shape)
+            assert got[0] == want[0].tolist(), (shape, tile)
 
     def test_dateline_neighbors(self):
         # nearest neighbor across the dateline must be found
         rlon = np.array([179.5, 170.0, 0.0])
         rlat = np.array([10.0, 10.0, 10.0])
         ids = np.array([11, 12, 13])
-        index = RightIndex(ids, rlon, rlat, zoom=6)
         qlon = np.array([-179.8])
         qlat = np.array([10.0])
-        batch = pa.table({"lon": pa.array(qlon), "lat": pa.array(qlat),
-                          "cell_id": pa.array(tiles.cell_id(qlon, qlat, 6))})
-        for tile in (None, 2):
+        for shape, tile in itertools.product(SHAPES, (None, 2)):
             with q_tile(tile):
-                out = make_joiner(index, 1)(batch)
-            assert out.column("neighbor_id").to_pylist() == [11]
+                got = neighbors(qlon, qlat, ids, rlon, rlat, 1, 6, shape)
+            assert got[0] == [11], (shape, tile)
 
     def test_wrapped_ring_scores_each_candidate_once(self):
         # on a 2x2 to 8x8 grid a ring wider than half the grid wraps
@@ -147,19 +178,29 @@ class TestKnnExact:
         qlon = np.array([10.0, 10.0, -100.0])
         qlat = np.array([80.0, 81.0, 60.0])
         want = brute_knn(qlon, qlat, ids, rlon, rlat, 12)
-        for zoom in (1, 2, 3):
-            index = RightIndex(ids, rlon, rlat, zoom=zoom)
-            batch = pa.table({
-                "qid": pa.array(np.arange(3)),
-                "lon": pa.array(qlon), "lat": pa.array(qlat),
-                "cell_id": pa.array(tiles.cell_id(qlon, qlat, zoom))})
-            for tile in (None, 2):
-                with q_tile(tile):
-                    out = make_joiner(index, 12)(batch)
-                for q in range(3):
-                    rows = out.filter(pa.compute.equal(out.column("qid"), q))
-                    assert rows.column("neighbor_id").to_pylist() == \
-                        want[q].tolist(), (zoom, tile, q)
+        for zoom, shape, tile in itertools.product((1, 2, 3), SHAPES,
+                                                   (None, 2)):
+            with q_tile(tile):
+                got = neighbors(qlon, qlat, ids, rlon, rlat, 12, zoom, shape)
+            for q in range(3):
+                assert got[q] == want[q].tolist(), (zoom, shape, tile, q)
+
+    def test_explored_bound_matches_tile_bbox(self):
+        # the bound's edges in float math are bit-identical to the tile
+        # kernels' scalar edges, at every row incl. the clamped edges
+        rng = np.random.RandomState(5)
+        for z in (0, 1, 2, 4, 6, 9):
+            n = 1 << z
+            for y in sorted({0, 1, n // 2, n - 2, n - 1} & set(range(n))):
+                x = int(rng.randint(n))
+                w, s, e, nn = tiles.tile_bbox(z, x, y)
+                qlon = rng.uniform(w, e, 16)
+                qlat = rng.uniform(s, nn, 16)
+                for ring in (0, 1, 2, 5, n):
+                    got = _explored_bound_m(z, x, y, ring, qlon, qlat)
+                    want = _explored_bound_tile_bbox(z, x, y, ring, qlon,
+                                                     qlat)
+                    assert np.array_equal(got, want), (z, x, y, ring)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -174,10 +215,11 @@ class TestKnnCoshuffle:
         llat = rng.uniform(-45, 45, n_l)
         zoom = 3  # large cells -> candidates dense, residue small
         want = brute_knn(llon, llat, rids, rlon, rlat, k)
-        for blocks in BLOCKS:
-            got = coshuffle(llon, llat, rids, rlon, rlat, k, zoom, blocks)
+        for shape, blocks in itertools.product(SHAPES, BLOCKS):
+            got = neighbors(llon, llat, rids, rlon, rlat, k, zoom, shape,
+                            blocks)
             for q in range(n_l):
-                assert got[q] == want[q].tolist(), (blocks, q)
+                assert got[q] == want[q].tolist(), (shape, blocks, q)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -197,10 +239,11 @@ class TestKnnCoshuffleHotCell:
         rlat = rng.uniform(10, 30, n_r)
         rids = np.arange(7000, 7000 + n_r)
         want = brute_knn(llon, llat, rids, rlon, rlat, k)
-        for blocks in BLOCKS:
-            got = coshuffle(llon, llat, rids, rlon, rlat, k, 2, blocks)
+        for shape, blocks in itertools.product(SHAPES, BLOCKS):
+            got = neighbors(llon, llat, rids, rlon, rlat, k, 2, shape,
+                            blocks)
             for q in range(n_l):
-                assert got[q] == want[q].tolist(), (blocks, q)
+                assert got[q] == want[q].tolist(), (shape, blocks, q)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -208,7 +251,7 @@ class TestKnnCoshuffleEdgeCases:
     def test_nan_coordinates_do_not_crash(self):
         # ADVICE r01: rows without coordinates (cell_id == -1) used to
         # reach unpack_cell(-1)/_explored_bound_m and raise; they must
-        # simply be dropped on both sides (KnnJoiner semantics)
+        # simply be dropped on both sides
         rng = np.random.RandomState(3)
         n_r, n_l, k = 60, 25, 2
         rlon = rng.uniform(-40, 40, n_r)
@@ -223,16 +266,18 @@ class TestKnnCoshuffleEdgeCases:
         rok = ~np.isnan(rlon)
         want = brute_knn(llon[lok], llat[lok], rids[rok],
                          rlon[rok], rlat[rok], k)
-        for blocks in BLOCKS:
-            got = coshuffle(llon, llat, rids, rlon, rlat, k, 2, blocks)
+        for shape, blocks in itertools.product(SHAPES, BLOCKS):
+            got = neighbors(llon, llat, rids, rlon, rlat, k, 2, shape,
+                            blocks)
             assert set(got) == set(lids[lok].tolist())
             for qi, q in enumerate(lids[lok]):
-                assert got[q] == want[qi].tolist(), (blocks, q)
+                assert got[q] == want[qi].tolist(), (shape, blocks, q)
 
     def test_sparse_right_forces_residue_rounds(self):
         # right side so sparse that most cells fail the in-cell bound:
         # the distributed residue rounds (left-fanout, ring doubling up
-        # to full cover) must still produce exact results
+        # to full cover) and the broadcast's ring walk must still
+        # produce exact results
         rng = np.random.RandomState(23)
         n_r, n_l, k = 8, 40, 3
         rlon = rng.uniform(-150, 150, n_r)
@@ -242,39 +287,37 @@ class TestKnnCoshuffleEdgeCases:
         llat = rng.uniform(-75, 75, n_l)
         zoom = 4  # 16x16 grid, 8 right points -> almost all cells empty
         want = brute_knn(llon, llat, rids, rlon, rlat, k)
-        for blocks, tile in itertools.product(BLOCKS, (None, 2)):
+        for shape, blocks, tile in itertools.product(SHAPES, BLOCKS,
+                                                     (None, 2)):
             with q_tile(tile):
-                got = coshuffle(llon, llat, rids, rlon, rlat, k, zoom,
-                                blocks)
+                got = neighbors(llon, llat, rids, rlon, rlat, k, zoom,
+                                shape, blocks)
             assert set(got) == set(range(n_l))
             for q in range(n_l):
-                assert got[q] == want[q].tolist(), (blocks, tile, q)
+                assert got[q] == want[q].tolist(), (shape, blocks, tile, q)
 
     def test_no_coordinates_typed_empty(self):
         # no right (then no left) row has coordinates: the result is
         # empty, but typed; Ray's to_pandas() drops the columns of any
-        # empty Dataset, so read the blocks
-        import ray
-        import ray.data
-
-        from karta_ray.stages.knn import knn_join_coshuffle
-
+        # empty Dataset, so run_knn reads the blocks
         llon, llat = np.array([1.0, 20.0, -40.0]), np.array([2.0, 10.0, 30.0])
         rlon, rlat = np.array([5.0, -30.0]), np.array([1.0, 2.0])
         nan = np.full(3, np.nan)
-        want = pa.schema([("left_id", pa.int64()), ("neighbor_id", pa.int64()),
-                          ("rank", pa.int64()), ("dist_m", pa.float64())])
-        for (llon, rlon), blocks in itertools.product(
-                [(llon, nan[:2]), (nan, rlon)], BLOCKS):
-            left = pa.table({"left_id": pa.array(np.arange(3)),
-                             "lon": pa.array(llon), "lat": pa.array(llat),
-                             "cell_id": pa.array(tiles.cell_id(llon, llat, 4))})
-            right = pa.table({"right_id": pa.array([7, 8]),
-                              "lon": pa.array(rlon), "lat": pa.array(rlat)})
-            out = knn_join_coshuffle(
-                ray.data.from_arrow(left).repartition(blocks),
-                ray.data.from_arrow(right).repartition(blocks), 2, zoom=4)
-            assert out.schema().base_schema == want
-            tables = ray.get(out.to_arrow_refs())
-            assert all(t.schema == want for t in tables), blocks
-            assert pa.concat_tables(tables).num_rows == 0
+        for (llon, rlon), shape, blocks in itertools.product(
+                [(llon, nan[:2]), (nan, rlon)], SHAPES, BLOCKS):
+            tables = run_knn(llon, llat, [7, 8], rlon, rlat, 2, 4, shape,
+                             blocks)
+            assert all(t.schema == OUT for t in tables), (shape, blocks)
+            assert pa.concat_tables(tables).num_rows == 0, (shape, blocks)
+
+    def test_empty_right_side_typed_empty(self):
+        # left rows with coordinates and no right row at all: the typed
+        # empty result in both shapes (the broadcast probe used to index
+        # an empty cell array and raise IndexError)
+        llon, llat = np.array([1.0, 20.0, -40.0]), np.array([2.0, 10.0, 30.0])
+        empty = np.empty(0)
+        for shape, blocks in itertools.product(SHAPES, BLOCKS):
+            tables = run_knn(llon, llat, empty.astype(np.int64), empty,
+                             empty, 2, 4, shape, blocks)
+            assert all(t.schema == OUT for t in tables), (shape, blocks)
+            assert pa.concat_tables(tables).num_rows == 0, (shape, blocks)

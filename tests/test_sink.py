@@ -36,13 +36,14 @@ class TestResumableSink:
         assert sorted(back.doc_id) == list(range(5000))
 
     def test_routing_is_deterministic(self):
-        keys = np.arange(1000, dtype=np.int64)
-        a = S._knuth_hash(keys, 32)
-        b = S._knuth_hash(keys, 32)
-        assert np.array_equal(a, b)
-        # spread: no shard holds more than 3x the fair share
-        counts = np.bincount(a, minlength=32)
-        assert counts.max() < 3 * 1000 / 32
+        for keys in (pa.array(np.arange(1000, dtype=np.int64)),
+                     pa.array([f"doc-{i}" for i in range(1000)])):
+            a = S._shard_ids(keys, 32)
+            b = S._shard_ids(keys, 32)
+            assert np.array_equal(a, b)
+            # spread: no shard holds more than 3x the fair share
+            counts = np.bincount(a, minlength=32)
+            assert counts.max() < 3 * 1000 / 32
 
     def test_resume_skips_complete_shards(self, tmp_path):
         root = str(tmp_path / "out")
@@ -109,6 +110,44 @@ class TestResumableSink:
         m = S.resumable_parquet_sink(self._ds(200), root, by="doc_id",
                                      shards=4).to_pandas()
         assert m.skipped.all()
+        # a manifest that names no routing hash, or another one, was
+        # routed differently
+        path = os.path.join(S._shard_dir(root, sorted(
+            S.completed_shards(root))[0]), S.SHARD_MANIFEST)
+        man = json.load(open(path))
+        for other in (None, "knuth"):
+            man["hash"] = other
+            json.dump(man, open(path, "w"))
+            with pytest.raises(ValueError, match="hash="):
+                S.resumable_parquet_sink(self._ds(200), root, by="doc_id",
+                                         shards=4)
+
+    def test_string_key_write_and_resume(self, tmp_path):
+        import ray.data
+        import shutil
+
+        root = str(tmp_path / "out")
+        names = [f"doc-{i}" for i in range(2000)]
+        ds = ray.data.from_arrow(pa.table({
+            "name": pa.array(names),
+            "value": pa.array(np.arange(2000, dtype=np.int64))})
+        ).repartition(4)
+        S.resumable_parquet_sink(ds, root, by="name", shards=8)
+        all_shards = sorted(S.completed_shards(root))
+        assert len(all_shards) == 8
+        for s in all_shards[:3]:
+            shutil.rmtree(S._shard_dir(root, s))
+        metrics = S.resumable_parquet_sink(ds, root, by="name",
+                                           shards=8).to_pandas()
+        assert sorted(metrics[~metrics.skipped].shard) == all_shards[:3]
+        assert sorted(metrics[metrics.skipped].shard) == all_shards[3:]
+        back = S.read_sink(root).to_pandas()
+        assert sorted(back.name) == sorted(names)
+        # every row sits in the shard its key hashes to
+        for s in all_shards:
+            part = pq.read_table(os.path.join(S._shard_dir(root, s),
+                                              "part-0.parquet"))
+            assert (S._shard_ids(part.column("name"), 8) == s).all()
 
     def test_read_sink_empty_root_raises_clearly(self, tmp_path):
         import pytest

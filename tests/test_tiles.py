@@ -73,6 +73,7 @@ def test_neighbor_cells_wrap_and_clamp():
     assert set(xs.tolist()) == {0, 1, 3}
     assert set(ys.tolist()) == {0, 1}
     assert len(nb) == 9
+    assert tiles.neighbor_cells(np.empty(0, np.int64), ring=2).shape == (0, 25)
 
 
 def test_cells_covering_bbox_dateline():
