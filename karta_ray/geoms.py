@@ -13,13 +13,19 @@ R-tree. Here a polygon layer is a plain-arrays structure — cheap to
 - ``poly_ring_off`` (P+1,) int64 — ring offsets per polygon (the rings of
   polygon p are ``poly_ring_off[p] : poly_ring_off[p+1]``, outer first)
 - ``poly_id``  (P,)  int64, ``name`` list[str], ``crs`` list[str]
+- ``ring_polar`` / ``ring_dateline`` (R,) bool — per-ring flags of
+  geographical rings: winds around a pole / crosses the dateline without
+  winding (``predicates.ring_flags``, one batched pass over every ring);
+  ``is_polar`` (P,) is ``ring_polar`` of the outer rings
 - ``bbox``     (P, 4) float64 — dateline-aware for geographical CRS
-  (karta/vector/dateline.pyx:19-61)
-- ``is_polar`` (P,)  bool    — the outer ring winds around a pole
+  (karta/vector/dateline.pyx:19-61), computed on first read
+  (``predicates.bbox_geographical_rings`` over the outer rings)
 
-Rings are NOT explicitly closed (karta ring convention). ``bbox`` and
-``is_polar`` come from one batched pass over the outer rings
-(``predicates.bbox_geographical_rings`` / ``ring_flags``).
+Rings are NOT explicitly closed (karta ring convention). The PIP join
+reads the ring flags but not ``bbox``: its exact test of a plain ring is
+a planar winding number, so the prefilter box of a plain outer ring is
+its planar vertex extent (:meth:`PolygonSet.cover_boxes`), and only
+polar and dateline outer rings get a great-circle box.
 
 Two derived structures serve the PIP join (stages/join.py), both array
 programs over the whole layer:
@@ -51,16 +57,15 @@ class PolygonSet:
     poly_id: np.ndarray
     name: list
     crs: list
-    bbox: np.ndarray
-    is_polar: np.ndarray = field(default=None)
+    ring_polar: np.ndarray
+    ring_dateline: np.ndarray
     poly_ring_off: np.ndarray = field(default=None, init=False)
+    _bbox: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # rings are stored polygon after polygon
         self.poly_ring_off = np.searchsorted(
             self.ring_poly, np.arange(len(self.poly_id) + 1)).astype(np.int64)
-        if self.is_polar is None:
-            self.is_polar = np.zeros(len(self.poly_id), dtype=bool)
 
     @classmethod
     def from_rings(cls, polygons: Sequence[dict]):
@@ -83,23 +88,12 @@ class PolygonSet:
         ring_len = np.fromiter((len(r) for r in rings), dtype=np.int64,
                                count=len(rings))
         ring_off = np.concatenate([[0], np.cumsum(ring_len)]).astype(np.int64)
-        poly_ring_off = np.concatenate([[0], np.cumsum(n_rings)]).astype(np.int64)
         verts = np.concatenate(rings) if rings else np.empty((0, 2))
 
-        # outer rings: bbox and is_polar in one batched pass per CRS kind
-        start = ring_off[poly_ring_off[:-1]]
-        count = ring_len[poly_ring_off[:-1]]
-        geo = np.array([c != "cartesian" for c in crss], dtype=bool)
-        bbox = np.empty((len(poly_id), 4))
-        xs, ys = verts[:, 0], verts[:, 1]
-        bbox[geo] = np.column_stack(predicates.bbox_geographical_rings(
-            xs, ys, start[geo], count[geo]))
-        bbox[~geo] = np.column_stack(predicates.bbox_planar_rings(
-            xs, ys, start[~geo], count[~geo]))
-        is_polar = np.zeros(len(poly_id), dtype=bool)
-        is_polar[geo] = predicates.ring_flags(xs, start[geo], count[geo])[0]
-
         ring_poly = np.repeat(np.arange(len(poly_id), dtype=np.int64), n_rings)
+        geo = np.array([c != "cartesian" for c in crss], dtype=bool)[ring_poly]
+        polar, crosses = predicates.ring_flags(verts[:, 0], ring_off[:-1], ring_len)
+        poly_ring_off = np.concatenate([[0], np.cumsum(n_rings)]).astype(np.int64)
         return cls(
             verts=verts,
             ring_off=ring_off,
@@ -108,9 +102,37 @@ class PolygonSet:
             poly_id=np.asarray(poly_id, dtype=np.int64),
             name=names,
             crs=crss,
-            bbox=bbox,
-            is_polar=is_polar,
+            ring_polar=geo & polar,
+            ring_dateline=geo & ~polar & crosses,
         )
+
+    @property
+    def is_polar(self):
+        """(P,) bool: the outer ring winds around a pole."""
+        return self.ring_polar[self.poly_ring_off[:-1]]
+
+    @property
+    def bbox(self):
+        """(P, 4) outer-ring boxes: karta's dateline-aware great-circle
+        bbox for a geographical CRS, the planar one for ``cartesian``;
+        computed on first read."""
+        if self._bbox is None:
+            start, count = self._outer_slices()
+            geo = np.array([c != "cartesian" for c in self.crs], dtype=bool)
+            xs, ys = self.verts[:, 0], self.verts[:, 1]
+            bbox = np.empty((len(self), 4))
+            bbox[geo] = np.column_stack(predicates.bbox_geographical_rings(
+                xs, ys, start[geo], count[geo]))
+            bbox[~geo] = np.column_stack(predicates.bbox_planar_rings(
+                xs, ys, start[~geo], count[~geo]))
+            self._bbox = bbox
+        return self._bbox
+
+    def _outer_slices(self):
+        """(start, count) vertex slices of the outer rings."""
+        outer = self.poly_ring_off[:-1]
+        start = self.ring_off[outer]
+        return start, self.ring_off[outer + 1] - start
 
     def __len__(self):
         return len(self.poly_id)
@@ -134,20 +156,29 @@ class PolygonSet:
             azimuth_fn=azimuth_fn)
 
     def cover_boxes(self):
-        """(P, 4) lon/lat boxes the prefilters cover, one per polygon: its
-        bbox, or for a polar polygon the full-longitude box from its
+        """(P, 4) lon/lat boxes the prefilters cover, one per polygon.
+
+        A plain outer ring gets its planar vertex extent: the exact test
+        is a planar winding number in lon/lat, so every point it accepts
+        lies in that extent. A dateline ring gets its great-circle
+        ``bbox`` (``xmin > xmax`` marks a dateline-crossing box). A polar
+        ring gets the full-longitude box from its great-circle
         low-latitude edge to the pole it winds (its lon/lat bbox is
         meaningless around the pole; the sign of the outer ring's mean
-        latitude picks the pole). ``xmin > xmax`` still marks a
-        dateline-crossing box."""
-        boxes = self.bbox.reshape(-1, 4).copy()
+        latitude picks the pole)."""
+        start, count = self._outer_slices()
+        xs, ys = self.verts[:, 0], self.verts[:, 1]
+        boxes = np.column_stack(predicates.bbox_planar_rings(xs, ys, start, count))
         polar = self.is_polar
+        wide = polar | self.ring_dateline[self.poly_ring_off[:-1]]
+        if wide.any():
+            boxes[wide] = np.column_stack(predicates.bbox_geographical_rings(
+                xs, ys, start[wide], count[wide]))
         if polar.any():
-            outer = self.poly_ring_off[:-1]
-            start = self.ring_off[outer]
-            owner, idx = predicates.slice_index(start, self.ring_off[outer + 1] - start)
-            north = np.bincount(owner, weights=self.verts[idx, 1],
-                                minlength=len(self)) > 0
+            owner, idx = predicates.slice_index(start[polar], count[polar])
+            north = np.zeros(len(self), dtype=bool)
+            north[polar] = np.bincount(owner, weights=ys[idx],
+                                       minlength=int(polar.sum())) > 0
             boxes[polar, 0], boxes[polar, 2] = -180.0, 180.0
             boxes[polar & north, 3] = 90.0
             boxes[polar & ~north, 1] = -90.0
@@ -220,10 +251,8 @@ class RingTable:
         start = polys.ring_off[:-1]
         count = np.diff(polys.ring_off)
         xs, ys = polys.verts[:, 0], polys.verts[:, 1]
-        geo = np.array([c != "cartesian" for c in polys.crs], dtype=bool)[polys.ring_poly]
-        polar, crosses = predicates.ring_flags(xs, start, count)
-        self.polar = geo & polar
-        self.dateline = geo & ~polar & crosses
+        self.polar = polys.ring_polar
+        self.dateline = polys.ring_dateline
         self.karney = np.array([c == "lonlat_wgs84" for c in polys.crs],
                                dtype=bool)[polys.ring_poly]
         self.hole = polys.ring_hole

@@ -7,9 +7,9 @@ north_rule): every stage is a task-based map_batches over zero-copy
 Arrow; the only stateful stage is the join, whose polygon state is
 broadcast once and built once per worker process. Nothing shuffles:
 the (poly_id, cell_id) aggregate is partial counts inside map_batches,
-folded on the driver as they stream in (``stages.agg.tree_sum``), in
+folded on the driver as they stream in (``stages.agg.fold_partials``), in
 the same executor run. Read through ``flagship_aggregate``, the plan is
-one operator, read -> extract -> cells -> join -> partial -> combine,
+one operator, read -> extract -> cells -> join -> partial,
 one task per read task, where there are at least 2 x cluster CPUs
 files (``state.executor.READ_MIN_BLOCKS``).
 """
@@ -105,12 +105,12 @@ def _partial_counts(batch: pa.Table) -> pa.Table:
 
 def flagship_aggregate(joined_ds):
     """(poly_id, cell_id) page counts: partial counts inside map_batches,
-    folded on the driver by ``tree_sum`` in the same single executor run
-    (salted skew is absorbed by the pre-aggregation: a hot cell
-    contributes one partial row per block, not per page). The returned
-    Dataset is materialized; reading it re-runs nothing."""
-    from ..stages.agg import tree_sum
+    folded on the driver by ``agg.fold_partials`` in the same single
+    executor run (salted skew is absorbed by the pre-aggregation: a hot
+    cell contributes one partial row per block, not per page). The
+    returned Dataset is materialized; reading it re-runs nothing."""
+    from ..stages.agg import fold_partials
 
     part = joined_ds.map_batches(_partial_counts, batch_format="pyarrow",
                                  zero_copy_batch=True)
-    return tree_sum(part, ["poly_id", "cell_id"], ["n"])
+    return fold_partials(part, ["poly_id", "cell_id"], [("n", "sum")])

@@ -59,23 +59,29 @@ def stream_fold(parts, combine, *, flush_rows: int = FLUSH_ROWS):
     return combine(pa.concat_tables(buf) if buf else empty_result(parts))
 
 
-def tree_agg(ds, keys: list, col_aggs: list):
-    """Combine a Dataset of partial rows into one row per key group with
-    associative per-column aggregations (``sum``/``max``/``min``), in
-    ONE Ray Data execution: each block is combined in a fused
-    ``map_batches`` (<= groups rows out) and :func:`stream_fold` folds
-    those partials on the driver. The result wraps the folded table as
-    one materialized block (``ray.data.from_blocks``: no remote metadata
-    task, unlike ``from_arrow``; materializing a source-only plan starts
-    no executor run), so it knows its schema and
+def fold_partials(parts, keys: list, col_aggs: list):
+    """:func:`stream_fold` of ``parts``, whose blocks are already
+    per-block partial aggregates by ``keys`` (``col_aggs`` as in
+    :func:`tree_agg`), in ONE Ray Data execution. The result wraps the
+    folded table as one materialized block (``ray.data.from_blocks``: no
+    remote metadata task, unlike ``from_arrow``; materializing a
+    source-only plan starts no executor run), so it knows its schema and
     ``to_arrow_refs()``/``take_all()``/``to_pandas()`` start no executor
     run at all."""
     import ray.data
 
-    combine = _make_combine(keys, col_aggs)
-    out = stream_fold(ds.map_batches(combine, batch_format="pyarrow",
-                                     zero_copy_batch=True), combine)
+    out = stream_fold(parts, _make_combine(keys, col_aggs))
     return ray.data.from_blocks([out]).materialize()
+
+
+def tree_agg(ds, keys: list, col_aggs: list):
+    """Combine a Dataset of partial rows into one row per key group with
+    associative per-column aggregations (``sum``/``max``/``min``): each
+    block is combined in a fused ``map_batches`` (<= groups rows out)
+    and :func:`fold_partials` folds those partials on the driver."""
+    return fold_partials(
+        ds.map_batches(_make_combine(keys, col_aggs), batch_format="pyarrow",
+                       zero_copy_batch=True), keys, col_aggs)
 
 
 def tree_sum(ds, keys: list, sum_cols: list):

@@ -22,9 +22,11 @@ distributed shape:
    arrays in cache-sized chunks, polar rings take the azimuth-sum test,
    and holes are subtracted per pair.
 
-Both prefilters are strict supersets of the reference's bbox prefilter,
-and the exact test computes what ``PolygonSet.contains`` computes, with
-the same floating-point operations — so join outputs match row-for-row.
+Both prefilters are supersets of the exact test: each polygon's box
+(``PolygonSet.cover_boxes``) holds every point its exact test can accept.
+The exact test computes what ``PolygonSet.contains`` computes, with the
+same floating-point operations, and karta's own output is that same
+exact test — so join outputs match row-for-row.
 """
 
 from __future__ import annotations
@@ -89,8 +91,9 @@ class BoxTree:
     state/strtree.py): needs no cell assignment, so it serves a polygon
     layer queried without one or at many zooms.
 
-    Its boxes are ``PolygonSet.cover_boxes`` (polar polygons reach the
-    pole), a dateline-crossing box (xmin > xmax) split in two."""
+    Its boxes are ``PolygonSet.cover_boxes`` (a plain ring's planar
+    vertex extent; polar polygons reach the pole), a dateline-crossing
+    box (xmin > xmax) split in two."""
 
     def __init__(self, polyset: PolygonSet):
         cover = polyset.cover_boxes()
@@ -161,10 +164,10 @@ class PolyJoiner:
         self.prefilter = prep["prefilter"]
         self.rings: RingTable = prep["rings"]
         self.mode = mode
-        self.with_name = with_name
         # vectorized poly_name lookup (take on a prebuilt arrow array,
         # not a per-output-row Python list comprehension)
-        self.name_arr = pa.array(list(self.polys.name), pa.string())
+        self.name_arr = (pa.array(self.polys.name, pa.string())
+                         if with_name else None)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         lon = batch.column("lon").to_numpy(zero_copy_only=False)
@@ -191,7 +194,7 @@ class PolyJoiner:
         out = batch.take(pa.array(pts, pa.int64()))
         out = out.append_column(
             "poly_id", pa.array(self.polys.poly_id[pls], pa.int64()))
-        if not self.with_name:
+        if self.name_arr is None:
             return out
         return out.append_column(
             "poly_name", self.name_arr.take(pa.array(pls, pa.int64())))

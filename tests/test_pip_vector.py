@@ -3,9 +3,14 @@
 - ``RingTable.contains`` (all candidate pairs at once) equals
   ``PolygonSet.contains`` run polygon by polygon;
 - the CSR cell cover equals a per-polygon loop over
-  ``tiles.cells_covering_bbox`` plus the polar-row rule;
+  ``tiles.cells_covering_bbox`` of each polygon's prefilter box (the
+  planar outer-ring extent, the great-circle ``bbox`` for polar and
+  dateline rings) plus the polar-row rule;
 - batched ``bbox`` / ``is_polar`` equal the per-ring
-  ``predicates.bbox_geographical(ring=True)`` / ``ring_is_polar``;
+  ``predicates.bbox_geographical(ring=True)`` / ``ring_is_polar``, and
+  building and prepping a layer of plain rings never computes ``bbox``;
+- ``pip_join`` and ``pip_join_strtree`` equal ``PolygonSet.contains`` on
+  plain rings whose great-circle edges bulge past their vertices;
 - ``BoxTree``, ``rings_of``, ``to_arrow`` and ``PolyJoiner``'s modes equal
   their per-polygon formulations;
 - chunking of the pair kernel never changes a result or splits a pair.
@@ -134,13 +139,25 @@ def test_pair_kernel_equals_contains_per_polygon(layer):
     np.testing.assert_array_equal(got, _pairs_reference(ps, px, py, pt, poly))
 
 
+def _reference_box(ps, ip):
+    """Polygon ip's prefilter box: the planar extent of a plain outer
+    ring (what its planar winding test can accept), the great-circle
+    ``bbox`` of a polar or dateline one."""
+    outer = ps.rings_of(ip)[0]
+    if ps.crs[ip] != "cartesian" and (predicates.ring_is_polar(outer)
+                                      or predicates.ring_crosses_dateline(outer)):
+        return ps.bbox[ip]
+    return predicates.bbox_planar(outer)
+
+
 def _reference_cover(ps, zoom):
-    """The per-polygon cover loop: cells_covering_bbox, or every x at the
-    rows between the pole and the ring's low-latitude edge."""
+    """The per-polygon cover loop: cells_covering_bbox of the polygon's
+    prefilter box, or every x at the rows between the pole and the
+    ring's low-latitude edge."""
     cover = {}
     n = 1 << zoom
     for ip in range(len(ps)):
-        xmin, ymin, xmax, ymax = ps.bbox[ip]
+        xmin, ymin, xmax, ymax = _reference_box(ps, ip)
         if ps.is_polar[ip]:
             if ps.rings_of(ip)[0][:, 1].mean() > 0:
                 _, ybot = tiles.tile_xy(0.0, max(ymin, -tiles.MERCATOR_LAT_MAX), zoom)
@@ -205,7 +222,7 @@ def test_batched_bbox_and_polar_on_known_defect_rings():
 def _reference_boxes(ps):
     boxes, owner = [], []
     for ip in range(len(ps)):
-        xmin, ymin, xmax, ymax = ps.bbox[ip]
+        xmin, ymin, xmax, ymax = _reference_box(ps, ip)
         if ps.is_polar[ip]:
             if ps.rings_of(ip)[0][:, 1].mean() > 0:
                 boxes.append((-180.0, ymin, 180.0, 90.0))
@@ -286,6 +303,110 @@ def test_joiner_modes_equal_per_polygon_loop(mode, prefilter):
                                       want.column(c).to_numpy(zero_copy_only=False))
     if mode == "tag":
         assert (got.column("poly_id").to_numpy() >= 0).sum() > 50
+
+
+def test_plain_layer_prep_never_computes_bbox(monkeypatch, ray_session):
+    rng = np.random.RandomState(3)
+    polys = []
+    for pid in range(12):
+        cx, cy = rng.uniform(-150.0, 150.0), rng.uniform(-60.0, 60.0)
+        rings = [_star(rng, cx, cy, 5.0, 24), _star(rng, cx, cy, 1.0, 6, rmin=0.3)]
+        polys.append({"poly_id": pid, "crs": "cartesian" if pid % 4 == 0
+                      else "lonlat_wgs84", "rings": rings[:1 + pid % 2]})
+    calls = []
+    real = predicates.bbox_geographical_rings
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(predicates, "bbox_geographical_rings", counted)
+    ps = PolygonSet.from_rings(polys)
+    assert not ps.ring_polar.any() and not ps.ring_dateline.any()
+    lon, lat = _points(3, ps)
+    batch = pa.table({"lon": lon, "lat": lat, "cell_id": tiles.cell_id(lon, lat, 7)})
+    for ref in (J.prep_polygons(ps, 7), J.prep_polygons_strtree(ps)):
+        assert J.PolyJoiner(ref, with_name=False)(batch).num_rows > 0
+    assert calls == []
+
+    bbox = ps.bbox   # first read: the great-circle boxes of the geo rings
+    assert calls == [9]
+    for ip in range(len(ps)):
+        outer = ps.rings_of(ip)[0]
+        want = (predicates.bbox_planar(outer) if ps.crs[ip] == "cartesian"
+                else predicates.bbox_geographical(outer, ring=True))
+        np.testing.assert_array_equal(bbox[ip], np.asarray(want, dtype=np.float64))
+
+
+def _bulging_polygon(rng, pid):
+    """A plain ring whose great-circle edges leave its planar extent: a
+    wide band at 60-80° latitude (either hemisphere), a box with an edge
+    on lon -180 or 180, or a ring reaching past the Mercator limit."""
+    kind = pid % 3
+    if kind == 0:
+        x0 = rng.uniform(-175.0, 20.0)
+        x1 = x0 + rng.uniform(60.0, min(150.0, 178.0 - x0))
+        y0 = rng.uniform(60.0, 70.0)
+        y1 = rng.uniform(y0 + 2.0, 80.0)
+        ring = np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+        ring[:, 1] += rng.uniform(-1.0, 1.0, 4)
+        if rng.rand() < 0.5:
+            ring[:, 1] *= -1.0
+            ring = ring[::-1]
+    elif kind == 1:
+        edge = rng.choice([-180.0, 180.0])
+        w = rng.uniform(5.0, 120.0) * (1.0 if edge < 0 else -1.0)
+        y0 = rng.uniform(-80.0, 70.0)
+        y1 = y0 + rng.uniform(2.0, 15.0)
+        ring = np.array([(edge, y0), (edge + w, y0), (edge + w, y1), (edge, y1)])
+    else:
+        x0 = rng.uniform(-170.0, 60.0)
+        x1 = x0 + rng.uniform(10.0, 100.0)
+        y0, y1 = rng.uniform(78.0, 84.0), rng.uniform(85.3, 89.5)
+        ring = np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+        if rng.rand() < 0.5:
+            ring[:, 1] *= -1.0
+    return {"poly_id": 100 + pid, "crs": rng.choice(["lonlat_wgs84", "spherical"]),
+            "rings": [ring]}
+
+
+@pytest.mark.usefixtures("ray_session")
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 7), st.integers(3, 9))
+def test_pip_joins_equal_contains_on_bulging_rings(seed, n_polys, zoom):
+    import ray.data
+
+    rng = np.random.RandomState(seed)
+    ps = PolygonSet.from_rings([_bulging_polygon(rng, i) for i in range(n_polys)])
+    # uniform points, points in each ring's extent and in the latitude
+    # band its great-circle edges bulge into, points on lon ±180 and past
+    # the Mercator limit
+    lon = [rng.uniform(-180.0, 180.0, 300), np.repeat([-180.0], 20)]
+    lat = [rng.uniform(-90.0, 90.0, 300), rng.uniform(-89.0, 89.0, 20)]
+    for ip in range(len(ps)):
+        v = ps.rings_of(ip)[0]
+        (x0, y0), (x1, y1) = v.min(axis=0), v.max(axis=0)
+        lon.append(rng.uniform(x0, x1, 60))
+        lat.append(rng.uniform(max(y0 - 5.0, -90.0), min(y1 + 5.0, 90.0), 60))
+    lon = np.clip(np.concatenate(lon), -180.0, 180.0)
+    lat = np.concatenate(lat)
+    want = sorted((int(k), int(ps.poly_id[ip])) for ip in range(len(ps))
+                  for k in np.flatnonzero(ps.contains(lon, lat, ip)))
+
+    pts = pa.table({"pt": np.arange(len(lon)), "lon": lon, "lat": lat,
+                    "cell_id": tiles.cell_id(lon, lat, zoom)})
+    ds = ray.data.from_arrow([pts.slice(0, len(lon) // 2), pts.slice(len(lon) // 2)])
+    for joined in (J.pip_join(ds, ps, zoom=zoom, with_name=False),
+                   J.pip_join_strtree(ds, ps)):
+        t = pa.concat_tables(ray.get(joined.to_arrow_refs()))
+        assert sorted(zip(t.column("pt").to_pylist(),
+                          t.column("poly_id").to_pylist())) == want
+    # the bands' great-circle boxes reach past their planar extents
+    wide = np.arange(len(ps)) % 3 == 0
+    planar = np.array([predicates.bbox_planar(ps.rings_of(ip)[0])
+                       for ip in range(len(ps))])
+    bulge = np.maximum(ps.bbox[:, 3] - planar[:, 3], planar[:, 1] - ps.bbox[:, 1])
+    assert (bulge[wide] > 0.0).all()
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,7 @@ class TestExecutorScope:
 
     def test_flagship_is_one_operator(self, monkeypatch, pages_dir):
         # 8 files on 4 CPUs: the read is not split, so read -> extract ->
-        # cells -> join -> partial -> combine fuse into one map operator,
+        # cells -> join -> partial counts fuse into one map operator,
         # one task per file; reading the result back runs nothing
         from ray.data._internal.execution.operators.map_operator import \
             MapOperator
