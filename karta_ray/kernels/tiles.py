@@ -151,8 +151,10 @@ def cells_covering_bbox(xmin, ymin, xmax, ymax, zoom: int):
     Scalar in, 1-D int64 array out.
     """
     n = 1 << zoom
-    ymin = max(ymin, -MERCATOR_LAT_MAX)
-    ymax = min(ymax, MERCATOR_LAT_MAX)
+    # clip into the Mercator band as cell_id does, so a box beyond it
+    # covers the edge row that cell_id puts its points in
+    ymin = min(max(ymin, -MERCATOR_LAT_MAX), MERCATOR_LAT_MAX)
+    ymax = min(max(ymax, -MERCATOR_LAT_MAX), MERCATOR_LAT_MAX)
     if ymin > ymax:
         return np.empty(0, dtype=np.int64)
     # y rows (lat decreases with y)
@@ -184,8 +186,8 @@ def bbox_tile_spans(xmin, ymin, xmax, ymax, zoom: int):
     n = 1 << zoom
     xmin, ymin, xmax, ymax = (np.asarray(v, dtype=np.float64)
                               for v in (xmin, ymin, xmax, ymax))
-    ylo = np.maximum(ymin, -MERCATOR_LAT_MAX)
-    yhi = np.minimum(ymax, MERCATOR_LAT_MAX)
+    ylo = np.clip(ymin, -MERCATOR_LAT_MAX, MERCATOR_LAT_MAX)
+    yhi = np.clip(ymax, -MERCATOR_LAT_MAX, MERCATOR_LAT_MAX)
     _, ytop = tile_xy(np.zeros_like(yhi), yhi, zoom)
     _, ybot = tile_xy(np.zeros_like(ylo), ylo, zoom)
     y0 = np.maximum(ytop, 0)

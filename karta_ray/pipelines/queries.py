@@ -264,10 +264,11 @@ def q_pip_agg(sf_dir: str):
               .aggregate([("qty", "count"), ("qty", "sum")]))
         return g.rename_columns(["poly_id", "n_points", "sum_qty"])
 
-    from ..stages.agg import tree_sum
+    from ..stages.agg import fold_partials
 
     part = joined.map_batches(partial, batch_format="pyarrow")
-    return tree_sum(part, ["poly_id"], ["n_points", "sum_qty"])
+    return fold_partials(part, ["poly_id"],
+                         [("n_points", "sum"), ("sum_qty", "sum")])
 
 
 def _pip_agg_sql() -> str:
@@ -296,10 +297,10 @@ def q_grid_binning(sf_dir: str):
         g = t.group_by(["gi", "gj"]).aggregate([("qty", "count"), ("qty", "sum")])
         return g.rename_columns(["gi", "gj", "n", "sq"])
 
-    from ..stages.agg import tree_sum
+    from ..stages.agg import fold_partials
 
     part = ds.map_batches(partial, batch_format="pyarrow")
-    agg = tree_sum(part, ["gi", "gj"], ["n", "sq"])
+    agg = fold_partials(part, ["gi", "gj"], [("n", "sum"), ("sq", "sum")])
 
     def finalize(batch: pa.Table) -> pa.Table:
         n = batch.column("n").to_numpy().astype(np.int64)
@@ -339,7 +340,7 @@ def q_geotiff_grid(sf_dir: str):
     import tempfile
 
     from ..sources.geotiff import read_geotiff_dataset, write_geotiff
-    from ..stages.agg import tree_sum
+    from ..stages.agg import fold_partials
 
     ds = points_ds(sf_dir)
 
@@ -353,8 +354,8 @@ def q_geotiff_grid(sf_dir: str):
         g = t.group_by(["gi", "gj"]).aggregate([("n", "sum")])
         return g.rename_columns(["gi", "gj", "n"])
 
-    agg = tree_sum(ds.map_batches(partial, batch_format="pyarrow"),
-                   ["gi", "gj"], ["n"])
+    agg = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                        ["gi", "gj"], [("n", "sum")])
     # the aggregate is bounded (360 x 160 cells) — assembling the grid
     # driver-side is O(cells), not O(rows)
     import ray
@@ -658,10 +659,11 @@ def q_text_stats(sf_dir: str):
             [("chars", "count"), ("chars", "sum"), ("tokens", "sum")])
         return g.rename_columns(["lang", "n_docs", "sum_chars", "sum_tokens"])
 
-    from ..stages.agg import tree_sum
+    from ..stages.agg import fold_partials
 
     part = ds.map_batches(partial, batch_format="pyarrow")
-    return tree_sum(part, ["lang"], ["n_docs", "sum_chars", "sum_tokens"])
+    return fold_partials(part, ["lang"], [(c, "sum") for c in (
+        "n_docs", "sum_chars", "sum_tokens")])
 
 
 TEXT_STATS_SQL = """
@@ -1100,7 +1102,7 @@ def q_props_extract(sf_dir: str):
     stdlib JSON parser on the real fixture."""
     import ray.data
 
-    from ..stages.agg import tree_sum
+    from ..stages.agg import fold_partials
 
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_type", "props"])
@@ -1115,8 +1117,8 @@ def q_props_extract(sf_dir: str):
         g = t.group_by(["event_type"]).aggregate([("sum_k", "sum"), ("n", "sum")])
         return g.rename_columns(["event_type", "sum_k", "n"])
 
-    return tree_sum(ds.map_batches(partial, batch_format="pyarrow"),
-                    ["event_type"], ["sum_k", "n"])
+    return fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                         ["event_type"], [("sum_k", "sum"), ("n", "sum")])
 
 
 PROPS_EXTRACT_SQL = """
@@ -1152,7 +1154,7 @@ def q_topk_users(sf_dir: str):
     deterministic tiebreak by user_id)."""
     import ray.data
 
-    from ..stages.agg import tree_sum
+    from ..stages.agg import fold_partials
     from ..stages.topn import global_topk
 
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -1162,8 +1164,8 @@ def q_topk_users(sf_dir: str):
         g = batch.group_by(["user_id"]).aggregate([([], "count_all")])
         return g.rename_columns(["user_id", "n"])
 
-    counts = tree_sum(ds.map_batches(partial, batch_format="pyarrow"),
-                      ["user_id"], ["n"])
+    counts = fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                           ["user_id"], [("n", "sum")])
     return global_topk(counts, ["n", "user_id"], TOPK_USERS,
                        descending=[True, False])
 
@@ -1184,7 +1186,7 @@ def q_window_agg(sf_dir: str):
     combine — the streaming-friendly windowed aggregation shape)."""
     import ray.data
 
-    from ..stages.agg import tree_sum
+    from ..stages.agg import fold_partials
 
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["ts", "event_type", "value"])
@@ -1203,8 +1205,9 @@ def q_window_agg(sf_dir: str):
             [("n", "sum"), ("sum_cents", "sum")])
         return g.rename_columns(["event_type", "window_us", "n", "sum_cents"])
 
-    return tree_sum(ds.map_batches(partial, batch_format="pyarrow"),
-                    ["event_type", "window_us"], ["n", "sum_cents"])
+    return fold_partials(ds.map_batches(partial, batch_format="pyarrow"),
+                         ["event_type", "window_us"],
+                         [("n", "sum"), ("sum_cents", "sum")])
 
 
 WINDOW_AGG_SQL = f"""

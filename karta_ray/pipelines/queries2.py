@@ -1500,20 +1500,20 @@ FROM c GROUP BY event_type
 
 
 # ---------------------------------------------------------------------------
-# Bloom-filter semi-join (round 4): lineitem rows whose order is
-# URGENT — broadcast an m-bit bloom of the filtered order keys, probe
-# in a streaming map_batches, then exact-verify only the survivors
-# with a distributed hash join (stages/bloomjoin.py). Shuffle volume
-# is |matches| + |right keys|, never |lineitem|.
+# Semi-join (round 4; the registry keeps its Bloom-era name): lineitem
+# rows whose order is URGENT (stages/lookup.py::semi_join). Within the
+# lookup budget the sorted distinct urgent keys are put in the object
+# store once and a map_batches fused after the lineitem read filters by
+# them, shuffling nothing; above it, one Ray left_semi hash join.
 # ---------------------------------------------------------------------------
 
 @query(oracle=lambda: BLOOM_SEMI_JOIN_SQL)
 def q_bloom_semi_join(sf_dir: str):
     """(l_orderkey, l_linenumber, qty_x100) — lineitems of URGENT
-    orders via bloom pre-filter + exact verify."""
+    orders, by an exact membership filter."""
     import ray.data
 
-    from ..stages.bloomjoin import bloom_semi_join
+    from ..stages.lookup import semi_join
 
     li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                                columns=["l_orderkey", "l_linenumber",
@@ -1533,7 +1533,7 @@ def q_bloom_semi_join(sf_dir: str):
                                     "1-URGENT")).select(["o_orderkey"])
                    .rename_columns(["l_orderkey"]),
         batch_format="pyarrow", zero_copy_batch=True)
-    return bloom_semi_join(li, urgent, key="l_orderkey").map_batches(
+    return semi_join(li, urgent, key="l_orderkey").map_batches(
         fixed, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -1850,10 +1850,10 @@ WHERE n_chars >= med
 
 
 # ---------------------------------------------------------------------------
-# Bloom anti-join (round 4): lineitems of NON-urgent orders — the
-# blocklist/tombstone filter shape. Most of the corpus misses the
-# bloom and never enters the verify join; only hits (members + FP
-# fraction) are joined.
+# Anti-join (round 4; the registry keeps its Bloom-era name): lineitems
+# of NON-urgent orders — the blocklist/tombstone filter shape. The same
+# membership filter as q_bloom_semi_join, keeping the rows whose key it
+# does not find (above the lookup budget, one Ray left_anti hash join).
 # ---------------------------------------------------------------------------
 
 @query(oracle=lambda: BLOOM_ANTI_JOIN_SQL)
@@ -1862,18 +1862,18 @@ def q_bloom_anti_join(sf_dir: str):
     NOT 1-URGENT."""
     import ray.data
 
-    from ..stages.bloomjoin import bloom_semi_join
+    from ..stages.lookup import semi_join
 
     left = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_partkey", "l_quantity"])
     right = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderpriority"]).filter(
-        lambda r: r["o_orderpriority"] == "1-URGENT")
-    return bloom_semi_join(left, right.map_batches(
-        lambda b: b.select(["o_orderkey"]).rename_columns(["l_orderkey"]),
-        batch_format="pyarrow"), key="l_orderkey", anti=True)
+        columns=["o_orderkey", "o_orderpriority"]).map_batches(
+        lambda b: b.filter(pc.equal(b.column("o_orderpriority"), "1-URGENT"))
+                   .select(["o_orderkey"]).rename_columns(["l_orderkey"]),
+        batch_format="pyarrow", zero_copy_batch=True)
+    return semi_join(left, right, key="l_orderkey", anti=True)
 
 
 BLOOM_ANTI_JOIN_SQL = """

@@ -1,9 +1,9 @@
 """Two-sided co-group: one sorted co-shuffle of two side-tagged inputs.
 
-The as-of, band, Bloom-verify, raster-tile and equi joins all bring two
-row sets together by key. Ray's generic hash join pays a fixed
-aggregator cost that dominates when the join itself is cheap, so each
-of them runs as ONE range shuffle of both sides instead:
+The as-of, band, raster-tile and equi joins all bring two row sets
+together by key. Ray's generic hash join pays a fixed aggregator cost
+that dominates when the join itself is cheap, so each of them runs as
+ONE range shuffle of both sides instead:
 
 1. **sides** — each side's batches go through its ``prep`` (two
    sources), or one source is scanned once and ``split`` into both

@@ -200,17 +200,19 @@ class TestNoSchemaRun:
             empty_like(_source().map(lambda r: r))
 
     def test_exact_bloom_join_reads_no_left_schema(self, executed_ops):
+        # semi_join, the exact join of the bloom_semi_join and
+        # bloom_anti_join queries
         from ray.data._internal.execution.operators.limit_operator import \
             LimitOperator
 
-        from karta_ray.stages.bloomjoin import bloom_semi_join
+        from karta_ray.stages.lookup import semi_join
 
         left = _source(50).map_batches(lambda b: b, batch_format="pyarrow")
         right = _source(10).select_columns(["k"])
-        out = bloom_semi_join(left, right, key="k")
-        # the right key set, the Bloom filter and the verify's sort: the
-        # left side's map runs once, in the sort
-        assert len(executed_ops) == 3
+        out = semi_join(left, right, key="k")
+        # the right key set alone: the left side's map runs in the
+        # filter, when the result is read
+        assert len(executed_ops) == 1
         assert not any(isinstance(op, LimitOperator)
                        for run in executed_ops for op in run)
         assert out.count() == 10

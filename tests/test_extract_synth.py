@@ -180,8 +180,7 @@ def test_cell_cover_contains_all_member_cells():
 
 def test_mix64_golden_and_single_copy():
     from karta_ray.functions import sketch, text
-    from karta_ray.stages import bloomjoin
 
     assert int(synth.mix64(0)) == 0xE220A8397B1DCDAF
-    assert synth.mix64 is text.mix64 is bloomjoin.mix64
+    assert synth.mix64 is text.mix64
     assert not hasattr(sketch, "_splitmix64")

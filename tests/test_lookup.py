@@ -1,21 +1,34 @@
-"""Keyed lookup (stages/lookup.py): the broadcast path and the hash-join
-path (forced by a zero byte bound) attach the same payload rows with
-the same types, drop unmatched probe rows, and take empty sides."""
+"""Keyed lookup and membership (stages/lookup.py): the broadcast path
+and the hash-join path (forced by a byte bound below any size, an empty
+keyed side's included) attach the same payload rows with the same
+types, drop unmatched probe rows, and take empty sides; ``semi_join``
+keeps the same left rows on both paths, for the semi- and the
+anti-join."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
+from conftest import SF0001
 
 from karta_ray.state.empty import materialize_typed
 
 
-@pytest.fixture(params=["broadcast", "join"])
-def lookup(request, monkeypatch, ray_session):
+def _policy(request, monkeypatch):
     import karta_ray.stages.lookup as lk
 
     if request.param == "join":
-        monkeypatch.setattr(lk, "BROADCAST_MAX_BYTES", 0)
-    return lk.lookup
+        monkeypatch.setattr(lk, "BROADCAST_MAX_BYTES", -1)
+    return lk
+
+
+@pytest.fixture(params=["broadcast", "join"])
+def lookup(request, monkeypatch, ray_session):
+    return _policy(request, monkeypatch).lookup
+
+
+@pytest.fixture(params=["broadcast", "join"])
+def semi_join(request, monkeypatch, ray_session):
+    return _policy(request, monkeypatch).semi_join
 
 
 def _rows(ds):
@@ -163,3 +176,93 @@ def test_pair_lookup_puts_keyed_side_once(ray_session, monkeypatch):
     assert len(puts) == 3
     monkeypatch.undo()
     assert _rows(out) == [(1, 2, 10, 20), (2, 1, 20, 10)]
+
+
+def _sides(left_keys, right_keys, n_lblocks=7, n_rblocks=5):
+    import ray.data
+
+    left = pa.table({"k": pa.array(left_keys, pa.int64()),
+                     "x": pa.array(np.arange(len(left_keys)), pa.int64())})
+    right = pa.table({"k": pa.array(right_keys, pa.int64())})
+    return (ray.data.from_arrow(left).repartition(n_lblocks),
+            ray.data.from_arrow(right).repartition(n_rblocks))
+
+
+def test_semi_join_parity(semi_join):
+    rng = np.random.RandomState(3)
+    lk = rng.randint(0, 5000, 20000)
+    rk = np.unique(rng.randint(0, 5000, 800))
+    out = semi_join(*_sides(lk, rk), key="k")
+    want = np.nonzero(np.isin(lk, rk))[0]
+    assert _rows(out) == sorted((int(lk[i]), int(i)) for i in want)
+    assert materialize_typed(out).schema().base_schema == pa.schema(
+        [("k", pa.int64()), ("x", pa.int64())])
+
+
+def test_anti_join_parity(semi_join):
+    rng = np.random.RandomState(5)
+    lk = rng.randint(0, 3000, 20000)
+    rk = rng.choice(3000, 400, replace=False)
+    out = semi_join(*_sides(lk, rk), key="k", anti=True)
+    want = np.nonzero(~np.isin(lk, rk))[0]
+    assert _rows(out) == sorted((int(lk[i]), int(i)) for i in want)
+
+
+def test_semi_join_non_distinct_right(semi_join):
+    # duplicated right keys must not duplicate output rows
+    left, right = _sides(np.arange(100), [5, 5, 5, 17, 17, 99], 3, 2)
+    assert [r[0] for r in _rows(semi_join(left, right, key="k"))] == \
+        [5, 17, 99]
+
+
+def test_semi_join_hot_left_key(semi_join):
+    # one left key with 200k rows across every left block
+    n = 200_000
+    lk = np.concatenate([np.full(n, 7), np.arange(100, 160)])
+    assert semi_join(*_sides(lk, [7, 100], 16, 1), key="k").count() == n + 1
+    assert semi_join(*_sides(lk, [7, 100], 16, 1), key="k",
+                     anti=True).count() == 59
+
+
+def _no_right_rows():
+    # every right row filtered out: a map over no rows keeps no schema
+    left, right = _sides(np.arange(50), np.arange(10), 3, 1)
+    return left, right.filter(lambda r: False)
+
+
+def test_semi_join_empty_right(semi_join):
+    semi = semi_join(*_no_right_rows(), key="k")
+    assert semi.count() == 0
+    assert materialize_typed(semi).schema().base_schema == pa.schema(
+        [("k", pa.int64()), ("x", pa.int64())])
+
+
+def test_anti_join_empty_right(semi_join):
+    anti = semi_join(*_no_right_rows(), key="k", anti=True)
+    assert [r[1] for r in _rows(anti)] == list(range(50))
+
+
+def test_semi_join_null_keys(semi_join):
+    # a null key matches nothing, a right null included: the semi-join
+    # drops null-key rows and the anti-join keeps them
+    left, right = _sides([1, None, 2, 3, None], [2, None, 3], 2, 2)
+    assert _rows(semi_join(left, right, key="k")) == [(2, 2), (3, 3)]
+    anti = semi_join(left, right, key="k", anti=True)
+    assert sorted(r["x"] for r in anti.take_all()) == [0, 1, 4]
+
+
+@pytest.mark.parametrize("name", ["bloom_semi_join", "bloom_anti_join"])
+def test_membership_query_runs(name, ray_session, executed_ops):
+    """The queries hand ``semi_join`` their bare reads, whose schemas
+    are known without running them: the right key set and the result
+    are at most three executor runs, none of them a limit(1) probe."""
+    from ray.data._internal.execution.operators.limit_operator import \
+        LimitOperator
+
+    import __ray_entry__ as entry
+
+    assert entry.queries()[name](SF0001).count() > 0
+    assert 0 < len(executed_ops) <= 3, \
+        [[op.name for op in run] for run in executed_ops]
+    assert not any(isinstance(op, LimitOperator)
+                   for run in executed_ops for op in run)

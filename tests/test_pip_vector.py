@@ -409,6 +409,48 @@ def test_pip_joins_equal_contains_on_bulging_rings(seed, n_polys, zoom):
     assert (bulge[wide] > 0.0).all()
 
 
+def test_ring_beyond_mercator_limit_is_covered(ray_session):
+    """A ring lying wholly beyond 85.05° N covers the edge row that
+    ``tiles.cell_id`` clamps its points into, so both joins keep what
+    the exact test accepts."""
+    import ray.data
+
+    ps = PolygonSet.from_rings([{"poly_id": 3, "rings": [np.array(
+        [(10.0, 86.0), (60.0, 86.0), (60.0, 88.0), (10.0, 88.0)])]}])
+    assert ps.cell_cover(5)
+    lon, lat = np.array([30.0, 30.0]), np.array([87.0, 80.0])
+    assert ps.contains(lon, lat, 0).tolist() == [True, False]
+    ds = ray.data.from_arrow(pa.table({
+        "pt": np.arange(2), "lon": lon, "lat": lat,
+        "cell_id": tiles.cell_id(lon, lat, 5)}))
+    for joined in (J.pip_join(ds, ps, zoom=5, with_name=False),
+                   J.pip_join_strtree(ds, ps)):
+        t = pa.concat_tables(ray.get(joined.to_arrow_refs()))
+        assert list(zip(t.column("pt").to_pylist(),
+                        t.column("poly_id").to_pylist())) == [(0, 3)]
+
+
+def test_benchmark_layer_covers_pinned():
+    """The zoom-7 covers of perfbench's jagged layer (seed 7, 2,000
+    polygons) and of the admin layer, as sha256 of their
+    ``cover_arrays``: clamping boxes beyond the Mercator limit into the
+    edge rows left them unchanged."""
+    import hashlib
+
+    from karta_ray import synth
+    from perfbench import gen
+
+    for ps, want in (
+            (PolygonSet.from_rings(gen.jagged_polygons(7, 2000, 64)),
+             "560cb059c3761a300df1e49fda264a5bbaced12d563acb4756ccf24ad972603b"),
+            (synth.admin_polygons(seed=7),
+             "f8da09b623cfc02671376f3cf182121c46ec32514af18bd44395f8aa7cf03076")):
+        h = hashlib.sha256()
+        for a in ps.cover_arrays(7):
+            h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+        assert h.hexdigest() == want
+
+
 # ---------------------------------------------------------------------------
 # Chunking of the pair kernel
 # ---------------------------------------------------------------------------
