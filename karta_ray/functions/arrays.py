@@ -12,14 +12,15 @@ import numpy as np
 import pyarrow as pa
 
 
-def list_column_to_matrix(col, dtype=np.float64) -> np.ndarray:
-    """(n, d) ndarray from a ``list<T>`` / ``fixed_size_list<T, d>``
-    column whose rows all have the same length. Single flat-buffer view
-    + one cast — no per-value Python objects."""
+def list_column_to_matrix(col) -> np.ndarray:
+    """(n, d) float64 ndarray from a ``list<T>`` /
+    ``fixed_size_list<T, d>`` column whose rows all have the same
+    length. Single flat-buffer view + one cast — no per-value Python
+    objects."""
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     n = len(arr)
     if n == 0:
-        return np.empty((0, 0), dtype=dtype)
+        return np.empty((0, 0), dtype=np.float64)
     if pa.types.is_fixed_size_list(arr.type):
         d = arr.type.list_size
         flat = arr.values.slice(arr.offset * d, n * d)
@@ -32,7 +33,7 @@ def list_column_to_matrix(col, dtype=np.float64) -> np.ndarray:
             raise ValueError("ragged list column cannot form a matrix")
         flat = arr.values.slice(int(offsets[0]), n * d)
         out = np.asarray(flat)
-    return out.astype(dtype, copy=False).reshape(n, d)
+    return out.astype(np.float64, copy=False).reshape(n, d)
 
 
 def matrix_to_list_column(mat: np.ndarray):

@@ -250,9 +250,9 @@ def minhash_signatures_batch(shingle_arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def band_keys_batch(sigs: np.ndarray, bands: int, rows: int) -> np.ndarray:
-    """LSH band keys for MANY signatures at once: (n, bands) uint64.
-    Same FNV-1a fold as :func:`band_keys`, vectorized across documents
-    (the per-row fold is a fixed ``rows``-step loop)."""
+    """LSH band keys for MANY signatures at once: (n, bands) uint64 —
+    the FNV-1a fold of each band's ``rows`` signature values, vectorized
+    across documents (the per-row fold is a fixed ``rows``-step loop)."""
     sigs = np.ascontiguousarray(sigs, dtype=np.uint64)
     n = len(sigs)
     v = sigs[:, :bands * rows].reshape(n, bands, rows)
@@ -261,20 +261,6 @@ def band_keys_batch(sigs: np.ndarray, bands: int, rows: int) -> np.ndarray:
         for r in range(rows):
             h = (h ^ v[:, :, r]) * np.uint64(1099511628211)
     return h
-
-
-def band_keys(sig: np.ndarray, bands: int, rows: int) -> np.ndarray:
-    """LSH band bucket keys: hash of each band's rows (uint64[bands])."""
-    assert bands * rows <= len(sig)
-    out = np.empty(bands, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for bidx in range(bands):
-            chunk = sig[bidx * rows:(bidx + 1) * rows]
-            h = np.uint64(1469598103934665603)
-            for v in chunk:
-                h = (h ^ v) * np.uint64(1099511628211)
-            out[bidx] = h
-    return out
 
 
 def simhash_batch(texts: list[str]) -> np.ndarray:
@@ -321,18 +307,6 @@ def simhash_batch(texts: list[str]) -> np.ndarray:
                 << np.arange(64, dtype=np.uint64)[None, :]).sum(axis=1)
     out[np.nonzero(nonempty)[0]] = sigs
     return out
-
-
-def simhash64(token_hashes: np.ndarray) -> np.uint64:
-    """64-bit SimHash of a multiset of token hashes."""
-    if len(token_hashes) == 0:
-        return np.uint64(0)
-    bits = ((token_hashes[:, None] >> np.arange(64, dtype=np.uint64)[None, :])
-            & np.uint64(1)).astype(np.int64)
-    score = (2 * bits - 1).sum(axis=0)
-    with np.errstate(over="ignore"):
-        return np.uint64(((score > 0).astype(np.uint64)
-                          << np.arange(64, dtype=np.uint64)).sum())
 
 
 def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1227,9 +1227,7 @@ def q_media_features(sf_dir: str):
     opaque binary columns, then DECODED by the real parsers and reduced
     to integer-exact stats.  The pixel/sample generation is plain
     modular arithmetic, so DuckDB reproduces every decoded value — the
-    oracle certifies the full encode -> bytes -> decode round trip.
-    The float feature extractor (a per-worker cached stage) keeps its own
-    equivalence tests in test_io_multimodal."""
+    oracle certifies the full encode -> bytes -> decode round trip."""
     import ray.data
 
     from ..stages.multimodal import encode_ppm, encode_wav, media_decode_stats

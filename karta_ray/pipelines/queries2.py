@@ -1129,13 +1129,12 @@ KMEANS_K = 8
 @query(oracle=lambda: OH.kmeans_sql(KMEANS_K))
 def q_kmeans(sf_dir: str):
     """Distributed k-means assignment step: deterministic seed centroids
-    (k smallest vec_ids, the same seeds Lloyd's starts from) broadcast
-    to a map_batches assignment, then per-cluster integer aggregates
-    (count + sum of member ids).  Oracle-checked — argmin over k
-    distances to the seed vectors is plain SQL, and the outputs are
-    integer-exact.  The full iterative Lloyd's fit (kmeans_fit) keeps
-    its cluster-quality assertion in tests (iterative float means are
-    not SQL-mirrorable bit for bit)."""
+    (the k smallest vec_ids) broadcast to a map_batches assignment, then
+    per-cluster integer aggregates (count + sum of member ids).
+    Oracle-checked — argmin over k distances to the seed vectors is
+    plain SQL, and the outputs are integer-exact.  No Lloyd's
+    iterations follow: iterative float means are not SQL-mirrorable bit
+    for bit."""
     import ray.data
 
     from ..stages.agg import tree_sum
@@ -1876,11 +1875,14 @@ def q_bloom_anti_join(sf_dir: str):
     return semi_join(left, right, key="l_orderkey", anti=True)
 
 
+# NOT EXISTS, not NOT IN: a null l_orderkey matches no order and its
+# row is kept, and a null URGENT o_orderkey removes nothing
 BLOOM_ANTI_JOIN_SQL = """
 SELECT l_orderkey, l_partkey, l_quantity
 FROM lineitem
-WHERE l_orderkey NOT IN (SELECT o_orderkey FROM orders
-                         WHERE o_orderpriority = '1-URGENT')
+WHERE NOT EXISTS (SELECT 1 FROM orders
+                  WHERE o_orderpriority = '1-URGENT'
+                    AND o_orderkey = l_orderkey)
 """
 
 

@@ -35,10 +35,10 @@ def _make_combine(keys: list, col_aggs: list):
 FLUSH_ROWS = 65_536  # driver fold buffer floor, in partial rows
 
 
-def stream_fold(parts, combine, *, flush_rows: int = FLUSH_ROWS):
+def stream_fold(parts, combine):
     """Run ``parts`` once and fold its non-empty blocks on the driver as
     they stream in, re-combining with the running result whenever the
-    new rows reach max(``flush_rows``, groups so far): O(partial rows)
+    new rows reach max(``FLUSH_ROWS``, groups so far): O(partial rows)
     driver work, memory bounded by groups plus one buffer. ``combine``
     must be associative and idempotent. With no rows it folds the
     ``empty_result`` of ``parts``: a global aggregate keeps its SQL row.
@@ -53,7 +53,7 @@ def stream_fold(parts, combine, *, flush_rows: int = FLUSH_ROWS):
                               if meta.num_rows != 0]):
             buf.append(block)
             buffered += block.num_rows
-            if buffered >= max(flush_rows, groups):
+            if buffered >= max(FLUSH_ROWS, groups):
                 buf = [combine(pa.concat_tables(buf))]
                 groups, buffered = buf[0].num_rows, 0
     return combine(pa.concat_tables(buf) if buf else empty_result(parts))

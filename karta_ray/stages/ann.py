@@ -18,14 +18,9 @@ import pyarrow as pa
 
 import ray
 
+from ..functions.arrays import list_column_to_matrix
 from ..state.empty import materialize_typed
 from ..state.worker import cached, resolve
-
-
-def _to_matrix(col) -> np.ndarray:
-    from ..functions.arrays import list_column_to_matrix
-
-    return list_column_to_matrix(col, dtype=np.float64)
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -62,7 +57,7 @@ class _TopkScorer:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         vid = batch.column("vec_id").to_numpy()
-        emb = _normalize(_to_matrix(batch.column("embedding")))
+        emb = _normalize(list_column_to_matrix(batch.column("embedding")))
         lab = batch.column("label").to_numpy() if self.probed else None
         sims = None
         out_q, out_v, out_s = [], [], []
@@ -155,7 +150,7 @@ def ann_ivf_topk(emb_ds, query_ids, query_mat, k: int = 10, *,
 
     def partial_centroids(batch: pa.Table) -> pa.Table:
         lab = batch.column("label").to_numpy().astype(np.int64)
-        emb = _to_matrix(batch.column("embedding"))
+        emb = list_column_to_matrix(batch.column("embedding"))
         return _label_sum_rows(emb, lab)
 
     parts = emb_ds.map_batches(partial_centroids, batch_format="pyarrow")
@@ -187,7 +182,7 @@ def cosine_neardup_blocked(emb_ds, threshold: float, *, nblocks: int = 8):
 
     def expand(batch: pa.Table) -> pa.Table:
         vid = batch.column("vec_id").to_numpy().astype(np.int64)
-        emb = _normalize(_to_matrix(batch.column("embedding")))
+        emb = _normalize(list_column_to_matrix(batch.column("embedding")))
         blk = (vid * np.int64(2654435761)) % nblocks  # deterministic
         lo = np.minimum(blk[:, None], np.arange(nblocks)[None, :])
         hi = np.maximum(blk[:, None], np.arange(nblocks)[None, :])
@@ -224,7 +219,7 @@ def cosine_neardup_blocked(emb_ds, threshold: float, *, nblocks: int = 8):
         lo, hi = bucket // nblocks, bucket % nblocks
         vid = group.column("vec_id").to_numpy()
         blk = group.column("blk").to_numpy()
-        emb = _to_matrix(group.column("embedding"))
+        emb = list_column_to_matrix(group.column("embedding"))
         outs_a, outs_b = [], []
         if lo == hi:
             order = np.argsort(vid, kind="stable")

@@ -28,22 +28,6 @@ from ..kernels import predicates as P
 from ..state.worker import cached, resolve
 
 
-def members_table(vertex_arrays, kind: str = "line") -> pa.Table:
-    """Build a member-geometry Arrow table from (n_i, 2) vertex arrays,
-    ``geom_id`` numbering them from 0."""
-    ids = []
-    verts = []
-    for i, v in enumerate(vertex_arrays):
-        v = np.asarray(v, dtype=np.float64).reshape(-1, 2)
-        ids.append(i)
-        verts.append(v.tolist())
-    return pa.table({
-        "geom_id": pa.array(ids, pa.int64()),
-        "kind": pa.array([kind] * len(ids), pa.string()),
-        "vertices": pa.array(verts, pa.list_(pa.list_(pa.float64(), 2))),
-    })
-
-
 def _member_arrays(batch: pa.Table):
     from ..functions.arrays import nested_vertices_to_arrays
 

@@ -1,10 +1,9 @@
 """Heavy hitters over an unbounded token domain: exact top-k token
-counts, plus a mergeable Count-Min sketch for when the exact count
-table itself is too large to shuffle.
+counts.
 
-Exact path shape (the default — exact at any corpus size whose
-*distinct-token* table fits the cluster, which is the realistic case:
-vocabulary grows ~O(corpus^0.5) by Heaps' law):
+Shape (exact at any corpus size whose *distinct-token* table fits the
+cluster, which is the realistic case: vocabulary grows ~O(corpus^0.5)
+by Heaps' law):
 
 1. unnest tokens + in-block Arrow ``group_by`` count — one combiner
    per block, so the shuffle moves distinct-tokens-per-block rows, not
@@ -13,10 +12,6 @@ vocabulary grows ~O(corpus^0.5) by Heaps' law):
    shuffle with bounded boundary residue, no single-block combine;
 3. top-k: :func:`~karta_ray.stages.topn.global_topk` with a
    deterministic (count desc, token asc) tiebreak.
-
-The Count-Min path (:mod:`karta_ray.functions.sketch`) never shuffles
-tokens at all: fixed ``depth x width`` uint64 partials tree-combine
-like the HLL registers.
 
 Tokenization is the repo-wide convention (single-space split, empties
 dropped) = DuckDB ``unnest(string_split(text, ' ')) ... WHERE w <> ''``

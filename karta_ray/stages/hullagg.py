@@ -50,31 +50,3 @@ def convex_hull(points_ds):
         "x": pa.array(hv[:, 0]),
         "y": pa.array(hv[:, 1]),
     })
-
-
-def grouped_convex_hull(points_ds, group_col: str):
-    """Per-group planar convex hulls of (lon, lat) points via
-    groupby().map_groups — one hull row set per key (the reference's
-    per-layer hull, distributed)."""
-    def hull_of_group(group: pa.Table) -> pa.Table:
-        coords = np.column_stack([
-            group.column("lon").to_numpy(zero_copy_only=False),
-            group.column("lat").to_numpy(zero_copy_only=False)])
-        coords = coords[~np.isnan(coords).any(axis=1)]
-        if len(coords) == 0:
-            return pa.table({group_col: pa.array([], pa.int64()),
-                             "order": pa.array([], pa.int64()),
-                             "x": pa.array([], pa.float64()),
-                             "y": pa.array([], pa.float64())})
-        hv = _hull_vertices(coords)
-        key = group.column(group_col)[0].as_py()
-        n = len(hv)
-        return pa.table({
-            group_col: pa.array([key] * n, pa.int64()),
-            "order": pa.array(np.arange(n, dtype=np.int64)),
-            "x": pa.array(hv[:, 0]),
-            "y": pa.array(hv[:, 1]),
-        })
-
-    return points_ds.groupby(group_col).map_groups(hull_of_group,
-                                                   batch_format="pyarrow")

@@ -1,17 +1,17 @@
-"""Distributed k-means (Lloyd's) over an embedding Dataset.
+"""k-means building blocks over an embedding Dataset: deterministic
+seed centroids, the nearest-centroid assignment, and per-cluster
+vector sums.
 
-The scale shape: centroids broadcast per iteration (k x d floats — tiny
-relative to data), assignment + per-centroid partial (sum, count)
-computed inside map_batches as (label, dim, s, n) rows, partials
-folded on the driver as they stream in (stages.agg.tree_sum): driver
-memory holds the k x d result plus one flush buffer, never every
-block's partials at once (the former per-block take_all() held
-O(blocks * k * d) rows: GBs at 10^6 blocks), though the rows streamed
-through the driver still grow with the block count. Data streams
-through each iteration; no full materialization of the vectors.
+The scale shape: centroids are broadcast once (k x d floats — tiny
+relative to data) to a map_batches assignment; per-cluster partial
+(sum, count) rows are computed inside map_batches as (label, dim, s, n)
+rows and folded on the driver as they stream in (stages.agg.tree_sum):
+driver memory holds the k x d result plus one flush buffer, never every
+block's partials at once, though the rows streamed through the driver
+still grow with the block count.
 
-Used to build real IVF cluster assignments (`ann_ivf_topk` probes the
-nprobe nearest centroids) when the corpus has no precomputed labels.
+``q_kmeans`` assigns every vector to its seed centroid;
+``ann_ivf_topk`` folds the per-cluster sums into its probe centroids.
 
 Deterministic: seeds are the k vectors with the smallest ids, and all
 arithmetic is fixed-order per block layout.
@@ -77,37 +77,6 @@ def kmeans_seeds(emb_ds, k: int) -> np.ndarray:
     ids (sort -> limit, a distributed top-k, not a full collect)."""
     rows = emb_ds.sort("vec_id").limit(k).take(k)
     return np.array([r["embedding"] for r in rows], dtype=np.float64)
-
-
-def kmeans_fit(emb_ds, k: int, *, iters: int = 10):
-    """Lloyd's iterations over the Dataset; returns (k, d) centroids."""
-    from ..functions.arrays import list_column_to_matrix
-
-    cent = kmeans_seeds(emb_ds, k)
-    for _ in range(iters):
-        ref = ray.put(cent)
-
-        def partial(batch: pa.Table, *, ref=ref) -> pa.Table:
-            c = cached(resolve, ref)
-            emb = list_column_to_matrix(batch.column("embedding"))
-            return _label_sum_rows(emb, _assign(emb, c))
-
-        parts = emb_ds.map_batches(partial, batch_format="pyarrow")
-        d = cent.shape[1]
-        labels, lsums, lcounts = collect_centroid_sums(parts, d)
-        sums = np.zeros((k, d))
-        counts = np.zeros(k, dtype=np.int64)
-        for i, l in enumerate(labels):
-            sums[l] = lsums[i]
-            counts[l] = lcounts[i]
-        nonzero = counts > 0
-        new = cent.copy()
-        new[nonzero] = sums[nonzero] / counts[nonzero, None]
-        if np.allclose(new, cent, rtol=0.0, atol=1e-12):
-            cent = new
-            break
-        cent = new
-    return cent
 
 
 def kmeans_predict(emb_ds, centroids: np.ndarray):

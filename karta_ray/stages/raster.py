@@ -10,12 +10,17 @@ the distributed analogue of the reference's overlapping chunks
 (``aschunks(overlap=...)``, karta/raster/grid.py:479-523).
 
 Stages:
-- ``tiles_from_grid`` / ``grid_from_tiles``: (de)tiling.
+- ``tiles_from_grid`` / ``tiles_dataset`` / ``synthetic_tiles``:
+  tiling (``grid_from_tiles`` reassembles a collected table).
+- ``merge_grids_stage``: weighted mosaic of tile layers via per-block
+  partial sums + tree combine.
 - ``stencil_stage``: per-tile numpy stencil over halo-padded tiles,
   trimming the halo on output — embarrassingly parallel map_batches.
 - ``sample_points``: raster<-vector sampling join (broadcast grid).
-- ``grid_bin_stage``: vector->raster binning (gridpoints semantics) via
-  per-batch partial sums + tree combine.
+- ``tile_sample_stage``: the same sampling as a co-group of points and
+  tile records, for rasters too big to broadcast.
+- ``regrid_tiles_stage``: nearest/bilinear resampling onto a new pixel
+  grid, one output tile per input tile.
 """
 
 from __future__ import annotations
@@ -162,20 +167,6 @@ def merge_grids_stage(tile_datasets, weights=None, grid_origins=None):
     return agg.map_batches(finalize, batch_format="pyarrow")
 
 
-def write_tiles_parquet(tiles_ds, path: str):
-    """Persist a tile-record Dataset as partitioned parquet — the
-    engine's GeoTiff replacement (no GDAL in env): dtype-preserving,
-    resumable (one file per block), round-trippable via
-    :func:`read_tiles_parquet`."""
-    tiles_ds.write_parquet(path)
-
-
-def read_tiles_parquet(path: str):
-    import ray.data
-
-    return ray.data.read_parquet(path)
-
-
 def _set_dtype_col(table: pa.Table, dtype_str: str) -> pa.Table:
     if "dtype" not in table.column_names:
         return table
@@ -247,23 +238,6 @@ def stencil_stage(tiles_ds, kernel: str, *, res=(1.0, 1.0),
                              out.column("ny"))
         out = out.set_column(out.schema.get_field_index("pnx"), "pnx",
                              out.column("nx"))
-        return _set_dtype_col(out, "<f8")
-
-    return tiles_ds.map_batches(apply, batch_format="pyarrow",
-                                zero_copy_batch=True)
-
-
-def apply_stage(tiles_ds, func):
-    """karta ``Grid.apply`` (grid.py:54-78): element-wise numpy UDF over
-    every tile — no halo needed, embarrassingly parallel."""
-    def apply(batch: pa.Table) -> pa.Table:
-        vals = []
-        for r in range(batch.num_rows):
-            block = _block(batch, r)
-            vals.append(np.ascontiguousarray(
-                func(block).astype(np.float64)).tobytes())
-        out = batch.set_column(batch.schema.get_field_index("values"),
-                               "values", pa.array(vals, pa.binary()))
         return _set_dtype_col(out, "<f8")
 
     return tiles_ds.map_batches(apply, batch_format="pyarrow",
@@ -583,46 +557,3 @@ def sample_points(points_ds, values, transform, *, mode="bilinear"):
 
     return points_ds.map_batches(fn, batch_format="pyarrow",
                                  zero_copy_batch=True)
-
-
-def profile_stage(line_verts, dx, values, transform, crs):
-    """karta ``Grid.profile`` (grid.py:1035-1064): resample the line at
-    spacing dx, then sample the grid bilinearly at the points. Returns
-    an Arrow table (x, y, value)."""
-    from ..kernels.lines import to_points
-
-    pts = to_points(line_verts, dx, crs)
-    v = RK.sample_bilinear(transform, values, pts[:, 0], pts[:, 1])
-    return pa.table({"x": pa.array(pts[:, 0]), "y": pa.array(pts[:, 1]),
-                     "value": pa.array(v)})
-
-
-def grid_bin_stage(points_ds, transform, shape):
-    """Distributed gridpoints over (lon, lat, value) rows: per-batch
-    partial (sum, count) per cell -> tree combine -> mean finalize.
-    Returns Dataset (gi, gj, n, mean)."""
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column("lon").to_numpy(zero_copy_only=False)
-        y = batch.column("lat").to_numpy(zero_copy_only=False)
-        z = batch.column("value").to_numpy(zero_copy_only=False)
-        I, J = RK.positions(transform, x, y)
-        i = np.round(I).astype(np.int64)
-        j = np.round(J).astype(np.int64)
-        ok = (i >= 0) & (i < shape[0]) & (j >= 0) & (j < shape[1])
-        t = pa.table({"gi": pa.array(i[ok]), "gj": pa.array(j[ok]),
-                      "zsum": pa.array(z[ok].astype(np.float64)),
-                      "n": pa.array(np.ones(int(ok.sum()), dtype=np.int64))})
-        g = t.group_by(["gi", "gj"]).aggregate([("zsum", "sum"), ("n", "sum")])
-        return g.rename_columns(["gi", "gj", "zsum", "n"])
-
-    part = points_ds.map_batches(partial, batch_format="pyarrow")
-    agg = tree_sum(part, ["gi", "gj"], ["zsum", "n"])
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        zs = batch.column("zsum").to_numpy()
-        n = batch.column("n").to_numpy()
-        return pa.table({"gi": batch.column("gi"), "gj": batch.column("gj"),
-                         "n": batch.column("n"),
-                         "mean": pa.array(zs / n, pa.float64())})
-
-    return agg.map_batches(finalize, batch_format="pyarrow")

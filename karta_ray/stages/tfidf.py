@@ -84,11 +84,3 @@ def tfidf_table(ds):
 
     return lookup(tf, df, on="token", key="token", columns=["df"]) \
         .map_batches(weigh, batch_format="pyarrow")
-
-
-def top_term_per_doc(ds):
-    """The highest-tfidf term per document (ties: token asc)."""
-    from .topn import grouped_topn
-
-    return grouped_topn(tfidf_table(ds), ["doc_id"], "tfidf", 1,
-                        tie_cols=["token"])

@@ -167,11 +167,6 @@ def pages_from_documents(batch: pa.Table) -> pa.Table:
     })
 
 
-def pages_table(n: int, start: int = 0) -> pa.Table:
-    """Driver-side small fixture (tests): n pages with ids start..start+n."""
-    return make_pages({"id": np.arange(start, start + n, dtype=np.int64)})
-
-
 def pages_dataset(n: int, *, override_num_blocks: int | None = None):
     """Distributed deterministic pages synthesis (bench-scale input)."""
     import ray.data

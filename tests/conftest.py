@@ -11,6 +11,17 @@ REFERENCE_DATA = os.path.join(os.path.dirname(REPO), "reference", "tests",
                               "data")
 
 
+def pages_table(n: int, start: int = 0):
+    """n synthetic pages (``karta_ray.synth.make_pages``) with ids
+    start..start+n, built on the driver."""
+    import numpy as np
+
+    from karta_ray import synth
+
+    return synth.make_pages({"id": np.arange(start, start + n,
+                                             dtype=np.int64)})
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     """One Ray session for the whole pytest run (driver guidance): tests

@@ -3,6 +3,7 @@
 import numpy as np
 import pyarrow as pa
 import pytest
+from conftest import pages_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from karta_ray.stages.extract import extract_geotag_stage
 
 
 def test_extract_byte_identical():
-    t = synth.pages_table(500)
+    t = pages_table(500)
     got = extract_text(t.column("html"))
     assert got.to_pylist() == t.column("text").to_pylist()
     # byte-level check on a few rows
@@ -29,16 +30,16 @@ def test_extract_handles_entities():
 
 
 def test_synth_deterministic_and_shardable():
-    a = synth.pages_table(100)
-    b = synth.pages_table(100)
+    a = pages_table(100)
+    b = pages_table(100)
     assert a.equals(b)
     # shard [50, 100) generated independently equals the tail of [0, 100)
-    tail = synth.pages_table(50, start=50)
+    tail = pages_table(50, start=50)
     assert tail.equals(a.slice(50, 50))
 
 
 def test_geotag_parse_roundtrip():
-    t = synth.pages_table(300)
+    t = pages_table(300)
     lon, lat = parse_geotag(t.column("text"))
     none = np.isnan(lon)
     # ~10% no-geotag
@@ -133,7 +134,7 @@ def test_geotag_from_html_rejects_invalid_utf8():
 
 
 def test_extract_geotag_stage_returns_page_coords():
-    t = synth.pages_table(2000)
+    t = pages_table(2000)
     out = extract_geotag_stage(t)
     assert "html" not in out.column_names and "text" not in out.column_names
     assert out.column("url").equals(t.column("url"))

@@ -3,9 +3,22 @@
 COUNTS for touching/within with np.random.seed(49) geometry sets."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
-from karta_ray.stages.geomjoin import members_table, touching, within
+from karta_ray.stages.geomjoin import touching, within
+
+
+def members_table(vertex_arrays, kind: str = "line") -> pa.Table:
+    """A member-geometry Arrow table from (n_i, 2) vertex arrays,
+    ``geom_id`` numbering them from 0."""
+    verts = [np.asarray(v, dtype=np.float64).reshape(-1, 2).tolist()
+             for v in vertex_arrays]
+    return pa.table({
+        "geom_id": pa.array(range(len(verts)), pa.int64()),
+        "kind": pa.array([kind] * len(verts), pa.string()),
+        "vertices": pa.array(verts, pa.list_(pa.list_(pa.float64(), 2))),
+    })
 
 
 def seeded_multiline():
@@ -142,8 +155,6 @@ class TestSegmentFastPathChunking:
     def test_touching_matches_loop_path(self):
         import ray.data
 
-        from karta_ray.stages.geomjoin import members_table, touching
-
         segs = self._members()
         ring = self._target()
         fast = touching(
@@ -162,8 +173,7 @@ class TestSegmentFastPathChunking:
     def test_intersection_points_chunked(self):
         import ray.data
 
-        from karta_ray.stages.geomjoin import (intersection_points,
-                                               members_table)
+        from karta_ray.stages.geomjoin import intersection_points
 
         segs = self._members(1500)
         ring = self._target()

@@ -266,3 +266,29 @@ def test_membership_query_runs(name, ray_session, executed_ops):
         [[op.name for op in run] for run in executed_ops]
     assert not any(isinstance(op, LimitOperator)
                    for run in executed_ops for op in run)
+
+
+def test_anti_join_query_keeps_null_keys_as_its_oracle(ray_session,
+                                                      tmp_path):
+    # lineitems with a null l_orderkey are kept, and a null URGENT
+    # o_orderkey removes nothing: SQL's NOT EXISTS, not NOT IN
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entry
+    from perfbench.check import frames_equal, oracle_frames, result_frame
+
+    pq.write_table(pa.table({
+        "l_orderkey": pa.array([1, 2, None, 3, 4, None], pa.int64()),
+        "l_partkey": pa.array([10, 20, 30, 40, 50, 60], pa.int64()),
+        "l_quantity": pa.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])}),
+        tmp_path / "lineitem.parquet")
+    pq.write_table(pa.table({
+        "o_orderkey": pa.array([1, None, 3, 5], pa.int64()),
+        "o_orderpriority": ["1-URGENT", "1-URGENT", "2-HIGH",
+                            "1-URGENT"]}),
+        tmp_path / "orders.parquet")
+    want = oracle_frames(str(tmp_path), ["lineitem", "orders"], {
+        "bloom_anti_join": entry.oracle_sql()["bloom_anti_join"]})
+    got = result_frame(entry.queries()["bloom_anti_join"](str(tmp_path)))
+    assert sorted(got["l_partkey"]) == [20, 30, 40, 50, 60]
+    assert frames_equal(got, want["bloom_anti_join"])

@@ -77,13 +77,13 @@ class TestCheckpointResume:
 class TestFlagshipCheckpointed:
     def test_end_to_end_and_resume(self, tmp_path):
         import pyarrow.parquet as pq
+        from conftest import pages_table
 
-        from karta_ray import synth
         from karta_ray.pipelines.flagship import flagship_checkpointed
 
         pages_dir = str(tmp_path / "pages")
         os.makedirs(pages_dir)
-        pq.write_table(synth.pages_table(800), f"{pages_dir}/part0.parquet")
+        pq.write_table(pages_table(800), f"{pages_dir}/part0.parquet")
 
         root = str(tmp_path / "ckpt")
         agg1, pipe1 = flagship_checkpointed(pages_dir, root)

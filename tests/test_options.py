@@ -15,11 +15,27 @@ of the default itself does not count: a literal equal to it
 constant bound to it (``k=T.MINHASH_K`` where the default is 128 and
 ``MINHASH_K = 128``). Calls are matched by name, so two functions of
 the same name share their callers; that errs toward counting a
-parameter as passed."""
+parameter as passed.
+
+Every library def has a production caller: each top-level function or
+class of the stage, state, function and pipeline layers (and
+``synth``), public or private, must be reached from a production root
+— a registered ``q_*`` query (its ``@query(oracle=...)`` decorator
+included), any name in ``bench.py``, ``__ray_entry__.py``,
+``perfbench/`` or ``scripts/``, or a module-level statement of
+``karta_ray`` other than an import. A def reaches the ``ast.Name`` and
+``ast.Attribute`` names inside it (decorators included), matched by
+name to the top-level defs of ``karta_ray``; a string, a comment or an
+import statement reaches nothing. The only unreached defs allowed are
+``TEST_ORACLES``: references that a named test compares a production
+output against. ``kernels/``, ``sources/`` and ``crs.py`` mirror the
+reference library's surface and are not checked."""
 
 import ast
 import gc
 import pathlib
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LIB = ROOT / "karta_ray"
@@ -31,6 +47,39 @@ CALLING = [*sorted(LIB.rglob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
            *sorted((ROOT / "perfbench").glob("*.py")),
            *sorted((ROOT / "scripts").glob("*.py")),
            ROOT / "bench.py", ROOT / "__ray_entry__.py"]
+# the production entry points, and the layers held to a production caller
+ENTRY = [ROOT / "bench.py", ROOT / "__ray_entry__.py",
+         *sorted((ROOT / "perfbench").glob("*.py")),
+         *sorted((ROOT / "scripts").glob("*.py"))]
+CHECKED = [*DEFINING, *sorted((LIB / "state").glob("*.py"))]
+# unreached defs kept as test references: {def: the test file that
+# compares a production output against it}
+TEST_ORACLES = {
+    "karta_ray/functions/text.py::char_shingles": "tests/test_dedup_ann.py",
+    "karta_ray/functions/text.py::minhash_signature":
+        "tests/test_dedup_ann.py",
+    "karta_ray/functions/text.py::lang_id": "tests/test_dedup_ann.py",
+    "karta_ray/functions/text.py::quality_counts": "tests/test_dedup_ann.py",
+    "karta_ray/functions/sketch.py::hll_count": "tests/test_dedup_ann.py",
+    "karta_ray/functions/sketch.py::hll_count_from_rows":
+        "tests/test_heavy.py",
+    "karta_ray/stages/raster.py::grid_from_tiles": "tests/test_raster.py",
+    "karta_ray/stages/sink.py::read_sink": "tests/test_sink.py",
+}
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+@pytest.fixture(scope="module")
+def trees():
+    """{path: module AST} of every file either scan reads, parsed once."""
+    # the ~30k-line parse allocates millions of acyclic nodes: cyclic
+    # GC passes over them would add ~40 % to the run time
+    gc.disable()
+    try:
+        return {p: ast.parse(p.read_text(), str(p))
+                for p in {*DEFINING, *CALLING}}
+    finally:
+        gc.enable()
 
 
 def _name(node):
@@ -181,31 +230,70 @@ def _splat_items(node, assigns, depth=0):
     return []
 
 
-def never_passed():
+def never_passed(trees):
     """``file::owner(param)`` of every option no call site passes."""
-    # the ~30k-line parse allocates millions of acyclic nodes: cyclic
-    # GC passes over them would add ~40 % to the run time
-    gc.disable()
-    try:
-        trees = {p: ast.parse(p.read_text(), str(p))
-                 for p in {*DEFINING, *CALLING}}
-        consts = _constants(trees)
-        passed = _passed(trees, consts)
-        out = []
-        for rel, owner, param, pos, default in _options(trees, consts):
-            values = {*passed.get((owner, param), ()),
-                      *passed.get((owner, pos), ()),
-                      *passed.get((owner, "*"), ())}
-            # passing the literal default is not setting the option
-            if not (values - {default} if default else values):
-                out.append(f"{rel}::{owner}({param})")
-        return out
-    finally:
-        gc.enable()
+    consts = _constants(trees)
+    passed = _passed(trees, consts)
+    out = []
+    for rel, owner, param, pos, default in _options(trees, consts):
+        values = {*passed.get((owner, param), ()),
+                  *passed.get((owner, pos), ()),
+                  *passed.get((owner, "*"), ())}
+        # passing the literal default is not setting the option
+        if not (values - {default} if default else values):
+            out.append(f"{rel}::{owner}({param})")
+    return out
 
 
-def test_every_defaulted_parameter_has_a_caller():
-    unused = never_passed()
+def test_every_defaulted_parameter_has_a_caller(trees):
+    unused = never_passed(trees)
     assert not unused, (
         f"{len(unused)} defaulted parameter(s) that no call site passes; "
         "write each as a constant:\n" + "\n".join(unused))
+
+
+def _names(node):
+    """The ``ast.Name`` ids and ``ast.Attribute`` attrs under ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreached(trees):
+    """``file::name`` of every top-level def in ``CHECKED`` that no
+    production root reaches."""
+    roots, edges = set(), {}
+    for path in ENTRY:
+        roots |= _names(trees[path])
+    for path in sorted(LIB.rglob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, _DEFS):
+                edges.setdefault(node.name, set()).update(_names(node))
+                if node.name.startswith("q_"):
+                    roots.add(node.name)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _names(node)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += edges.get(name, ())
+    return [f"{path.relative_to(ROOT)}::{node.name}" for path in CHECKED
+            for node in trees[path].body
+            if isinstance(node, _DEFS) and node.name not in reached]
+
+
+def test_every_library_def_has_a_production_caller(trees):
+    dead = unreached(trees)
+    problems = [f"{d}: no production caller; delete it, or list it in "
+                "TEST_ORACLES with the test that compares against it"
+                for d in dead if d not in TEST_ORACLES]
+    for d, test in TEST_ORACLES.items():
+        if d not in dead:
+            problems.append(f"{d}: listed in TEST_ORACLES but reached from "
+                            "a production root (or gone); drop the entry")
+        elif d.rsplit("::", 1)[1] not in _names(trees[ROOT / test]):
+            problems.append(f"{d}: listed in TEST_ORACLES, but {test} "
+                            "does not name it")
+    assert not problems, "\n".join(problems)

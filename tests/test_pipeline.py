@@ -3,6 +3,7 @@
 import numpy as np
 import pyarrow as pa
 import pytest
+from conftest import pages_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from karta_ray.stages.tiles import assign_cells
 
 def brute_force_join(n_pages, polyset):
     """Driver-side oracle: exact contains over every (point, polygon)."""
-    t = synth.pages_table(n_pages)
+    t = pages_table(n_pages)
     lon, lat = synth.page_coords(np.arange(n_pages))
     urls = t.column("url").to_pylist()
     ok = ~np.isnan(lon)
@@ -187,7 +188,7 @@ def pages_dir(tmp_path_factory):
 
     d = tmp_path_factory.mktemp("pages")
     for i in range(8):
-        pq.write_table(synth.pages_table(3000, start=3000 * i),
+        pq.write_table(pages_table(3000, start=3000 * i),
                        str(d / f"part-{i}.parquet"))
     return str(d)
 
@@ -484,6 +485,7 @@ class TestTreeAggProperty:
         # the fold equals one pa.Table.group_by over the whole input
         import ray.data
 
+        from karta_ray.stages import agg as agg_module
         from karta_ray.stages.agg import _make_combine, stream_fold, tree_agg
 
         rng = np.random.RandomState(seed % 2**32)
@@ -502,8 +504,11 @@ class TestTreeAggProperty:
         got = pa.concat_tables(ray.get(
             tree_agg(ds, keys, col_aggs).to_arrow_refs())).sort_by(order)
         assert got.equals(want)
-        folded = stream_fold(ds.map_batches(combine, batch_format="pyarrow"),
-                             combine, flush_rows=flush_rows).sort_by(order)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agg_module, "FLUSH_ROWS", flush_rows)
+            folded = stream_fold(
+                ds.map_batches(combine, batch_format="pyarrow"),
+                combine).sort_by(order)
         assert folded.equals(want)
 
 

@@ -185,20 +185,6 @@ class TestTiledStages:
         np.testing.assert_allclose(back, vals)
         assert T == T_UNIT
 
-    def test_apply_stage(self):
-        # karta Grid.apply: element-wise UDF per tile, no halo needed
-        from karta_ray.stages.raster import (apply_stage, grid_from_tiles,
-                                             tiles_dataset)
-
-        vals = peaks(100)
-        ds = tiles_dataset(vals, T_UNIT, tile=32, overlap=1)
-        out = apply_stage(ds, lambda a: 2.0 * a + 1.0)
-        import ray
-        tabs = [ray.get(r) for r in out.to_arrow_refs()]
-        got, T = grid_from_tiles(pa.concat_tables(tabs))
-        np.testing.assert_array_equal(got, 2.0 * vals + 1.0)
-        assert T == T_UNIT
-
     def test_stencil_stage_matches_whole_grid(self):
         from karta_ray.stages.raster import (grid_from_tiles, stencil_stage,
                                              tiles_dataset)
@@ -229,25 +215,6 @@ class TestTiledStages:
         want = RK.sample_bilinear(T, vals, x, y)
         np.testing.assert_allclose(np.sort(out["value"].to_numpy()),
                                    np.sort(want), atol=1e-12)
-
-    def test_grid_bin_stage_matches_kernel(self):
-        import ray.data
-
-        from karta_ray.stages.raster import grid_bin_stage
-
-        rng = np.random.RandomState(5)
-        x = rng.rand(5000) * 10 - 5
-        y = rng.rand(5000) * 10 - 5
-        z = x + y
-        T = (-5.0, -5.0, 0.5, 0.5, 0.0, 0.0)
-        pts = ray.data.from_arrow(pa.table({
-            "lon": pa.array(x), "lat": pa.array(y), "value": pa.array(z)}))
-        got = grid_bin_stage(pts, T, (20, 20)).to_pandas()
-        want, counts = RK.bin_mean(x, y, z, T, shape=(20, 20))
-        for _, row in got.iterrows():
-            assert row["mean"] == pytest.approx(
-                want[int(row.gi), int(row.gj)], abs=1e-9)
-        assert got["n"].sum() == counts.sum()
 
 
 class TestMerge:
@@ -346,14 +313,14 @@ class TestMoreStencils:
 
 @pytest.mark.usefixtures("ray_session")
 class TestRasterPipelineE2E:
-    """EP2/EP3 analogue (SURVEY.md §3): AAI file -> tile records ->
-    stencil -> reassembly -> line-profile sampling."""
+    """EP2 analogue (SURVEY.md §3): AAI file -> tile records -> stencil
+    -> reassembly. EP3's line profile is the ``grid_profile`` query,
+    checked against its oracle."""
 
     def test_aai_to_hillshade_profile(self, tmp_path):
         import ray
-        from karta_ray import crs
-        from karta_ray.stages.raster import (grid_from_tiles, profile_stage,
-                                             stencil_stage, tiles_dataset)
+        from karta_ray.stages.raster import (grid_from_tiles, stencil_stage,
+                                             tiles_dataset)
 
         # the reference's peaks49_corner.asc: 30 m cells, rows stored so
         # that the read grid is peaks(49) flipped (aai_tests.py:9-21)
@@ -373,18 +340,6 @@ class TestRasterPipelineE2E:
         inner = np.isfinite(want) & np.isfinite(got)
         corr = np.corrcoef(got[inner].ravel(), want[inner].ravel())[0, 1]
         assert corr > 0.99
-
-        # EP3: profile along a diagonal line across the grid
-        line = np.array([(100.0, 100.0), (1300.0, 1300.0)])
-        prof = profile_stage(line, 60.0, vals, T, crs.Cartesian)
-        assert prof.num_rows >= 20
-        v = prof.column("value").to_numpy()
-        assert np.isfinite(v).all()
-        # profile values equal direct bilinear sampling at those points
-        x = prof.column("x").to_numpy()
-        y = prof.column("y").to_numpy()
-        np.testing.assert_allclose(v, RK.sample_bilinear(T, vals, x, y),
-                                   atol=1e-12)
 
 
 class TestResize:

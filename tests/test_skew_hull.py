@@ -107,28 +107,3 @@ class TestHullAgg:
         got_v = got.sort_values("order")[["x", "y"]].to_numpy()
         assert got_v.shape == want.shape
         np.testing.assert_allclose(got_v, want, atol=1e-12)
-
-    def test_grouped_hull(self):
-        import ray.data
-
-        from karta_ray.stages.hullagg import grouped_convex_hull
-
-        rng = np.random.RandomState(6)
-        pts = rng.randn(2000, 2)
-        grp = rng.randint(0, 4, 2000)
-        ds = ray.data.from_arrow(pa.table({
-            "g": pa.array(grp.astype(np.int64)),
-            "lon": pa.array(pts[:, 0]), "lat": pa.array(pts[:, 1])}))
-        got = grouped_convex_hull(ds, "g").to_pandas()
-        assert set(got["g"].unique()) == {0, 1, 2, 3}
-        # each group's hull contains all its points
-        from karta_ray.kernels import predicates as P
-        for g in range(4):
-            ring = got[got.g == g].sort_values("order")[["x", "y"]].to_numpy()
-            sub = pts[grp == g]
-            # winding containment is edge-exclusive on some boundaries;
-            # shrink points toward the centroid slightly
-            c = sub.mean(axis=0)
-            shrunk = c + (sub - c) * 0.999
-            inside = P.points_in_ring(shrunk[:, 0], shrunk[:, 1], ring)
-            assert inside.mean() > 0.99

@@ -84,6 +84,8 @@ class TestSTRtreeJoinEquivalence:
 
     def test_prefilters_agree_in_every_mode(self):
         # both prefilters feed the one exact test: identical tables
+        from conftest import pages_table
+
         from karta_ray import synth
         from karta_ray.stages.extract import extract_geotag_stage
         from karta_ray.stages.join import (PolyJoiner, prep_polygons,
@@ -91,7 +93,7 @@ class TestSTRtreeJoinEquivalence:
         from karta_ray.stages.tiles import assign_cells
 
         ps = synth.admin_polygons()
-        batch = assign_cells(extract_geotag_stage(synth.pages_table(3000)),
+        batch = assign_cells(extract_geotag_stage(pages_table(3000)),
                              zoom=7)
         cell_ref, box_ref = prep_polygons(ps, 7), prep_polygons_strtree(ps)
         for mode in ("inner", "semi", "tag"):

@@ -1,5 +1,5 @@
-"""TF-IDF (stages/tfidf.py): brute-force parity, broadcast vs
-distributed-join path equality, top-term-per-doc ranking."""
+"""TF-IDF (stages/tfidf.py): brute-force parity and broadcast vs
+distributed-join path equality."""
 
 import math
 from collections import Counter
@@ -65,22 +65,3 @@ class TestTfidf:
         monkeypatch.setattr(lk, "BROADCAST_MAX_BYTES", 0)
         joined = tfidf_table(ds)
         assert _collect(bcast) == _collect(joined)
-
-    def test_top_term_per_doc(self, ray_session):
-        import ray
-
-        from karta_ray.stages.tfidf import top_term_per_doc
-
-        t = _corpus(150)
-        out = top_term_per_doc(
-            ray.data.from_arrow(t).repartition(4)).to_pandas()
-        brute = _brute(t)
-        best = {}
-        for did, tok, tf, df, w in brute:
-            cur = best.get(did)
-            # ties by token ascending: brute rows are sorted by
-            # (did, tok), so strictly-greater keeps the first token
-            if cur is None or w > cur[1]:
-                best[did] = (tok, w)
-        got = {r.doc_id: (r.token, r.tfidf) for r in out.itertuples()}
-        assert got == best
